@@ -7,6 +7,7 @@ as they complete. Tolerances are pinned in the asserts below.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import random
 import time
@@ -266,6 +267,41 @@ def test_criterion_8_determinism(cli_runs):
     assert any(p.suffix == ".tcgw" for p in files_a)
     for rel in files_a:
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+
+
+# SHA-256 of every file `tcgw run` writes for the bundled scenario. A change
+# here is a deliberate output-format change and belongs in CHANGES.md.
+BUNDLED_RUN_DIGESTS = {
+    "archive/almond.epoch0.tcgw": "1489b9cdc964ae3eaf5360e210e76a889fbc228c6edb6ccf3feff57122cfb2bc",
+    "archive/almond.epoch1.tcgw": "668e9be460334bcdfa8c589ef71a7bfeca13c20f15884c995e8b26299db3b9c9",
+    "archive/asparagus.epoch0.tcgw": "e46cf4219b90738d5e24226985f6c49f5f16d9daa4b1f1dc14e658942a141e87",
+    "archive/asparagus.epoch1.tcgw": "a7e85a64c61fc3ca13e68782736cbd16487ab3bd24498f5d8a53518b5d6d5f87",
+    "archive/durum_wheat.epoch0.tcgw": "0ce63f92ee6180bbef724954000b89c9946b85e972a36e76119d197e6f1a07ab",
+    "archive/durum_wheat.epoch1.tcgw": "bbbe008409f15e23cfd360d9e8036f66098ca40f0accf61808fcccf187dc4964",
+    "archive/pomegranate.epoch0.tcgw": "6333af1b61316434879a1a11ddc9332c634ed2dd402dc94fbebea630d785c25a",
+    "archive/pomegranate.epoch1.tcgw": "37b05aa85d17c33e477712d1aefc4f63dd99cb5309082a9e77d5248418d493f0",
+    "archive/ranges.json": "8309fdc7c36b0e33e13e7eea2b7c8858746635312d1cca507203a18b9e11043e",
+    "archive/tomato.epoch0.tcgw": "97e96374c84b07de7c6a75f0570811dd37959cb7b963eb34902ba4efbde2a5a0",
+    "archive/tomato.epoch1.tcgw": "ab6e25023d815c389b361d24d7ca1ff3d852614b2af590b5c91b62069fd71fc3",
+    "public.tcgw": "ccd113a04c98184009ea8bb5c3b38cacaa00da04f87c2578c209e437d34545ca",
+    "public.tcgw.meta.json": "b195cbe31e267e0bad0342e40c90f62135aa95e723cb7e466cf0492a54cfabbc",
+    "report.json": "deebb3ea2dcf0ea976fc7ee067979c4c01285d85003a9a79930067a5e245c120",
+    "state/almond.json": "9d0b2062ba1d0607147145aaecba4b87cd045e32f70542c89625481243a55f5c",
+    "state/asparagus.json": "088e926e10c0aa55cf49bc6683fe99fe3f5f42f606756c5c019ca21ef974a830",
+    "state/durum_wheat.json": "943b086f5b4aa37b3d905e7df7b90e82f1ee892930342487428b685ceb299be7",
+    "state/pomegranate.json": "9bd3cf96c05580be293f69f34c7a5b393abf0382249a44b63678d9ea7ae79e63",
+    "state/tomato.json": "68f5532bf8de5a4490047361ee3b40819a35db7e8be9a99bfce90a99ce7cdeab",
+}
+
+
+def test_bundled_run_output_is_pinned(cli_runs, capsys):
+    out, _ = cli_runs
+    digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.rglob("*") if p.is_file()}
+    assert digests == BUNDLED_RUN_DIGESTS
+    assert main(["verify", "--archive", str(out / "archive"),
+                 "--chain", str(out / "public.tcgw")]) == 0
+    assert capsys.readouterr().out.count(": ok") == 10
 
 
 @criterion(9, "consumer trace: temperature stats and exact cultural-operation counts")
