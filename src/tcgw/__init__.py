@@ -7,7 +7,14 @@ ledger, keeping pruned history verifiable while low-memory participants
 stay cheap.
 """
 
-from .canon import canonical_json, canonical_loads, digest_json, sha256
+from .canon import (
+    canonical_json,
+    canonical_loads,
+    digest_json,
+    from_json_value,
+    sha256,
+    to_json_value,
+)
 from .errors import (
     ClockSkew,
     DuplicateEpoch,
@@ -36,8 +43,6 @@ from .gateway import (
     rollover_epoch,
     summarize,
     summary_digest,
-    summary_from_json_value,
-    summary_to_json_value,
     verify_pruned_epoch,
 )
 from .ledger import (

@@ -13,15 +13,20 @@ Canonical form:
 - Fractional numbers are NOT representable. Carry decimals as strings
   ("4.2") so every platform produces identical bytes. Feeding a native
   float (or NaN/Infinity) raises UnsupportedValue, on encode and decode.
+
+Dataclasses travel through to_json_value/from_json_value: an object per
+instance keyed by field name, bytes as lowercase hex, tuples as arrays.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from typing import Any
+import typing
+from typing import Any, Callable
 
-from .errors import UnsupportedValue
+from .errors import InvalidArgument, UnsupportedValue
 
 DIGEST_SIZE = 32
 
@@ -93,3 +98,98 @@ def canonical_loads(data: bytes | str) -> Any:
 def digest_json(value: Any) -> bytes:
     """SHA-256 digest of the canonical encoding of `value`."""
     return sha256(canonical_json(value))
+
+
+_LEAVES = (str, int, bool)
+_PLAIN = frozenset((*_LEAVES, type(None)))
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+_DECODERS: dict[Any, Callable[[Any], Any]] = {}
+
+
+def to_json_value(obj: Any) -> Any:
+    """JSON value of a dataclass instance, or of a tuple or list of them."""
+    return _encode(obj)
+
+
+def _encode(obj: Any) -> Any:
+    cls = type(obj)
+    if cls in _PLAIN:
+        return obj
+    if cls is bytes:
+        return obj.hex()
+    if cls is tuple or cls is list:
+        return [_encode(item) for item in obj]
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        if not dataclasses.is_dataclass(cls):
+            raise UnsupportedValue(f"no JSON encoding for {cls.__name__}")
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    out = {}
+    for name in names:
+        value = getattr(obj, name)
+        out[name] = value if type(value) in _PLAIN else _encode(value)
+    return out
+
+
+def from_json_value(cls: Any, value: Any) -> Any:
+    """Inverse of to_json_value for a value of declared type `cls`.
+
+    `cls` is a dataclass, ``tuple[X, ...]``, ``list[X]``, bytes, str, int or
+    bool; nested values decode by their declared field types. An absent key
+    takes the field's default and unknown keys are ignored. Malformed input
+    raises InvalidArgument.
+    """
+    return _decoder(cls)(value)
+
+
+def _decoder(tp: Any) -> Callable[[Any], Any]:
+    """The decoding function for type `tp`, built once and cached."""
+    if tp in _DECODERS:
+        return _DECODERS[tp]
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        specs = []  # (name, leaf type or None, decoder of a non-leaf)
+        for f in dataclasses.fields(tp):
+            hint = hints[f.name]
+            leaf = hint if hint in _LEAVES else None
+            specs.append((f.name, leaf, None if leaf else _decoder(hint)))
+
+        def decode(value: Any) -> Any:
+            if not isinstance(value, dict):
+                raise InvalidArgument(f"{tp.__name__} must be a JSON object")
+            kwargs = {}
+            for name, leaf, decode_field in specs:
+                if name in value:
+                    item = value[name]
+                    if leaf is None:
+                        item = decode_field(item)
+                    elif type(item) is not leaf:
+                        raise InvalidArgument(f"{tp.__name__}.{name} must be {leaf.__name__}")
+                    kwargs[name] = item
+            try:  # a missing required key surfaces here as a TypeError
+                return tp(**kwargs)
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise InvalidArgument(f"bad {tp.__name__}: {exc}") from exc
+    elif origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
+        decode_item = _decoder(args[0])
+
+        def decode(value: Any) -> Any:
+            if not isinstance(value, list):
+                raise InvalidArgument(f"expected a JSON array, got {type(value).__name__}")
+            return origin([decode_item(item) for item in value])
+    elif tp is bytes:
+        def decode(value: Any) -> Any:
+            try:
+                return bytes.fromhex(value)
+            except (TypeError, ValueError) as exc:
+                raise InvalidArgument(f"expected a hex string, got {value!r}") from exc
+    elif tp in _LEAVES:
+        def decode(value: Any) -> Any:
+            if type(value) is not tp:
+                raise InvalidArgument(f"expected {tp.__name__}, got {type(value).__name__}")
+            return value
+    else:
+        raise TypeError(f"no JSON decoding for {tp!r}")
+    _DECODERS[tp] = decode
+    return decode

@@ -21,9 +21,9 @@ from .bench import (
     fit_storage,
     write_bench_report,
 )
-from .canon import canonical_json, canonical_loads
+from .canon import canonical_json, canonical_loads, from_json_value, to_json_value
 from .errors import TcgwError
-from .gateway import ValidityRange, summary_from_json_value, verify_pruned_epoch
+from .gateway import ValidityRange, verify_pruned_epoch
 from .ledger import load_ledger, save_ledger
 from .public_chain import PublicChain
 from .workload import (
@@ -31,7 +31,6 @@ from .workload import (
     default_scenario,
     load_scenario_config,
     run_scenario,
-    scenario_config_to_json_value,
 )
 
 ARCHIVE_NAME = re.compile(r"^(?P<channel>.+)\.epoch(?P<epoch>\d+)\.tcgw$")
@@ -39,12 +38,6 @@ ARCHIVE_NAME = re.compile(r"^(?P<channel>.+)\.epoch(?P<epoch>\d+)\.tcgw$")
 
 def _err(message: str) -> None:
     print(f"tcgw: {message}", file=sys.stderr)
-
-
-def _load_ranges(path: Path) -> list[ValidityRange]:
-    value = canonical_loads(path.read_bytes())
-    return [ValidityRange(r["metric"], r["min_valid"], r["max_valid"])
-            for r in value["ranges"]]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -70,11 +63,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     (out / "report.json").write_bytes(canonical_json(result.report))
     for (channel, epoch), ledger in sorted(result.archives.items()):
         save_ledger(ledger, archive_dir / f"{channel}.epoch{epoch}.tcgw")
-    ranges_value = {"ranges": [
-        {"max_valid": r.max_valid, "metric": r.metric, "min_valid": r.min_valid}
-        for r in cfg.ranges
-    ]}
-    (archive_dir / "ranges.json").write_bytes(canonical_json(ranges_value))
+    (archive_dir / "ranges.json").write_bytes(
+        canonical_json({"ranges": to_json_value(cfg.ranges)}))
     result.public_chain.save(out / "public.tcgw")
     for channel, body in sorted(result.final_docs.items()):
         if body is not None:
@@ -133,11 +123,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         chain = PublicChain.load(chain_path)
         ranges_path = archive_dir / "ranges.json"
         if ranges_path.exists():
-            ranges = _load_ranges(ranges_path)
+            ranges = from_json_value(tuple[ValidityRange, ...],
+                                     canonical_loads(ranges_path.read_bytes())["ranges"])
         else:
             _err(f"warning: {ranges_path} missing, verifying with no validity ranges")
             ranges = []
-    except (TcgwError, KeyError, ValueError) as exc:
+    except (TcgwError, KeyError, TypeError, ValueError) as exc:
         _err(f"cannot load inputs: {exc}")
         return 2
 

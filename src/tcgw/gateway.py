@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, Sequence
 
-from .canon import digest_json
+from .canon import digest_json, to_json_value
 from .errors import (
     DuplicateEpoch,
     DuplicateRange,
@@ -76,53 +76,9 @@ class EpochSummary:
     state_digest: bytes
 
 
-def stats_to_json_value(stats: MetricStats) -> dict:
-    return {
-        "count": stats.count,
-        "max": stats.max,
-        "mean": stats.mean,
-        "metric": stats.metric,
-        "min": stats.min,
-        "std_dev": stats.std_dev,
-    }
-
-
-def stats_from_json_value(value: dict) -> MetricStats:
-    return MetricStats(value["metric"], value["count"], value["mean"],
-                       value["std_dev"], value["min"], value["max"])
-
-
-def summary_to_json_value(summary: EpochSummary) -> dict:
-    """JSON form of a summary; its canonical bytes are what anchors commit to."""
-    return {
-        "channel_id": summary.channel_id,
-        "epoch_index": summary.epoch_index,
-        "excluded_count": summary.excluded_count,
-        "ledger_head_hash": summary.ledger_head_hash.hex(),
-        "ledger_height": summary.ledger_height,
-        "state_digest": summary.state_digest.hex(),
-        "stats": [stats_to_json_value(s) for s in summary.stats],
-        "window_end": summary.window_end,
-        "window_start": summary.window_start,
-    }
-
-
-def summary_from_json_value(value: dict) -> EpochSummary:
-    return EpochSummary(
-        channel_id=value["channel_id"],
-        epoch_index=value["epoch_index"],
-        window_start=value["window_start"],
-        window_end=value["window_end"],
-        stats=tuple(stats_from_json_value(s) for s in value["stats"]),
-        excluded_count=value["excluded_count"],
-        ledger_head_hash=bytes.fromhex(value["ledger_head_hash"]),
-        ledger_height=value["ledger_height"],
-        state_digest=bytes.fromhex(value["state_digest"]),
-    )
-
-
 def summary_digest(summary: EpochSummary) -> bytes:
-    return digest_json(summary_to_json_value(summary))
+    """Digest of the summary's canonical JSON; anchors commit to these bytes."""
+    return digest_json(to_json_value(summary))
 
 
 def _range_map(ranges: Iterable[ValidityRange]) -> dict[str, tuple[Decimal, Decimal]]:
@@ -264,7 +220,7 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
       stats  - re-running filter+summarize does not reproduce the summary
       anchor - no confirmed public anchor commits to these summary bytes
 
-    `pub` is the PublicChain (or anything with find_anchor(channel, epoch)).
+    `pub` is the PublicChain (or anything with find_anchor and is_confirmed).
     """
     failures: list[str] = []
     chain_ok = verify_chain(archived).ok
@@ -288,6 +244,7 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
     except Exception:
         failures.append("stats")
     record = pub.find_anchor(summary.channel_id, summary.epoch_index)
-    if record is None or not record.confirmed or record.summary_digest != summary_digest(summary):
+    if (record is None or not pub.is_confirmed(record)
+            or record.summary_digest != summary_digest(summary)):
         failures.append("anchor")
     return EpochVerification(not failures, tuple(failures))

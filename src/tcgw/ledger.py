@@ -181,7 +181,8 @@ def serialize_block(block: Block) -> bytes:
 
 
 class _Reader:
-    """Cursor over serialized bytes; raises LedgerFormatError on truncation."""
+    """Cursor over serialized bytes; raises LedgerFormatError on truncation
+    and on strings that are not valid UTF-8."""
 
     def __init__(self, data: bytes, offset: int = 0):
         self.data = data
@@ -204,7 +205,12 @@ class _Reader:
         return self.take(1)[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LedgerFormatError(
+                f"string at byte {self.offset - len(raw)} is not valid UTF-8") from exc
 
     def blob(self) -> bytes:
         return self.take(self.u32())

@@ -37,7 +37,7 @@ from .ledger import (
     save_ledger,
     transaction_valid,
 )
-from .worldstate import EMPTY_STATE, WorldState, apply_op, parse_op, replay
+from .worldstate import WorldState, apply_op, parse_op, replay
 
 METRICS = ("temperature_c", "humidity_pct", "rain_pct", "wind_speed_ms")
 

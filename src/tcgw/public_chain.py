@@ -14,13 +14,13 @@ replay ignores heartbeats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .canon import canonical_json, canonical_loads
+from .canon import canonical_json, canonical_loads, from_json_value, to_json_value
 from .errors import DuplicateEpoch, InvalidArgument, LedgerFormatError, UnknownGateway
-from .gateway import EpochSummary, summary_digest, summary_from_json_value, summary_to_json_value
+from .gateway import EpochSummary, summary_digest
 from .ledger import (
     Block,
     Ledger,
@@ -28,7 +28,6 @@ from .ledger import (
     TxKind,
     append_block,
     genesis,
-    head,
     iter_transactions,
     load_ledger,
     make_transaction,
@@ -42,7 +41,7 @@ META_SUFFIX = ".meta.json"
 
 @dataclass
 class AnchorRecord:
-    """Lifecycle of one published summary, from pending to confirmed."""
+    """One published summary, pending until included; see PublicChain.is_confirmed."""
 
     channel_id: str
     epoch_index: int
@@ -50,7 +49,6 @@ class AnchorRecord:
     summary: EpochSummary
     submitted_by: str
     included_height: int | None = None
-    confirmed: bool = False
 
 
 def _anchor_payload(summary: EpochSummary, digest: bytes, author: str) -> bytes:
@@ -58,7 +56,7 @@ def _anchor_payload(summary: EpochSummary, digest: bytes, author: str) -> bytes:
         "channel_id": summary.channel_id,
         "epoch_index": summary.epoch_index,
         "submitted_by": author,
-        "summary": summary_to_json_value(summary),
+        "summary": to_json_value(summary),
         "summary_digest": digest.hex(),
     })
 
@@ -78,23 +76,36 @@ class PublicChain:
         self.confirmations_required = confirmations_required
         self.clock = clock
         self.ledger: Ledger = genesis(chain_id)
-        self.pending: list[Transaction] = []
+        # Queued transactions, each with its anchor record (None for heartbeats).
+        self.pending: list[tuple[Transaction, AnchorRecord | None]] = []
         self.registry: dict[str, list[AnchorRecord]] = {}
-        self.producers: list[str] = []
-        self._pending_records: dict[bytes, AnchorRecord] = {}
         self._tick_seq = 0
 
     @property
     def chain_id(self) -> str:
         return self.ledger.chain_id
 
+    @property
+    def producers(self) -> list[str]:
+        """Validator that produced each block after genesis, in height order."""
+        return [self._producer(h) for h in range(1, self.ledger.blocks[-1].height + 1)]
+
+    def _producer(self, height: int) -> str:
+        return self.validators[(height - 1) % len(self.validators)]
+
+    def is_confirmed(self, record: AnchorRecord) -> bool:
+        """True once the head is `confirmations_required` blocks past the anchor."""
+        return (record.included_height is not None
+                and self.ledger.blocks[-1].height
+                >= record.included_height + self.confirmations_required)
+
     def register_gateway(self, identity: str) -> None:
         self.gateways.add(identity)
 
     def next_epoch_index(self, channel_id: str) -> int:
         """Index the next anchor for this channel will carry."""
-        queued = sum(1 for rec in self._pending_records.values()
-                     if rec.channel_id == channel_id)
+        queued = sum(1 for _, rec in self.pending
+                     if rec is not None and rec.channel_id == channel_id)
         return len(self.registry.get(channel_id, [])) + queued
 
     def submit_anchor(self, summary: EpochSummary, author: str) -> AnchorRecord:
@@ -102,19 +113,17 @@ class PublicChain:
         if author not in self.gateways:
             raise UnknownGateway(f"{author!r} is not a registered gateway")
         key = (summary.channel_id, summary.epoch_index)
-        for rec in self.registry.get(summary.channel_id, []):
-            if rec.epoch_index == summary.epoch_index:
-                raise DuplicateEpoch(f"anchor for {key} already included")
-        for rec in self._pending_records.values():
-            if (rec.channel_id, rec.epoch_index) == key:
+        if self.find_anchor(*key) is not None:
+            raise DuplicateEpoch(f"anchor for {key} already included")
+        for _, rec in self.pending:
+            if rec is not None and (rec.channel_id, rec.epoch_index) == key:
                 raise DuplicateEpoch(f"anchor for {key} already pending")
         digest = summary_digest(summary)
         tx = make_transaction(summary.channel_id, self.clock, TxKind.ANCHOR,
                               _anchor_payload(summary, digest, author), author)
         record = AnchorRecord(summary.channel_id, summary.epoch_index,
                               digest, summary, author)
-        self.pending.append(tx)
-        self._pending_records[tx.tx_id] = record
+        self.pending.append((tx, record))
         return record
 
     def produce_block(self) -> Block | None:
@@ -123,35 +132,23 @@ class PublicChain:
             return None
         batch = self.pending
         self.pending = []
-        height = self.ledger.blocks[-1].height + 1
-        producer = self.validators[(height - 1) % len(self.validators)]
-        self.ledger, block = append_block(self.ledger, batch, self.clock)
-        self.producers.append(producer)
-        for tx in batch:
-            record = self._pending_records.pop(tx.tx_id, None)
+        self.ledger, block = append_block(self.ledger, [tx for tx, _ in batch], self.clock)
+        for _, record in batch:
             if record is not None:
                 record.included_height = block.height
                 self.registry.setdefault(record.channel_id, []).append(record)
-        self._refresh_confirmations()
         return block
 
     def tick(self) -> Block:
         """Heartbeat block: advances the head (and confirmations) by one."""
         self._tick_seq += 1
-        producer = self.validators[(self.ledger.blocks[-1].height) % len(self.validators)]
+        producer = self._producer(self.ledger.blocks[-1].height + 1)
         tx = make_transaction(self.chain_id, self.clock, TxKind.ANCHOR,
                               canonical_json({"tick": self._tick_seq}), producer)
-        self.pending.append(tx)
+        self.pending.append((tx, None))
         block = self.produce_block()
         assert block is not None
         return block
-
-    def _refresh_confirmations(self) -> None:
-        head_height, _ = head(self.ledger)
-        for records in self.registry.values():
-            for rec in records:
-                rec.confirmed = (rec.included_height is not None
-                                 and head_height >= rec.included_height + self.confirmations_required)
 
     def find_anchor(self, channel_id: str, epoch_index: int) -> AnchorRecord | None:
         for rec in self.registry.get(channel_id, []):
@@ -161,7 +158,7 @@ class PublicChain:
 
     def query_channel(self, channel_id: str) -> list[AnchorRecord]:
         """Confirmed anchors for a channel, in epoch order."""
-        records = [rec for rec in self.registry.get(channel_id, []) if rec.confirmed]
+        records = [rec for rec in self.registry.get(channel_id, []) if self.is_confirmed(rec)]
         return sorted(records, key=lambda rec: rec.epoch_index)
 
     def trace_product(self, channel_id: str, doc: Document | dict | None = None) -> dict:
@@ -173,8 +170,7 @@ class PublicChain:
         """
         trace: dict = {
             "channel_id": channel_id,
-            "summaries": [summary_to_json_value(rec.summary)
-                          for rec in self.query_channel(channel_id)],
+            "summaries": [to_json_value(rec.summary) for rec in self.query_channel(channel_id)],
         }
         if doc is not None:
             body = doc.body if isinstance(doc, Document) else doc
@@ -210,20 +206,16 @@ class PublicChain:
                     chain_id=meta["chain_id"], clock=meta["clock"])
         chain.ledger = load_ledger(path, chain_id=meta["chain_id"])
         chain._tick_seq = meta["tick_seq"]
-        chain.registry = rebuild_registry(chain.ledger, chain.confirmations_required)
-        head_height, _ = head(chain.ledger)
-        n = len(chain.validators)
-        chain.producers = [chain.validators[(h - 1) % n] for h in range(1, head_height + 1)]
+        chain.registry = rebuild_registry(chain.ledger)
         return chain
 
 
-def rebuild_registry(ledger: Ledger, confirmations_required: int) -> dict[str, list[AnchorRecord]]:
+def rebuild_registry(ledger: Ledger) -> dict[str, list[AnchorRecord]]:
     """Reconstruct the anchor registry purely from ledger contents.
 
     Heartbeat payloads (no "summary" key) are skipped; digests are
     recomputed from the embedded summaries rather than trusted.
     """
-    head_height, _ = head(ledger)
     registry: dict[str, list[AnchorRecord]] = {}
     for height, _, tx in iter_transactions(ledger):
         if tx.kind is not TxKind.ANCHOR:
@@ -231,7 +223,7 @@ def rebuild_registry(ledger: Ledger, confirmations_required: int) -> dict[str, l
         payload = canonical_loads(tx.payload)
         if not isinstance(payload, dict) or "summary" not in payload:
             continue
-        summary = summary_from_json_value(payload["summary"])
+        summary = from_json_value(EpochSummary, payload["summary"])
         record = AnchorRecord(
             channel_id=payload["channel_id"],
             epoch_index=payload["epoch_index"],
@@ -239,7 +231,6 @@ def rebuild_registry(ledger: Ledger, confirmations_required: int) -> dict[str, l
             summary=summary,
             submitted_by=payload["submitted_by"],
             included_height=height,
-            confirmed=head_height >= height + confirmations_required,
         )
         registry.setdefault(record.channel_id, []).append(record)
     return registry
@@ -263,7 +254,7 @@ class PublicClient:
         limit = max_blocks if max_blocks is not None else self.chain.confirmations_required + 2
         self.chain.produce_block()
         produced = 0
-        while not record.confirmed and produced < limit:
+        while not self.chain.is_confirmed(record) and produced < limit:
             self.chain.tick()
             produced += 1
-        return record.confirmed
+        return self.chain.is_confirmed(record)

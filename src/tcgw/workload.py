@@ -14,11 +14,10 @@ import dataclasses
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Any
 
-from .canon import canonical_loads
+from .canon import canonical_loads, from_json_value, to_json_value
 from .errors import InvalidArgument, InvalidWindow
-from .gateway import ValidityRange, rollover_epoch, summary_to_json_value, verify_pruned_epoch
+from .gateway import ValidityRange, rollover_epoch, verify_pruned_epoch
 from .ledger import Ledger, TxKind, head, ledger_size_bytes, make_transaction
 from .private_chain import (
     METRICS,
@@ -149,75 +148,14 @@ def default_scenario(epochs: int = 2) -> ScenarioConfig:
     return ScenarioConfig(fields=tuple(fields), epochs=epochs)
 
 
-def scenario_config_to_json_value(cfg: ScenarioConfig) -> dict:
-    return {
-        "confirmations_required": cfg.confirmations_required,
-        "epoch_length": cfg.epoch_length,
-        "epochs": cfg.epochs,
-        "fields": [
-            {
-                "channel_id": f.channel_id,
-                "fault_rate": f.fault_rate,
-                "ops_interval": f.ops_interval,
-                "product": f.product,
-                "seed": f.seed,
-                "sensors": [
-                    {"high": s.high, "interval": s.interval, "low": s.low,
-                     "metric": s.metric, "sensor_id": s.sensor_id}
-                    for s in f.sensors
-                ],
-            }
-            for f in cfg.fields
-        ],
-        "ranges": [
-            {"max_valid": r.max_valid, "metric": r.metric, "min_valid": r.min_valid}
-            for r in cfg.ranges
-        ],
-        "validators": cfg.validators,
-    }
-
-
-def scenario_config_from_json_value(value: Any) -> ScenarioConfig:
-    if not isinstance(value, dict):
-        raise InvalidArgument("scenario config must be a JSON object")
-    try:
-        fields = tuple(
-            FieldConfig(
-                channel_id=f["channel_id"],
-                product=f["product"],
-                sensors=tuple(
-                    SensorSpec(s["sensor_id"], s["metric"], s["interval"],
-                               s["low"], s["high"])
-                    for s in f["sensors"]
-                ),
-                fault_rate=f["fault_rate"],
-                seed=f["seed"],
-                ops_interval=f.get("ops_interval", DEFAULT_OPS_INTERVAL),
-            )
-            for f in value["fields"]
-        )
-        ranges = tuple(
-            ValidityRange(r["metric"], r["min_valid"], r["max_valid"])
-            for r in value.get("ranges", [])
-        ) or DEFAULT_VALIDITY_RANGES
-        return ScenarioConfig(
-            fields=fields,
-            epoch_length=value.get("epoch_length", DEFAULT_EPOCH_LENGTH),
-            epochs=value.get("epochs", 1),
-            ranges=ranges,
-            validators=value.get("validators", 4),
-            confirmations_required=value.get("confirmations_required", 2),
-        )
-    except (KeyError, TypeError) as exc:
-        raise InvalidArgument(f"bad scenario config: {exc}") from exc
-
-
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
+    """Read a ScenarioConfig from canonical JSON; `"ranges": []` means the defaults."""
     try:
         value = canonical_loads(Path(path).read_bytes())
     except Exception as exc:
         raise InvalidArgument(f"cannot parse {path}: {exc}") from exc
-    return scenario_config_from_json_value(value)
+    cfg = from_json_value(ScenarioConfig, value)
+    return cfg if cfg.ranges else dataclasses.replace(cfg, ranges=DEFAULT_VALIDITY_RANGES)
 
 
 def apply_seed_override(cfg: ScenarioConfig, base_seed: int) -> ScenarioConfig:
@@ -362,7 +300,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 "kept": len(readings) - summary.excluded_count,
                 "post_reset_size": ledger_size_bytes(new_node.ledger),
                 "pre_reset_size": pre_size,
-                "summary": summary_to_json_value(summary),
+                "summary": to_json_value(summary),
                 "verification": {"failures": list(verification.failures),
                                  "ok": verification.ok},
                 "window_end": window_end,
@@ -373,7 +311,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     confirmed = sum(len(pub.query_channel(f.channel_id)) for f in fields)
     report = {
         "channels": {ch: rs for ch, rs in sorted(rows.items())},
-        "config": scenario_config_to_json_value(cfg),
+        "config": to_json_value(cfg),
         "confirmed_anchors": confirmed,
         "events": events,
         "ok": all_ok,

@@ -6,12 +6,11 @@ import json
 
 import pytest
 
-from tcgw.canon import canonical_json, canonical_loads
+from tcgw.canon import canonical_json, canonical_loads, to_json_value
 from tcgw.cli import main
 
 from helpers import flip_byte
 from test_workload import small_scenario
-from tcgw.workload import scenario_config_to_json_value
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +18,7 @@ def run_dir(tmp_path_factory):
     """One completed small scenario shared by the read-only CLI tests."""
     base = tmp_path_factory.mktemp("cli")
     cfg_path = base / "cfg.json"
-    cfg_path.write_bytes(canonical_json(scenario_config_to_json_value(small_scenario())))
+    cfg_path.write_bytes(canonical_json(to_json_value(small_scenario())))
     out = base / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     return out
@@ -65,6 +64,42 @@ def test_verify_flags_corrupted_archive(run_dir, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "north epoch 1: FAIL" in captured.out
     assert "north" in captured.err and "1" in captured.err
+
+
+def test_invalid_utf8_in_archive_is_a_chain_failure(run_dir, tmp_path, capsys):
+    tampered_dir = tmp_path / "archive"
+    tampered_dir.mkdir()
+    for path in (run_dir / "archive").iterdir():
+        tampered_dir.joinpath(path.name).write_bytes(path.read_bytes())
+    victim = tampered_dir / "north.epoch0.tcgw"
+    data = bytearray(victim.read_bytes())
+    # header 5 + genesis block 116 + block 1 header 84 + tx_id 32 + length 4:
+    # the first byte of the first transaction's channel_id in block 1
+    data[241] = 0xFF
+    victim.write_bytes(bytes(data))
+    assert main(["verify", "--archive", str(tampered_dir),
+                 "--chain", str(run_dir / "public.tcgw")]) == 1
+    out = capsys.readouterr().out
+    assert "north epoch 0: FAIL (chain)" in out
+    assert out.count(": ok") == 3  # the later archives are still checked
+    assert main(["inspect", str(victim)]) == 2
+    assert "not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ranges_json", [
+    b"[1]",
+    b'{"ranges":{}}',
+    b'{"ranges":[{"metric":"temperature_c","min_valid":"x","max_valid":"1"}]}',
+])
+def test_verify_rejects_malformed_ranges(run_dir, tmp_path, capsys, ranges_json):
+    archive = tmp_path / "archive"
+    archive.mkdir()
+    for path in (run_dir / "archive").iterdir():
+        archive.joinpath(path.name).write_bytes(path.read_bytes())
+    (archive / "ranges.json").write_bytes(ranges_json)
+    assert main(["verify", "--archive", str(archive),
+                 "--chain", str(run_dir / "public.tcgw")]) == 2
+    assert "cannot load inputs" in capsys.readouterr().err
 
 
 def test_verify_missing_inputs(tmp_path):
@@ -137,7 +172,7 @@ def test_bench_max_level_caps_default_levels(tmp_path):
 
 def test_tcgw_seed_overrides_scenario_seeds(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_bytes(canonical_json(scenario_config_to_json_value(small_scenario())))
+    cfg_path.write_bytes(canonical_json(to_json_value(small_scenario())))
     out_plain = tmp_path / "plain"
     assert main(["run", "--config", str(cfg_path), "--out", str(out_plain)]) == 0
     monkeypatch.setenv("TCGW_SEED", "31337")
@@ -153,7 +188,7 @@ def test_tcgw_seed_overrides_scenario_seeds(tmp_path, monkeypatch):
 
 def test_rerun_is_byte_identical(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_bytes(canonical_json(scenario_config_to_json_value(small_scenario())))
+    cfg_path.write_bytes(canonical_json(to_json_value(small_scenario())))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(cfg_path), "--out", str(out_a)]) == 0
     assert main(["run", "--config", str(cfg_path), "--out", str(out_b)]) == 0

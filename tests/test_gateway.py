@@ -21,10 +21,9 @@ from tcgw import (
     rollover_epoch,
     summarize,
     summary_digest,
-    summary_from_json_value,
-    summary_to_json_value,
     verify_pruned_epoch,
 )
+from tcgw.canon import from_json_value, to_json_value
 from tcgw.errors import DuplicateRange, InvalidArgument, NonEmptyMempool, PublishFailed
 
 from helpers import node_with_readings, reading_tx, tamper_ledger
@@ -136,9 +135,21 @@ def test_summary_json_roundtrip():
     summary = EpochSummary("fieldA", 0, 0, 100,
                            (MetricStats("temperature_c", 2, "20.0", "1.0", "19", "21"),),
                            3, bytes(32), 4, bytes(32))
-    again = summary_from_json_value(summary_to_json_value(summary))
+    again = from_json_value(EpochSummary, to_json_value(summary))
     assert again == summary
     assert summary_digest(again) == summary_digest(summary)
+    value = to_json_value(summary)
+    assert value["ledger_head_hash"] == "00" * 32 and isinstance(value["stats"], list)
+    malformed = [
+        [value],                                                   # not an object
+        {k: v for k, v in value.items() if k != "ledger_height"},  # a required key missing
+        {**value, "stats": value["stats"][0]},                     # object for a tuple
+        {**value, "state_digest": "zz" * 32},                      # digest that is not hex
+        {**value, "epoch_index": "0"},                             # string for an int
+    ]
+    for bad in malformed:
+        with pytest.raises(InvalidArgument):
+            from_json_value(EpochSummary, bad)
 
 
 def _rollover(node, pub, start, end, ranges=(TEMP_RANGE,), trace=None):
@@ -154,7 +165,7 @@ def test_rollover_end_to_end():
     assert sum(s.count for s in summary.stats) + summary.excluded_count == 300
     assert summary.epoch_index == 0
     assert (summary.ledger_height, summary.ledger_head_hash) == head(node.ledger)
-    assert record.confirmed
+    assert pub.is_confirmed(record)
     assert len(fresh.ledger.blocks) == 1
     assert fresh.ledger.genesis_anchor == record.summary_digest
     assert [e["event"] for e in trace] == ["anchor_submitted", "anchor_confirmed", "ledger_reset"]

@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcgw import (
     ChainFault,
+    Ledger,
+    TxKind,
     append_block,
     genesis,
     head,
@@ -26,7 +29,7 @@ from tcgw.errors import (
     InvalidTransaction,
     LedgerFormatError,
 )
-from tcgw.ledger import ZERO_HASH
+from tcgw.ledger import ZERO_HASH, make_block, make_transaction
 
 from helpers import build_ledger, flip_byte, reading_tx, tamper_ledger
 
@@ -175,6 +178,26 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.blocks == ledger.blocks
     assert verify_chain(loaded).ok
     assert ledger_size_bytes(loaded) == ledger_size_bytes(ledger)
+
+
+U64 = st.integers(min_value=0, max_value=2**64 - 1)
+transactions = st.builds(make_transaction, st.text(), U64, st.sampled_from(TxKind),
+                         st.binary(), st.text())
+block_contents = st.lists(st.tuples(U64, st.lists(transactions, max_size=4)),
+                          min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_id=st.text(min_size=1), contents=block_contents)
+def test_save_load_preserves_arbitrary_blocks(tmp_path_factory, chain_id, contents):
+    blocks, previous = [], ZERO_HASH
+    for height, (timestamp, txs) in enumerate(contents):
+        blocks.append(make_block(height, previous, timestamp, txs))
+        previous = blocks[-1].block_hash
+    ledger = Ledger(chain_id, tuple(blocks))
+    path = save_ledger(ledger, tmp_path_factory.mktemp("wire") / "ledger.tcgw")
+    assert load_ledger(path, chain_id=chain_id) == ledger
+    assert path.stat().st_size == 5 + sum(len(serialize_block(b)) for b in blocks)
 
 
 def test_load_rejects_bad_magic(tmp_path):

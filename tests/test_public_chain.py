@@ -34,7 +34,7 @@ def _chain(gateways=("gw-a", "gw-b"), validators=3, confirmations=2) -> PublicCh
 def test_submit_anchor_enters_pending():
     chain = _chain()
     record = chain.submit_anchor(_summary("fieldA", 0), "gw-a")
-    assert record.included_height is None and not record.confirmed
+    assert record.included_height is None and not chain.is_confirmed(record)
     assert len(chain.pending) == 1
     assert record.summary_digest == summary_digest(_summary("fieldA", 0))
 
@@ -58,11 +58,11 @@ def test_confirmation_after_required_plus_one_blocks():
     chain = _chain(confirmations=2)
     record = chain.submit_anchor(_summary("fieldA", 0), "gw-a")
     chain.produce_block()          # inclusion
-    assert not record.confirmed
+    assert not chain.is_confirmed(record)
     chain.tick()
-    assert not record.confirmed
+    assert not chain.is_confirmed(record)
     chain.tick()                   # confirmations_required + 1 blocks total
-    assert record.confirmed
+    assert chain.is_confirmed(record)
     assert record.included_height == 1
 
 
@@ -138,7 +138,7 @@ def test_registry_matches_ledger_replay_after_every_block():
             chain.produce_block()
         else:
             chain.tick()
-        rebuilt = rebuild_registry(chain.ledger, chain.confirmations_required)
+        rebuilt = rebuild_registry(chain.ledger)
         assert rebuilt == chain.registry
     assert verify_chain(chain.ledger).ok
 
@@ -194,5 +194,5 @@ def test_loaded_records_are_anchor_records(tmp_path):
     loaded = PublicChain.load(chain.save(tmp_path / "public.tcgw"))
     record = loaded.find_anchor("fieldA", 0)
     assert isinstance(record, AnchorRecord)
-    assert record.confirmed
+    assert loaded.is_confirmed(record)
     assert record.summary == _summary("fieldA", 0)

@@ -19,12 +19,8 @@ from tcgw import (
 )
 from tcgw.canon import canonical_json, digest_json
 from tcgw.errors import InvalidArgument, InvalidWindow
-from tcgw.workload import (
-    apply_seed_override,
-    load_scenario_config,
-    scenario_config_from_json_value,
-    scenario_config_to_json_value,
-)
+from tcgw.canon import from_json_value, to_json_value
+from tcgw.workload import DEFAULT_VALIDITY_RANGES, apply_seed_override, load_scenario_config
 
 TEMP_RANGE = ValidityRange("temperature_c", "-20", "60")
 
@@ -103,18 +99,40 @@ def test_field_config_validation():
 
 def test_scenario_config_roundtrip(tmp_path):
     cfg = small_scenario()
-    value = scenario_config_to_json_value(cfg)
-    assert scenario_config_from_json_value(value) == cfg
+    value = to_json_value(cfg)
+    assert from_json_value(ScenarioConfig, value) == cfg
     path = tmp_path / "cfg.json"
     path.write_bytes(canonical_json(value))
     assert load_scenario_config(path) == cfg
+    ranges = list(cfg.ranges)
+    assert from_json_value(list[ValidityRange], to_json_value(ranges)) == ranges
+    assert to_json_value(ranges)[0] == {"max_valid": "60", "metric": "temperature_c",
+                                        "min_valid": "-20"}
+
+
+def test_config_file_with_empty_ranges_uses_default_ranges(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(canonical_json({**to_json_value(small_scenario()), "ranges": []}))
+    assert load_scenario_config(path).ranges == DEFAULT_VALIDITY_RANGES
 
 
 def test_scenario_config_rejects_garbage():
     with pytest.raises(InvalidArgument):
-        scenario_config_from_json_value({"fields": [{"oops": 1}]})
+        from_json_value(ScenarioConfig, {"fields": [{"oops": 1}]})
     with pytest.raises(InvalidArgument):
-        scenario_config_from_json_value([1, 2, 3])
+        from_json_value(ScenarioConfig, [1, 2, 3])
+    value = to_json_value(small_scenario())
+    with pytest.raises(InvalidArgument):
+        from_json_value(ScenarioConfig, {k: v for k, v in value.items() if k != "fields"})
+    with pytest.raises(InvalidArgument):
+        from_json_value(ScenarioConfig, {**value, "ranges": value["ranges"][0]})
+    with pytest.raises(InvalidArgument):
+        from_json_value(ScenarioConfig, {**value, "epochs": "2"})
+    with pytest.raises(InvalidArgument):
+        from_json_value(list[ValidityRange], [{"metric": "temperature_c", "min_valid": "x",
+                                               "max_valid": "1"}])
+    with pytest.raises(InvalidArgument):
+        from_json_value(list[ValidityRange], {"ranges": []})
 
 
 def test_seed_override_is_deterministic():
@@ -166,7 +184,7 @@ def test_archives_verify_against_public_chain():
     result = run_scenario(cfg)
     for (channel, epoch), archived in result.archives.items():
         record = result.public_chain.find_anchor(channel, epoch)
-        assert record is not None and record.confirmed
+        assert record is not None and result.public_chain.is_confirmed(record)
         outcome = verify_pruned_epoch(archived, record.summary,
                                       result.public_chain, cfg.ranges)
         assert outcome.ok, (channel, epoch, outcome.failures)
