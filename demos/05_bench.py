@@ -26,7 +26,8 @@ medians = [p.batch_seconds for p in points if p.n_existing >= 100]
 print("verify-mode batch time is non-decreasing in chain size:",
       all(a <= b for a, b in zip(medians, medians[1:])))
 
-out = Path(tempfile.mkdtemp()) / "table2.csv"
-emit_csv(points, out)
-print(f"\nCSV written to {out}:")
-print(out.read_text().rstrip())
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "table2.csv"
+    emit_csv(points, out)
+    print(f"\nCSV written to {out}:")
+    print(out.read_text().rstrip())

@@ -83,6 +83,9 @@ def _reject_constant(text: str) -> Any:
     raise UnsupportedValue(f"non-finite literal {text} in payload")
 
 
+_DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_constant)
+
+
 def canonical_loads(data: bytes | str) -> Any:
     """Parse JSON produced under the canonical rules.
 
@@ -92,7 +95,7 @@ def canonical_loads(data: bytes | str) -> Any:
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return json.loads(data, parse_float=_reject_float, parse_constant=_reject_constant)
+    return _DECODER.decode(data)
 
 
 def digest_json(value: Any) -> bytes:

@@ -58,6 +58,8 @@ class SensorReading:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise InvalidArgument(f"unknown metric {self.metric!r}")
+        if not isinstance(self.value, str):
+            raise InvalidArgument(f"value {self.value!r} is not a decimal string")
         try:
             dec = Decimal(self.value)
         except InvalidOperation as exc:
@@ -126,7 +128,8 @@ class PrivateNode:
         self._known_ids = {tx.tx_id for _, _, tx in iter_transactions(self.ledger)}
 
     def submit(self, tx: Transaction) -> bool:
-        """Queue a transaction; raises on wrong channel, author, or duplicate."""
+        """Queue a transaction; raises on wrong channel, author, duplicate,
+        bad tx_id, or a payload that commit or rollover could not read."""
         if tx.channel_id != self.channel_id:
             raise WrongChannel(f"tx for {tx.channel_id!r} sent to {self.channel_id!r}")
         if tx.author_id not in self.authorized_authors:
@@ -135,6 +138,13 @@ class PrivateNode:
             raise DuplicateTransaction(tx.tx_id.hex())
         if not transaction_valid(tx):
             raise InvalidTransaction(len(self.mempool), "tx_id does not match payload")
+        try:
+            if tx.kind is TxKind.RAW_READING:
+                parse_reading(tx.payload)
+            elif tx.kind in (TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY):
+                parse_op(tx.payload)
+        except ValueError as exc:
+            raise InvalidTransaction(len(self.mempool), str(exc)) from exc
         self.mempool.append(tx)
         self._known_ids.add(tx.tx_id)
         return True

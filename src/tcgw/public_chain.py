@@ -99,9 +99,6 @@ class PublicChain:
                 and self.ledger.blocks[-1].height
                 >= record.included_height + self.confirmations_required)
 
-    def register_gateway(self, identity: str) -> None:
-        self.gateways.add(identity)
-
     def next_epoch_index(self, channel_id: str) -> int:
         """Index the next anchor for this channel will carry."""
         queued = sum(1 for _, rec in self.pending
@@ -213,8 +210,8 @@ class PublicChain:
 def rebuild_registry(ledger: Ledger) -> dict[str, list[AnchorRecord]]:
     """Reconstruct the anchor registry purely from ledger contents.
 
-    Heartbeat payloads (no "summary" key) are skipped; digests are
-    recomputed from the embedded summaries rather than trusted.
+    Heartbeat payloads (no "summary" key) are skipped. Digests are kept as
+    published; verify_pruned_epoch checks them against their summaries.
     """
     registry: dict[str, list[AnchorRecord]] = {}
     for height, _, tx in iter_transactions(ledger):
@@ -227,7 +224,7 @@ def rebuild_registry(ledger: Ledger) -> dict[str, list[AnchorRecord]]:
         record = AnchorRecord(
             channel_id=payload["channel_id"],
             epoch_index=payload["epoch_index"],
-            summary_digest=summary_digest(summary),
+            summary_digest=from_json_value(bytes, payload["summary_digest"]),
             summary=summary,
             submitted_by=payload["submitted_by"],
             included_height=height,

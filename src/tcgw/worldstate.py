@@ -50,8 +50,8 @@ class ContextOp:
     def __post_init__(self):
         if self.op not in _CONTEXT_KINDS:
             raise InvalidArgument(f"{self.op} is not a context operation kind")
-        if not self.doc_id:
-            raise InvalidArgument("doc_id must be non-empty")
+        if not isinstance(self.doc_id, str) or not self.doc_id:
+            raise InvalidArgument("doc_id must be a non-empty string")
         if not self.path or any(not isinstance(s, str) or not s for s in self.path):
             raise InvalidArgument("path must be a non-empty list of non-empty keys")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -84,6 +85,36 @@ def test_invalid_utf8_in_archive_is_a_chain_failure(run_dir, tmp_path, capsys):
     assert out.count(": ok") == 3  # the later archives are still checked
     assert main(["inspect", str(victim)]) == 2
     assert "not valid UTF-8" in capsys.readouterr().err
+
+
+def _forge_first_published_digest(run_dir, tmp_path, digit: bytes | None = None):
+    """Copy of public.tcgw with the first hex digit of the first published
+    summary_digest replaced by `digit` (by another hex digit when None)."""
+    data = (run_dir / "public.tcgw").read_bytes()
+    match = re.search(rb'"channel_id":"([^"]+)","epoch_index":(\d+),.*?"summary_digest":"()',
+                      data)
+    at = match.start(3)
+    if digit is None:
+        digit = b"1" if data[at:at + 1] == b"0" else b"0"
+    forged = tmp_path / "public.tcgw"
+    forged.write_bytes(data[:at] + digit + data[at + 1:])
+    (tmp_path / "public.tcgw.meta.json").write_bytes(
+        (run_dir / "public.tcgw.meta.json").read_bytes())
+    return forged, match.group(1).decode(), int(match.group(2))
+
+
+def test_verify_checks_the_published_digest(run_dir, tmp_path, capsys):
+    forged, channel, epoch = _forge_first_published_digest(run_dir, tmp_path)
+    assert main(["verify", "--archive", str(run_dir / "archive"), "--chain", str(forged)]) == 1
+    out = capsys.readouterr().out
+    assert f"{channel} epoch {epoch}: FAIL (anchor)" in out
+    assert out.count(": ok") == 3
+
+
+def test_verify_rejects_a_digest_that_is_not_hex(run_dir, tmp_path, capsys):
+    forged, _, _ = _forge_first_published_digest(run_dir, tmp_path, b"x")
+    assert main(["verify", "--archive", str(run_dir / "archive"), "--chain", str(forged)]) == 2
+    assert "cannot load inputs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ranges_json", [

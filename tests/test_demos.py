@@ -23,3 +23,4 @@ def test_demo_runs(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+    assert list(tmp_path.iterdir()) == []  # nothing left behind in cwd or TMPDIR

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tcgw import (
     ChainFault,
     Ledger,
+    PrivateNode,
     TxKind,
     append_block,
     genesis,
@@ -73,12 +75,17 @@ def test_append_rejects_empty_batch():
         append_block(genesis("fieldA"), [], 0)
 
 
-def test_append_rejects_bad_tx_id():
-    import dataclasses
+def test_submit_rejects_bad_tx_id():
     tx = reading_tx("fieldA", 0)
     bad = dataclasses.replace(tx, payload=flip_byte(tx.payload, 3))
-    with pytest.raises(InvalidTransaction):
-        append_block(genesis("fieldA"), [bad], 0)
+    node = PrivateNode("fieldA", {"s-0"})
+    node.submit(reading_tx("fieldA", 1))
+    with pytest.raises(InvalidTransaction) as info:
+        node.submit(bad)
+    assert info.value.index == 1
+    assert node.mempool == [reading_tx("fieldA", 1)]
+    node.commit_batch()
+    assert node.submit(tx)  # the rejected id was not recorded as seen
 
 
 def test_append_rejects_clock_regression():
@@ -129,6 +136,13 @@ def test_verify_flags_payload_flip_at_its_block():
     assert not report.ok
     assert report.first_bad_height == 7
     assert report.reason in (ChainFault.TX_ID, ChainFault.TX_ROOT)
+    # append_block links what it is given; a forged transaction shows up on read-back.
+    tx = reading_tx("fieldA", 50)
+    forged = dataclasses.replace(tx, payload=flip_byte(tx.payload, 4))
+    ledger, _ = append_block(ledger, [reading_tx("fieldA", 51), forged], 51)
+    ledger, _ = append_block(ledger, [reading_tx("fieldA", 52)], 52)
+    report = verify_chain(ledger)
+    assert (report.ok, report.first_bad_height, report.reason) == (False, 51, ChainFault.TX_ID)
 
 
 @pytest.mark.parametrize("target,expected", [

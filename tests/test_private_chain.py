@@ -18,8 +18,10 @@ from tcgw import (
     state_digest,
     verify_chain,
 )
+from tcgw.canon import canonical_json
 from tcgw.errors import (
     DuplicateTransaction,
+    InvalidTransaction,
     InvalidWindow,
     NonEmptyMempool,
     PathTypeConflict,
@@ -59,6 +61,31 @@ def test_submit_rejects_wrong_channel():
     node = _node()
     with pytest.raises(WrongChannel):
         node.submit(reading_tx("fieldB", 0))
+
+
+_READING = {"metric": "temperature_c", "sensor_id": "s-0", "timestamp": 0, "value": "20.5"}
+
+
+@pytest.mark.parametrize("kind, payload", [
+    (TxKind.RAW_READING, {**_READING, "metric": "pressure"}),
+    (TxKind.RAW_READING, {**_READING, "value": [1, 2]}),
+    (TxKind.RAW_READING, {**_READING, "value": 20}),
+    (TxKind.RAW_READING, ["temperature_c", "20.5"]),
+    (TxKind.RAW_READING, "20.5"),
+    (TxKind.UPDATE_FIELD, {}),
+    (TxKind.APPEND_TO_ARRAY, {"doc_id": 7, "op": "AppendToArray", "path": ["k"], "value": 1}),
+], ids=["unknown-metric", "list-value", "number-value", "array-payload", "string-payload",
+        "empty-op", "number-doc-id"])
+def test_submit_rejects_payload_later_stages_cannot_read(kind, payload):
+    node = _node(authors=("s-0",))
+    tx = make_transaction("fieldA", 0, kind, canonical_json(payload), "s-0")
+    with pytest.raises(InvalidTransaction):
+        node.submit(tx)
+    assert node.mempool == []
+    # the channel stays usable: a good reading still commits and reads back
+    node.submit(reading_tx("fieldA", 0))
+    node.commit_batch()
+    assert [r.value for r in node.readings_in_window(0, 10)] == ["20.5"]
 
 
 def test_commit_batches_fifo_100_100_50():
