@@ -32,9 +32,6 @@ from .ledger import Ledger, head, verify_chain
 from .private_chain import METRICS, PrivateNode, SensorReading, ledger_readings
 from .worldstate import replay, state_digest
 
-REL_TOL = 1e-9
-ABS_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ValidityRange:
@@ -114,9 +111,14 @@ def summarize(readings: Sequence[SensorReading]) -> list[MetricStats]:
     """Per-metric count, mean, population standard deviation, min, max.
 
     Values are parsed as exact decimals; mean and deviation are evaluated
-    in binary floating point and rendered back as decimal strings. Min and
-    max keep the exact input strings. Metrics with no readings are omitted;
-    output is sorted by metric name.
+    in binary floating point and rendered back as shortest-repr strings. Min
+    and max keep the exact input strings. Metrics with no readings are
+    omitted; output is sorted by metric name.
+
+    Every float step is exact or correctly rounded by IEEE 754: float(Decimal),
+    math.fsum, -, *, /, math.sqrt and repr. So any IEEE-754 host produces the
+    same strings, and verify_pruned_epoch compares them with ==. Square with
+    `d * d`, never `** 2`: that calls libm pow, which may misround.
     """
     groups: dict[str, list[SensorReading]] = {}
     for reading in readings:
@@ -127,7 +129,7 @@ def summarize(readings: Sequence[SensorReading]) -> list[MetricStats]:
         values = [float(r.decimal()) for r in group]
         n = len(values)
         mean = math.fsum(values) / n
-        variance = math.fsum((v - mean) ** 2 for v in values) / n
+        variance = math.fsum((v - mean) * (v - mean) for v in values) / n
         std_dev = math.sqrt(variance)
         lo = min(group, key=lambda r: r.decimal())
         hi = max(group, key=lambda r: r.decimal())
@@ -186,27 +188,11 @@ def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
 
 @dataclass(frozen=True)
 class EpochVerification:
-    ok: bool
     failures: tuple[str, ...]
 
-
-def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
-
-
-def _stats_match(expected: Sequence[MetricStats], actual: Sequence[MetricStats]) -> bool:
-    if [s.metric for s in expected] != [s.metric for s in actual]:
-        return False
-    for e, a in zip(expected, actual):
-        if e.count != a.count:
-            return False
-        if Decimal(e.min) != Decimal(a.min) or Decimal(e.max) != Decimal(a.max):
-            return False
-        if not _close(float(e.mean), float(a.mean)):
-            return False
-        if not _close(float(e.std_dev), float(a.std_dev)):
-            return False
-    return True
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
@@ -217,7 +203,8 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
       chain  - archived ledger does not pass verify_chain
       head   - archived head hash/height differ from the summary's
       state  - replayed state digest differs from the summary's
-      stats  - re-running filter+summarize does not reproduce the summary
+      stats  - re-running filter+summarize does not reproduce the summary's
+               stats and excluded count exactly (summarize is bit-reproducible)
       anchor - no confirmed public anchor commits to these summary bytes
 
     `pub` is the PublicChain (or anything with find_anchor and is_confirmed).
@@ -238,8 +225,7 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
     try:
         readings = ledger_readings(archived, summary.window_start, summary.window_end)
         kept, excluded = filter_out_of_scale(readings, ranges)
-        recomputed = summarize(kept)
-        if len(excluded) != summary.excluded_count or not _stats_match(recomputed, summary.stats):
+        if (tuple(summarize(kept)), len(excluded)) != (summary.stats, summary.excluded_count):
             failures.append("stats")
     except Exception:
         failures.append("stats")
@@ -247,4 +233,4 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
     if (record is None or not pub.is_confirmed(record)
             or record.summary_digest != summary_digest(summary)):
         failures.append("anchor")
-    return EpochVerification(not failures, tuple(failures))
+    return EpochVerification(tuple(failures))

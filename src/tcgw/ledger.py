@@ -280,9 +280,12 @@ class ChainFault(Enum):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    ok: bool
     first_bad_height: int | None = None
     reason: ChainFault | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.reason is None
 
 
 def verify_chain(ledger: Ledger) -> VerificationReport:
@@ -295,7 +298,7 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
     """
 
     def bad(height: int, reason: ChainFault) -> VerificationReport:
-        return VerificationReport(False, height, reason)
+        return VerificationReport(height, reason)
 
     prev: Block | None = None
     for index, block in enumerate(ledger.blocks):
@@ -313,7 +316,7 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
                                 block.timestamp, block.tx_root)) != block.block_hash:
             return bad(index, ChainFault.HASH_LINK)
         prev = block
-    return VerificationReport(True)
+    return VerificationReport()
 
 
 def ledger_size_bytes(ledger: Ledger) -> int:
@@ -339,12 +342,11 @@ def save_ledger(ledger: Ledger, path: str | Path) -> Path:
     return path
 
 
-def load_ledger(path: str | Path, chain_id: str | None = None,
-                genesis_anchor: bytes | None = None) -> Ledger:
+def load_ledger(path: str | Path, chain_id: str | None = None) -> Ledger:
     """Read a ledger file back.
 
     The file carries only blocks; chain_id defaults to the file stem and
-    genesis_anchor is not persisted (pass it explicitly when known).
+    the genesis anchor, which is not persisted, is None.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -359,4 +361,4 @@ def load_ledger(path: str | Path, chain_id: str | None = None,
         blocks.append(_read_block(r))
     if not blocks:
         raise LedgerFormatError(f"{path}: no blocks")
-    return Ledger(chain_id or path.stem, tuple(blocks), genesis_anchor)
+    return Ledger(chain_id or path.stem, tuple(blocks))

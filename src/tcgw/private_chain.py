@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from pathlib import Path
 
 from .canon import canonical_json, canonical_loads
 from .errors import (
@@ -32,9 +31,7 @@ from .ledger import (
     append_block,
     genesis,
     iter_transactions,
-    load_ledger,
     make_transaction,
-    save_ledger,
     transaction_valid,
 )
 from .worldstate import WorldState, apply_op, parse_op, replay
@@ -42,8 +39,6 @@ from .worldstate import WorldState, apply_op, parse_op, replay
 METRICS = ("temperature_c", "humidity_pct", "rain_pct", "wind_speed_ms")
 
 DEFAULT_BATCH_SIZE = 100
-
-LEDGER_FILE_SUFFIX = ".tcgw"
 
 
 @dataclass(frozen=True)
@@ -95,19 +90,10 @@ def reading_transaction(channel_id: str, reading: SensorReading) -> Transaction:
                             reading_payload(reading), reading.sensor_id)
 
 
-def ledger_readings(ledger: Ledger, start: int | None = None,
-                    end: int | None = None) -> list[SensorReading]:
-    """RawReading payloads in commit order, optionally clipped to [start, end)."""
-    out = []
-    for _, _, tx in iter_transactions(ledger):
-        if tx.kind is not TxKind.RAW_READING:
-            continue
-        if start is not None and tx.timestamp < start:
-            continue
-        if end is not None and tx.timestamp >= end:
-            continue
-        out.append(parse_reading(tx.payload))
-    return out
+def ledger_readings(ledger: Ledger, start: int, end: int) -> list[SensorReading]:
+    """RawReading payloads with start <= timestamp < end, in commit order."""
+    return [parse_reading(tx.payload) for _, _, tx in iter_transactions(ledger)
+            if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end]
 
 
 class PrivateNode:
@@ -129,7 +115,9 @@ class PrivateNode:
 
     def submit(self, tx: Transaction) -> bool:
         """Queue a transaction; raises on wrong channel, author, duplicate,
-        bad tx_id, or a payload that commit or rollover could not read."""
+        bad tx_id, a payload that commit or rollover could not read, or one
+        that disagrees with the header: a reading's sensor and time must be
+        the tx author and timestamp, a context op's kind the tx kind."""
         if tx.channel_id != self.channel_id:
             raise WrongChannel(f"tx for {tx.channel_id!r} sent to {self.channel_id!r}")
         if tx.author_id not in self.authorized_authors:
@@ -140,9 +128,13 @@ class PrivateNode:
             raise InvalidTransaction(len(self.mempool), "tx_id does not match payload")
         try:
             if tx.kind is TxKind.RAW_READING:
-                parse_reading(tx.payload)
+                reading = parse_reading(tx.payload)
+                if (reading.sensor_id, reading.timestamp) != (tx.author_id, tx.timestamp):
+                    raise InvalidArgument("reading's sensor or time differs from its header")
             elif tx.kind in (TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY):
-                parse_op(tx.payload)
+                op = parse_op(tx.payload)
+                if op.op is not tx.kind:
+                    raise InvalidArgument(f"payload op {op.op.label} in a {tx.kind.label} tx")
         except ValueError as exc:
             raise InvalidTransaction(len(self.mempool), str(exc)) from exc
         self.mempool.append(tx)
@@ -190,19 +182,3 @@ class PrivateNode:
     def raw_reading_count(self) -> int:
         return sum(1 for _, _, tx in iter_transactions(self.ledger)
                    if tx.kind is TxKind.RAW_READING)
-
-    def ledger_path(self, directory: str | Path) -> Path:
-        return Path(directory) / f"{self.channel_id}{LEDGER_FILE_SUFFIX}"
-
-    def save(self, directory: str | Path) -> Path:
-        """Persist the ledger as <channel_id>.tcgw inside `directory`."""
-        return save_ledger(self.ledger, self.ledger_path(directory))
-
-    @classmethod
-    def load(cls, path: str | Path, authorized_authors,
-             batch_size: int = DEFAULT_BATCH_SIZE, clock: int = 0) -> "PrivateNode":
-        path = Path(path)
-        channel_id = path.name.removesuffix(LEDGER_FILE_SUFFIX)
-        ledger = load_ledger(path, chain_id=channel_id)
-        return cls(channel_id, authorized_authors, batch_size=batch_size,
-                   clock=clock, ledger=ledger)

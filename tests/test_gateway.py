@@ -87,6 +87,13 @@ def test_summarize_hand_computed_example():
     assert stats.min == "10" and stats.max == "30"
 
 
+def test_summarize_std_dev_is_correctly_rounded():
+    values = ["27.176", "9.368", "20.236", "14.606"]
+    stats, = summarize([_reading(v, i) for i, v in enumerate(values)])
+    # squaring with `** 2` goes through libm pow, which gives ...942 on some hosts
+    assert stats.std_dev == "6.616930613962941"
+
+
 def test_summarize_single_value():
     stats, = summarize([_reading("7.5")])
     assert stats.count == 1
@@ -241,6 +248,13 @@ def test_verify_pruned_epoch_detects_altered_stat():
     outcome = verify_pruned_epoch(archived, doctored, pub, [TEMP_RANGE])
     assert not outcome.ok
     assert "stats" in outcome.failures and "anchor" in outcome.failures
+    # one ulp is enough: the stats are compared exactly, not within a tolerance
+    nudged_stats = tuple(
+        dataclasses.replace(s, std_dev=repr(math.nextafter(float(s.std_dev), math.inf)))
+        for s in summary.stats)
+    nudged = dataclasses.replace(summary, stats=nudged_stats)
+    outcome = verify_pruned_epoch(archived, nudged, pub, [TEMP_RANGE])
+    assert outcome.failures == ("stats", "anchor")
 
 
 def test_verify_pruned_epoch_detects_missing_anchor():

@@ -12,9 +12,11 @@ from tcgw import (
     TxKind,
     head,
     iter_transactions,
+    load_ledger,
     make_transaction,
     op_payload,
     replay,
+    save_ledger,
     state_digest,
     verify_chain,
 )
@@ -74,8 +76,11 @@ _READING = {"metric": "temperature_c", "sensor_id": "s-0", "timestamp": 0, "valu
     (TxKind.RAW_READING, "20.5"),
     (TxKind.UPDATE_FIELD, {}),
     (TxKind.APPEND_TO_ARRAY, {"doc_id": 7, "op": "AppendToArray", "path": ["k"], "value": 1}),
+    (TxKind.RAW_READING, {**_READING, "sensor_id": "s-9"}),
+    (TxKind.RAW_READING, {**_READING, "timestamp": 99}),
+    (TxKind.UPDATE_FIELD, {"doc_id": "d", "op": "AppendToArray", "path": ["k"], "value": 1}),
 ], ids=["unknown-metric", "list-value", "number-value", "array-payload", "string-payload",
-        "empty-op", "number-doc-id"])
+        "empty-op", "number-doc-id", "other-sensor", "other-timestamp", "op-kind-mismatch"])
 def test_submit_rejects_payload_later_stages_cannot_read(kind, payload):
     node = _node(authors=("s-0",))
     tx = make_transaction("fieldA", 0, kind, canonical_json(payload), "s-0")
@@ -219,9 +224,9 @@ def test_no_committed_block_contains_unauthorized_author():
 
 def test_save_load_roundtrip(tmp_path):
     node = node_with_readings(n=35)
-    path = node.save(tmp_path)
-    assert path.name == "fieldA.tcgw"
-    loaded = PrivateNode.load(path, node.authorized_authors, clock=node.clock)
+    path = save_ledger(node.ledger, tmp_path / "fieldA.epoch0.tcgw")
+    loaded = PrivateNode("fieldA", node.authorized_authors, clock=node.clock,
+                         ledger=load_ledger(path, chain_id="fieldA"))
     assert loaded.channel_id == "fieldA"
     assert loaded.ledger.blocks == node.ledger.blocks
     assert state_digest(loaded.state) == state_digest(node.state)
