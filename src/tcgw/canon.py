@@ -59,6 +59,10 @@ def _check_value(value: Any, depth: int = 0) -> None:
     raise UnsupportedValue(f"unsupported value type {type(value).__name__}")
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            ensure_ascii=False, allow_nan=False)
+
+
 def canonical_json(value: Any) -> bytes:
     """Encode `value` into canonical JSON bytes.
 
@@ -66,13 +70,7 @@ def canonical_json(value: Any) -> bytes:
     type outside {str, int, bool, None, list, dict}.
     """
     _check_value(value)
-    return json.dumps(
-        value,
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=False,
-        allow_nan=False,
-    ).encode("utf-8")
+    return _ENCODER.encode(value).encode("utf-8")
 
 
 def _reject_float(text: str) -> Any:
@@ -91,11 +89,15 @@ def canonical_loads(data: bytes | str) -> Any:
 
     Accepts any whitespace/key-order on input (canonical_json of the result
     re-normalizes), but rejects fractional and non-finite number literals.
-    Raises UnsupportedValue on such literals and ValueError on broken JSON.
+    Raises UnsupportedValue on such literals and on nesting too deep to
+    parse, and ValueError on broken JSON.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return _DECODER.decode(data)
+    try:
+        return _DECODER.decode(data)
+    except RecursionError as exc:
+        raise UnsupportedValue("JSON nesting too deep to parse") from exc
 
 
 def digest_json(value: Any) -> bytes:

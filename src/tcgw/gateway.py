@@ -126,14 +126,16 @@ def summarize(readings: Sequence[SensorReading]) -> list[MetricStats]:
     out: list[MetricStats] = []
     for metric in sorted(groups):
         group = groups[metric]
-        values = [float(r.decimal()) for r in group]
+        decimals = [r.decimal() for r in group]
+        values = [float(d) for d in decimals]
         n = len(values)
         mean = math.fsum(values) / n
         variance = math.fsum((v - mean) * (v - mean) for v in values) / n
         std_dev = math.sqrt(variance)
-        lo = min(group, key=lambda r: r.decimal())
-        hi = max(group, key=lambda r: r.decimal())
-        out.append(MetricStats(metric, n, repr(mean), repr(std_dev), lo.value, hi.value))
+        lo = min(range(n), key=decimals.__getitem__)
+        hi = max(range(n), key=decimals.__getitem__)
+        out.append(MetricStats(metric, n, repr(mean), repr(std_dev),
+                               group[lo].value, group[hi].value))
     return out
 
 

@@ -90,25 +90,21 @@ class Ledger:
     genesis_anchor: bytes | None = None
 
 
-def _encode_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack(">I", len(raw)) + raw
-
-
-def _encode_bytes(b: bytes) -> bytes:
-    return struct.pack(">I", len(b)) + b
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_TS_KIND_LEN = struct.Struct(">QBI")  # timestamp, kind code, payload length
+_BLOCK_FIXED_SIZE = 8 + DIGEST_SIZE + 8 + DIGEST_SIZE + 4 + DIGEST_SIZE
+_TX_FIXED_SIZE = DIGEST_SIZE + 4 + _TS_KIND_LEN.size + 4
 
 
 def transaction_body(channel_id: str, timestamp: int, kind: TxKind,
                      payload: bytes, author_id: str) -> bytes:
     """Canonical preimage of tx_id (the serialized transaction minus the id)."""
-    return (
-        _encode_str(channel_id)
-        + struct.pack(">Q", timestamp)
-        + struct.pack(">B", kind.value)
-        + _encode_bytes(payload)
-        + _encode_str(author_id)
-    )
+    channel = channel_id.encode("utf-8")
+    author = author_id.encode("utf-8")
+    return b"".join((_U32.pack(len(channel)), channel,
+                     _TS_KIND_LEN.pack(timestamp, kind.value, len(payload)), payload,
+                     _U32.pack(len(author)), author))
 
 
 def make_transaction(channel_id: str, timestamp: int, kind: TxKind,
@@ -121,15 +117,13 @@ def make_transaction(channel_id: str, timestamp: int, kind: TxKind,
 
 
 def transaction_valid(tx: Transaction) -> bool:
-    """True iff tx_id matches its preimage and the payload parses canonically."""
+    """True iff tx_id is the SHA-256 of the transaction's body.
+
+    The payload is not parsed here: PrivateNode.submit parses it with the
+    reader its kind needs, and verify_chain parses it itself.
+    """
     body = transaction_body(tx.channel_id, tx.timestamp, tx.kind, tx.payload, tx.author_id)
-    if sha256(body) != tx.tx_id:
-        return False
-    try:
-        canonical_loads(tx.payload)
-    except Exception:
-        return False
-    return True
+    return sha256(body) == tx.tx_id
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:
@@ -145,7 +139,7 @@ def merkle_root(leaves: Sequence[bytes]) -> bytes:
 
 
 def _block_header(height: int, previous_hash: bytes, timestamp: int, tx_root: bytes) -> bytes:
-    return struct.pack(">Q", height) + previous_hash + struct.pack(">Q", timestamp) + tx_root
+    return _U64.pack(height) + previous_hash + _U64.pack(timestamp) + tx_root
 
 
 def make_block(height: int, previous_hash: bytes, timestamp: int,
@@ -163,11 +157,11 @@ def serialize_transaction(tx: Transaction) -> bytes:
 
 def serialize_block(block: Block) -> bytes:
     out = [
-        struct.pack(">Q", block.height),
+        _U64.pack(block.height),
         block.previous_hash,
-        struct.pack(">Q", block.timestamp),
+        _U64.pack(block.timestamp),
         block.tx_root,
-        struct.pack(">I", len(block.transactions)),
+        _U32.pack(len(block.transactions)),
     ]
     out.extend(serialize_transaction(tx) for tx in block.transactions)
     out.append(block.block_hash)
@@ -175,25 +169,31 @@ def serialize_block(block: Block) -> bytes:
 
 
 class _Reader:
-    """Cursor over serialized bytes; raises LedgerFormatError on truncation
-    and on strings that are not valid UTF-8."""
+    """Cursor over serialized bytes. Every LedgerFormatError it raises names
+    the byte offset: truncation, strings that are not valid UTF-8 and
+    unknown transaction kind codes."""
 
     def __init__(self, data: bytes, offset: int = 0):
         self.data = data
         self.offset = offset
 
     def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
-            raise LedgerFormatError("truncated ledger data")
+        left = len(self.data) - self.offset
+        if n > left:
+            raise LedgerFormatError(
+                f"truncated at byte {self.offset}: need {n} bytes, {left} left")
         chunk = self.data[self.offset:self.offset + n]
         self.offset += n
         return chunk
 
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.take(fmt.size))
+
     def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
+        return self.unpack(_U64)[0]
 
     def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+        return self.unpack(_U32)[0]
 
     def u8(self) -> int:
         return self.take(1)[0]
@@ -206,24 +206,23 @@ class _Reader:
             raise LedgerFormatError(
                 f"string at byte {self.offset - len(raw)} is not valid UTF-8") from exc
 
-    def blob(self) -> bytes:
-        return self.take(self.u32())
-
     @property
     def exhausted(self) -> bool:
         return self.offset >= len(self.data)
 
 
+_KIND_BY_CODE = {kind.value: kind for kind in TxKind}
+
+
 def _read_transaction(r: _Reader) -> Transaction:
     tx_id = r.take(DIGEST_SIZE)
     channel_id = r.string()
-    timestamp = r.u64()
-    code = r.u8()
-    try:
-        kind = TxKind(code)
-    except ValueError as exc:
-        raise LedgerFormatError(f"unknown transaction kind code {code}") from exc
-    payload = r.blob()
+    code_at = r.offset + 8
+    timestamp, code, payload_len = r.unpack(_TS_KIND_LEN)
+    kind = _KIND_BY_CODE.get(code)
+    if kind is None:
+        raise LedgerFormatError(f"unknown transaction kind code {code} at byte {code_at}")
+    payload = r.take(payload_len)
     author_id = r.string()
     return Transaction(tx_id, channel_id, timestamp, kind, payload, author_id)
 
@@ -292,9 +291,10 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
     """Re-derive every hash and link; report the lowest offending height.
 
     Per block, checks run in this order: height continuity, previous-hash
-    link, per-transaction ids and payload parseability, Merkle root, own
-    block hash. A single flipped byte anywhere in the data surfaces at the
-    mutated block or the one after it.
+    link, per-transaction ids (transaction_valid) and payload parseability
+    (canonical_loads; a payload that does not parse is also a TX_ID fault),
+    Merkle root, own block hash. A single flipped byte anywhere in the data
+    surfaces at the mutated block or the one after it.
     """
 
     def bad(height: int, reason: ChainFault) -> VerificationReport:
@@ -310,6 +310,10 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
         for tx in block.transactions:
             if not transaction_valid(tx):
                 return bad(index, ChainFault.TX_ID)
+            try:
+                canonical_loads(tx.payload)
+            except Exception:
+                return bad(index, ChainFault.TX_ID)
         if merkle_root([tx.tx_id for tx in block.transactions]) != block.tx_root:
             return bad(index, ChainFault.TX_ROOT)
         if sha256(_block_header(block.height, block.previous_hash,
@@ -320,8 +324,15 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
 
 
 def ledger_size_bytes(ledger: Ledger) -> int:
-    """Total canonical serialized size of all blocks (the persisted payload)."""
-    return sum(len(serialize_block(b)) for b in ledger.blocks)
+    """Total serialized size of all blocks (the persisted payload), without
+    serializing: a block's fixed fields plus, per transaction, its fixed
+    fields and the lengths of its two strings (as UTF-8) and its payload."""
+    total = _BLOCK_FIXED_SIZE * len(ledger.blocks)
+    for block in ledger.blocks:
+        for tx in block.transactions:
+            total += (_TX_FIXED_SIZE + len(tx.channel_id.encode("utf-8"))
+                      + len(tx.payload) + len(tx.author_id.encode("utf-8")))
+    return total
 
 
 def iter_transactions(ledger: Ledger) -> Iterator[tuple[int, int, Transaction]]:
@@ -352,10 +363,10 @@ def load_ledger(path: str | Path, chain_id: str | None = None) -> Ledger:
     data = path.read_bytes()
     r = _Reader(data)
     if r.take(4) != LEDGER_MAGIC:
-        raise LedgerFormatError(f"{path}: bad magic, not a ledger file")
+        raise LedgerFormatError(f"{path}: bad magic at byte 0, not a ledger file")
     version = r.u8()
     if version != LEDGER_VERSION:
-        raise LedgerFormatError(f"{path}: unsupported ledger version {version}")
+        raise LedgerFormatError(f"{path}: unsupported ledger version {version} at byte 4")
     blocks = []
     while not r.exhausted:
         blocks.append(_read_block(r))

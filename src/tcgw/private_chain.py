@@ -21,6 +21,7 @@ from .errors import (
     InvalidWindow,
     NonEmptyMempool,
     UnauthorizedAuthor,
+    UnsupportedValue,
     WrongChannel,
 )
 from .ledger import (
@@ -55,6 +56,8 @@ class SensorReading:
             raise InvalidArgument(f"unknown metric {self.metric!r}")
         if not isinstance(self.value, str):
             raise InvalidArgument(f"value {self.value!r} is not a decimal string")
+        if type(self.timestamp) is not int:
+            raise InvalidArgument(f"timestamp {self.timestamp!r} is not an integer")
         try:
             dec = Decimal(self.value)
         except InvalidOperation as exc:
@@ -117,7 +120,8 @@ class PrivateNode:
         """Queue a transaction; raises on wrong channel, author, duplicate,
         bad tx_id, a payload that commit or rollover could not read, or one
         that disagrees with the header: a reading's sensor and time must be
-        the tx author and timestamp, a context op's kind the tx kind."""
+        the tx author and timestamp, a context op's kind the tx kind. The
+        payload is parsed once, by the reader of its kind."""
         if tx.channel_id != self.channel_id:
             raise WrongChannel(f"tx for {tx.channel_id!r} sent to {self.channel_id!r}")
         if tx.author_id not in self.authorized_authors:
@@ -135,8 +139,10 @@ class PrivateNode:
                 op = parse_op(tx.payload)
                 if op.op is not tx.kind:
                     raise InvalidArgument(f"payload op {op.op.label} in a {tx.kind.label} tx")
-        except ValueError as exc:
-            raise InvalidTransaction(len(self.mempool), str(exc)) from exc
+            else:
+                canonical_loads(tx.payload)
+        except (ValueError, UnsupportedValue) as exc:
+            raise InvalidTransaction(len(self.mempool), f"bad payload: {exc}") from exc
         self.mempool.append(tx)
         self._known_ids.add(tx.tx_id)
         return True

@@ -87,6 +87,23 @@ def test_invalid_utf8_in_archive_is_a_chain_failure(run_dir, tmp_path, capsys):
     assert "not valid UTF-8" in capsys.readouterr().err
 
 
+def test_inspect_names_the_byte_offset_of_a_malformed_archive(run_dir, tmp_path, capsys):
+    data = (run_dir / "archive" / "north.epoch0.tcgw").read_bytes()
+    truncated = tmp_path / "truncated.tcgw"
+    truncated.write_bytes(data[:-7])
+    assert main(["inspect", str(truncated)]) == 2
+    err = capsys.readouterr().err
+    assert f"truncated at byte {len(data) - 32}: need 32 bytes, 25 left" in err
+    # block 1's first channel_id "north" starts at byte 241 (see above); the
+    # kind code follows it and the u64 timestamp
+    code_at = 241 + len("north") + 8
+    assert data[code_at] == 3  # RawReading
+    flipped = tmp_path / "kind.tcgw"
+    flipped.write_bytes(data[:code_at] + b"\x09" + data[code_at + 1:])
+    assert main(["inspect", str(flipped)]) == 2
+    assert f"unknown transaction kind code 9 at byte {code_at}" in capsys.readouterr().err
+
+
 def _forge_first_published_digest(run_dir, tmp_path, digit: bytes | None = None):
     """Copy of public.tcgw with the first hex digit of the first published
     summary_digest replaced by `digit` (by another hex digit when None)."""

@@ -145,6 +145,15 @@ def test_verify_flags_payload_flip_at_its_block():
     assert (report.ok, report.first_bad_height, report.reason) == (False, 51, ChainFault.TX_ID)
 
 
+def test_verify_flags_unparseable_payload_with_a_correct_tx_id():
+    ledger = build_ledger(n_txs=3)
+    not_json = make_transaction("fieldA", 3, TxKind.RAW_READING, b"not json", "s-0")
+    ledger, _ = append_block(ledger, [reading_tx("fieldA", 3), not_json], 3)
+    ledger, _ = append_block(ledger, [reading_tx("fieldA", 4)], 4)
+    report = verify_chain(ledger)
+    assert (report.ok, report.first_bad_height, report.reason) == (False, 4, ChainFault.TX_ID)
+
+
 @pytest.mark.parametrize("target,expected", [
     ("tx_id", ChainFault.TX_ID),
     ("tx_root", ChainFault.TX_ROOT),
@@ -201,23 +210,43 @@ block_contents = st.lists(st.tuples(U64, st.lists(transactions, max_size=4)),
                           min_size=1, max_size=5)
 
 
-@settings(max_examples=60, deadline=None)
-@given(chain_id=st.text(min_size=1), contents=block_contents)
-def test_save_load_preserves_arbitrary_blocks(tmp_path_factory, chain_id, contents):
+def _linked_blocks(contents) -> list:
     blocks, previous = [], ZERO_HASH
     for height, (timestamp, txs) in enumerate(contents):
         blocks.append(make_block(height, previous, timestamp, txs))
         previous = blocks[-1].block_hash
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_id=st.text(min_size=1), contents=block_contents)
+def test_save_load_preserves_arbitrary_blocks(tmp_path_factory, chain_id, contents):
+    blocks = _linked_blocks(contents)
     ledger = Ledger(chain_id, tuple(blocks))
     path = save_ledger(ledger, tmp_path_factory.mktemp("wire") / "ledger.tcgw")
     assert load_ledger(path, chain_id=chain_id) == ledger
     assert path.stat().st_size == 5 + sum(len(serialize_block(b)) for b in blocks)
 
 
+@settings(max_examples=60, deadline=None)
+@given(contents=block_contents)
+def test_size_counts_the_serialized_bytes(contents):
+    ledger = Ledger("fieldA", tuple(_linked_blocks(contents)))
+    assert ledger_size_bytes(ledger) == sum(len(serialize_block(b)) for b in ledger.blocks)
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.tcgw"
     path.write_bytes(b"NOPE" + bytes(10))
-    with pytest.raises(LedgerFormatError):
+    with pytest.raises(LedgerFormatError, match="bad magic at byte 0"):
+        load_ledger(path)
+
+
+def test_load_rejects_unsupported_version(tmp_path):
+    path = save_ledger(build_ledger(n_txs=2), tmp_path / "fieldA.tcgw")
+    data = path.read_bytes()
+    path.write_bytes(data[:4] + b"\x02" + data[5:])
+    with pytest.raises(LedgerFormatError, match="unsupported ledger version 2 at byte 4"):
         load_ledger(path)
 
 
@@ -226,5 +255,20 @@ def test_load_rejects_truncation(tmp_path):
     path = save_ledger(ledger, tmp_path / "fieldA.tcgw")
     data = path.read_bytes()
     path.write_bytes(data[:-7])
-    with pytest.raises(LedgerFormatError):
+    # the last block hash starts 32 bytes before the end; 25 of them are left
+    with pytest.raises(LedgerFormatError,
+                       match=f"truncated at byte {len(data) - 32}: need 32 bytes, 25 left"):
+        load_ledger(path)
+
+
+def test_load_rejects_unknown_kind_code_at_its_byte(tmp_path):
+    path = save_ledger(build_ledger(n_txs=2), tmp_path / "fieldA.tcgw")
+    data = path.read_bytes()
+    # file header 5, genesis block 116, block 1 header 84, tx_id 32,
+    # channel_id length 4 and "fieldA" 6, timestamp 8: the kind code
+    code_at = 5 + 116 + 84 + 32 + 4 + len("fieldA") + 8
+    assert data[code_at] == TxKind.RAW_READING.value
+    path.write_bytes(data[:code_at] + b"\x09" + data[code_at + 1:])
+    with pytest.raises(LedgerFormatError,
+                       match=f"unknown transaction kind code 9 at byte {code_at}"):
         load_ledger(path)

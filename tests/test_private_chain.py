@@ -79,8 +79,10 @@ _READING = {"metric": "temperature_c", "sensor_id": "s-0", "timestamp": 0, "valu
     (TxKind.RAW_READING, {**_READING, "sensor_id": "s-9"}),
     (TxKind.RAW_READING, {**_READING, "timestamp": 99}),
     (TxKind.UPDATE_FIELD, {"doc_id": "d", "op": "AppendToArray", "path": ["k"], "value": 1}),
+    (TxKind.RAW_READING, {**_READING, "timestamp": False}),
 ], ids=["unknown-metric", "list-value", "number-value", "array-payload", "string-payload",
-        "empty-op", "number-doc-id", "other-sensor", "other-timestamp", "op-kind-mismatch"])
+        "empty-op", "number-doc-id", "other-sensor", "other-timestamp", "op-kind-mismatch",
+        "bool-timestamp"])
 def test_submit_rejects_payload_later_stages_cannot_read(kind, payload):
     node = _node(authors=("s-0",))
     tx = make_transaction("fieldA", 0, kind, canonical_json(payload), "s-0")
@@ -91,6 +93,23 @@ def test_submit_rejects_payload_later_stages_cannot_read(kind, payload):
     node.submit(reading_tx("fieldA", 0))
     node.commit_batch()
     assert [r.value for r in node.readings_in_window(0, 10)] == ["20.5"]
+
+
+@pytest.mark.parametrize("kind, payload", [
+    (TxKind.RAW_READING,
+     b'{"metric":"temperature_c","sensor_id":"s-0","timestamp":0,"value":20.5}'),
+    (TxKind.ANCHOR, b'{"summary_digest":"00","weight":1.5}'),
+    (TxKind.ANCHOR, b"{not json"),
+    (TxKind.RAW_READING, b"[" * 100_000),
+], ids=["reading-fraction", "anchor-fraction", "anchor-not-json", "too-deep"])
+def test_submit_rejects_payload_that_is_not_canonical_json(kind, payload):
+    node = _node(authors=("s-0",))
+    tx = make_transaction("fieldA", 0, kind, payload, "s-0")
+    with pytest.raises(InvalidTransaction) as info:
+        node.submit(tx)
+    assert node.mempool == []
+    assert "payload" in str(info.value)
+    assert "tx_id" not in str(info.value)
 
 
 def test_commit_batches_fifo_100_100_50():
