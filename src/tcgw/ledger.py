@@ -30,7 +30,8 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .canon import canonical_loads, sha256
-from .errors import ClockSkew, EmptyBatch, InvalidArgument, LedgerFormatError
+from .errors import (ClockSkew, EmptyBatch, InvalidArgument, LedgerFormatError,
+                     UnsupportedValue)
 
 DIGEST_SIZE = 32
 ZERO_HASH = bytes(DIGEST_SIZE)
@@ -117,11 +118,8 @@ def make_transaction(channel_id: str, timestamp: int, kind: TxKind,
 
 
 def transaction_valid(tx: Transaction) -> bool:
-    """True iff tx_id is the SHA-256 of the transaction's body.
-
-    The payload is not parsed here: PrivateNode.submit parses it with the
-    reader its kind needs, and verify_chain parses it itself.
-    """
+    """True iff tx_id is the SHA-256 of the transaction body. The payload
+    is not parsed here: PrivateNode.submit and verify_chain parse it."""
     body = transaction_body(tx.channel_id, tx.timestamp, tx.kind, tx.payload, tx.author_id)
     return sha256(body) == tx.tx_id
 
@@ -312,7 +310,7 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
                 return bad(index, ChainFault.TX_ID)
             try:
                 canonical_loads(tx.payload)
-            except Exception:
+            except (ValueError, UnsupportedValue):
                 return bad(index, ChainFault.TX_ID)
         if merkle_root([tx.tx_id for tx in block.transactions]) != block.tx_root:
             return bad(index, ChainFault.TX_ROOT)
