@@ -9,15 +9,21 @@ import random
 import pytest
 
 from tcgw import (
+    ContextOp,
     EpochSummary,
     MetricStats,
+    PrivateNode,
     PublicChain,
     PublicClient,
     SensorReading,
+    TxKind,
     ValidityRange,
     filter_out_of_scale,
     head,
+    iter_transactions,
     ledger_size_bytes,
+    make_transaction,
+    op_payload,
     rollover_epoch,
     summarize,
     summary_digest,
@@ -25,6 +31,7 @@ from tcgw import (
 )
 from tcgw.canon import from_json_value, to_json_value
 from tcgw.errors import DuplicateRange, InvalidArgument, NonEmptyMempool, PublishFailed
+from tcgw.ledger import make_block
 
 from helpers import node_with_readings, reading_tx, tamper_ledger
 
@@ -263,3 +270,75 @@ def test_verify_pruned_epoch_detects_missing_anchor():
     outcome = verify_pruned_epoch(archived, summary, empty_pub, [TEMP_RANGE])
     assert not outcome.ok
     assert outcome.failures == ("anchor",)
+
+
+def _epoch_with_ops():
+    """Honest epoch of 60 readings in [0, 600) plus two updates and two
+    appends to one document, over several blocks."""
+    node = PrivateNode("fieldA", {"s-0", "op-author"}, batch_size=7)
+    ops = {5: ContextOp(TxKind.UPDATE_FIELD, "lot1", ("Plant density",), "4.2"),
+           12: ContextOp(TxKind.APPEND_TO_ARRAY, "lot1", ("Cultural Operations",), {"op": "irrigation"}),
+           30: ContextOp(TxKind.UPDATE_FIELD, "lot1", ("origin", "parcel"), "It-BA-07"),
+           41: ContextOp(TxKind.APPEND_TO_ARRAY, "lot1", ("Cultural Operations",), {"op": "pruning"})}
+    for i in range(60):
+        node.clock = i * 10
+        node.submit(reading_tx("fieldA", i, timestamp=i * 10))
+        if i in ops:
+            node.submit(make_transaction("fieldA", i * 10, ops[i].op, op_payload(ops[i]), "op-author"))
+    while node.mempool:
+        node.commit_batch()
+    pub = _pub()
+    summary, _, _ = _rollover(node, pub, 0, 600)
+    return node.ledger, summary, pub
+
+
+def _first_tx(ledger, kind):
+    return next((height, index) for height, index, tx in iter_transactions(ledger)
+                if tx.kind is kind)
+
+
+def _relink(ledger, height, tx_index, kind, payload):
+    """Copy of `ledger` whose transaction (height, tx_index) carries `kind` and
+    `payload`, with its tx_id, Merkle root and all later block hashes re-derived."""
+    blocks = list(ledger.blocks[:height])
+    old = ledger.blocks[height].transactions
+    tx = old[tx_index]
+    new_tx = make_transaction(tx.channel_id, tx.timestamp, kind, payload, tx.author_id)
+    txs = old[:tx_index] + (new_tx,) + old[tx_index + 1:]
+    for i, block in enumerate(ledger.blocks[height:]):
+        blocks.append(make_block(block.height, blocks[-1].block_hash, block.timestamp,
+                                 txs if i == 0 else block.transactions))
+    return dataclasses.replace(ledger, blocks=tuple(blocks))
+
+
+def _tamper_case(name, ledger):
+    last = len(ledger.blocks) - 1
+    reading_at = _first_tx(ledger, TxKind.RAW_READING)
+    append_at = _first_tx(ledger, TxKind.APPEND_TO_ARRAY)
+    onto_scalar = ContextOp(TxKind.APPEND_TO_ARRAY, "lot1", ("Plant density",), "x")
+    return {
+        "honest": lambda: ledger,
+        "tx_root": lambda: tamper_ledger(ledger, height=3, target="tx_root", byte_index=2),
+        "last_block_hash": lambda: tamper_ledger(ledger, height=last, target="block_hash"),
+        "payload_flip": lambda: tamper_ledger(ledger, height=2, target="payload", byte_index=5),
+        "not_a_reading": lambda: _relink(ledger, *reading_at, TxKind.RAW_READING,
+                                         b'{"sensor_id":"s-0"}'),
+        "append_onto_scalar": lambda: _relink(ledger, *append_at, TxKind.APPEND_TO_ARRAY,
+                                              op_payload(onto_scalar)),
+        "unparseable": lambda: _relink(ledger, *reading_at, TxKind.RAW_READING, b"not json"),
+    }[name]()
+
+
+@pytest.mark.parametrize("case,failures", [
+    ("honest", ()),
+    ("tx_root", ("chain",)),
+    ("last_block_hash", ("chain", "head")),
+    ("payload_flip", ("chain", "stats")),
+    ("not_a_reading", ("head", "stats")),
+    ("append_onto_scalar", ("head", "state")),
+    ("unparseable", ("chain", "head", "stats")),
+])
+def test_verify_pruned_epoch_failure_table(case, failures):
+    archived, summary, pub = _epoch_with_ops()
+    tampered = _tamper_case(case, archived)
+    assert verify_pruned_epoch(tampered, summary, pub, [TEMP_RANGE]).failures == failures

@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 from tcgw import (
     EMPTY_STATE,
     ContextOp,
+    Document,
     TxKind,
+    WorldState,
     append_block,
     apply_op,
     genesis,
@@ -167,3 +169,73 @@ def test_append_accumulates_in_order(doc, path, values):
     for segment in path[:-1]:
         node = node[segment]
     assert node[path[-1]] == values
+
+
+def _reference_apply(body: dict, op: ContextOp) -> dict:
+    """The per-op copying fold this store used before batching: copies the
+    body and every object along the path, and the array it appends to."""
+    new_body = dict(body)
+    node = new_body
+    for depth, segment in enumerate(op.path[:-1]):
+        child = node.get(segment)
+        if child is None:
+            child = {}
+        elif isinstance(child, dict):
+            child = dict(child)
+        else:
+            raise PathTypeConflict(op.doc_id, op.path,
+                                   f"segment {op.path[depth]!r} is not an object")
+        node[segment] = child
+        node = child
+    leaf = op.path[-1]
+    if op.op is TxKind.UPDATE_FIELD:
+        node[leaf] = op.value
+    else:
+        existing = node.get(leaf)
+        if existing is None:
+            target: list = []
+        elif isinstance(existing, list):
+            target = list(existing)
+        else:
+            raise PathTypeConflict(op.doc_id, op.path,
+                                   f"field {leaf!r} holds a non-array value")
+        target.append(op.value)
+        node[leaf] = target
+    return new_body
+
+
+def _reference_fold(ws: WorldState, ops) -> tuple[WorldState, int | None]:
+    """State before the first conflicting op, and that op's index (None if none)."""
+    for i, op in enumerate(ops):
+        doc = ws.docs.get(op.doc_id)
+        try:
+            body = _reference_apply(doc.body if doc else {}, op)
+        except PathTypeConflict:
+            return ws, i
+        ws = WorldState({**ws.docs, op.doc_id: Document(op.doc_id, body)})
+    return ws, None
+
+
+short_paths = st.lists(st.sampled_from("ab"), min_size=1, max_size=3).map(tuple)
+op_values = (leaf_values | st.just({})
+             | st.dictionaries(st.sampled_from("ab"), leaf_values | st.just([]), max_size=2))
+context_ops = st.builds(ContextOp, st.sampled_from([TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY]),
+                        st.sampled_from(["d1", "d2"]), short_paths, op_values)
+
+
+@given(setup=st.lists(context_ops, max_size=6), ops=st.lists(context_ops, max_size=12))
+def test_apply_matches_per_op_reference_fold(setup, ops):
+    ws, _ = _reference_fold(EMPTY_STATE, setup)
+    before = state_digest(ws)
+    payloads = [op_payload(op) for op in ops]
+    expected, conflict_at = _reference_fold(ws, ops)
+    state, at = ws, None
+    for i, op in enumerate(ops):
+        try:
+            state = apply_op(state, op)
+        except PathTypeConflict:
+            at = i
+            break
+    assert (state_digest(state), at) == (state_digest(expected), conflict_at)
+    assert state_digest(ws) == before
+    assert [op_payload(op) for op in ops] == payloads
