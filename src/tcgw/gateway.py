@@ -25,12 +25,15 @@ from .errors import (
     InvalidArgument,
     InvalidWindow,
     NonEmptyMempool,
+    PathTypeConflict,
     PublishFailed,
     UnknownGateway,
+    UnsupportedValue,
 )
-from .ledger import Ledger, head, verify_chain
-from .private_chain import METRICS, PrivateNode, SensorReading, ledger_readings
-from .worldstate import replay, state_digest
+from .ledger import Ledger, Transaction, TxKind, head, verify_chain
+from .private_chain import (METRICS, PrivateNode, SensorReading, ledger_readings,
+                            reading_from_value)
+from .worldstate import EMPTY_STATE, OpBatch, op_from_value, state_digest
 
 
 @dataclass(frozen=True)
@@ -209,25 +212,44 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
                stats and excluded count exactly (summarize is bit-reproducible)
       anchor - no confirmed public anchor commits to these summary bytes
 
+    One walk: verify_chain hands each parsed payload to a visitor that keeps
+    the in-window readings and feeds context ops to one OpBatch. On a broken
+    chain `state` is unchecked and the readings are read from the whole archive.
+
     `pub` is the PublicChain (or anything with find_anchor and is_confirmed).
     """
+    start, end = summary.window_start, summary.window_end
+    readings: list[SensorReading] = []
+    batch = OpBatch(EMPTY_STATE)
+    found: set[str] = set()  # codes of payloads that do not decode or apply
+
+    def visit(height: int, index: int, tx: Transaction, value) -> None:
+        try:
+            if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end:
+                readings.append(reading_from_value(value))
+            elif tx.kind in (TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY) and "state" not in found:
+                batch.apply(op_from_value(value))
+        except (InvalidArgument, PathTypeConflict):
+            found.add("stats" if tx.kind is TxKind.RAW_READING else "state")
+
     failures: list[str] = []
-    chain_ok = verify_chain(archived).ok
+    chain_ok = verify_chain(archived, visit).ok
     if not chain_ok:
         failures.append("chain")
-    height, head_hash = head(archived)
-    if (height, head_hash) != (summary.ledger_height, summary.ledger_head_hash):
+    if head(archived) != (summary.ledger_height, summary.ledger_head_hash):
         failures.append("head")
     if chain_ok:
         try:
-            if state_digest(replay(archived)) != summary.state_digest:
+            if "state" in found or state_digest(batch.state()) != summary.state_digest:
                 failures.append("state")
-        except Exception:
+        except UnsupportedValue:
             failures.append("state")
     try:
-        readings = ledger_readings(archived, summary.window_start, summary.window_end)
+        if not chain_ok:
+            readings = ledger_readings(archived, start, end)
         kept, excluded = filter_out_of_scale(readings, ranges)
-        if (tuple(summarize(kept)), len(excluded)) != (summary.stats, summary.excluded_count):
+        if "stats" in found or ((tuple(summarize(kept)), len(excluded))
+                                != (summary.stats, summary.excluded_count)):
             failures.append("stats")
     except Exception:
         failures.append("stats")

@@ -27,7 +27,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .canon import canonical_loads, sha256
 from .errors import (ClockSkew, EmptyBatch, InvalidArgument, LedgerFormatError,
@@ -64,7 +64,7 @@ _KIND_LABELS = {
 KIND_BY_LABEL = {label: kind for kind, label in _KIND_LABELS.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     tx_id: bytes
     channel_id: str
@@ -74,7 +74,7 @@ class Transaction:
     author_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     height: int
     previous_hash: bytes
@@ -285,7 +285,9 @@ class VerificationReport:
         return self.reason is None
 
 
-def verify_chain(ledger: Ledger) -> VerificationReport:
+def verify_chain(ledger: Ledger,
+                 visit: Callable[[int, int, Transaction, Any], None] | None = None
+                 ) -> VerificationReport:
     """Re-derive every hash and link; report the lowest offending height.
 
     Per block, checks run in this order: height continuity, previous-hash
@@ -293,31 +295,33 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
     (canonical_loads; a payload that does not parse is also a TX_ID fault),
     Merkle root, own block hash. A single flipped byte anywhere in the data
     surfaces at the mutated block or the one after it.
+
+    `visit(height, index, tx, value)` is called in chain order with the
+    parsed payload of each transaction that passes its own checks, so a
+    caller can audit contents in the same walk. A block's transactions are
+    visited before its Merkle root and hash are checked; none after it is.
     """
-
-    def bad(height: int, reason: ChainFault) -> VerificationReport:
-        return VerificationReport(height, reason)
-
-    prev: Block | None = None
+    prev_hash = ZERO_HASH
     for index, block in enumerate(ledger.blocks):
         if block.height != index:
-            return bad(index, ChainFault.HEIGHT_GAP)
-        expected_prev = ZERO_HASH if prev is None else prev.block_hash
-        if block.previous_hash != expected_prev:
-            return bad(index, ChainFault.HASH_LINK)
-        for tx in block.transactions:
+            return VerificationReport(index, ChainFault.HEIGHT_GAP)
+        if block.previous_hash != prev_hash:
+            return VerificationReport(index, ChainFault.HASH_LINK)
+        for i, tx in enumerate(block.transactions):
             if not transaction_valid(tx):
-                return bad(index, ChainFault.TX_ID)
+                return VerificationReport(index, ChainFault.TX_ID)
             try:
-                canonical_loads(tx.payload)
+                value = canonical_loads(tx.payload)
             except (ValueError, UnsupportedValue):
-                return bad(index, ChainFault.TX_ID)
+                return VerificationReport(index, ChainFault.TX_ID)
+            if visit is not None:
+                visit(index, i, tx, value)
         if merkle_root([tx.tx_id for tx in block.transactions]) != block.tx_root:
-            return bad(index, ChainFault.TX_ROOT)
+            return VerificationReport(index, ChainFault.TX_ROOT)
         if sha256(_block_header(block.height, block.previous_hash,
                                 block.timestamp, block.tx_root)) != block.block_hash:
-            return bad(index, ChainFault.HASH_LINK)
-        prev = block
+            return VerificationReport(index, ChainFault.HASH_LINK)
+        prev_hash = block.block_hash
     return VerificationReport()
 
 

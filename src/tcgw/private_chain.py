@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from typing import Any
 
 from .canon import canonical_json, canonical_loads
 from .errors import (
@@ -35,14 +36,14 @@ from .ledger import (
     make_transaction,
     transaction_valid,
 )
-from .worldstate import WorldState, apply_op, parse_op, replay
+from .worldstate import WorldState, apply_ops, parse_op, replay
 
 METRICS = ("temperature_c", "humidity_pct", "rain_pct", "wind_speed_ms")
 
 DEFAULT_BATCH_SIZE = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorReading:
     """One sampled value; `value` is a decimal string, never a float."""
 
@@ -79,7 +80,11 @@ def reading_payload(reading: SensorReading) -> bytes:
 
 
 def parse_reading(payload: bytes) -> SensorReading:
-    value = canonical_loads(payload)
+    return reading_from_value(canonical_loads(payload))
+
+
+def reading_from_value(value: Any) -> SensorReading:
+    """The SensorReading in a parsed payload; raises InvalidArgument if malformed."""
     try:
         return SensorReading(value["sensor_id"], value["metric"],
                              value["value"], value["timestamp"])
@@ -157,10 +162,8 @@ class PrivateNode:
         if not self.mempool:
             return None
         batch = self.mempool[:self.batch_size]
-        trial = self.state
-        for tx in batch:
-            if tx.kind in (TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY):
-                trial = apply_op(trial, parse_op(tx.payload))
+        trial = apply_ops(self.state, (parse_op(tx.payload) for tx in batch
+                                       if tx.kind in (TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY)))
         new_ledger, block = append_block(self.ledger, batch, self.clock)
         self.ledger = new_ledger
         self.state = trial

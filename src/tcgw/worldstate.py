@@ -7,15 +7,16 @@ to the array at a path (creating an empty array when absent). The target
 document, path, and value all travel inside the transaction payload, so
 the store itself needs no per-application code.
 
-All values are immutable from the caller's point of view: apply_op copies
-along the touched path and shares everything else, and a failed operation
-leaves the previous state usable and digest-identical.
+All values are immutable from the caller's point of view: apply_ops copies
+each touched container (document body, object or array) once per batch,
+shares everything else, and leaves its input state usable and
+digest-identical even when an operation fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .canon import canonical_json, canonical_loads, sha256
 from .errors import InvalidArgument, PathTypeConflict
@@ -38,7 +39,7 @@ class WorldState:
 EMPTY_STATE = WorldState(docs={})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextOp:
     """One update or append, addressed by document id and object-key path."""
 
@@ -72,6 +73,11 @@ def parse_op(payload: bytes) -> ContextOp:
         value = canonical_loads(payload)
     except Exception as exc:
         raise InvalidArgument(f"payload is not canonical JSON: {exc}") from exc
+    return op_from_value(value)
+
+
+def op_from_value(value: Any) -> ContextOp:
+    """The ContextOp in a parsed payload; raises InvalidArgument if malformed."""
     if not isinstance(value, dict):
         raise InvalidArgument("context payload must be a JSON object")
     try:
@@ -85,48 +91,67 @@ def parse_op(payload: bytes) -> ContextOp:
     return ContextOp(kind, doc_id, path, value["value"])
 
 
-def _apply_to_body(body: dict, op: ContextOp) -> dict:
-    new_body = dict(body)
-    node = new_body
-    for depth, segment in enumerate(op.path[:-1]):
-        child = node.get(segment)
-        if child is None:
-            child = {}
-        elif isinstance(child, dict):
-            child = dict(child)
-        else:
-            raise PathTypeConflict(op.doc_id, op.path,
-                                   f"segment {op.path[depth]!r} is not an object")
-        node[segment] = child
-        node = child
-    leaf = op.path[-1]
-    if op.op is TxKind.UPDATE_FIELD:
-        node[leaf] = op.value
-    else:
-        existing = node.get(leaf)
-        if existing is None:
-            target: list = []
-        elif isinstance(existing, list):
-            target = list(existing)
-        else:
-            raise PathTypeConflict(op.doc_id, op.path,
-                                   f"field {leaf!r} holds a non-array value")
+class OpBatch:
+    """Applies context operations in order on top of `base`, never modifying it.
+
+    Each container is copied on its first write in the batch and changed in
+    place after that, so a run of appends to one array costs one copy, not
+    one per op. Discard the batch after a PathTypeConflict.
+    """
+
+    def __init__(self, base: WorldState):
+        self.base = base
+        self.bodies: dict[str, dict] = {}
+        self.owned: dict[int, Any] = {}  # copies made here, by id; held so no id is reused
+
+    def _own(self, container: Any) -> Any:
+        if id(container) not in self.owned:
+            container = type(container)(container)
+            self.owned[id(container)] = container
+        return container
+
+    def apply(self, op: ContextOp) -> None:
+        """Raises PathTypeConflict when the path traverses a non-object or an
+        append targets a non-array."""
+        node = self.bodies.get(op.doc_id)
+        if node is None:
+            doc = self.base.docs.get(op.doc_id)
+            node = self.bodies[op.doc_id] = self._own(doc.body if doc else {})
+        for segment in op.path[:-1]:
+            child = node.get(segment)
+            if child is not None and not isinstance(child, dict):
+                raise PathTypeConflict(op.doc_id, op.path, f"segment {segment!r} is not an object")
+            node[segment] = child = self._own(child or {})
+            node = child
+        leaf = op.path[-1]
+        if op.op is TxKind.UPDATE_FIELD:
+            node[leaf] = op.value
+            return
+        target = node.get(leaf)
+        if target is not None and not isinstance(target, list):
+            raise PathTypeConflict(op.doc_id, op.path, f"field {leaf!r} holds a non-array value")
+        node[leaf] = target = self._own(target or [])
         target.append(op.value)
-        node[leaf] = target
-    return new_body
+
+    def state(self) -> WorldState:
+        """The base state with every touched document replaced."""
+        docs = {doc_id: Document(doc_id, body) for doc_id, body in self.bodies.items()}
+        return WorldState({**self.base.docs, **docs}) if docs else self.base
+
+
+def apply_ops(ws: WorldState, ops: Iterable[ContextOp]) -> WorldState:
+    """Apply context operations in order as one OpBatch, returning a new
+    state. Raises PathTypeConflict at the first op that conflicts; `ws` is
+    never modified either way."""
+    batch = OpBatch(ws)
+    for op in ops:
+        batch.apply(op)
+    return batch.state()
 
 
 def apply_op(ws: WorldState, op: ContextOp) -> WorldState:
-    """Apply one context operation, returning a new state.
-
-    Raises PathTypeConflict when the path traverses a non-object or an
-    append targets a non-array; `ws` is never modified either way.
-    """
-    doc = ws.docs.get(op.doc_id)
-    new_body = _apply_to_body(doc.body if doc else {}, op)
-    docs = dict(ws.docs)
-    docs[op.doc_id] = Document(op.doc_id, new_body)
-    return WorldState(docs)
+    """Apply one context operation, returning a new state (see apply_ops)."""
+    return apply_ops(ws, (op,))
 
 
 def read_document(ws: WorldState, doc_id: str) -> Document | None:
@@ -146,20 +171,20 @@ def state_digest(ws: WorldState) -> bytes:
 
 
 def replay(ledger: Ledger) -> WorldState:
-    """Fold every context operation in chain order into a fresh state.
+    """Fold every context operation in chain order into a fresh state, as
+    one OpBatch.
 
     RawReading and Anchor transactions leave documents untouched. Callers
     are expected to verify the chain first; a conflicting committed op is
     re-raised with its (height, tx index) attached.
     """
-    ws = EMPTY_STATE
+    batch = OpBatch(EMPTY_STATE)
     for height, index, tx in iter_transactions(ledger):
         if tx.kind not in _CONTEXT_KINDS:
             continue
-        op = parse_op(tx.payload)
         try:
-            ws = apply_op(ws, op)
+            batch.apply(parse_op(tx.payload))
         except PathTypeConflict as exc:
             raise PathTypeConflict(exc.doc_id, exc.path, exc.detail,
                                    height=height, tx_index=index) from exc
-    return ws
+    return batch.state()

@@ -16,6 +16,7 @@ from tcgw import (
     append_block,
     genesis,
     head,
+    iter_transactions,
     ledger_size_bytes,
     load_ledger,
     merkle_root,
@@ -23,7 +24,7 @@ from tcgw import (
     serialize_block,
     verify_chain,
 )
-from tcgw.canon import sha256
+from tcgw.canon import canonical_loads, sha256
 from tcgw.errors import (
     ClockSkew,
     EmptyBatch,
@@ -272,3 +273,24 @@ def test_load_rejects_unknown_kind_code_at_its_byte(tmp_path):
     with pytest.raises(LedgerFormatError,
                        match=f"unknown transaction kind code 9 at byte {code_at}"):
         load_ledger(path)
+
+
+def test_verify_chain_visits_each_tx_once_in_order_up_to_the_first_bad_block():
+    ledger = build_ledger(n_txs=20, per_block=3)  # blocks 1-6 hold 3 txs, block 7 holds 2
+    seen: list = []
+
+    def visit(height, index, tx, value):
+        seen.append((height, index, tx, value))
+
+    assert verify_chain(ledger, visit).ok
+    assert [(h, i, tx) for h, i, tx, _ in seen] == list(iter_transactions(ledger))
+    assert all(value == canonical_loads(tx.payload) for _, _, tx, value in seen)
+    # Block 3 is bad. Its transactions are visited up to the first that fails
+    # its own check; none of a later block is.
+    for target, visited in [("previous_hash", 6), ("payload", 7), ("tx_root", 9),
+                            ("block_hash", 9)]:
+        tampered = tamper_ledger(ledger, height=3, target=target, tx_index=1, byte_index=2)
+        seen.clear()
+        report = verify_chain(tampered, visit)
+        assert (report.ok, report.first_bad_height) == (False, 3)
+        assert [(h, i, tx) for h, i, tx, _ in seen] == list(iter_transactions(tampered))[:visited]

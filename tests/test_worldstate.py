@@ -23,6 +23,7 @@ from tcgw import (
 )
 from tcgw.errors import InvalidArgument, PathTypeConflict
 from tcgw.ledger import load_ledger, save_ledger
+from tcgw.worldstate import apply_ops
 
 
 def _update(doc: str, path: tuple[str, ...], value) -> ContextOp:
@@ -237,5 +238,11 @@ def test_apply_matches_per_op_reference_fold(setup, ops):
             at = i
             break
     assert (state_digest(state), at) == (state_digest(expected), conflict_at)
+    # as one batch: the ops before the first conflict apply, that op raises
+    clean = ops if conflict_at is None else ops[:conflict_at]
+    assert state_digest(apply_ops(ws, clean)) == state_digest(expected)
+    if conflict_at is not None:
+        with pytest.raises(PathTypeConflict):
+            apply_ops(ws, ops[:conflict_at + 1])
     assert state_digest(ws) == before
     assert [op_payload(op) for op in ops] == payloads
