@@ -33,7 +33,7 @@ from .errors import (
 from .ledger import Ledger, Transaction, TxKind, head, verify_chain
 from .private_chain import (METRICS, PrivateNode, SensorReading, ledger_readings,
                             reading_from_value)
-from .worldstate import EMPTY_STATE, OpBatch, op_from_value, state_digest
+from .worldstate import CONTEXT_KINDS, EMPTY_STATE, OpBatch, op_from_value, state_digest
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
         try:
             if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end:
                 readings.append(reading_from_value(value))
-            elif tx.kind in (TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY) and "state" not in found:
+            elif tx.kind in CONTEXT_KINDS and "state" not in found:
                 batch.apply(op_from_value(value))
         except (InvalidArgument, PathTypeConflict):
             found.add("stats" if tx.kind is TxKind.RAW_READING else "state")

@@ -27,7 +27,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .canon import canonical_loads, sha256
 from .errors import (ClockSkew, EmptyBatch, InvalidArgument, LedgerFormatError,
@@ -286,8 +286,7 @@ class VerificationReport:
 
 
 def verify_chain(ledger: Ledger,
-                 visit: Callable[[int, int, Transaction, Any], None] | None = None
-                 ) -> VerificationReport:
+                 visit: Callable[..., None] | None = None) -> VerificationReport:
     """Re-derive every hash and link; report the lowest offending height.
 
     Per block, checks run in this order: height continuity, previous-hash

@@ -36,7 +36,7 @@ from .ledger import (
     make_transaction,
     transaction_valid,
 )
-from .worldstate import WorldState, apply_ops, parse_op, replay
+from .worldstate import CONTEXT_KINDS, WorldState, apply_ops, parse_op, replay
 
 METRICS = ("temperature_c", "humidity_pct", "rain_pct", "wind_speed_ms")
 
@@ -140,7 +140,7 @@ class PrivateNode:
                 reading = parse_reading(tx.payload)
                 if (reading.sensor_id, reading.timestamp) != (tx.author_id, tx.timestamp):
                     raise InvalidArgument("reading's sensor or time differs from its header")
-            elif tx.kind in (TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY):
+            elif tx.kind in CONTEXT_KINDS:
                 op = parse_op(tx.payload)
                 if op.op is not tx.kind:
                     raise InvalidArgument(f"payload op {op.op.label} in a {tx.kind.label} tx")
@@ -163,7 +163,7 @@ class PrivateNode:
             return None
         batch = self.mempool[:self.batch_size]
         trial = apply_ops(self.state, (parse_op(tx.payload) for tx in batch
-                                       if tx.kind in (TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY)))
+                                       if tx.kind in CONTEXT_KINDS))
         new_ledger, block = append_block(self.ledger, batch, self.clock)
         self.ledger = new_ledger
         self.state = trial

@@ -7,10 +7,9 @@ to the array at a path (creating an empty array when absent). The target
 document, path, and value all travel inside the transaction payload, so
 the store itself needs no per-application code.
 
-All values are immutable from the caller's point of view: apply_ops copies
-each touched container (document body, object or array) once per batch,
-shares everything else, and leaves its input state usable and
-digest-identical even when an operation fails.
+Values are immutable from the caller's point of view: apply_ops copies each
+touched container once per batch, shares everything else, and leaves its
+input state usable and digest-identical even when an operation fails.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .canon import canonical_json, canonical_loads, sha256
 from .errors import InvalidArgument, PathTypeConflict
 from .ledger import KIND_BY_LABEL, Ledger, TxKind, iter_transactions
 
-_CONTEXT_KINDS = (TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY)
+CONTEXT_KINDS = (TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY)
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class ContextOp:
     value: Any
 
     def __post_init__(self):
-        if self.op not in _CONTEXT_KINDS:
+        if self.op not in CONTEXT_KINDS:
             raise InvalidArgument(f"{self.op} is not a context operation kind")
         if not isinstance(self.doc_id, str) or not self.doc_id:
             raise InvalidArgument("doc_id must be a non-empty string")
@@ -171,8 +170,7 @@ def state_digest(ws: WorldState) -> bytes:
 
 
 def replay(ledger: Ledger) -> WorldState:
-    """Fold every context operation in chain order into a fresh state, as
-    one OpBatch.
+    """Fold every context operation in chain order into one OpBatch.
 
     RawReading and Anchor transactions leave documents untouched. Callers
     are expected to verify the chain first; a conflicting committed op is
@@ -180,7 +178,7 @@ def replay(ledger: Ledger) -> WorldState:
     """
     batch = OpBatch(EMPTY_STATE)
     for height, index, tx in iter_transactions(ledger):
-        if tx.kind not in _CONTEXT_KINDS:
+        if tx.kind not in CONTEXT_KINDS:
             continue
         try:
             batch.apply(parse_op(tx.payload))
