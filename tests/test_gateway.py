@@ -326,6 +326,9 @@ def _tamper_case(name, ledger):
         "append_onto_scalar": lambda: _relink(ledger, *append_at, TxKind.APPEND_TO_ARRAY,
                                               op_payload(onto_scalar)),
         "unparseable": lambda: _relink(ledger, *reading_at, TxKind.RAW_READING, b"not json"),
+        "unencodable_doc_id": lambda: _relink(
+            ledger, *append_at, TxKind.APPEND_TO_ARRAY,
+            b'{"doc_id":"\\ud800","op":"AppendToArray","path":["log"],"value":1}'),
     }[name]()
 
 
@@ -337,6 +340,7 @@ def _tamper_case(name, ledger):
     ("not_a_reading", ("head", "stats")),
     ("append_onto_scalar", ("head", "state")),
     ("unparseable", ("chain", "head", "stats")),
+    ("unencodable_doc_id", ("head", "state")),
 ])
 def test_verify_pruned_epoch_failure_table(case, failures):
     archived, summary, pub = _epoch_with_ops()
