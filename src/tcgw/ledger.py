@@ -298,7 +298,7 @@ def verify_chain(ledger: Ledger,
     `visit(height, index, tx, value)` is called in chain order with the
     parsed payload of each transaction that passes its own checks, so a
     caller can audit contents in the same walk. A block's transactions are
-    visited before its Merkle root and hash are checked; none after it is.
+    visited before its Merkle root and hash are checked; none past a bad block.
     """
     prev_hash = ZERO_HASH
     for index, block in enumerate(ledger.blocks):
