@@ -1,6 +1,7 @@
 """Command-line entry point: run scenarios, bench, verify, trace, inspect.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error. A
+file that cannot be read or written (an OSError) is an input error too.
 Subcommands never mutate their inputs; artifacts go to --out or stdout.
 """
 
@@ -53,12 +54,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         _err(f"config error: {exc}")
         return 2
 
-    result = run_scenario(cfg)
     out = Path(args.out)
     archive_dir = out / "archive"
     state_dir = out / "state"
     archive_dir.mkdir(parents=True, exist_ok=True)
     state_dir.mkdir(parents=True, exist_ok=True)
+    result = run_scenario(cfg)
 
     (out / "report.json").write_bytes(canonical_json(result.report))
     for (channel, epoch), ledger in sorted(result.archives.items()):
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TcgwError as exc:
+    except (TcgwError, OSError) as exc:
         _err(str(exc))
         return 2
 

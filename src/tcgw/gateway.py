@@ -146,6 +146,10 @@ def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
                    trace: list | None = None) -> tuple[EpochSummary, object, PrivateNode]:
     """Close an epoch: collect, filter, summarize, anchor, then reset.
 
+    The readings come from the node's held list, parsed once at submit; the
+    ledger is not walked. A reading outside [window_start, window_end)
+    raises InvalidWindow before anything is published.
+
     `pub` is the gateway's public-chain client (see public_chain.PublicClient).
     On any publication failure the private ledger is untouched and
     PublishFailed is raised; the reset happens strictly after the anchor is

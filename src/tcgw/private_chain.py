@@ -2,10 +2,10 @@
 
 A PrivateNode accepts sensor readings and context operations from a fixed
 set of authorized authors, batches them FIFO into blocks, and keeps its
-world state equal to a replay of its ledger after every commit. Resetting
-with an anchor starts a fresh one-block ledger whose genesis records the
-commitment to the published epoch summary; the old ledger value stays
-alive for archival.
+world state and its committed readings equal to a replay of its ledger
+after every commit. Resetting with an anchor starts a fresh one-block
+ledger whose genesis records the commitment to the published epoch
+summary; the old ledger value stays alive for archival.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .ledger import (
     make_transaction,
     transaction_valid,
 )
-from .worldstate import CONTEXT_KINDS, WorldState, apply_ops, parse_op, replay
+from .worldstate import (CONTEXT_KINDS, ContextOp, WorldState, apply_ops, check_digestible,
+                         parse_op, replay)
 
 METRICS = ("temperature_c", "humidity_pct", "rain_pct", "wind_speed_ms")
 
@@ -105,7 +106,15 @@ def ledger_readings(ledger: Ledger, start: int, end: int) -> list[SensorReading]
 
 
 class PrivateNode:
-    """Single-writer node: submit fills the mempool, commit_batch drains it."""
+    """Single-writer node: submit fills the mempool, commit_batch drains it.
+
+    submit parses each payload once and keeps the SensorReading or ContextOp
+    beside the mempool; commit and rollover use that, not the bytes. Two
+    invariants hold after every call: state == replay(ledger), and the
+    held readings == ledger_readings(ledger, 0, 1 << 64). Only the node
+    sets either. A node built over an existing `ledger` derives its state,
+    known tx ids and readings in one walk of it.
+    """
 
     def __init__(self, channel_id: str, authorized_authors, batch_size: int = DEFAULT_BATCH_SIZE,
                  clock: int = 0, genesis_anchor: bytes | None = None,
@@ -117,16 +126,26 @@ class PrivateNode:
         self.batch_size = batch_size
         self.clock = clock
         self.ledger = ledger if ledger is not None else genesis(channel_id, genesis_anchor)
-        self.state: WorldState = replay(self.ledger)
         self.mempool: list[Transaction] = []
-        self._known_ids = {tx.tx_id for _, _, tx in iter_transactions(self.ledger)}
+        self._parsed: list[SensorReading | ContextOp | None] = []  # one per mempool tx
+        self._known_ids: set[bytes] = set()
+        self._readings: list[SensorReading] = []
+
+        def visit(tx: Transaction) -> None:
+            self._known_ids.add(tx.tx_id)
+            if tx.kind is TxKind.RAW_READING:
+                self._readings.append(parse_reading(tx.payload))
+
+        self.state: WorldState = replay(self.ledger, visit)
 
     def submit(self, tx: Transaction) -> bool:
         """Queue a transaction; raises on wrong channel, author, duplicate,
         bad tx_id, a payload that commit or rollover could not read, or one
         that disagrees with the header: a reading's sensor and time must be
-        the tx author and timestamp, a context op's kind the tx kind. The
-        payload is parsed once, by the reader of its kind."""
+        the tx author and timestamp, a context op's kind the tx kind. A
+        context op must also be one state_digest can encode once applied
+        (see check_digestible). The payload is parsed once, by the reader of
+        its kind, and the result is kept for commit_batch."""
         if tx.channel_id != self.channel_id:
             raise WrongChannel(f"tx for {tx.channel_id!r} sent to {self.channel_id!r}")
         if tx.author_id not in self.authorized_authors:
@@ -136,38 +155,45 @@ class PrivateNode:
         if not transaction_valid(tx):
             raise InvalidTransaction(len(self.mempool), "tx_id does not match payload")
         try:
+            parsed: SensorReading | ContextOp | None = None
             if tx.kind is TxKind.RAW_READING:
-                reading = parse_reading(tx.payload)
-                if (reading.sensor_id, reading.timestamp) != (tx.author_id, tx.timestamp):
+                parsed = parse_reading(tx.payload)
+                if (parsed.sensor_id, parsed.timestamp) != (tx.author_id, tx.timestamp):
                     raise InvalidArgument("reading's sensor or time differs from its header")
             elif tx.kind in CONTEXT_KINDS:
-                op = parse_op(tx.payload)
-                if op.op is not tx.kind:
-                    raise InvalidArgument(f"payload op {op.op.label} in a {tx.kind.label} tx")
+                parsed = parse_op(tx.payload)
+                if parsed.op is not tx.kind:
+                    raise InvalidArgument(f"payload op {parsed.op.label} in a {tx.kind.label} tx")
+                check_digestible(parsed)
             else:
                 canonical_loads(tx.payload)
-        except (ValueError, UnsupportedValue) as exc:
+        except (ValueError, UnsupportedValue) as exc:  # UnicodeEncodeError is a ValueError
             raise InvalidTransaction(len(self.mempool), f"bad payload: {exc}") from exc
         self.mempool.append(tx)
+        self._parsed.append(parsed)
         self._known_ids.add(tx.tx_id)
         return True
 
     def commit_batch(self) -> Block | None:
         """Drain up to batch_size mempool transactions into one block.
 
-        Context operations are validated against a trial state before the
-        ledger advances, so state always equals replay(ledger) afterwards.
-        Returns None when the mempool is empty.
+        The context ops submit kept are applied to a trial state before the
+        ledger advances, and the block's kept readings join the held ones
+        only once it is appended. So a commit that raises (PathTypeConflict)
+        changes nothing, and both node invariants hold afterwards. Returns
+        None when the mempool is empty.
         """
         if not self.mempool:
             return None
         batch = self.mempool[:self.batch_size]
-        trial = apply_ops(self.state, (parse_op(tx.payload) for tx in batch
-                                       if tx.kind in CONTEXT_KINDS))
+        parsed = self._parsed[:len(batch)]
+        trial = apply_ops(self.state, (p for p in parsed if type(p) is ContextOp))
         new_ledger, block = append_block(self.ledger, batch, self.clock)
         self.ledger = new_ledger
         self.state = trial
+        self._readings += [p for p in parsed if type(p) is SensorReading]
         del self.mempool[:len(batch)]
+        del self._parsed[:len(batch)]
         return block
 
     def reset_with_anchor(self, anchor: bytes) -> "PrivateNode":
@@ -183,11 +209,12 @@ class PrivateNode:
                            genesis_anchor=anchor)
 
     def readings_in_window(self, start: int, end: int) -> list[SensorReading]:
-        """Committed RawReadings with start <= timestamp < end, in commit order."""
+        """Committed RawReadings with start <= timestamp < end, in commit
+        order: a filter of the held readings, with no ledger walk or parse."""
         if start >= end:
             raise InvalidWindow(f"[{start}, {end}) is empty or inverted")
-        return ledger_readings(self.ledger, start, end)
+        return [r for r in self._readings if start <= r.timestamp < end]
 
     def raw_reading_count(self) -> int:
-        return sum(1 for _, _, tx in iter_transactions(self.ledger)
-                   if tx.kind is TxKind.RAW_READING)
+        """Number of committed RawReadings."""
+        return len(self._readings)

@@ -282,10 +282,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             summary, record, new_node = rollover_epoch(
                 node, cfg.ranges, window_start, window_end,
                 clients[f.channel_id], trace=events)
-            archives[(f.channel_id, epoch)] = node.ledger
-            nodes[f.channel_id] = new_node
-            verification = verify_pruned_epoch(
-                archives[(f.channel_id, epoch)], summary, pub, cfg.ranges)
+            archive = archives[(f.channel_id, epoch)] = node.ledger
+            # Rebinding drops the archived node, and its held readings with
+            # it, before the audit builds its own.
+            nodes[f.channel_id] = node = new_node
+            verification = verify_pruned_epoch(archive, summary, pub, cfg.ranges)
             if epoch == cfg.epochs - 1:
                 final_docs[f.channel_id] = doc_body
 
@@ -298,7 +299,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 "excluded": summary.excluded_count,
                 "generated": len(readings),
                 "kept": len(readings) - summary.excluded_count,
-                "post_reset_size": ledger_size_bytes(new_node.ledger),
+                "post_reset_size": ledger_size_bytes(node.ledger),
                 "pre_reset_size": pre_size,
                 "summary": to_json_value(summary),
                 "verification": {"failures": list(verification.failures),

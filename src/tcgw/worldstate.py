@@ -15,11 +15,11 @@ input state usable and digest-identical even when an operation fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .canon import canonical_json, canonical_loads, sha256
 from .errors import InvalidArgument, PathTypeConflict
-from .ledger import KIND_BY_LABEL, Ledger, TxKind, iter_transactions
+from .ledger import KIND_BY_LABEL, Ledger, Transaction, TxKind, iter_transactions
 
 CONTEXT_KINDS = (TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY)
 
@@ -138,6 +138,22 @@ class OpBatch:
         return WorldState({**self.base.docs, **docs}) if docs else self.base
 
 
+def check_digestible(op: ContextOp) -> None:
+    """Raise unless state_digest can encode what `op` writes.
+
+    The value lands len(path) levels down in its document's body, one more
+    when appended to an array, and canonical_json refuses nesting deeper
+    than 64 (UnsupportedValue). A lone surrogate in the doc_id, a path key
+    or a string value cannot be UTF-8 encoded (UnicodeEncodeError). Either
+    would otherwise surface only at the epoch's rollover.
+    """
+    body = [op.value] if op.op is TxKind.APPEND_TO_ARRAY else op.value
+    for key in reversed(op.path):
+        body = {key: body}
+    canonical_json(body)
+    op.doc_id.encode("utf-8")
+
+
 def apply_ops(ws: WorldState, ops: Iterable[ContextOp]) -> WorldState:
     """Apply context operations in order as one OpBatch, returning a new
     state. Raises PathTypeConflict at the first op that conflicts; `ws` is
@@ -169,15 +185,18 @@ def state_digest(ws: WorldState) -> bytes:
     return sha256(b"".join(parts))
 
 
-def replay(ledger: Ledger) -> WorldState:
+def replay(ledger: Ledger, visit: Callable[[Transaction], None] | None = None) -> WorldState:
     """Fold every context operation in chain order into one OpBatch.
 
-    RawReading and Anchor transactions leave documents untouched. Callers
-    are expected to verify the chain first; a conflicting committed op is
-    re-raised with its (height, tx index) attached.
+    RawReading and Anchor transactions leave documents untouched. `visit`,
+    when given, sees every transaction in chain order in the same walk.
+    Callers are expected to verify the chain first; a conflicting committed
+    op is re-raised with its (height, tx index) attached.
     """
     batch = OpBatch(EMPTY_STATE)
     for height, index, tx in iter_transactions(ledger):
+        if visit is not None:
+            visit(tx)
         if tx.kind not in CONTEXT_KINDS:
             continue
         try:

@@ -193,6 +193,48 @@ def test_inspect_missing_file(tmp_path):
     assert main(["inspect", str(tmp_path / "missing.tcgw")]) == 2
 
 
+def _archive_copy(run_dir, tmp_path):
+    archive = tmp_path / "archive"
+    archive.mkdir()
+    for path in (run_dir / "archive").iterdir():
+        archive.joinpath(path.name).write_bytes(path.read_bytes())
+    return archive
+
+
+def _assert_input_error(argv, path, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tcgw: ") and str(path) in err
+
+
+def test_verify_ranges_file_that_is_a_directory(run_dir, tmp_path, capsys):
+    archive = _archive_copy(run_dir, tmp_path)
+    (archive / "ranges.json").unlink()
+    (archive / "ranges.json").mkdir()
+    _assert_input_error(["verify", "--archive", str(archive),
+                         "--chain", str(run_dir / "public.tcgw")],
+                        archive / "ranges.json", capsys)
+
+
+def test_verify_archive_that_is_a_directory(run_dir, tmp_path, capsys):
+    archive = _archive_copy(run_dir, tmp_path)
+    (archive / "x.epoch0.tcgw").mkdir()
+    _assert_input_error(["verify", "--archive", str(archive),
+                         "--chain", str(run_dir / "public.tcgw")],
+                        archive / "x.epoch0.tcgw", capsys)
+
+
+def test_inspect_directory(tmp_path, capsys):
+    _assert_input_error(["inspect", str(tmp_path)], tmp_path, capsys)
+
+
+def test_run_out_is_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_bytes(b"")
+    _assert_input_error(["run", "--out", str(out)], out, capsys)
+    assert out.read_bytes() == b""
+
+
 def test_bench_levels_flag(tmp_path, capsys):
     out = tmp_path / "bench"
     assert main(["bench", "--levels", "0,100,1000", "--out", str(out)]) == 0

@@ -5,17 +5,23 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcgw import (
     ContextOp,
     PrivateNode,
+    PublicChain,
+    PublicClient,
     TxKind,
     head,
     iter_transactions,
+    ledger_readings,
     load_ledger,
     make_transaction,
     op_payload,
+    reading_transaction,
     replay,
+    rollover_epoch,
     save_ledger,
     state_digest,
     verify_chain,
@@ -110,6 +116,50 @@ def test_submit_rejects_payload_that_is_not_canonical_json(kind, payload):
     assert node.mempool == []
     assert "payload" in str(info.value)
     assert "tx_id" not in str(info.value)
+
+
+def _nested(depth: int):
+    """A value whose innermost scalar sits `depth` arrays down."""
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _op_tx(i: int, payload: bytes, kind=TxKind.UPDATE_FIELD):
+    return make_transaction("fieldA", i, kind, payload, "op-a")
+
+
+@pytest.mark.parametrize("kind, payload", [
+    (TxKind.UPDATE_FIELD, b'{"doc_id":"d","op":"UpdateField","path":["k"],"value":'
+     + b"[" * 70 + b"1" + b"]" * 70 + b"}"),
+    (TxKind.UPDATE_FIELD, b'{"doc_id":"\\ud800","op":"UpdateField","path":["k"],"value":1}'),
+    (TxKind.APPEND_TO_ARRAY, b'{"doc_id":"d","op":"AppendToArray","path":["\\udfff"],"value":1}'),
+    (TxKind.UPDATE_FIELD, b'{"doc_id":"d","op":"UpdateField","path":["k"],"value":{"a":["\\ud83d"]}}'),
+], ids=["nested-70", "surrogate-doc-id", "surrogate-path-key", "surrogate-value"])
+def test_submit_rejects_op_whose_state_cannot_be_digested(kind, payload):
+    node = _node(authors=("op-a",))
+    with pytest.raises(InvalidTransaction):
+        node.submit(_op_tx(0, payload, kind))
+    assert node.mempool == []
+
+
+@pytest.mark.parametrize("kind, arrays", [
+    (TxKind.UPDATE_FIELD, 62),      # 2 path keys + 62 arrays: the scalar sits 64 deep
+    (TxKind.APPEND_TO_ARRAY, 61),   # 2 path keys + the array appended to + 61
+])
+def test_op_at_the_nesting_limit_is_admitted_and_rolls_over(kind, arrays):
+    node = _node(authors=("op-a",))
+    over = ContextOp(kind, "d", ("a", "b"), _nested(arrays + 1))
+    with pytest.raises(InvalidTransaction):
+        node.submit(_op_tx(0, op_payload(over), kind))
+    assert node.mempool == []
+    at_limit = ContextOp(kind, "d", ("a", "b"), _nested(arrays))
+    node.submit(_op_tx(0, op_payload(at_limit), kind))
+    node.commit_batch()
+    pub = PublicChain(["val-0"], ["gw-fieldA"], confirmations_required=1)
+    summary, _, _ = rollover_epoch(node, (), 0, 10, PublicClient(pub, "gw-fieldA"))
+    assert summary.state_digest == state_digest(replay(node.ledger))
 
 
 def test_commit_batches_fifo_100_100_50():
@@ -260,3 +310,68 @@ def test_reading_validation():
         make_reading(0, metric="pressure")
     with pytest.raises(Exception):
         make_reading(0, value="not-a-number")
+
+
+_steps = st.lists(st.tuples(
+    st.sampled_from(["reading", "reading", "reading", "update", "append", "bad-payload",
+                     "commit", "commit", "reload"]),
+    st.sampled_from(["s-0", "s-1", "rogue"]),
+    st.integers(0, 40),
+), max_size=30)
+_windows = st.lists(st.tuples(st.integers(0, 45), st.integers(1, 20)), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(steps=_steps, windows=_windows)
+def test_held_readings_equal_ledger_readings(tmp_path_factory, steps, windows):
+    """Across valid and rejected submits, commits (conflicting ones too) and
+    nodes built over a saved and reloaded ledger, the held readings equal a
+    parse of the ledger and every window equals a linear scan of it."""
+    authors = {"s-0", "s-1", "op-a"}
+    node = PrivateNode("fieldA", authors)
+    path = tmp_path_factory.mktemp("held") / "fieldA.tcgw"
+
+    for n, (action, sensor, ts) in enumerate(steps):
+        if action == "reading":
+            node.clock = max(node.clock, ts)
+            tx = reading_transaction("fieldA", make_reading(ts, sensor=sensor, timestamp=ts))
+            try:
+                node.submit(tx)
+            except UnauthorizedAuthor:
+                assert sensor == "rogue"
+            except DuplicateTransaction:  # same reading as an earlier step
+                pass
+        elif action in ("update", "append"):
+            # an update then an append is a PathTypeConflict at commit
+            op = ContextOp(TxKind.UPDATE_FIELD if action == "update" else TxKind.APPEND_TO_ARRAY,
+                           "doc", ("k",), n)
+            node.submit(make_transaction("fieldA", node.clock, op.op, op_payload(op), "op-a"))
+        elif action == "bad-payload":
+            with pytest.raises(InvalidTransaction):
+                node.submit(make_transaction("fieldA", ts, TxKind.RAW_READING,
+                                             b'{"value":"1"}', "s-0"))
+        elif action == "commit":
+            before = (head(node.ledger), node.readings_in_window(0, 1 << 64))
+            try:
+                node.commit_batch()
+            except PathTypeConflict:
+                assert (head(node.ledger), node.readings_in_window(0, 1 << 64)) == before
+                # the conflicting op blocks the mempool: restart over the ledger
+                node = PrivateNode("fieldA", authors, clock=node.clock, ledger=node.ledger)
+        else:
+            while node.mempool:
+                try:
+                    node.commit_batch()
+                except PathTypeConflict:
+                    break
+            save_ledger(node.ledger, path)
+            node = PrivateNode("fieldA", authors, clock=node.clock,
+                               ledger=load_ledger(path, chain_id="fieldA"))
+
+        held = node.readings_in_window(0, 1 << 64)
+        assert held == ledger_readings(node.ledger, 0, 1 << 64)
+        assert node.raw_reading_count() == len(held)
+        for start, length in windows:
+            assert (node.readings_in_window(start, start + length)
+                    == ledger_readings(node.ledger, start, start + length))
+        assert state_digest(node.state) == state_digest(replay(node.ledger))

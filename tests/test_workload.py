@@ -162,6 +162,28 @@ def test_run_scenario_counts_and_conservation():
             assert row["pre_reset_size"] > row["post_reset_size"]
 
 
+def test_run_scenario_parses_each_payload_twice(monkeypatch):
+    """Work counter: every committed payload is decoded once at submit and
+    once by the in-run audit, and nothing else is decoded; the anchors add
+    none. A re-parse on the run path (commit, rollover) fails here."""
+    from tcgw import canon
+    decodes = 0
+    decode = canon._DECODER.decode
+
+    def counting(text):
+        nonlocal decodes
+        decodes += 1
+        return decode(text)
+
+    monkeypatch.setattr(canon._DECODER, "decode", counting)
+    result = run_scenario(small_scenario(epochs=3))
+    committed = sum(len(block.transactions) for ledger in result.archives.values()
+                    for block in ledger.blocks)
+    assert result.report["confirmed_anchors"] == 6
+    assert committed == 312
+    assert decodes == 2 * committed
+
+
 def test_run_scenario_event_order_publish_before_prune():
     result = run_scenario(small_scenario())
     order: dict[tuple[str, int], dict[str, int]] = {}
