@@ -275,6 +275,106 @@ def test_load_rejects_unknown_kind_code_at_its_byte(tmp_path):
         load_ledger(path)
 
 
+FEW_CHANNEL, FEW_AUTHOR = "feld-ü", "sënsor-Ω"  # 7 and 10 bytes of UTF-8
+
+
+def _few_ledger() -> Ledger:
+    """Genesis and two blocks of two transactions each, non-ASCII names."""
+    ledger = genesis(FEW_CHANNEL)
+    for height in (1, 2):
+        txs = [make_transaction(FEW_CHANNEL, 10 * height + i, TxKind.RAW_READING,
+                                b'{"i":%d}' % i, FEW_AUTHOR) for i in range(2)]
+        ledger, _ = append_block(ledger, txs, 10 * height + 1)
+    return ledger
+
+
+FEW_BYTES = b"TCGW\x01" + b"".join(serialize_block(b) for b in _few_ledger().blocks)
+C, P, A = 7, 7, 10  # channel_id, payload and author_id lengths
+TX_SIZE = 32 + 4 + C + 13 + P + 4 + A
+# (field, its first byte, start and size of the read that covers it), relative
+# to the record. The reader takes timestamp, kind and payload length in one read.
+BLOCK_FIELDS = [("height", 0, 0, 8), ("previous_hash", 8, 8, 32),
+                ("timestamp", 40, 40, 8), ("tx_root", 48, 48, 32),
+                ("tx_count", 80, 80, 4), ("block_hash", 84 + 2 * TX_SIZE, 84 + 2 * TX_SIZE, 32)]
+TX_FIELDS = [("tx_id", 0, 0, 32), ("channel_id length", 32, 32, 4),
+             ("channel_id", 36, 36, C), ("timestamp", 36 + C, 36 + C, 13),
+             ("kind", 44 + C, 36 + C, 13), ("payload length", 45 + C, 36 + C, 13),
+             ("payload", 49 + C, 49 + C, P), ("author_id length", 49 + C + P, 49 + C + P, 4),
+             ("author_id", 53 + C + P, 53 + C + P, A)]
+
+
+def _load_error(tmp_path, data: bytes) -> str:
+    path = tmp_path / "few.tcgw"
+    path.write_bytes(data)
+    with pytest.raises(LedgerFormatError) as info:
+        load_ledger(path)
+    return str(info.value)
+
+
+def test_load_error_table(tmp_path):
+    assert FEW_BYTES == save_ledger(_few_ledger(), tmp_path / "few.tcgw").read_bytes()
+    path = tmp_path / "few.tcgw"
+    cases = [(b"", "truncated at byte 0: need 4 bytes, 0 left"),
+             (b"TCG", "truncated at byte 0: need 4 bytes, 3 left"),
+             (b"TCGW", "truncated at byte 4: need 1 bytes, 0 left"),
+             (b"TCGW\x01", f"{path}: no blocks"),
+             (b"TCGX\x01" + FEW_BYTES[5:], f"{path}: bad magic at byte 0, not a ledger file"),
+             (b"TCGW\x07" + FEW_BYTES[5:], f"{path}: unsupported ledger version 7 at byte 4")]
+    block_size = 84 + 2 * TX_SIZE + 32
+    for block in (5 + 116, 5 + 116 + block_size):  # blocks 1 and 2, after genesis
+        fields = [(block + at, block + start, size) for _, at, start, size in BLOCK_FIELDS]
+        for tx in (block + 84, block + 84 + TX_SIZE):
+            fields += [(tx + at, tx + start, size) for _, at, start, size in TX_FIELDS]
+        for at, start, size in fields:
+            # cut right before the field and one byte into it; a cut before
+            # a block's height leaves a whole ledger, so it has no error
+            for cut in (at, at + 1) if at != block else (at + 1,):
+                cases.append((FEW_BYTES[:cut],
+                              f"truncated at byte {start}: need {size} bytes, {cut - start} left"))
+    tx = 5 + 116 + 84 + TX_SIZE  # block 1, tx 1
+    author_at = tx + 53 + C + P
+    cases.append((flip_byte(FEW_BYTES, author_at, 0xFF),
+                   f"string at byte {author_at} is not valid UTF-8"))
+    channel_at = tx + 36
+    cases.append((flip_byte(FEW_BYTES, channel_at + 5, 0x40),  # breaks the two bytes of "ü"
+                   f"string at byte {channel_at} is not valid UTF-8"))
+    kind_at = tx + 44 + C
+    assert FEW_BYTES[kind_at] == TxKind.RAW_READING.value
+    cases.append((FEW_BYTES[:kind_at] + b"\x00" + FEW_BYTES[kind_at + 1:],
+                  f"unknown transaction kind code 0 at byte {kind_at}"))
+    assert len(cases) == 6 + 2 * (2 * (len(BLOCK_FIELDS) + 2 * len(TX_FIELDS)) - 1) + 3
+    wrong = [(len(data), expected, got) for data, expected in cases
+             if (got := _load_error(tmp_path, data)) != expected]
+    assert wrong == []
+
+
+def _flip(data: bytes, at_and_mask: tuple[int, int]) -> bytes:
+    at, mask = at_and_mask
+    return data[:at] + bytes([data[at] ^ mask]) + data[at + 1:]
+
+
+malformed_ledgers = st.one_of(
+    st.binary(max_size=300).map(lambda tail: b"TCGW\x01" + tail),
+    st.integers(0, len(FEW_BYTES)).map(lambda n: FEW_BYTES[:n]),
+    st.tuples(st.integers(0, len(FEW_BYTES) - 1), st.integers(1, 255)).map(
+        lambda flip: _flip(FEW_BYTES, flip)),
+    st.tuples(st.integers(0, len(FEW_BYTES)), st.binary(max_size=60)).map(
+        lambda cut: FEW_BYTES[:cut[0]] + cut[1]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=malformed_ledgers)
+def test_load_ledger_raises_only_ledger_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("malformed") / "x.tcgw"
+    path.write_bytes(data)
+    try:
+        ledger = load_ledger(path)
+    except LedgerFormatError:
+        return
+    assert isinstance(ledger, Ledger) and ledger.blocks
+
+
 def test_verify_chain_visits_each_tx_once_in_order_up_to_the_first_bad_block():
     ledger = build_ledger(n_txs=20, per_block=3)  # blocks 1-6 hold 3 txs, block 7 holds 2
     seen: list = []
