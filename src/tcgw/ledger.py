@@ -14,11 +14,14 @@ Wire format (also the unit of size accounting):
     file        := "TCGW" 0x01 block*
 
 where str/bytes are u32 big-endian length prefixed and u64/u32 are
-big-endian. ``tx_id = sha256(body)`` and
-``block_hash = sha256(u64(height) previous_hash u64(timestamp) tx_root)``.
-``tx_root`` is the binary Merkle root over the ordered tx_ids: parents are
-``sha256(left || right)``, an odd level duplicates its last node, a single
-leaf is its own root, and the empty list hashes to ``sha256(b"")``.
+big-endian. Writer and reader share one struct per fixed-width run of
+fields: ``_BLOCK_HEAD`` (height to tx_count), ``_TX_HEAD`` (tx_id, channel_id
+length) and ``_TS_KIND_LEN`` (timestamp, kind, payload length).
+``tx_id = sha256(body)``, ``block_hash = sha256(u64(height) previous_hash
+u64(timestamp) tx_root)``, and ``tx_root`` is the binary Merkle root over the
+ordered tx_ids: parents are ``sha256(left || right)``, an odd level duplicates
+its last node, a single leaf is its own root, and the empty list hashes to
+``sha256(b"")``.
 """
 
 from __future__ import annotations
@@ -93,9 +96,11 @@ class Ledger:
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
+_BLOCK_HEAD = struct.Struct(">Q32sQ32sI")  # height, previous_hash, timestamp, tx_root, tx_count
+_TX_HEAD = struct.Struct(">32sI")  # tx_id, channel_id length
 _TS_KIND_LEN = struct.Struct(">QBI")  # timestamp, kind code, payload length
-_BLOCK_FIXED_SIZE = 8 + DIGEST_SIZE + 8 + DIGEST_SIZE + 4 + DIGEST_SIZE
-_TX_FIXED_SIZE = DIGEST_SIZE + 4 + _TS_KIND_LEN.size + 4
+_BLOCK_FIXED_SIZE = _BLOCK_HEAD.size + DIGEST_SIZE
+_TX_FIXED_SIZE = _TX_HEAD.size + _TS_KIND_LEN.size + _U32.size
 
 
 def transaction_body(channel_id: str, timestamp: int, kind: TxKind,
@@ -154,86 +159,84 @@ def serialize_transaction(tx: Transaction) -> bytes:
 
 
 def serialize_block(block: Block) -> bytes:
-    out = [
-        _U64.pack(block.height),
-        block.previous_hash,
-        _U64.pack(block.timestamp),
-        block.tx_root,
-        _U32.pack(len(block.transactions)),
-    ]
+    out = [_BLOCK_HEAD.pack(block.height, block.previous_hash, block.timestamp,
+                            block.tx_root, len(block.transactions))]
     out.extend(serialize_transaction(tx) for tx in block.transactions)
     out.append(block.block_hash)
     return b"".join(out)
 
 
-class _Reader:
-    """Cursor over serialized bytes. Every LedgerFormatError it raises names
-    the byte offset: truncation, strings that are not valid UTF-8 and
-    unknown transaction kind codes."""
-
-    def __init__(self, data: bytes, offset: int = 0):
-        self.data = data
-        self.offset = offset
-
-    def take(self, n: int) -> bytes:
-        left = len(self.data) - self.offset
-        if n > left:
-            raise LedgerFormatError(
-                f"truncated at byte {self.offset}: need {n} bytes, {left} left")
-        chunk = self.data[self.offset:self.offset + n]
-        self.offset += n
-        return chunk
-
-    def unpack(self, fmt: struct.Struct) -> tuple:
-        return fmt.unpack(self.take(fmt.size))
-
-    def u64(self) -> int:
-        return self.unpack(_U64)[0]
-
-    def u32(self) -> int:
-        return self.unpack(_U32)[0]
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def string(self) -> str:
-        raw = self.take(self.u32())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise LedgerFormatError(
-                f"string at byte {self.offset - len(raw)} is not valid UTF-8") from exc
-
-    @property
-    def exhausted(self) -> bool:
-        return self.offset >= len(self.data)
-
-
 _KIND_BY_CODE = {kind.value: kind for kind in TxKind}
 
 
-def _read_transaction(r: _Reader) -> Transaction:
-    tx_id = r.take(DIGEST_SIZE)
-    channel_id = r.string()
-    code_at = r.offset + 8
-    timestamp, code, payload_len = r.unpack(_TS_KIND_LEN)
-    kind = _KIND_BY_CODE.get(code)
-    if kind is None:
-        raise LedgerFormatError(f"unknown transaction kind code {code} at byte {code_at}")
-    payload = r.take(payload_len)
-    author_id = r.string()
-    return Transaction(tx_id, channel_id, timestamp, kind, payload, author_id)
+def _take(data: bytes, offset: int, n: int) -> tuple[bytes, int]:
+    left = len(data) - offset
+    if n > left:
+        raise LedgerFormatError(f"truncated at byte {offset}: need {n} bytes, {left} left")
+    return data[offset:offset + n], offset + n
 
 
-def _read_block(r: _Reader) -> Block:
-    height = r.u64()
-    previous_hash = r.take(DIGEST_SIZE)
-    timestamp = r.u64()
-    tx_root = r.take(DIGEST_SIZE)
-    count = r.u32()
-    txs = tuple(_read_transaction(r) for _ in range(count))
-    block_hash = r.take(DIGEST_SIZE)
-    return Block(height, previous_hash, timestamp, tx_root, txs, block_hash)
+def _string_slowly(data: bytes, offset: int) -> tuple[str, int]:
+    raw, end = _take(data, offset + 4, _U32.unpack(_take(data, offset, 4)[0])[0])
+    try:
+        return raw.decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise LedgerFormatError(f"string at byte {offset + 4} is not valid UTF-8") from exc
+
+
+def _transaction_slowly(data: bytes, offset: int) -> tuple[Transaction, int]:
+    """Walk one transaction field by field, raising the exact error."""
+    tx_id, offset = _take(data, offset, DIGEST_SIZE)
+    channel_id, offset = _string_slowly(data, offset)
+    timestamp, code, size = _TS_KIND_LEN.unpack(_take(data, offset, _TS_KIND_LEN.size)[0])
+    if code not in _KIND_BY_CODE:
+        raise LedgerFormatError(f"unknown transaction kind code {code} at byte {offset + 8}")
+    payload, offset = _take(data, offset + _TS_KIND_LEN.size, size)
+    author_id, offset = _string_slowly(data, offset)
+    return Transaction(tx_id, channel_id, timestamp, _KIND_BY_CODE[code], payload, author_id), offset
+
+
+class _Names(dict):
+    """Raw UTF-8 bytes -> str, decoding each distinct string once."""
+
+    def __missing__(self, raw: bytes) -> str:
+        name = self[raw] = raw.decode("utf-8")
+        return name
+
+
+def _decode_blocks(data: bytes, offset: int) -> Iterator[Block]:
+    """Decode every block from `offset` on in one flat pass. A record that does
+    not fit or decode is walked again field by field for its exact error."""
+    end, names, kinds = len(data), _Names(), _KIND_BY_CODE
+    tx_head, ts_kind_len, u32 = _TX_HEAD.unpack_from, _TS_KIND_LEN.unpack_from, _U32.unpack_from
+    head_size, fixed_size = _TX_HEAD.size, _TS_KIND_LEN.size
+    while offset < end:
+        if end - offset < _BLOCK_HEAD.size:
+            for size in (8, DIGEST_SIZE, 8, DIGEST_SIZE, 4):
+                _, offset = _take(data, offset, size)
+        height, previous_hash, timestamp, tx_root, count = _BLOCK_HEAD.unpack_from(data, offset)
+        offset += _BLOCK_HEAD.size
+        txs = []
+        for _ in range(count):
+            start = offset
+            try:  # unpack_from raises past the end; a long slice moves the next read there
+                tx_id, n = tx_head(data, offset)
+                offset += head_size + n
+                channel_id = names[data[offset - n:offset]]
+                tx_timestamp, code, size = ts_kind_len(data, offset)
+                offset += fixed_size + size
+                payload = data[offset - size:offset]
+                (n,) = u32(data, offset)
+                offset += 4 + n
+                tx = Transaction(tx_id, channel_id, tx_timestamp, kinds[code], payload,
+                                 names[data[offset - n:offset]])
+            except (struct.error, KeyError, UnicodeDecodeError):
+                offset = end + 1
+            if offset > end:  # also an author_id cut short
+                tx, offset = _transaction_slowly(data, start)
+            txs.append(tx)
+        block_hash, offset = _take(data, offset, DIGEST_SIZE)
+        yield Block(height, previous_hash, timestamp, tx_root, tuple(txs), block_hash)
 
 
 def genesis(chain_id: str, genesis_anchor: bytes | None = None) -> Ledger:
@@ -362,15 +365,12 @@ def load_ledger(path: str | Path, chain_id: str | None = None) -> Ledger:
     """
     path = Path(path)
     data = path.read_bytes()
-    r = _Reader(data)
-    if r.take(4) != LEDGER_MAGIC:
+    if _take(data, 0, 4)[0] != LEDGER_MAGIC:
         raise LedgerFormatError(f"{path}: bad magic at byte 0, not a ledger file")
-    version = r.u8()
+    version = _take(data, 4, 1)[0][0]
     if version != LEDGER_VERSION:
         raise LedgerFormatError(f"{path}: unsupported ledger version {version} at byte 4")
-    blocks = []
-    while not r.exhausted:
-        blocks.append(_read_block(r))
+    blocks = tuple(_decode_blocks(data, 5))
     if not blocks:
         raise LedgerFormatError(f"{path}: no blocks")
-    return Ledger(chain_id or path.stem, tuple(blocks))
+    return Ledger(chain_id or path.stem, blocks)
