@@ -175,6 +175,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         doc = None
         if args.doc:
             doc = canonical_loads(Path(args.doc).read_bytes())
+            if not isinstance(doc, dict):
+                raise ValueError(f"document {args.doc} is not a JSON object")
     except (TcgwError, OSError, ValueError) as exc:
         _err(f"cannot load inputs: {exc}")
         return 2

@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .canon import canonical_json, canonical_loads, from_json_value, to_json_value
-from .errors import DuplicateEpoch, InvalidArgument, LedgerFormatError, UnknownGateway
+from .errors import (DuplicateEpoch, InvalidArgument, LedgerFormatError, UnknownGateway,
+                     UnsupportedValue)
 from .gateway import EpochSummary, summary_digest
 from .ledger import (
     Block,
@@ -197,12 +198,15 @@ class PublicChain:
         meta_path = Path(str(path) + META_SUFFIX)
         if not meta_path.exists():
             raise LedgerFormatError(f"missing chain metadata {meta_path}")
-        meta = canonical_loads(meta_path.read_bytes())
-        chain = cls(meta["validators"], meta["gateways"],
-                    confirmations_required=meta["confirmations_required"],
-                    chain_id=meta["chain_id"], clock=meta["clock"])
-        chain.ledger = load_ledger(path, chain_id=meta["chain_id"])
-        chain._tick_seq = meta["tick_seq"]
+        try:
+            meta = canonical_loads(meta_path.read_bytes())
+            chain = cls(meta["validators"], meta["gateways"],
+                        confirmations_required=meta["confirmations_required"],
+                        chain_id=meta["chain_id"], clock=meta["clock"])
+            chain._tick_seq = meta["tick_seq"]
+        except (KeyError, TypeError, ValueError, UnsupportedValue) as exc:
+            raise LedgerFormatError(f"malformed chain metadata {meta_path}: {exc!r}") from exc
+        chain.ledger = load_ledger(path, chain_id=chain.chain_id)
         chain.registry = rebuild_registry(chain.ledger)
         return chain
 

@@ -180,6 +180,34 @@ def test_trace_missing_chain(tmp_path):
     assert main(["trace", "--chain", str(tmp_path / "nope.tcgw"), "--channel", "x"]) == 2
 
 
+def _chain_copy(run_dir, tmp_path, meta: bytes):
+    chain = tmp_path / "public.tcgw"
+    chain.write_bytes((run_dir / "public.tcgw").read_bytes())
+    (tmp_path / "public.tcgw.meta.json").write_bytes(meta)
+    return chain
+
+
+def test_trace_meta_without_validators(run_dir, tmp_path, capsys):
+    meta = canonical_loads((run_dir / "public.tcgw.meta.json").read_bytes())
+    del meta["validators"]
+    chain = _chain_copy(run_dir, tmp_path, canonical_json(meta))
+    _assert_input_error(["trace", "--chain", str(chain), "--channel", "north"],
+                        tmp_path / "public.tcgw.meta.json", capsys)
+
+
+def test_trace_meta_that_is_an_array(run_dir, tmp_path, capsys):
+    chain = _chain_copy(run_dir, tmp_path, b"[1,2]")
+    _assert_input_error(["trace", "--chain", str(chain), "--channel", "north"],
+                        tmp_path / "public.tcgw.meta.json", capsys)
+
+
+def test_trace_doc_that_is_an_array(run_dir, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(b"[1,2]")
+    _assert_input_error(["trace", "--chain", str(run_dir / "public.tcgw"),
+                         "--channel", "north", "--doc", str(doc)], doc, capsys)
+
+
 def test_inspect_dumps_blocks(run_dir, capsys):
     assert main(["inspect", str(run_dir / "archive" / "north.epoch0.tcgw")]) == 0
     dump = json.loads(capsys.readouterr().out)
