@@ -14,6 +14,7 @@ NOTE), which the CSV and fit report make checkable.
 
 from __future__ import annotations
 
+import copy
 import statistics
 import time
 from dataclasses import dataclass
@@ -80,9 +81,8 @@ def build_reading_ledger(n: int) -> Ledger:
     return ledger
 
 
-def _time_batch(base: Ledger, level: int, rep: int, verify_mode: bool) -> float:
-    node = PrivateNode(BENCH_CHANNEL, {BENCH_SENSOR}, ledger=base,
-                       clock=base.blocks[-1].timestamp)
+def _time_batch(base_node: PrivateNode, level: int, rep: int, verify_mode: bool) -> float:
+    node = copy.copy(base_node)
     readings = _readings(BATCH, level + 1 + rep * BATCH, f"batch/{level}/{rep}")
     txs = [reading_transaction(BENCH_CHANNEL, r) for r in readings]
     started = time.perf_counter()
@@ -110,7 +110,9 @@ def bench_batch_time(levels: Sequence[int] = DEFAULT_LEVELS,
     points = []
     for n in levels:
         base = build_reading_ledger(n)
-        times = [_time_batch(base, n, rep, verify_mode) for rep in range(REPETITIONS)]
+        node = PrivateNode(BENCH_CHANNEL, {BENCH_SENSOR}, ledger=base,
+                           clock=base.blocks[-1].timestamp)
+        times = [_time_batch(node, n, rep, verify_mode) for rep in range(REPETITIONS)]
         points.append(BenchPoint(n, ledger_size_bytes(base), statistics.median(times)))
     return points
 

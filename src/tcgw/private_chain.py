@@ -138,6 +138,13 @@ class PrivateNode:
 
         self.state: WorldState = replay(self.ledger, visit)
 
+    def __copy__(self) -> "PrivateNode":
+        """An equal, independent node; only the immutable ledger and state are shared."""
+        twin = object.__new__(type(self))
+        twin.__dict__ = {**self.__dict__, "mempool": self.mempool[:], "_parsed": self._parsed[:],
+                         "_known_ids": set(self._known_ids), "_readings": self._readings[:]}
+        return twin
+
     def submit(self, tx: Transaction) -> bool:
         """Queue a transaction; raises on wrong channel, author, duplicate,
         bad tx_id, a payload that commit or rollover could not read, or one

@@ -16,6 +16,7 @@ from tcgw.bench import (
 from tcgw.canon import canonical_loads
 from tcgw.errors import InvalidArgument
 from tcgw.ledger import verify_chain
+from tcgw.private_chain import PrivateNode
 
 SMALL_LEVELS = [0, 5, 10, 50, 100, 500, 1000]
 
@@ -58,6 +59,20 @@ def test_batch_time_measures_positive_seconds():
     for p in points:
         assert p.batch_seconds > 0.0
         assert p.occupied_bytes > 0
+
+
+def test_batch_time_builds_one_node_over_base_per_level(monkeypatch):
+    built = []
+    init = PrivateNode.__init__
+
+    def counting_init(self, *args, ledger=None, **kwargs):
+        if ledger is not None:
+            built.append(len(ledger.blocks))
+        init(self, *args, ledger=ledger, **kwargs)
+
+    monkeypatch.setattr(PrivateNode, "__init__", counting_init)
+    bench_batch_time([0, 100, 250], verify_mode=True)
+    assert built == [1, 2, 4]  # genesis plus blocks of 100
 
 
 def test_batch_time_at_zero_level_commits():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -214,6 +215,34 @@ def test_commit_rejects_conflicting_op_without_side_effects():
         node.commit_batch()
     assert head(node.ledger) == before_head
     assert state_digest(node.state) == before_digest
+
+
+def test_copy_is_an_equal_independent_node():
+    node = _node(authors=("s-0", "op-a"))
+    op = ContextOp(TxKind.UPDATE_FIELD, "d", ("k",), 1)
+    node.submit(make_transaction("fieldA", 0, op.op, op_payload(op), "op-a"))
+    node.submit(reading_tx("fieldA", 0))
+    node.commit_batch()
+    node.submit(reading_tx("fieldA", 1))  # still pending
+
+    def view(n: PrivateNode) -> tuple:
+        return (n.ledger, n.state, list(n.mempool), n.clock,
+                n.readings_in_window(0, 1 << 64), n.raw_reading_count())
+
+    before = view(node)
+    twin = copy.copy(node)
+    assert view(twin) == before
+    twin.submit(reading_tx("fieldA", 2))
+    twin.clock = 2
+    twin.commit_batch()
+    assert twin.raw_reading_count() == 3
+    assert view(node) == before
+    assert node.submit(reading_tx("fieldA", 2))  # the twin's ids are its own
+    with pytest.raises(DuplicateTransaction):
+        twin.submit(reading_tx("fieldA", 2))
+    node.commit_batch()
+    assert node.readings_in_window(0, 1 << 64) == twin.readings_in_window(0, 1 << 64)
+    assert state_digest(node.state) == state_digest(replay(node.ledger))
 
 
 def test_reset_with_anchor_starts_fresh():
