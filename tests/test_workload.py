@@ -168,14 +168,14 @@ def test_run_scenario_parses_each_payload_twice(monkeypatch):
     none. A re-parse on the run path (commit, rollover) fails here."""
     from tcgw import canon
     decodes = 0
-    decode = canon._DECODER.decode
+    raw_decode = canon._DECODER.raw_decode
 
-    def counting(text):
+    def counting(text, idx=0):
         nonlocal decodes
         decodes += 1
-        return decode(text)
+        return raw_decode(text, idx)
 
-    monkeypatch.setattr(canon._DECODER, "decode", counting)
+    monkeypatch.setattr(canon._DECODER, "raw_decode", counting)
     result = run_scenario(small_scenario(epochs=3))
     committed = sum(len(block.transactions) for ledger in result.archives.values()
                     for block in ledger.blocks)
