@@ -14,6 +14,11 @@ Canonical form:
   ("4.2") so every platform produces identical bytes. Feeding a native
   float (or NaN/Infinity) raises UnsupportedValue, on encode and decode.
 
+canonical_json checks a value in one walk that calls itself only for
+containers, then runs a C encoder built once at import. canonical_loads
+parses one bare value with one raw_decode and hands any other input to the
+full decoder, so its results and errors are the stdlib decoder's.
+
 Dataclasses travel through to_json_value/from_json_value: an object per
 instance keyed by field name, bytes as lowercase hex, tuples as arrays.
 """
@@ -36,31 +41,43 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+_LEAVES = (str, int, bool)
+_PLAIN = frozenset((*_LEAVES, type(None)))
+
+
 def _check_value(value: Any, depth: int = 0) -> None:
+    """Raise UnsupportedValue unless `value` is canonical JSON. Exact-type
+    leaves pass inline and only other values cost a call; a leaf 65 levels
+    down is too deep, so at depth 64 none passes inline."""
     if depth > 64:
         raise UnsupportedValue("value nesting deeper than 64 levels")
-    if value is None or isinstance(value, (str, bool)):
-        return
-    if isinstance(value, int):
-        return
-    if isinstance(value, float):
+    plain = _PLAIN if depth < 64 else ()
+    cls = type(value)
+    if cls is dict or cls not in _PLAIN and isinstance(value, dict):
+        for key, item in value.items():
+            if type(key) is not str and not isinstance(key, str):
+                raise UnsupportedValue(f"object key {key!r} is not a string")
+            if type(item) not in plain:
+                _check_value(item, depth + 1)
+    elif cls is list or cls is tuple or isinstance(value, (list, tuple)):
+        for item in value:
+            if type(item) not in plain:
+                _check_value(item, depth + 1)
+    elif isinstance(value, float):
         raise UnsupportedValue(
             f"native float {value!r} is not canonical; carry decimals as strings")
-    if isinstance(value, (list, tuple)):
-        for item in value:
-            _check_value(item, depth + 1)
-        return
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise UnsupportedValue(f"object key {key!r} is not a string")
-            _check_value(item, depth + 1)
-        return
-    raise UnsupportedValue(f"unsupported value type {type(value).__name__}")
+    elif value is not None and not isinstance(value, (str, int)):
+        raise UnsupportedValue(f"unsupported value type {type(value).__name__}")
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                             ensure_ascii=False, allow_nan=False)
+# The C encoder JSONEncoder.encode would build per call, built once. It keeps
+# no cycle markers: _check_value stops a cycle at depth 65. Without the _json
+# accelerator, the stdlib's own encoder; either returns chunks to join.
+_encode_chunks = (json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring, None, ":", ",", True, False, False)
+    if json.encoder.c_make_encoder else _ENCODER.iterencode)
 
 
 def canonical_json(value: Any) -> bytes:
@@ -70,7 +87,7 @@ def canonical_json(value: Any) -> bytes:
     type outside {str, int, bool, None, list, dict}.
     """
     _check_value(value)
-    return _ENCODER.encode(value).encode("utf-8")
+    return "".join(_encode_chunks(value, 0)).encode("utf-8")
 
 
 def _reject_float(text: str) -> Any:
@@ -95,7 +112,13 @@ def canonical_loads(data: bytes | str) -> Any:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        return _DECODER.decode(data)
+        try:  # one bare value, as canonical_json writes it
+            value, end = _DECODER.raw_decode(data)
+            if end == len(data):
+                return value
+        except json.JSONDecodeError:
+            pass
+        return _DECODER.decode(data)  # whitespace, extra data or broken JSON
     except RecursionError as exc:
         raise UnsupportedValue("JSON nesting too deep to parse") from exc
 
@@ -105,8 +128,6 @@ def digest_json(value: Any) -> bytes:
     return sha256(canonical_json(value))
 
 
-_LEAVES = (str, int, bool)
-_PLAIN = frozenset((*_LEAVES, type(None)))
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 _DECODERS: dict[Any, Callable[[Any], Any]] = {}
 

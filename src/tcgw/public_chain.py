@@ -200,10 +200,13 @@ class PublicChain:
             raise LedgerFormatError(f"missing chain metadata {meta_path}")
         try:
             meta = canonical_loads(meta_path.read_bytes())
-            chain = cls(meta["validators"], meta["gateways"],
-                        confirmations_required=meta["confirmations_required"],
-                        chain_id=meta["chain_id"], clock=meta["clock"])
-            chain._tick_seq = meta["tick_seq"]
+            names = tuple[str, ...]
+            chain = cls(from_json_value(names, meta["validators"]),
+                        from_json_value(names, meta["gateways"]),
+                        confirmations_required=from_json_value(int, meta["confirmations_required"]),
+                        chain_id=from_json_value(str, meta["chain_id"]),
+                        clock=from_json_value(int, meta["clock"]))
+            chain._tick_seq = from_json_value(int, meta["tick_seq"])
         except (KeyError, TypeError, ValueError, UnsupportedValue) as exc:
             raise LedgerFormatError(f"malformed chain metadata {meta_path}: {exc!r}") from exc
         chain.ledger = load_ledger(path, chain_id=chain.chain_id)

@@ -6,6 +6,7 @@ import collections
 import enum
 import functools
 import hashlib
+import importlib.util
 import json
 
 import pytest
@@ -193,6 +194,20 @@ _deep = st.builds(_nest, st.none() | st.integers() | st.sampled_from([[], {}, [1
 @given(_values | _deep)
 def test_canonical_json_matches_reference(value):
     assert _outcome(canonical_json, value) == _outcome(_reference_json, value)
+
+
+def test_encoder_without_the_c_accelerator_writes_the_same_bytes(monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    spec = importlib.util.spec_from_file_location("tcgw._canon_without_c", canon.__file__)
+    pure = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pure)
+    assert pure._encode_chunks == pure._ENCODER.iterencode
+    deep: object = [1]
+    for _ in range(63):
+        deep = {"k": deep}
+    for value in ({"b": [1, True, None, "pomé"], "a": {"z": (2, _Level.HIGH)}, "c": 'a"b\n'},
+                  _Name("x"), deep):
+        assert pure.canonical_json(value) == canonical_json(value) == _reference_json(value)
 
 
 def test_cycles_stop_at_the_depth_limit():

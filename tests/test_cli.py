@@ -201,6 +201,17 @@ def test_trace_meta_that_is_an_array(run_dir, tmp_path, capsys):
                         tmp_path / "public.tcgw.meta.json", capsys)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("validators", "val-0val-1"), ("gateways", "gw-0"), ("chain_id", 7),
+    ("confirmations_required", True), ("clock", True), ("tick_seq", False)])
+def test_verify_meta_with_a_mistyped_field(run_dir, tmp_path, capsys, key, value):
+    meta = canonical_loads((run_dir / "public.tcgw.meta.json").read_bytes())
+    meta[key] = value
+    chain = _chain_copy(run_dir, tmp_path, canonical_json(meta))
+    _assert_input_error(["verify", "--archive", str(run_dir / "archive"), "--chain", str(chain)],
+                        tmp_path / "public.tcgw.meta.json", capsys)
+
+
 def test_trace_doc_that_is_an_array(run_dir, tmp_path, capsys):
     doc = tmp_path / "doc.json"
     doc.write_bytes(b"[1,2]")
