@@ -53,7 +53,7 @@ def _check_value(value: Any, depth: int = 0) -> None:
         raise UnsupportedValue("value nesting deeper than 64 levels")
     plain = _PLAIN if depth < 64 else ()
     cls = type(value)
-    if cls is dict or cls not in _PLAIN and isinstance(value, dict):
+    if cls is dict or isinstance(value, dict):
         for key, item in value.items():
             if type(key) is not str and not isinstance(key, str):
                 raise UnsupportedValue(f"object key {key!r} is not a string")
@@ -72,9 +72,9 @@ def _check_value(value: Any, depth: int = 0) -> None:
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                             ensure_ascii=False, allow_nan=False)
-# The C encoder JSONEncoder.encode would build per call, built once. It keeps
-# no cycle markers: _check_value stops a cycle at depth 65. Without the _json
-# accelerator, the stdlib's own encoder; either returns chunks to join.
+# The C encoder that JSONEncoder.encode builds on every call, built once and
+# without cycle markers (_check_value stops a cycle at depth 65); without the
+# _json accelerator, the stdlib's Python encoder. Each returns chunks to join.
 _encode_chunks = (json.encoder.c_make_encoder(
     None, _ENCODER.default, json.encoder.encode_basestring, None, ":", ",", True, False, False)
     if json.encoder.c_make_encoder else _ENCODER.iterencode)
