@@ -22,6 +22,7 @@ from .errors import (
     DuplicateTransaction,
     EmptyBatch,
     InvalidArgument,
+    InvalidChain,
     InvalidTransaction,
     InvalidWindow,
     LedgerFormatError,
@@ -73,7 +74,7 @@ from .private_chain import (
     reading_payload,
     reading_transaction,
 )
-from .public_chain import AnchorRecord, PublicChain, PublicClient, rebuild_registry
+from .public_chain import AnchorRecord, PublicChain, PublicClient
 from .rng import SplitMix64, derive_seed
 from .worldstate import (
     EMPTY_STATE,

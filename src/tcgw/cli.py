@@ -23,7 +23,7 @@ from .bench import (
     write_bench_report,
 )
 from .canon import canonical_json, canonical_loads, from_json_value, to_json_value
-from .errors import TcgwError
+from .errors import InvalidChain, TcgwError
 from .gateway import ValidityRange, verify_pruned_epoch
 from .ledger import load_ledger, save_ledger
 from .public_chain import PublicChain
@@ -34,7 +34,7 @@ from .workload import (
     run_scenario,
 )
 
-ARCHIVE_NAME = re.compile(r"^(?P<channel>.+)\.epoch(?P<epoch>\d+)\.tcgw$")
+ARCHIVE_NAME = re.compile(r"^(?P<channel>.+)\.epoch(?P<epoch>0|[1-9]\d*)\.tcgw$")
 
 
 def _err(message: str) -> None:
@@ -120,49 +120,58 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not chain_path.exists():
         _err(f"chain file {chain_path} not found")
         return 2
+    chain = PublicChain.load(chain_path)  # a chain that fails to verify ends in main
     try:
-        chain = PublicChain.load(chain_path)
         ranges_path = archive_dir / "ranges.json"
         if ranges_path.exists():
             ranges = from_json_value(tuple[ValidityRange, ...],
                                      canonical_loads(ranges_path.read_bytes())["ranges"])
         else:
             _err(f"warning: {ranges_path} missing, verifying with no validity ranges")
-            ranges = []
+            ranges = ()
     except (TcgwError, KeyError, TypeError, ValueError) as exc:
         _err(f"cannot load inputs: {exc}")
         return 2
 
-    archives = sorted(p for p in archive_dir.iterdir() if ARCHIVE_NAME.match(p.name))
-    if not archives:
+    archives = {}
+    for path in sorted(archive_dir.iterdir()):
+        match = ARCHIVE_NAME.match(path.name)
+        if match:
+            archives[match.group("channel"), int(match.group("epoch"))] = path
+        elif path.suffix == ".tcgw":
+            _err(f"warning: {path} is not named <channel>.epoch<k>.tcgw, not checked")
+    # Every confirmed anchor must have its archive, and every archive its anchor.
+    anchored = {(rec.channel_id, rec.epoch_index) for records in chain.registry.values()
+                for rec in records if chain.is_confirmed(rec)}
+    if not archives and not anchored:
         _err(f"no archived ledgers in {archive_dir}")
         return 2
-    first_failure = None
-    for path in archives:
-        match = ARCHIVE_NAME.match(path.name)
-        channel, epoch = match.group("channel"), int(match.group("epoch"))
-        try:
-            ledger = load_ledger(path, chain_id=channel)
-        except TcgwError:
-            # Unreadable bytes are a tamper signal, not a usage error.
-            print(f"{channel} epoch {epoch}: FAIL (chain)")
-            first_failure = first_failure or (channel, epoch)
-            continue
-        record = chain.find_anchor(channel, epoch)
-        if record is None:
-            print(f"{channel} epoch {epoch}: FAIL (anchor)")
-            first_failure = first_failure or (channel, epoch)
-            continue
-        outcome = verify_pruned_epoch(ledger, record.summary, chain, ranges)
-        status = "ok" if outcome.ok else f"FAIL ({', '.join(outcome.failures)})"
+    failed = []
+    for channel, epoch in sorted(archives.keys() | anchored):
+        status = _audit_epoch(archives.get((channel, epoch)), channel, epoch, chain, ranges)
         print(f"{channel} epoch {epoch}: {status}")
-        if not outcome.ok and first_failure is None:
-            first_failure = (channel, epoch)
-    if first_failure:
-        _err(f"verification failed first at channel {first_failure[0]} "
-             f"epoch {first_failure[1]}")
+        if status != "ok":
+            failed.append((channel, epoch))
+    if failed:
+        _err(f"verification failed first at channel {failed[0][0]} epoch {failed[0][1]}")
         return 1
     return 0
+
+
+def _audit_epoch(path: Path | None, channel: str, epoch: int, chain: PublicChain,
+                 ranges: tuple[ValidityRange, ...]) -> str:
+    """One epoch's verdict: "ok" or "FAIL (<codes>)"."""
+    if path is None:
+        return "FAIL (missing)"
+    try:
+        ledger = load_ledger(path, chain_id=channel)
+    except TcgwError:
+        return "FAIL (chain)"  # unreadable bytes are a tamper signal, not a usage error
+    record = chain.find_anchor(channel, epoch)
+    if record is None:
+        return "FAIL (anchor)"
+    outcome = verify_pruned_epoch(ledger, record.summary, chain, ranges)
+    return "ok" if outcome.ok else f"FAIL ({', '.join(outcome.failures)})"
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -170,8 +179,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if not chain_path.exists():
         _err(f"chain file {chain_path} not found")
         return 2
+    chain = PublicChain.load(chain_path)
     try:
-        chain = PublicChain.load(chain_path)
         doc = None
         if args.doc:
             doc = canonical_loads(Path(args.doc).read_bytes())
@@ -266,6 +275,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InvalidChain as exc:
+        print(f"public chain: FAIL ({exc})")
+        return 1
     except (TcgwError, OSError) as exc:
         _err(str(exc))
         return 2

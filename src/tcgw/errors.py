@@ -83,3 +83,7 @@ class DuplicateEpoch(TcgwError):
 
 class UnknownGateway(TcgwError):
     """Anchor submitted by an identity that is not a registered gateway."""
+
+
+class InvalidChain(TcgwError):
+    """A loaded chain fails verify_chain or the rules its own methods follow."""

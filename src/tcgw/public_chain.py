@@ -8,8 +8,10 @@ Only registered gateway identities may submit anchors; reading is open.
 Real public networks keep producing blocks whether or not anyone is
 transacting. `tick()` models that: it appends a heartbeat transaction
 (Anchor kind, payload without a "summary" key) and produces a block, so
-confirmation depth can accrue on an otherwise quiet chain. Registry
-replay ignores heartbeats.
+confirmation depth can accrue on an otherwise quiet chain.
+
+`load` rebuilds the chain from its ledger and ChainParams sidecar in one
+verify_chain walk that accepts only what submit_anchor and tick could write.
 """
 
 from __future__ import annotations
@@ -19,21 +21,11 @@ from pathlib import Path
 from typing import Iterable
 
 from .canon import canonical_json, canonical_loads, from_json_value, to_json_value
-from .errors import (DuplicateEpoch, InvalidArgument, LedgerFormatError, UnknownGateway,
-                     UnsupportedValue)
+from .errors import (DuplicateEpoch, InvalidArgument, InvalidChain, LedgerFormatError,
+                     TcgwError, UnknownGateway, UnsupportedValue)
 from .gateway import EpochSummary, summary_digest
-from .ledger import (
-    Block,
-    Ledger,
-    Transaction,
-    TxKind,
-    append_block,
-    genesis,
-    iter_transactions,
-    load_ledger,
-    make_transaction,
-    save_ledger,
-)
+from .ledger import (Block, Ledger, Transaction, TxKind, append_block, genesis, load_ledger,
+                     make_transaction, save_ledger, verify_chain)
 from .worldstate import Document
 
 DEFAULT_CONFIRMATIONS = 2
@@ -52,14 +44,25 @@ class AnchorRecord:
     included_height: int | None = None
 
 
-def _anchor_payload(summary: EpochSummary, digest: bytes, author: str) -> bytes:
-    return canonical_json({
-        "channel_id": summary.channel_id,
-        "epoch_index": summary.epoch_index,
-        "submitted_by": author,
-        "summary": to_json_value(summary),
-        "summary_digest": digest.hex(),
-    })
+@dataclass(frozen=True)
+class AnchorPayload:
+    """The JSON an anchor transaction carries."""
+
+    channel_id: str
+    epoch_index: int
+    submitted_by: str
+    summary: EpochSummary
+    summary_digest: bytes
+
+
+@dataclass(frozen=True)
+class ChainParams:
+    """The sidecar: what a chain's ledger does not carry itself."""
+
+    chain_id: str
+    confirmations_required: int
+    gateways: tuple[str, ...]
+    validators: tuple[str, ...]
 
 
 class PublicChain:
@@ -67,7 +70,7 @@ class PublicChain:
 
     def __init__(self, validators: Iterable[str], gateways: Iterable[str] = (),
                  confirmations_required: int = DEFAULT_CONFIRMATIONS,
-                 chain_id: str = "public", clock: int = 0):
+                 chain_id: str = "public"):
         self.validators = list(validators)
         if not self.validators:
             raise InvalidArgument("need at least one validator")
@@ -75,7 +78,7 @@ class PublicChain:
             raise InvalidArgument("confirmations_required must be positive")
         self.gateways = set(gateways)
         self.confirmations_required = confirmations_required
-        self.clock = clock
+        self.clock = 0
         self.ledger: Ledger = genesis(chain_id)
         # Queued transactions, each with its anchor record (None for heartbeats).
         self.pending: list[tuple[Transaction, AnchorRecord | None]] = []
@@ -106,21 +109,25 @@ class PublicChain:
                      if rec is not None and rec.channel_id == channel_id)
         return len(self.registry.get(channel_id, [])) + queued
 
-    def submit_anchor(self, summary: EpochSummary, author: str) -> AnchorRecord:
-        """Queue an anchor transaction; one anchor per (channel, epoch)."""
+    def _admit(self, channel_id: str, epoch_index: int, author: str) -> None:
+        """Anchor rule, at submit and load: a registered gateway, one per (channel, epoch)."""
         if author not in self.gateways:
-            raise UnknownGateway(f"{author!r} is not a registered gateway")
-        key = (summary.channel_id, summary.epoch_index)
+            raise UnknownGateway(f"unknown gateway {author!r}")
+        key = (channel_id, epoch_index)
         if self.find_anchor(*key) is not None:
             raise DuplicateEpoch(f"anchor for {key} already included")
         for _, rec in self.pending:
             if rec is not None and (rec.channel_id, rec.epoch_index) == key:
                 raise DuplicateEpoch(f"anchor for {key} already pending")
+
+    def submit_anchor(self, summary: EpochSummary, author: str) -> AnchorRecord:
+        """Queue an anchor transaction that passes `_admit`."""
+        self._admit(summary.channel_id, summary.epoch_index, author)
         digest = summary_digest(summary)
+        payload = AnchorPayload(summary.channel_id, summary.epoch_index, author, summary, digest)
         tx = make_transaction(summary.channel_id, self.clock, TxKind.ANCHOR,
-                              _anchor_payload(summary, digest, author), author)
-        record = AnchorRecord(summary.channel_id, summary.epoch_index,
-                              digest, summary, author)
+                              canonical_json(to_json_value(payload)), author)
+        record = AnchorRecord(**vars(payload))
         self.pending.append((tx, record))
         return record
 
@@ -178,66 +185,58 @@ class PublicChain:
         return trace
 
     def save(self, path: str | Path) -> Path:
-        """Persist ledger as .tcgw plus a sidecar with the chain parameters."""
+        """Persist the ledger as .tcgw plus a sidecar holding its ChainParams."""
         path = Path(path)
         save_ledger(self.ledger, path)
-        meta = {
-            "chain_id": self.chain_id,
-            "clock": self.clock,
-            "confirmations_required": self.confirmations_required,
-            "gateways": sorted(self.gateways),
-            "tick_seq": self._tick_seq,
-            "validators": self.validators,
-        }
-        Path(str(path) + META_SUFFIX).write_bytes(canonical_json(meta))
+        params = ChainParams(self.chain_id, self.confirmations_required,
+                             tuple(sorted(self.gateways)), tuple(self.validators))
+        Path(str(path) + META_SUFFIX).write_bytes(canonical_json(to_json_value(params)))
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "PublicChain":
+        """Read what `save` wrote. A malformed file raises LedgerFormatError; a
+        ledger that fails verify_chain, or holds a transaction `submit_anchor`
+        or `tick` could not have written there, raises InvalidChain. Digests
+        are kept as published; verify_pruned_epoch checks them."""
         path = Path(path)
         meta_path = Path(str(path) + META_SUFFIX)
         if not meta_path.exists():
             raise LedgerFormatError(f"missing chain metadata {meta_path}")
         try:
-            meta = canonical_loads(meta_path.read_bytes())
-            names = tuple[str, ...]
-            chain = cls(from_json_value(names, meta["validators"]),
-                        from_json_value(names, meta["gateways"]),
-                        confirmations_required=from_json_value(int, meta["confirmations_required"]),
-                        chain_id=from_json_value(str, meta["chain_id"]),
-                        clock=from_json_value(int, meta["clock"]))
-            chain._tick_seq = from_json_value(int, meta["tick_seq"])
-        except (KeyError, TypeError, ValueError, UnsupportedValue) as exc:
+            params = from_json_value(ChainParams, canonical_loads(meta_path.read_bytes()))
+            chain = cls(params.validators, params.gateways,
+                        params.confirmations_required, params.chain_id)
+        except (ValueError, UnsupportedValue) as exc:
             raise LedgerFormatError(f"malformed chain metadata {meta_path}: {exc!r}") from exc
-        chain.ledger = load_ledger(path, chain_id=chain.chain_id)
-        chain.registry = rebuild_registry(chain.ledger)
+        ledger = load_ledger(path, chain_id=chain.chain_id)
+
+        def visit(height: int, index: int, tx: Transaction, value) -> None:
+            if not (isinstance(value, dict) and "summary" in value):
+                chain._tick_seq += 1
+                if (tx.kind, tx.channel_id, tx.author_id, tx.payload) != (
+                        TxKind.ANCHOR, chain.chain_id, chain._producer(height),
+                        canonical_json({"tick": chain._tick_seq})):
+                    raise InvalidChain(f"heartbeat at block {height} tx {index}: "
+                                       f"not tick {chain._tick_seq}")
+                return
+            try:
+                p = from_json_value(AnchorPayload, value)
+                if (tx.kind, tx.channel_id, tx.channel_id, p.epoch_index, tx.author_id) != (
+                        TxKind.ANCHOR, p.channel_id, p.summary.channel_id,
+                        p.summary.epoch_index, p.submitted_by):
+                    raise InvalidArgument("payload disagrees with its transaction")
+                chain._admit(p.channel_id, p.epoch_index, p.submitted_by)
+            except TcgwError as exc:
+                raise InvalidChain(f"anchor at block {height} tx {index}: {exc}") from exc
+            chain.registry.setdefault(p.channel_id, []).append(
+                AnchorRecord(**vars(p), included_height=height))
+
+        report = verify_chain(ledger, visit)
+        if not report.ok:
+            raise InvalidChain(f"{report.reason.value} at block {report.first_bad_height}")
+        chain.ledger, chain.clock = ledger, ledger.blocks[-1].timestamp
         return chain
-
-
-def rebuild_registry(ledger: Ledger) -> dict[str, list[AnchorRecord]]:
-    """Reconstruct the anchor registry purely from ledger contents.
-
-    Heartbeat payloads (no "summary" key) are skipped. Digests are kept as
-    published; verify_pruned_epoch checks them against their summaries.
-    """
-    registry: dict[str, list[AnchorRecord]] = {}
-    for height, _, tx in iter_transactions(ledger):
-        if tx.kind is not TxKind.ANCHOR:
-            continue
-        payload = canonical_loads(tx.payload)
-        if not isinstance(payload, dict) or "summary" not in payload:
-            continue
-        summary = from_json_value(EpochSummary, payload["summary"])
-        record = AnchorRecord(
-            channel_id=payload["channel_id"],
-            epoch_index=payload["epoch_index"],
-            summary_digest=from_json_value(bytes, payload["summary_digest"]),
-            summary=summary,
-            submitted_by=payload["submitted_by"],
-            included_height=height,
-        )
-        registry.setdefault(record.channel_id, []).append(record)
-    return registry
 
 
 class PublicClient:

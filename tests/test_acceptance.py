@@ -284,7 +284,7 @@ BUNDLED_RUN_DIGESTS = {
     "archive/tomato.epoch0.tcgw": "97e96374c84b07de7c6a75f0570811dd37959cb7b963eb34902ba4efbde2a5a0",
     "archive/tomato.epoch1.tcgw": "ab6e25023d815c389b361d24d7ca1ff3d852614b2af590b5c91b62069fd71fc3",
     "public.tcgw": "ccd113a04c98184009ea8bb5c3b38cacaa00da04f87c2578c209e437d34545ca",
-    "public.tcgw.meta.json": "b195cbe31e267e0bad0342e40c90f62135aa95e723cb7e466cf0492a54cfabbc",
+    "public.tcgw.meta.json": "b3414021bf7a778791b88fa465ca7e2987d1812894e63f0980990c0a9cd80ba9",
     "report.json": "deebb3ea2dcf0ea976fc7ee067979c4c01285d85003a9a79930067a5e245c120",
     "state/almond.json": "9d0b2062ba1d0607147145aaecba4b87cd045e32f70542c89625481243a55f5c",
     "state/asparagus.json": "088e926e10c0aa55cf49bc6683fe99fe3f5f42f606756c5c019ca21ef974a830",

@@ -9,8 +9,10 @@ import pytest
 
 from tcgw.canon import canonical_json, canonical_loads, to_json_value
 from tcgw.cli import main
+from tcgw.ledger import iter_transactions, load_ledger, save_ledger
 
 from helpers import flip_byte
+from test_gateway import _relink
 from test_workload import small_scenario
 
 
@@ -120,18 +122,40 @@ def _forge_first_published_digest(run_dir, tmp_path, digit: bytes | None = None)
     return forged, match.group(1).decode(), int(match.group(2))
 
 
+def _relink_first_published_digest(run_dir, tmp_path, digit: str | None = None):
+    """The same forgery with its tx_id, Merkle root and later block hashes
+    re-derived, so that the public chain still passes verify_chain."""
+    ledger = load_ledger(run_dir / "public.tcgw", chain_id="public")
+    height, index, tx = next(found for found in iter_transactions(ledger)
+                             if b'"summary"' in found[2].payload)
+    payload = canonical_loads(tx.payload)
+    digest = payload["summary_digest"]
+    payload["summary_digest"] = (digit or ("1" if digest[0] == "0" else "0")) + digest[1:]
+    forged = save_ledger(_relink(ledger, height, index, tx.kind, canonical_json(payload)),
+                         tmp_path / "public.tcgw")
+    (tmp_path / "public.tcgw.meta.json").write_bytes(
+        (run_dir / "public.tcgw.meta.json").read_bytes())
+    return forged, payload["channel_id"], payload["epoch_index"], (height, index)
+
+
 def test_verify_checks_the_published_digest(run_dir, tmp_path, capsys):
-    forged, channel, epoch = _forge_first_published_digest(run_dir, tmp_path)
+    forged, channel, _ = _forge_first_published_digest(run_dir, tmp_path)
     assert main(["verify", "--archive", str(run_dir / "archive"), "--chain", str(forged)]) == 1
+    assert capsys.readouterr().out == "public chain: FAIL (TxId at block 1)\n"
+    assert main(["trace", "--chain", str(forged), "--channel", channel]) == 1
+    assert capsys.readouterr().out == "public chain: FAIL (TxId at block 1)\n"
+    relinked, channel, epoch, _ = _relink_first_published_digest(run_dir, tmp_path)
+    assert main(["verify", "--archive", str(run_dir / "archive"), "--chain", str(relinked)]) == 1
     out = capsys.readouterr().out
     assert f"{channel} epoch {epoch}: FAIL (anchor)" in out
     assert out.count(": ok") == 3
 
 
 def test_verify_rejects_a_digest_that_is_not_hex(run_dir, tmp_path, capsys):
-    forged, _, _ = _forge_first_published_digest(run_dir, tmp_path, b"x")
-    assert main(["verify", "--archive", str(run_dir / "archive"), "--chain", str(forged)]) == 2
-    assert "cannot load inputs" in capsys.readouterr().err
+    forged, _, _, (height, index) = _relink_first_published_digest(run_dir, tmp_path, "x")
+    assert main(["verify", "--archive", str(run_dir / "archive"), "--chain", str(forged)]) == 1
+    assert capsys.readouterr().out.startswith(
+        f"public chain: FAIL (anchor at block {height} tx {index}: expected a hex string")
 
 
 @pytest.mark.parametrize("ranges_json", [
@@ -203,7 +227,7 @@ def test_trace_meta_that_is_an_array(run_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("validators", "val-0val-1"), ("gateways", "gw-0"), ("chain_id", 7),
-    ("confirmations_required", True), ("clock", True), ("tick_seq", False)])
+    ("confirmations_required", True)])
 def test_verify_meta_with_a_mistyped_field(run_dir, tmp_path, capsys, key, value):
     meta = canonical_loads((run_dir / "public.tcgw.meta.json").read_bytes())
     meta[key] = value
@@ -261,6 +285,42 @@ def test_verify_archive_that_is_a_directory(run_dir, tmp_path, capsys):
     _assert_input_error(["verify", "--archive", str(archive),
                          "--chain", str(run_dir / "public.tcgw")],
                         archive / "x.epoch0.tcgw", capsys)
+
+
+def test_verify_reports_a_deleted_archive_as_missing(run_dir, tmp_path, capsys):
+    archive = _archive_copy(run_dir, tmp_path)
+    (archive / "south.epoch1.tcgw").unlink()
+    assert main(["verify", "--archive", str(archive),
+                 "--chain", str(run_dir / "public.tcgw")]) == 1
+    captured = capsys.readouterr()
+    assert "south epoch 1: FAIL (missing)" in captured.out
+    assert captured.out.count(": ok") == 3
+    assert "channel south epoch 1" in captured.err
+
+
+def test_verify_reports_a_renamed_archive(run_dir, tmp_path, capsys):
+    archive = _archive_copy(run_dir, tmp_path)
+    (archive / "north.epoch0.tcgw").rename(archive / "north.epoch7.tcgw")
+    (archive / "south.epoch0.tcgw").rename(archive / "south-epoch0.tcgw")
+    (archive / "south.epoch1.tcgw").rename(archive / "south.epoch01.tcgw")
+    assert main(["verify", "--archive", str(archive),
+                 "--chain", str(run_dir / "public.tcgw")]) == 1
+    captured = capsys.readouterr()
+    assert "north epoch 0: FAIL (missing)" in captured.out
+    assert "north epoch 7: FAIL (anchor)" in captured.out
+    assert "south epoch 0: FAIL (missing)" in captured.out
+    assert "south epoch 1: FAIL (missing)" in captured.out
+    assert captured.out.count(": ok") == 1
+    for name in ("south-epoch0.tcgw", "south.epoch01.tcgw"):
+        assert f"warning: {archive / name}" in captured.err
+
+
+def test_verify_empty_archive_next_to_a_non_empty_chain(run_dir, tmp_path, capsys):
+    (tmp_path / "archive").mkdir()
+    assert main(["verify", "--archive", str(tmp_path / "archive"),
+                 "--chain", str(run_dir / "public.tcgw")]) == 1
+    out = capsys.readouterr().out
+    assert out.count(": FAIL (missing)") == 4 and ": ok" not in out
 
 
 def test_inspect_directory(tmp_path, capsys):

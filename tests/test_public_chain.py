@@ -1,4 +1,4 @@
-"""Public chain: anchors, confirmation depth, rotation, registry replay, traces."""
+"""Public chain: anchors, confirmation depth, rotation, save and load, traces."""
 
 from __future__ import annotations
 
@@ -10,14 +10,19 @@ from tcgw import (
     AnchorRecord,
     Document,
     EpochSummary,
+    TxKind,
     MetricStats,
     PublicChain,
     head,
-    rebuild_registry,
+    save_ledger,
     summary_digest,
     verify_chain,
 )
-from tcgw.errors import DuplicateEpoch, UnknownGateway
+from tcgw.canon import canonical_json, canonical_loads
+from tcgw.errors import DuplicateEpoch, InvalidChain, UnknownGateway
+
+from helpers import tamper_ledger
+from test_gateway import _relink
 
 
 def _summary(channel: str, epoch: int) -> EpochSummary:
@@ -125,11 +130,19 @@ def test_at_most_one_confirmed_anchor_per_epoch():
         seen.add(key)
 
 
-def test_registry_matches_ledger_replay_after_every_block():
+def _assert_reloads_equal(chain: PublicChain, path) -> PublicChain:
+    loaded = PublicChain.load(chain.save(path))
+    assert loaded.ledger == chain.ledger and loaded.registry == chain.registry
+    assert (loaded.clock, loaded._tick_seq) == (chain.clock, chain._tick_seq)
+    return loaded
+
+
+def test_save_load_equals_the_live_chain_after_every_block(tmp_path):
     rng = random.Random(21)
     chain = _chain()
     epochs = {"fieldA": 0, "fieldB": 0}
     for step in range(30):
+        chain.clock += rng.randrange(3)
         channel = rng.choice(["fieldA", "fieldB"])
         gateway = "gw-a" if channel == "fieldA" else "gw-b"
         chain.submit_anchor(_summary(channel, epochs[channel]), gateway)
@@ -138,9 +151,73 @@ def test_registry_matches_ledger_replay_after_every_block():
             chain.produce_block()
         else:
             chain.tick()
-        rebuilt = rebuild_registry(chain.ledger)
-        assert rebuilt == chain.registry
+        _assert_reloads_equal(chain, tmp_path / "public.tcgw")
     assert verify_chain(chain.ledger).ok
+
+
+def test_reloaded_chain_ticks_like_the_live_chain(tmp_path):
+    chain = _confirmed_chain(2)
+    chain.clock = 500
+    chain.tick()
+    loaded = _assert_reloads_equal(chain, tmp_path / "public.tcgw")
+    assert loaded.tick() == chain.tick()
+    assert loaded.ledger == chain.ledger
+
+
+def _forge(chain: PublicChain, ledger, tmp_path, gateways=None):
+    """Save `chain` with `ledger` in place of its own, and optionally other gateways."""
+    path = chain.save(tmp_path / "public.tcgw")
+    save_ledger(ledger, path)
+    if gateways is not None:
+        meta = canonical_loads((tmp_path / "public.tcgw.meta.json").read_bytes())
+        meta["gateways"] = gateways
+        (tmp_path / "public.tcgw.meta.json").write_bytes(canonical_json(meta))
+    return path
+
+
+def test_load_names_the_block_that_fails_verification(tmp_path):
+    chain = _confirmed_chain(3)
+    path = _forge(chain, tamper_ledger(chain.ledger, height=2, target="payload", byte_index=9),
+                  tmp_path)
+    with pytest.raises(InvalidChain, match=r"^TxId at block 2$"):
+        PublicChain.load(path)
+
+
+def test_load_applies_the_admission_rule(tmp_path):
+    chain = _confirmed_chain(2)
+    path = _forge(chain, chain.ledger, tmp_path, gateways=["gw-b", "gw-x"])
+    with pytest.raises(InvalidChain, match=r"^anchor at block 1 tx 0: unknown gateway 'gw-a'$"):
+        PublicChain.load(path)
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("epoch_index", 0, r"already included"),
+    ("epoch_index", True, r"epoch_index must be int"),
+    ("channel_id", "fieldB", r"disagrees with its transaction"),
+    ("submitted_by", "gw-b", r"disagrees with its transaction"),
+])
+def test_load_rejects_a_relinked_anchor_the_chain_could_not_write(tmp_path, key, value,
+                                                                  reason):
+    chain = _confirmed_chain(2)
+    payload = canonical_loads(chain.ledger.blocks[2].transactions[0].payload)
+    payload[key] = value
+    if key == "epoch_index" and value == 0:
+        payload["summary"]["epoch_index"] = 0
+    forged = _relink(chain.ledger, 2, 0, TxKind.ANCHOR, canonical_json(payload))
+    with pytest.raises(InvalidChain, match=rf"^anchor at block 2 tx 0: .*({reason})"):
+        PublicChain.load(_forge(chain, forged, tmp_path))
+
+
+@pytest.mark.parametrize("kind, payload", [
+    (TxKind.ANCHOR, b'{"tick":2}'),     # block 3 holds the first heartbeat, tick 1
+    (TxKind.ANCHOR, b'{"tick":true}'),
+    (TxKind.RAW_READING, b'{"tick":1}'),
+])
+def test_load_accepts_only_the_heartbeats_tick_writes(tmp_path, kind, payload):
+    chain = _confirmed_chain(2)
+    forged = _relink(chain.ledger, 3, 0, kind, payload)
+    with pytest.raises(InvalidChain, match=r"^heartbeat at block 3 tx 0: not tick 1$"):
+        PublicChain.load(_forge(chain, forged, tmp_path))
 
 
 def test_interleaved_submissions_keep_chain_verifiable():
