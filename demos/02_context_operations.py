@@ -16,7 +16,6 @@ from tcgw import (
     genesis,
     make_transaction,
     op_payload,
-    read_document,
     replay,
     state_digest,
 )
@@ -36,7 +35,7 @@ for day, op_name in enumerate(["irrigation", "fertilization", "irrigation"]):
 # Nested paths auto-create intermediate objects.
 ws = apply_op(ws, update("lot1", ("origin", "parcel"), "It-BA-07"))
 
-print(json.dumps(read_document(ws, "lot1").body, indent=2, sort_keys=True))
+print(json.dumps(ws["lot1"], indent=2, sort_keys=True))
 print(f"state digest: {state_digest(ws).hex()[:24]}...")
 
 # The same operations, committed to a ledger and replayed, land on the

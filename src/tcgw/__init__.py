@@ -79,12 +79,10 @@ from .rng import SplitMix64, derive_seed
 from .worldstate import (
     EMPTY_STATE,
     ContextOp,
-    Document,
     WorldState,
     apply_op,
     op_payload,
     parse_op,
-    read_document,
     replay,
     state_digest,
 )

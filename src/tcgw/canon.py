@@ -162,8 +162,9 @@ def from_json_value(cls: Any, value: Any) -> Any:
 
     `cls` is a dataclass, ``tuple[X, ...]``, ``list[X]``, bytes, str, int or
     bool; nested values decode by their declared field types. An absent key
-    takes the field's default and unknown keys are ignored. Malformed input
-    raises InvalidArgument.
+    takes the field's default. Anything to_json_value cannot have written,
+    such as an unknown key at any depth or hex that is not lowercase, raises
+    InvalidArgument.
     """
     return _decoder(cls)(value)
 
@@ -180,6 +181,7 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
             hint = hints[f.name]
             leaf = hint if hint in _LEAVES else None
             specs.append((f.name, leaf, None if leaf else _decoder(hint)))
+        known = {name for name, _, _ in specs}
 
         def decode(value: Any) -> Any:
             if not isinstance(value, dict):
@@ -193,6 +195,9 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
                     elif type(item) is not leaf:
                         raise InvalidArgument(f"{tp.__name__}.{name} must be {leaf.__name__}")
                     kwargs[name] = item
+            if len(kwargs) != len(value):
+                unknown = [key for key in value if key not in known]
+                raise InvalidArgument(f"{tp.__name__} has unknown keys {unknown}")
             try:  # a missing required key surfaces here as a TypeError
                 return tp(**kwargs)
             except (TypeError, ValueError, ArithmeticError) as exc:
@@ -207,9 +212,12 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
     elif tp is bytes:
         def decode(value: Any) -> Any:
             try:
-                return bytes.fromhex(value)
+                out = bytes.fromhex(value)
             except (TypeError, ValueError) as exc:
                 raise InvalidArgument(f"expected a hex string, got {value!r}") from exc
+            if out.hex() != value:
+                raise InvalidArgument(f"expected lowercase hex, got {value!r}")
+            return out
     elif tp in _LEAVES:
         def decode(value: Any) -> Any:
             if type(value) is not tp:

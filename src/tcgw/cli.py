@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -24,17 +23,17 @@ from .bench import (
 )
 from .canon import canonical_json, canonical_loads, from_json_value, to_json_value
 from .errors import InvalidChain, TcgwError
-from .gateway import ValidityRange, verify_pruned_epoch
+from .gateway import ValidityRange, range_bounds, verify_pruned_epoch
 from .ledger import load_ledger, save_ledger
 from .public_chain import PublicChain
 from .workload import (
+    ARCHIVE_NAME,
     apply_seed_override,
+    archive_name,
     default_scenario,
     load_scenario_config,
     run_scenario,
 )
-
-ARCHIVE_NAME = re.compile(r"^(?P<channel>.+)\.epoch(?P<epoch>0|[1-9]\d*)\.tcgw$")
 
 
 def _err(message: str) -> None:
@@ -63,7 +62,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     (out / "report.json").write_bytes(canonical_json(result.report))
     for (channel, epoch), ledger in sorted(result.archives.items()):
-        save_ledger(ledger, archive_dir / f"{channel}.epoch{epoch}.tcgw")
+        save_ledger(ledger, archive_dir / archive_name(channel, epoch))
     (archive_dir / "ranges.json").write_bytes(
         canonical_json({"ranges": to_json_value(cfg.ranges)}))
     result.public_chain.save(out / "public.tcgw")
@@ -126,6 +125,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if ranges_path.exists():
             ranges = from_json_value(tuple[ValidityRange, ...],
                                      canonical_loads(ranges_path.read_bytes())["ranges"])
+            range_bounds(ranges)  # two ranges for one metric raise DuplicateRange
         else:
             _err(f"warning: {ranges_path} missing, verifying with no validity ranges")
             ranges = ()
@@ -141,8 +141,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         elif path.suffix == ".tcgw":
             _err(f"warning: {path} is not named <channel>.epoch<k>.tcgw, not checked")
     # Every confirmed anchor must have its archive, and every archive its anchor.
-    anchored = {(rec.channel_id, rec.epoch_index) for records in chain.registry.values()
-                for rec in records if chain.is_confirmed(rec)}
+    anchored = {key for key, record in chain.anchors.items() if chain.is_confirmed(record)}
     if not archives and not anchored:
         _err(f"no archived ledgers in {archive_dir}")
         return 2

@@ -80,7 +80,8 @@ def summary_digest(summary: EpochSummary) -> bytes:
     return digest_json(to_json_value(summary))
 
 
-def _range_map(ranges: Iterable[ValidityRange]) -> dict[str, tuple[Decimal, Decimal]]:
+def range_bounds(ranges: Iterable[ValidityRange]) -> dict[str, tuple[Decimal, Decimal]]:
+    """(min, max) per metric; two ranges for one metric raise DuplicateRange."""
     out: dict[str, tuple[Decimal, Decimal]] = {}
     for r in ranges:
         if r.metric in out:
@@ -97,7 +98,7 @@ def filter_out_of_scale(readings: Sequence[SensorReading],
     lies inside the inclusive bounds; everything else is treated as sensor
     malfunction or tampering and excluded from analysis.
     """
-    bounds = _range_map(ranges)
+    bounds = range_bounds(ranges)
     kept: list[SensorReading] = []
     excluded: list[SensorReading] = []
     for reading in readings:

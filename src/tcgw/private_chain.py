@@ -4,8 +4,9 @@ A PrivateNode accepts sensor readings and context operations from a fixed
 set of authorized authors, batches them FIFO into blocks, and keeps its
 world state and its committed readings equal to a replay of its ledger
 after every commit. Resetting with an anchor starts a fresh one-block
-ledger whose genesis records the commitment to the published epoch
-summary; the old ledger value stays alive for archival.
+ledger that holds the published summary's digest as `genesis_anchor`, in
+memory only: the genesis block neither hashes nor saves it. The old ledger
+value stays alive for archival.
 """
 
 from __future__ import annotations
@@ -204,7 +205,8 @@ class PrivateNode:
         return block
 
     def reset_with_anchor(self, anchor: bytes) -> "PrivateNode":
-        """Fresh node for the next epoch; genesis commits to `anchor`.
+        """Fresh node for the next epoch, its ledger holding `anchor` in memory only
+        (the genesis block neither hashes nor saves it).
 
         The receiver is left untouched (its ledger is the archive); pending
         transactions must be committed or dropped first.

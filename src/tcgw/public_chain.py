@@ -26,27 +26,17 @@ from .errors import (DuplicateEpoch, InvalidArgument, InvalidChain, LedgerFormat
 from .gateway import EpochSummary, summary_digest
 from .ledger import (Block, Ledger, Transaction, TxKind, append_block, genesis, load_ledger,
                      make_transaction, save_ledger, verify_chain)
-from .worldstate import Document
 
 DEFAULT_CONFIRMATIONS = 2
 META_SUFFIX = ".meta.json"
 
 
-@dataclass
-class AnchorRecord:
-    """One published summary, pending until included; see PublicChain.is_confirmed."""
-
-    channel_id: str
-    epoch_index: int
-    summary_digest: bytes
-    summary: EpochSummary
-    submitted_by: str
-    included_height: int | None = None
-
-
 @dataclass(frozen=True)
-class AnchorPayload:
-    """The JSON an anchor transaction carries."""
+class AnchorRecord:
+    """One published summary: the JSON an anchor transaction carries.
+
+    Its inclusion height lives in PublicChain.included; see is_confirmed.
+    """
 
     channel_id: str
     epoch_index: int
@@ -80,9 +70,11 @@ class PublicChain:
         self.confirmations_required = confirmations_required
         self.clock = 0
         self.ledger: Ledger = genesis(chain_id)
-        # Queued transactions, each with its anchor record (None for heartbeats).
-        self.pending: list[tuple[Transaction, AnchorRecord | None]] = []
-        self.registry: dict[str, list[AnchorRecord]] = {}
+        # Every admitted anchor, pending or included, and the height of each included one.
+        self.anchors: dict[tuple[str, int], AnchorRecord] = {}
+        self.included: dict[tuple[str, int], int] = {}
+        # Queued transactions, each with its anchor's key (None for heartbeats).
+        self.pending: list[tuple[Transaction, tuple[str, int] | None]] = []
         self._tick_seq = 0
 
     @property
@@ -99,36 +91,36 @@ class PublicChain:
 
     def is_confirmed(self, record: AnchorRecord) -> bool:
         """True once the head is `confirmations_required` blocks past the anchor."""
-        return (record.included_height is not None
-                and self.ledger.blocks[-1].height
-                >= record.included_height + self.confirmations_required)
+        height = self.included.get((record.channel_id, record.epoch_index))
+        return (height is not None
+                and self.ledger.blocks[-1].height >= height + self.confirmations_required)
 
     def next_epoch_index(self, channel_id: str) -> int:
-        """Index the next anchor for this channel will carry."""
-        queued = sum(1 for _, rec in self.pending
-                     if rec is not None and rec.channel_id == channel_id)
-        return len(self.registry.get(channel_id, [])) + queued
+        """The lowest epoch index this channel has no anchor for, pending or included."""
+        epoch = 0
+        while (channel_id, epoch) in self.anchors:
+            epoch += 1
+        return epoch
 
-    def _admit(self, channel_id: str, epoch_index: int, author: str) -> None:
+    def _admit(self, record: AnchorRecord) -> None:
         """Anchor rule, at submit and load: a registered gateway, one per (channel, epoch)."""
-        if author not in self.gateways:
-            raise UnknownGateway(f"unknown gateway {author!r}")
-        key = (channel_id, epoch_index)
-        if self.find_anchor(*key) is not None:
-            raise DuplicateEpoch(f"anchor for {key} already included")
-        for _, rec in self.pending:
-            if rec is not None and (rec.channel_id, rec.epoch_index) == key:
-                raise DuplicateEpoch(f"anchor for {key} already pending")
+        if record.submitted_by not in self.gateways:
+            raise UnknownGateway(f"unknown gateway {record.submitted_by!r}")
+        key = (record.channel_id, record.epoch_index)
+        if key in self.anchors:
+            state = "included" if key in self.included else "pending"
+            raise DuplicateEpoch(f"anchor for {key} already {state}")
 
     def submit_anchor(self, summary: EpochSummary, author: str) -> AnchorRecord:
         """Queue an anchor transaction that passes `_admit`."""
-        self._admit(summary.channel_id, summary.epoch_index, author)
-        digest = summary_digest(summary)
-        payload = AnchorPayload(summary.channel_id, summary.epoch_index, author, summary, digest)
+        record = AnchorRecord(summary.channel_id, summary.epoch_index, author, summary,
+                              summary_digest(summary))
+        self._admit(record)
         tx = make_transaction(summary.channel_id, self.clock, TxKind.ANCHOR,
-                              canonical_json(to_json_value(payload)), author)
-        record = AnchorRecord(**vars(payload))
-        self.pending.append((tx, record))
+                              canonical_json(to_json_value(record)), author)
+        key = (summary.channel_id, summary.epoch_index)
+        self.anchors[key] = record
+        self.pending.append((tx, key))
         return record
 
     def produce_block(self) -> Block | None:
@@ -138,10 +130,9 @@ class PublicChain:
         batch = self.pending
         self.pending = []
         self.ledger, block = append_block(self.ledger, [tx for tx, _ in batch], self.clock)
-        for _, record in batch:
-            if record is not None:
-                record.included_height = block.height
-                self.registry.setdefault(record.channel_id, []).append(record)
+        for _, key in batch:
+            if key is not None:
+                self.included[key] = block.height
         return block
 
     def tick(self) -> Block:
@@ -156,17 +147,16 @@ class PublicChain:
         return block
 
     def find_anchor(self, channel_id: str, epoch_index: int) -> AnchorRecord | None:
-        for rec in self.registry.get(channel_id, []):
-            if rec.epoch_index == epoch_index:
-                return rec
-        return None
+        """The anchor admitted for (channel, epoch), pending or included."""
+        return self.anchors.get((channel_id, epoch_index))
 
     def query_channel(self, channel_id: str) -> list[AnchorRecord]:
         """Confirmed anchors for a channel, in epoch order."""
-        records = [rec for rec in self.registry.get(channel_id, []) if self.is_confirmed(rec)]
+        records = [rec for (channel, _), rec in self.anchors.items()
+                   if channel == channel_id and self.is_confirmed(rec)]
         return sorted(records, key=lambda rec: rec.epoch_index)
 
-    def trace_product(self, channel_id: str, doc: Document | dict | None = None) -> dict:
+    def trace_product(self, channel_id: str, doc: dict | None = None) -> dict:
         """Consumer view: confirmed summaries plus the in-progress document.
 
         Returns a JSON value (canonical-encodable). When `doc` is given the
@@ -178,10 +168,9 @@ class PublicChain:
             "summaries": [to_json_value(rec.summary) for rec in self.query_channel(channel_id)],
         }
         if doc is not None:
-            body = doc.body if isinstance(doc, Document) else doc
-            ops = body.get("Cultural Operations", [])
+            ops = doc.get("Cultural Operations", [])
             trace["cultural_operations_count"] = len(ops) if isinstance(ops, list) else 0
-            trace["current_values"] = body
+            trace["current_values"] = doc
         return trace
 
     def save(self, path: str | Path) -> Path:
@@ -221,16 +210,16 @@ class PublicChain:
                                        f"not tick {chain._tick_seq}")
                 return
             try:
-                p = from_json_value(AnchorPayload, value)
-                if (tx.kind, tx.channel_id, tx.channel_id, p.epoch_index, tx.author_id) != (
-                        TxKind.ANCHOR, p.channel_id, p.summary.channel_id,
-                        p.summary.epoch_index, p.submitted_by):
+                rec = from_json_value(AnchorRecord, value)
+                if (tx.kind, tx.channel_id, tx.channel_id, rec.epoch_index, tx.author_id) != (
+                        TxKind.ANCHOR, rec.channel_id, rec.summary.channel_id,
+                        rec.summary.epoch_index, rec.submitted_by):
                     raise InvalidArgument("payload disagrees with its transaction")
-                chain._admit(p.channel_id, p.epoch_index, p.submitted_by)
+                chain._admit(rec)
             except TcgwError as exc:
                 raise InvalidChain(f"anchor at block {height} tx {index}: {exc}") from exc
-            chain.registry.setdefault(p.channel_id, []).append(
-                AnchorRecord(**vars(p), included_height=height))
+            key = (rec.channel_id, rec.epoch_index)
+            chain.anchors[key], chain.included[key] = rec, height
 
         report = verify_chain(ledger, visit)
         if not report.ok:

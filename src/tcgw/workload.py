@@ -11,13 +11,14 @@ the same config produce identical reports, ledgers, and anchor digests.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .canon import canonical_loads, from_json_value, to_json_value
 from .errors import InvalidArgument, InvalidWindow
-from .gateway import ValidityRange, rollover_epoch, verify_pruned_epoch
+from .gateway import ValidityRange, range_bounds, rollover_epoch, verify_pruned_epoch
 from .ledger import Ledger, TxKind, head, ledger_size_bytes, make_transaction
 from .private_chain import (
     METRICS,
@@ -27,7 +28,7 @@ from .private_chain import (
 )
 from .public_chain import PublicChain, PublicClient
 from .rng import SplitMix64, derive_seed
-from .worldstate import ContextOp, op_payload, read_document
+from .worldstate import ContextOp, op_payload
 
 PRODUCTS = ("asparagus", "pomegranate", "almond", "tomato", "durum_wheat")
 
@@ -46,6 +47,14 @@ DEFAULT_DISTRIBUTIONS = {
     "rain_pct": ("0", "100", DAY),
     "wind_speed_ms": ("0", "20", 3_600),
 }
+
+ARCHIVE_NAME = re.compile(r"^(?P<channel>.+)\.epoch(?P<epoch>0|[1-9]\d*)\.tcgw$")
+
+
+def archive_name(channel_id: str, epoch: int) -> str:
+    """File name of one archived epoch, which ARCHIVE_NAME parses back."""
+    return f"{channel_id}.epoch{epoch}.tcgw"
+
 
 DEFAULT_VALIDITY_RANGES = (
     ValidityRange("temperature_c", "-20", "60"),
@@ -82,8 +91,10 @@ class FieldConfig:
     ops_interval: int = DEFAULT_OPS_INTERVAL
 
     def __post_init__(self):
-        if not self.channel_id:
-            raise InvalidArgument("channel_id must be non-empty")
+        match = ARCHIVE_NAME.match(archive_name(self.channel_id, 0))
+        if (not match or match["channel"] != self.channel_id or self.channel_id in (".", "..")
+                or any(c in self.channel_id for c in "/\\\0")):
+            raise InvalidArgument(f"channel_id {self.channel_id!r} cannot name a file")
         if self.product not in PRODUCTS:
             raise InvalidArgument(f"unknown product {self.product!r}")
         if not self.sensors:
@@ -125,6 +136,7 @@ class ScenarioConfig:
         channels = [f.channel_id for f in self.fields]
         if len(set(channels)) != len(channels):
             raise InvalidArgument("channel ids must be unique")
+        range_bounds(self.ranges)  # two ranges for one metric raise DuplicateRange
         if self.validators < 1:
             raise InvalidArgument("need at least one validator")
 
@@ -275,11 +287,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             while node.mempool:
                 node.commit_batch()
 
-            doc = read_document(node.state, f.channel_id)
-            doc_body = doc.body if doc else None
+            doc_body = node.state.get(f.channel_id)
             pre_size = ledger_size_bytes(node.ledger)
             pub.clock = window_end
-            summary, record, new_node = rollover_epoch(
+            summary, _, new_node = rollover_epoch(
                 node, cfg.ranges, window_start, window_end,
                 clients[f.channel_id], trace=events)
             archive = archives[(f.channel_id, epoch)] = node.ledger
@@ -292,8 +303,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
             cultural = sum(1 for _, op in ops if op.op is TxKind.APPEND_TO_ARRAY)
             rows[f.channel_id].append({
-                "anchor_included_height": record.included_height,
-                "archive_file": f"{f.channel_id}.epoch{epoch}.tcgw",
+                "anchor_included_height": pub.included[f.channel_id, summary.epoch_index],
+                "archive_file": archive_name(f.channel_id, epoch),
                 "cultural_operations": cultural,
                 "epoch_index": summary.epoch_index,
                 "excluded": summary.excluded_count,
@@ -309,7 +320,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             })
 
     all_ok = all(row["verification"]["ok"] for rs in rows.values() for row in rs)
-    confirmed = sum(len(pub.query_channel(f.channel_id)) for f in fields)
+    confirmed = sum(1 for record in pub.anchors.values() if pub.is_confirmed(record))
     report = {
         "channels": {ch: rs for ch, rs in sorted(rows.items())},
         "config": to_json_value(cfg),

@@ -7,14 +7,16 @@ to the array at a path (creating an empty array when absent). The target
 document, path, and value all travel inside the transaction payload, so
 the store itself needs no per-application code.
 
-Values are immutable from the caller's point of view: apply_ops copies each
-touched container once per batch, shares everything else, and leaves its
-input state usable and digest-identical even when an operation fails.
+A state is a read-only mapping from document id to body. Bodies are
+immutable from the caller's point of view: apply_ops copies each touched
+container once per batch, shares everything else, and leaves its input
+state usable and digest-identical even when an operation fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
 from .canon import canonical_json, canonical_loads, sha256
@@ -23,19 +25,8 @@ from .ledger import KIND_BY_LABEL, Ledger, Transaction, TxKind, iter_transaction
 
 CONTEXT_KINDS = (TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY)
 
-
-@dataclass(frozen=True)
-class Document:
-    doc_id: str
-    body: dict
-
-
-@dataclass(frozen=True)
-class WorldState:
-    docs: Mapping[str, Document]
-
-
-EMPTY_STATE = WorldState(docs={})
+WorldState = Mapping[str, dict]  # document id -> body
+EMPTY_STATE: WorldState = MappingProxyType({})
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,8 +105,7 @@ class OpBatch:
         append targets a non-array."""
         node = self.bodies.get(op.doc_id)
         if node is None:
-            doc = self.base.docs.get(op.doc_id)
-            node = self.bodies[op.doc_id] = self._own(doc.body if doc else {})
+            node = self.bodies[op.doc_id] = self._own(self.base.get(op.doc_id, {}))
         for segment in op.path[:-1]:
             child = node.get(segment)
             if child is not None and not isinstance(child, dict):
@@ -134,8 +124,7 @@ class OpBatch:
 
     def state(self) -> WorldState:
         """The base state with every touched document replaced."""
-        docs = {doc_id: Document(doc_id, body) for doc_id, body in self.bodies.items()}
-        return WorldState({**self.base.docs, **docs}) if docs else self.base
+        return MappingProxyType({**self.base, **self.bodies}) if self.bodies else self.base
 
 
 def check_digestible(op: ContextOp) -> None:
@@ -169,19 +158,13 @@ def apply_op(ws: WorldState, op: ContextOp) -> WorldState:
     return apply_ops(ws, (op,))
 
 
-def read_document(ws: WorldState, doc_id: str) -> Document | None:
-    return ws.docs.get(doc_id)
-
-
 def state_digest(ws: WorldState) -> bytes:
     """Digest over documents sorted by id; independent of insertion order.
 
     Each entry contributes sha256(doc_id || canonical_json(body)); the
     empty state digests the empty byte string.
     """
-    entries = sorted(ws.docs)
-    parts = [sha256(doc_id.encode("utf-8") + canonical_json(ws.docs[doc_id].body))
-             for doc_id in entries]
+    parts = [sha256(doc_id.encode("utf-8") + canonical_json(ws[doc_id])) for doc_id in sorted(ws)]
     return sha256(b"".join(parts))
 
 

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcgw import canon
-from tcgw.canon import canonical_json, canonical_loads, digest_json, sha256
-from tcgw.errors import UnsupportedValue
+from tcgw.canon import (canonical_json, canonical_loads, digest_json, from_json_value, sha256,
+                        to_json_value)
+from tcgw.errors import InvalidArgument, UnsupportedValue
+from tcgw.gateway import EpochSummary, MetricStats
 
 
 def test_keys_sorted():
@@ -61,6 +63,20 @@ def test_digest_is_sha256_of_bytes():
     value = {"a": 1}
     assert digest_json(value) == hashlib.sha256(canonical_json(value)).digest()
     assert sha256(b"") == hashlib.sha256(b"").digest()
+
+
+def test_from_json_value_accepts_only_what_to_json_value_writes():
+    summary = EpochSummary("f", 0, 0, 1, (MetricStats("rain_pct", 1, "1", "0", "1", "1"),),
+                           0, bytes(range(32)), 1, bytes(32))
+    value = to_json_value(summary)
+    assert from_json_value(EpochSummary, value) == summary
+    forgeries = [{**value, "extra": 1},
+                 {**value, "stats": [{**value["stats"][0], "extra": 1}]},
+                 {**value, "ledger_head_hash": value["ledger_head_hash"].upper()},
+                 {**value, "state_digest": " " + value["state_digest"]}]
+    for forged in forgeries:
+        with pytest.raises(InvalidArgument):
+            from_json_value(EpochSummary, forged)
 
 
 json_values = st.recursive(

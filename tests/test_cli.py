@@ -47,6 +47,25 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", [
+    {"epoch": 3},                                        # a typo of "epochs"
+    {"ranges": [{"metric": "temperature_c", "min_valid": "0", "max_valid": "1"}] * 2},
+    {"channel_id": "../escaped"},                        # would write next to --out
+    {"channel_id": ".."},
+], ids=["unknown key", "duplicate ranges", "escaping channel", "dot-dot channel"])
+def test_run_rejects_a_bad_config_before_writing_anything(tmp_path, capsys, change):
+    value = to_json_value(small_scenario())
+    if "channel_id" in change:
+        value["fields"][0].update(change)
+    else:
+        value.update(change)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(canonical_json(value))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_verify_accepts_honest_artifacts(run_dir, capsys):
     assert main(["verify", "--archive", str(run_dir / "archive"),
                  "--chain", str(run_dir / "public.tcgw")]) == 0
@@ -162,6 +181,8 @@ def test_verify_rejects_a_digest_that_is_not_hex(run_dir, tmp_path, capsys):
     b"[1]",
     b'{"ranges":{}}',
     b'{"ranges":[{"metric":"temperature_c","min_valid":"x","max_valid":"1"}]}',
+    b'{"ranges":[{"max_valid":"60","metric":"temperature_c","min_valid":"-20"},'
+    b'{"max_valid":"50","metric":"temperature_c","min_valid":"-10"}]}',
 ])
 def test_verify_rejects_malformed_ranges(run_dir, tmp_path, capsys, ranges_json):
     archive = tmp_path / "archive"
@@ -227,7 +248,9 @@ def test_trace_meta_that_is_an_array(run_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("validators", "val-0val-1"), ("gateways", "gw-0"), ("chain_id", 7),
-    ("confirmations_required", True)])
+    ("confirmations_required", True),
+    # keys that older sidecars held, before the clock was read from the ledger
+    ("clock", 0), ("tick_seq", 0)])
 def test_verify_meta_with_a_mistyped_field(run_dir, tmp_path, capsys, key, value):
     meta = canonical_loads((run_dir / "public.tcgw.meta.json").read_bytes())
     meta[key] = value

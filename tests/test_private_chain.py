@@ -252,7 +252,7 @@ def test_reset_with_anchor_starts_fresh():
     fresh = node.reset_with_anchor(anchor)
     assert len(fresh.ledger.blocks) == 1
     assert fresh.ledger.genesis_anchor == anchor
-    assert fresh.state.docs == {}
+    assert fresh.state == {}
     assert fresh.channel_id == node.channel_id
     assert fresh.authorized_authors == node.authorized_authors
     # archive still intact and verifiable

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from tcgw import (
     AnchorRecord,
-    Document,
     EpochSummary,
     TxKind,
     MetricStats,
@@ -39,9 +39,15 @@ def _chain(gateways=("gw-a", "gw-b"), validators=3, confirmations=2) -> PublicCh
 def test_submit_anchor_enters_pending():
     chain = _chain()
     record = chain.submit_anchor(_summary("fieldA", 0), "gw-a")
-    assert record.included_height is None and not chain.is_confirmed(record)
-    assert len(chain.pending) == 1
+    assert chain.included == {} and not chain.is_confirmed(record)
+    assert len(chain.pending) == 1 and chain.find_anchor("fieldA", 0) == record
     assert record.summary_digest == summary_digest(_summary("fieldA", 0))
+
+
+def test_anchor_records_are_frozen():
+    record = _chain().submit_anchor(_summary("fieldA", 0), "gw-a")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.epoch_index = 1
 
 
 def test_submit_anchor_rejects_duplicate_epoch():
@@ -68,7 +74,7 @@ def test_confirmation_after_required_plus_one_blocks():
     assert not chain.is_confirmed(record)
     chain.tick()                   # confirmations_required + 1 blocks total
     assert chain.is_confirmed(record)
-    assert record.included_height == 1
+    assert chain.included == {("fieldA", 0): 1}
 
 
 def test_produce_block_empty_pending_is_absent():
@@ -132,7 +138,8 @@ def test_at_most_one_confirmed_anchor_per_epoch():
 
 def _assert_reloads_equal(chain: PublicChain, path) -> PublicChain:
     loaded = PublicChain.load(chain.save(path))
-    assert loaded.ledger == chain.ledger and loaded.registry == chain.registry
+    assert loaded.ledger == chain.ledger
+    assert (loaded.anchors, loaded.included) == (chain.anchors, chain.included)
     assert (loaded.clock, loaded._tick_seq) == (chain.clock, chain._tick_seq)
     return loaded
 
@@ -151,7 +158,11 @@ def test_save_load_equals_the_live_chain_after_every_block(tmp_path):
             chain.produce_block()
         else:
             chain.tick()
-        _assert_reloads_equal(chain, tmp_path / "public.tcgw")
+        loaded = _assert_reloads_equal(chain, tmp_path / "public.tcgw")
+        for channel, count in epochs.items():
+            assert loaded.next_epoch_index(channel) == chain.next_epoch_index(channel) == count
+            for epoch in range(count + 1):
+                assert loaded.find_anchor(channel, epoch) == chain.find_anchor(channel, epoch)
     assert verify_chain(chain.ledger).ok
 
 
@@ -208,6 +219,22 @@ def test_load_rejects_a_relinked_anchor_the_chain_could_not_write(tmp_path, key,
         PublicChain.load(_forge(chain, forged, tmp_path))
 
 
+@pytest.mark.parametrize("forge, reason", [
+    (lambda p: p.update(extra=1), r"AnchorRecord has unknown keys \['extra'\]"),
+    (lambda p: p["summary"].update(extra=1), r"EpochSummary has unknown keys \['extra'\]"),
+    (lambda p: p.update(summary_digest=p["summary_digest"].upper()), r"expected lowercase hex"),
+], ids=["payload key", "summary key", "upper-case digest"])
+def test_load_rejects_an_anchor_payload_submit_anchor_never_writes(tmp_path, forge, reason):
+    chain = _confirmed_chain(2)
+    original = canonical_loads(chain.ledger.blocks[2].transactions[0].payload)
+    payload = canonical_loads(canonical_json(original))
+    forge(payload)
+    assert payload != original
+    forged = _relink(chain.ledger, 2, 0, TxKind.ANCHOR, canonical_json(payload))
+    with pytest.raises(InvalidChain, match=rf"^anchor at block 2 tx 0: {reason}"):
+        PublicChain.load(_forge(chain, forged, tmp_path))
+
+
 @pytest.mark.parametrize("kind, payload", [
     (TxKind.ANCHOR, b'{"tick":2}'),     # block 3 holds the first heartbeat, tick 1
     (TxKind.ANCHOR, b'{"tick":true}'),
@@ -247,7 +274,7 @@ def test_trace_product_empty_chain():
 
 
 def test_trace_product_reports_cultural_operation_count():
-    doc = Document("fieldA", {"Cultural Operations": [1, 2, 3, 4], "Plant density": "4.5"})
+    doc = {"Cultural Operations": [1, 2, 3, 4], "Plant density": "4.5"}
     trace = _chain().trace_product("fieldA", doc)
     assert trace["cultural_operations_count"] == 4
     assert trace["current_values"]["Plant density"] == "4.5"
@@ -261,7 +288,7 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.gateways == chain.gateways
     assert loaded.confirmations_required == chain.confirmations_required
     assert loaded.ledger.blocks == chain.ledger.blocks
-    assert loaded.registry == chain.registry
+    assert (loaded.anchors, loaded.included) == (chain.anchors, chain.included)
     assert loaded.producers == chain.producers
     assert [r.epoch_index for r in loaded.query_channel("fieldA")] == [0, 1]
 

@@ -18,7 +18,7 @@ from tcgw import (
     verify_pruned_epoch,
 )
 from tcgw.canon import canonical_json, digest_json
-from tcgw.errors import InvalidArgument, InvalidWindow
+from tcgw.errors import DuplicateRange, InvalidArgument, InvalidWindow
 from tcgw.canon import from_json_value, to_json_value
 from tcgw.workload import DEFAULT_VALIDITY_RANGES, apply_seed_override, load_scenario_config
 
@@ -95,6 +95,9 @@ def test_field_config_validation():
         FieldConfig("f", "kiwi", (SensorSpec("s", "temperature_c", 60, "0", "1"),), "0", 1)
     with pytest.raises(InvalidArgument):
         SensorSpec("s", "temperature_c", 0, "0", "1")
+    for channel in ["../escaped", "a/b", "a\\b", ".", "..", "a\nb", "a\0b"]:
+        with pytest.raises(InvalidArgument, match="cannot name a file"):
+            _field(channel)
 
 
 def test_scenario_config_roundtrip(tmp_path):
@@ -133,6 +136,20 @@ def test_scenario_config_rejects_garbage():
                                                "max_valid": "1"}])
     with pytest.raises(InvalidArgument):
         from_json_value(list[ValidityRange], {"ranges": []})
+    # a key to_json_value does not write, at any depth: "epoch" is a typo of "epochs"
+    field = value["fields"][0]
+    sensor = field["sensors"][0]
+    for forged in [{**value, "epoch": 3},
+                   {**value, "fields": [{**field, "seeds": 1}]},
+                   {**value, "fields": [{**field, "sensors": [{**sensor, "unit": 1}]}]},
+                   {**value, "ranges": [{**value["ranges"][0], "max": "1"}]}]:
+        with pytest.raises(InvalidArgument, match="unknown keys"):
+            from_json_value(ScenarioConfig, forged)
+
+
+def test_scenario_config_rejects_two_ranges_for_one_metric():
+    with pytest.raises(DuplicateRange):
+        ScenarioConfig(fields=(_field(),), ranges=(TEMP_RANGE, TEMP_RANGE))
 
 
 def test_seed_override_is_deterministic():

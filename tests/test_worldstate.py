@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from tcgw import (
     EMPTY_STATE,
     ContextOp,
-    Document,
     TxKind,
     WorldState,
     append_block,
@@ -17,7 +16,6 @@ from tcgw import (
     make_transaction,
     op_payload,
     parse_op,
-    read_document,
     replay,
     state_digest,
 )
@@ -37,12 +35,12 @@ def _append(doc: str, path: tuple[str, ...], value) -> ContextOp:
 def test_update_field_is_an_upsert():
     ws = apply_op(EMPTY_STATE, _update("lot1", ("Plant density",), "4.2"))
     ws = apply_op(ws, _update("lot1", ("Plant density",), "4.5"))
-    assert read_document(ws, "lot1").body["Plant density"] == "4.5"
+    assert ws["lot1"]["Plant density"] == "4.5"
 
 
 def test_append_creates_array_on_empty_doc():
     ws = apply_op(EMPTY_STATE, _append("lot1", ("Cultural Operations",), {"op": "irrigation"}))
-    array = read_document(ws, "lot1").body["Cultural Operations"]
+    array = ws["lot1"]["Cultural Operations"]
     assert array == [{"op": "irrigation"}]
 
 
@@ -62,15 +60,23 @@ def test_traversing_scalar_segment_conflicts():
 
 def test_missing_intermediates_are_created():
     ws = apply_op(EMPTY_STATE, _update("lot1", ("a", "b", "c"), 7))
-    assert read_document(ws, "lot1").body == {"a": {"b": {"c": 7}}}
+    assert ws["lot1"] == {"a": {"b": {"c": 7}}}
 
 
 def test_read_document_absent_and_side_effect_free():
     ws = apply_op(EMPTY_STATE, _update("lot1", ("x",), 1))
     before = state_digest(ws)
-    assert read_document(ws, "nope") is None
-    assert read_document(ws, "lot1").body["x"] == 1
+    assert ws.get("nope") is None
+    assert ws["lot1"]["x"] == 1
     assert state_digest(ws) == before
+
+
+def test_state_is_a_read_only_mapping_of_bodies():
+    ws = apply_op(EMPTY_STATE, _update("lot1", ("x",), 1))
+    assert dict(ws) == {"lot1": {"x": 1}}
+    for state in (EMPTY_STATE, ws):
+        with pytest.raises(TypeError):
+            state["lot2"] = {}
 
 
 def test_empty_state_digest_is_constant():
@@ -116,13 +122,13 @@ def test_replay_applies_ops_in_chain_order():
     ]
     for i, op in enumerate(ops):
         ledger, _ = append_block(ledger, [_op_tx("fieldA", op, i)], i)
-    body = read_document(replay(ledger), "lot1").body
+    body = replay(ledger)["lot1"]
     assert body["Plant density"] == "4.5"
     assert len(body["Cultural Operations"]) == 1
 
 
 def test_replay_of_genesis_is_empty():
-    assert replay(genesis("fieldA")).docs == {}
+    assert replay(genesis("fieldA")) == {}
 
 
 def test_replay_equals_incremental_state_after_reload(tmp_path):
@@ -155,7 +161,7 @@ leaf_values = st.none() | st.booleans() | st.integers(-1000, 1000) | st.text(max
 @given(doc=segments, path=paths, value=leaf_values)
 def test_update_accepts_any_doc_path_value(doc, path, value):
     ws = apply_op(EMPTY_STATE, _update(doc, path, value))
-    node = read_document(ws, doc).body
+    node = ws[doc]
     for segment in path[:-1]:
         node = node[segment]
     assert node[path[-1]] == value
@@ -166,7 +172,7 @@ def test_append_accumulates_in_order(doc, path, values):
     ws = EMPTY_STATE
     for value in values:
         ws = apply_op(ws, _append(doc, path, value))
-    node = read_document(ws, doc).body
+    node = ws[doc]
     for segment in path[:-1]:
         node = node[segment]
     assert node[path[-1]] == values
@@ -208,12 +214,11 @@ def _reference_apply(body: dict, op: ContextOp) -> dict:
 def _reference_fold(ws: WorldState, ops) -> tuple[WorldState, int | None]:
     """State before the first conflicting op, and that op's index (None if none)."""
     for i, op in enumerate(ops):
-        doc = ws.docs.get(op.doc_id)
         try:
-            body = _reference_apply(doc.body if doc else {}, op)
+            body = _reference_apply(ws.get(op.doc_id, {}), op)
         except PathTypeConflict:
             return ws, i
-        ws = WorldState({**ws.docs, op.doc_id: Document(op.doc_id, body)})
+        ws = {**ws, op.doc_id: body}
     return ws, None
 
 
