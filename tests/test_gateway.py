@@ -7,8 +7,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcgw import (
+    METRICS,
     ContextOp,
     EpochSummary,
     MetricStats,
@@ -24,6 +26,7 @@ from tcgw import (
     ledger_size_bytes,
     make_transaction,
     op_payload,
+    reading_transaction,
     rollover_epoch,
     summarize,
     summary_digest,
@@ -112,6 +115,67 @@ def test_summarize_empty_and_grouping():
     assert summarize([]) == []
     stats = summarize([_reading("10"), _reading("50", 1, metric="humidity_pct")])
     assert [s.metric for s in stats] == ["humidity_pct", "temperature_c"]
+
+
+HUMIDITY_RANGE = ValidityRange("humidity_pct", "0", "100")
+_T = "temperature_c"
+
+
+def _epoch_stats_three_ways(pairs, ranges):
+    """(stats, excluded_count) of `pairs` of (metric, value) by filter_out_of_scale
+    and summarize, by a rollover and by the audit of that rollover."""
+    readings = [_reading(value, i, metric) for i, (metric, value) in enumerate(pairs)]
+    kept, excluded = filter_out_of_scale(readings, ranges)
+    direct = (tuple(summarize(kept)), len(excluded))
+    node = PrivateNode("fieldA", {"s-0"})
+    for reading in readings:
+        node.submit(reading_transaction("fieldA", reading))
+    while node.mempool:
+        node.commit_batch()
+    pub = _pub()
+    summary, _, _ = _rollover(node, pub, 0, max(len(readings), 1), ranges)
+    assert verify_pruned_epoch(node.ledger, summary, pub, ranges).ok
+    return direct, (summary.stats, summary.excluded_count)
+
+
+@pytest.mark.parametrize("pairs, ranges, stats, excluded", [
+    ([(_T, "20.50"), (_T, "20.5"), (_T, "2.05E+1")], (),
+     [(_T, 3, "20.5", "0.0", "20.50", "20.50")], 0),
+    ([(_T, "-0"), (_T, "0"), (_T, "0.0")], (), [(_T, 3, "0.0", "0.0", "-0", "-0")], 0),
+    ([(_T, "0"), (_T, "-0")], (), [(_T, 2, "0.0", "0.0", "0", "0")], 0),
+    ([(_T, "21"), (_T, "20.5"), (_T, "21.0"), (_T, "20.50")], (),
+     [(_T, 4, "20.75", "0.25", "20.5", "21")], 0),
+    ([(_T, "60"), (_T, "-20"), (_T, "60.000"), (_T, "60.001"), (_T, "-20.0001"), (_T, "-2E+1")],
+     (TEMP_RANGE,), [(_T, 4, "20.0", "40.0", "-20", "60")], 2),
+    ([("wind_speed_ms", "9999"), (_T, "999")], (TEMP_RANGE,),
+     [("wind_speed_ms", 1, "9999.0", "0.0", "9999", "9999")], 1),
+    ([("humidity_pct", "101"), ("humidity_pct", "-1"), (_T, "7")], (TEMP_RANGE, HUMIDITY_RANGE),
+     [(_T, 1, "7.0", "0.0", "7", "7")], 2),
+    ([], (TEMP_RANGE,), [], 0),
+], ids=["tied-decimals", "negative-zero-first", "zero-first", "tied-ends", "on-the-bounds",
+        "unranged-metric", "emptied-group", "no-readings"])
+def test_min_and_max_are_the_first_least_and_greatest_reading(pairs, ranges, stats, excluded):
+    """Readings that tie as decimals keep the first one's string; a bound is
+    inside its range; a metric with no range keeps everything; a metric
+    whose readings are all excluded has no stats. Rollover and audit agree."""
+    direct, rolled = _epoch_stats_three_ways(pairs, ranges)
+    assert direct == rolled == (tuple(MetricStats(*row) for row in stats), excluded)
+
+
+_values = st.one_of(
+    st.sampled_from(["20.5", "20.50", "2.05E+1", "-0", "0", "0.0", "60", "60.0", "-20",
+                     "100", "1E+2", "-20.001", "100.0001"]),
+    st.decimals(min_value=-100, max_value=200, places=3).map(str))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.tuples(st.sampled_from(METRICS), _values), max_size=40),
+       ranges=st.lists(st.sampled_from([TEMP_RANGE, HUMIDITY_RANGE,
+                                        ValidityRange("rain_pct", "0", "0")]),
+                       unique=True))
+def test_rollover_and_audit_stats_equal_summarize_of_the_filtered_readings(pairs, ranges):
+    direct, rolled = _epoch_stats_three_ways(pairs, tuple(ranges))
+    assert direct == rolled
 
 
 def _two_pass(values):
