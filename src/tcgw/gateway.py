@@ -30,8 +30,8 @@ from .errors import (
     UnknownGateway,
 )
 from .ledger import Ledger, Transaction, TxKind, head, verify_chain
-from .private_chain import (METRICS, PrivateNode, SensorReading, ledger_readings,
-                            reading_from_value)
+from .private_chain import (METRICS, PrivateNode, SensorReading, decimal_value,
+                            ledger_readings, reading_from_value)
 from .worldstate import CONTEXT_KINDS, EMPTY_STATE, OpBatch, op_from_value, state_digest
 
 
@@ -46,7 +46,8 @@ class ValidityRange:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise InvalidArgument(f"unknown metric {self.metric!r}")
-        if Decimal(self.min_valid) > Decimal(self.max_valid):
+        if (decimal_value(self.min_valid, "min_valid")
+                > decimal_value(self.max_valid, "max_valid")):
             raise InvalidArgument(f"empty validity range for {self.metric}")
 
 
@@ -103,7 +104,7 @@ def filter_out_of_scale(readings: Sequence[SensorReading],
     excluded: list[SensorReading] = []
     for reading in readings:
         limits = bounds.get(reading.metric)
-        if limits is None or limits[0] <= reading.decimal() <= limits[1]:
+        if limits is None or limits[0] <= Decimal(reading.value) <= limits[1]:
             kept.append(reading)
         else:
             excluded.append(reading)
@@ -115,31 +116,72 @@ def summarize(readings: Sequence[SensorReading]) -> list[MetricStats]:
 
     Values are parsed as exact decimals; mean and deviation are evaluated
     in binary floating point and rendered back as shortest-repr strings. Min
-    and max keep the exact input strings. Metrics with no readings are
-    omitted; output is sorted by metric name.
+    and max keep the exact input strings: min is the first reading with the
+    least decimal value and max the first with the greatest, so of "20.5"
+    and "20.50", or of "0" and "-0", whichever came first is published.
+    Metrics with no readings are omitted; output is sorted by metric name.
 
-    Every float step is exact or correctly rounded by IEEE 754: float(Decimal),
+    Every float step is exact or correctly rounded by IEEE 754: float(),
     math.fsum, -, *, /, math.sqrt and repr. So any IEEE-754 host produces the
     same strings, and verify_pruned_epoch compares them with ==. Square with
     `d * d`, never `** 2`: that calls libm pow, which may misround.
+
+    This is epoch_stats with no ranges. Rollover and audit call epoch_stats,
+    which filters and summarizes in one pass that parses each value once.
     """
-    groups: dict[str, list[SensorReading]] = {}
+    return list(epoch_stats(readings, ())[0])
+
+
+class _Group:
+    """Running state of one metric: its values as floats, and the first
+    reading with the least and the first with the greatest decimal value."""
+
+    __slots__ = ("values", "least", "least_text", "greatest", "greatest_text")
+
+    def __init__(self, dec: Decimal, text: str):
+        self.values = [float(text)]
+        self.least = self.greatest = dec
+        self.least_text = self.greatest_text = text
+
+
+def epoch_stats(readings: Iterable[SensorReading],
+                ranges: Iterable[ValidityRange]) -> tuple[tuple[MetricStats, ...], int]:
+    """(stats, excluded count) of an epoch: the same as summarize(kept) and
+    len(excluded) for (kept, excluded) = filter_out_of_scale(readings, ranges),
+    in one pass that parses each value once and keeps no decimal per reading.
+
+    float() of a plain decimal literal equals float() of its Decimal: both
+    round the same exact value correctly.
+    """
+    bounds = range_bounds(ranges)
+    groups: dict[str, _Group] = {}
+    excluded = 0
     for reading in readings:
-        groups.setdefault(reading.metric, []).append(reading)
-    out: list[MetricStats] = []
+        metric, text = reading.metric, reading.value
+        dec = Decimal(text)
+        limits = bounds.get(metric)
+        if limits is not None and not limits[0] <= dec <= limits[1]:
+            excluded += 1
+            continue
+        group = groups.get(metric)
+        if group is None:
+            groups[metric] = _Group(dec, text)
+            continue
+        group.values.append(float(text))
+        if dec < group.least:
+            group.least, group.least_text = dec, text
+        elif dec > group.greatest:
+            group.greatest, group.greatest_text = dec, text
+    stats = []
     for metric in sorted(groups):
         group = groups[metric]
-        decimals = [r.decimal() for r in group]
-        values = [float(d) for d in decimals]
+        values = group.values
         n = len(values)
         mean = math.fsum(values) / n
         variance = math.fsum((v - mean) * (v - mean) for v in values) / n
-        std_dev = math.sqrt(variance)
-        lo = min(range(n), key=decimals.__getitem__)
-        hi = max(range(n), key=decimals.__getitem__)
-        out.append(MetricStats(metric, n, repr(mean), repr(std_dev),
-                               group[lo].value, group[hi].value))
-    return out
+        stats.append(MetricStats(metric, n, repr(mean), repr(math.sqrt(variance)),
+                                 group.least_text, group.greatest_text))
+    return tuple(stats), excluded
 
 
 def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
@@ -162,16 +204,15 @@ def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
     readings = node.readings_in_window(window_start, window_end)
     if node.raw_reading_count() != len(readings):
         raise InvalidWindow("ledger holds readings outside the epoch window")
-    kept, excluded = filter_out_of_scale(readings, ranges)
-    stats = summarize(kept)
+    stats, excluded = epoch_stats(readings, ranges)
     height, head_hash = head(node.ledger)
     summary = EpochSummary(
         channel_id=node.channel_id,
         epoch_index=pub.next_epoch_index(node.channel_id),
         window_start=window_start,
         window_end=window_end,
-        stats=tuple(stats),
-        excluded_count=len(excluded),
+        stats=stats,
+        excluded_count=excluded,
         ledger_head_hash=head_hash,
         ledger_height=height,
         state_digest=state_digest(node.state),
@@ -212,8 +253,9 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
       chain  - archived ledger does not pass verify_chain
       head   - archived head hash/height differ from the summary's
       state  - replayed state digest differs from the summary's
-      stats  - re-running filter+summarize does not reproduce the summary's
-               stats and excluded count exactly (summarize is bit-reproducible)
+      stats  - re-running epoch_stats does not reproduce the summary's stats
+               and excluded count exactly (they are bit-reproducible), or an
+               in-window reading does not decode
       anchor - no confirmed public anchor commits to these summary bytes
 
     One walk: verify_chain hands each parsed payload to a visitor that keeps
@@ -251,9 +293,8 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
     try:
         if not chain_ok:
             readings = ledger_readings(archived, start, end)
-        kept, excluded = filter_out_of_scale(readings, ranges)
-        if "stats" in found or ((tuple(summarize(kept)), len(excluded))
-                                != (summary.stats, summary.excluded_count)):
+        if ("stats" in found or epoch_stats(readings, ranges)
+                != (summary.stats, summary.excluded_count)):
             failures.append("stats")
     except Exception:
         failures.append("stats")

@@ -27,7 +27,7 @@ its last node, a single leaf is its own root, and the empty list hashes to
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -65,9 +65,22 @@ _KIND_LABELS = {
     TxKind.ANCHOR: "Anchor",
 }
 KIND_BY_LABEL = {label: kind for kind, label in _KIND_LABELS.items()}
+_CODE_BY_KIND = {kind: kind.value for kind in TxKind}  # a dict hit is cheaper than .value
+_KIND_BY_CODE = {code: kind for kind, code in _CODE_BY_KIND.items()}
 
 
-@dataclass(frozen=True, slots=True)
+def slot_setters(cls: type) -> tuple:
+    """The `__set__` of each field's slot descriptor, in field order.
+
+    A frozen slots record's own __init__ sets its fields through these, one
+    C call a field, where the generated __init__ makes an object.__setattr__
+    call a field. Setting and deleting from outside still raise
+    FrozenInstanceError, and replace, copy and pickle are unchanged.
+    """
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Transaction:
     tx_id: bytes
     channel_id: str
@@ -75,6 +88,19 @@ class Transaction:
     kind: TxKind
     payload: bytes
     author_id: str
+
+    def __init__(self, tx_id: bytes, channel_id: str, timestamp: int, kind: TxKind,
+                 payload: bytes, author_id: str):
+        set_tx_id, set_channel_id, set_timestamp, set_kind, set_payload, set_author_id = _TX_SLOTS
+        set_tx_id(self, tx_id)
+        set_channel_id(self, channel_id)
+        set_timestamp(self, timestamp)
+        set_kind(self, kind)
+        set_payload(self, payload)
+        set_author_id(self, author_id)
+
+
+_TX_SLOTS = slot_setters(Transaction)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +135,7 @@ def transaction_body(channel_id: str, timestamp: int, kind: TxKind,
     channel = channel_id.encode("utf-8")
     author = author_id.encode("utf-8")
     return b"".join((_U32.pack(len(channel)), channel,
-                     _TS_KIND_LEN.pack(timestamp, kind.value, len(payload)), payload,
+                     _TS_KIND_LEN.pack(timestamp, _CODE_BY_KIND[kind], len(payload)), payload,
                      _U32.pack(len(author)), author))
 
 
@@ -164,9 +190,6 @@ def serialize_block(block: Block) -> bytes:
     out.extend(serialize_transaction(tx) for tx in block.transactions)
     out.append(block.block_hash)
     return b"".join(out)
-
-
-_KIND_BY_CODE = {kind.value: kind for kind in TxKind}
 
 
 def _take(data: bytes, offset: int, n: int) -> tuple[bytes, int]:

@@ -35,6 +35,7 @@ from .ledger import (
     genesis,
     iter_transactions,
     make_transaction,
+    slot_setters,
     transaction_valid,
 )
 from .worldstate import (CONTEXT_KINDS, ContextOp, WorldState, apply_ops, check_digestible,
@@ -45,31 +46,60 @@ METRICS = ("temperature_c", "humidity_pct", "rain_pct", "wind_speed_ms")
 DEFAULT_BATCH_SIZE = 100
 
 
-@dataclass(frozen=True, slots=True)
+def decimal_value(text: str, name: str = "value") -> Decimal:
+    """The finite Decimal that `text` spells as a plain decimal literal.
+
+    A plain literal is ASCII with nothing around it: an optional sign,
+    digits with an optional point, and an optional exponent, as in "-20",
+    "20.50" or "2.05E+1". Decimal() also reads surrounding whitespace, `_`
+    between digits and non-ASCII digits; those raise InvalidArgument here,
+    as does anything Decimal() cannot read or that is not finite. `name`
+    labels the error message.
+    """
+    if not isinstance(text, str):
+        raise InvalidArgument(f"{name} {text!r} is not a decimal string")
+    try:
+        dec = Decimal(text)
+    except InvalidOperation as exc:
+        raise InvalidArgument(f"{name} {text!r} is not a decimal") from exc
+    if not dec.is_finite():
+        raise InvalidArgument(f"{name} {text!r} is not finite")
+    if not text.isascii() or "_" in text or text.strip() != text:
+        raise InvalidArgument(f"{name} {text!r} is not a plain decimal literal")
+    return dec
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class SensorReading:
-    """One sampled value; `value` is a decimal string, never a float."""
+    """One sampled value; `value` is a decimal string, never a float.
+
+    The value must be a finite plain decimal literal (see decimal_value):
+    ASCII, an optional sign, digits with an optional point and an optional
+    exponent, and no whitespace or `_`. Every construction checks it,
+    dataclasses.replace included.
+    """
 
     sensor_id: str
     metric: str
     value: str
     timestamp: int
 
-    def __post_init__(self):
-        if self.metric not in METRICS:
-            raise InvalidArgument(f"unknown metric {self.metric!r}")
-        if not isinstance(self.value, str):
-            raise InvalidArgument(f"value {self.value!r} is not a decimal string")
-        if type(self.timestamp) is not int:
-            raise InvalidArgument(f"timestamp {self.timestamp!r} is not an integer")
-        try:
-            dec = Decimal(self.value)
-        except InvalidOperation as exc:
-            raise InvalidArgument(f"value {self.value!r} is not a decimal") from exc
-        if not dec.is_finite():
-            raise InvalidArgument(f"value {self.value!r} is not finite")
+    def __init__(self, sensor_id: str, metric: str, value: str, timestamp: int):
+        if metric not in METRICS:
+            raise InvalidArgument(f"unknown metric {metric!r}")
+        if not isinstance(value, str):
+            raise InvalidArgument(f"value {value!r} is not a decimal string")
+        if type(timestamp) is not int:
+            raise InvalidArgument(f"timestamp {timestamp!r} is not an integer")
+        decimal_value(value)
+        set_sensor_id, set_metric, set_value, set_timestamp = _READING_SLOTS
+        set_sensor_id(self, sensor_id)
+        set_metric(self, metric)
+        set_value(self, value)
+        set_timestamp(self, timestamp)
 
-    def decimal(self) -> Decimal:
-        return Decimal(self.value)
+
+_READING_SLOTS = slot_setters(SensorReading)
 
 
 def reading_payload(reading: SensorReading) -> bytes:

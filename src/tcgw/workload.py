@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from pathlib import Path
 
 from .canon import canonical_loads, from_json_value, to_json_value
@@ -24,6 +24,7 @@ from .private_chain import (
     METRICS,
     PrivateNode,
     SensorReading,
+    decimal_value,
     reading_transaction,
 )
 from .public_chain import PublicChain, PublicClient
@@ -77,7 +78,7 @@ class SensorSpec:
             raise InvalidArgument(f"unknown metric {self.metric!r}")
         if self.interval <= 0:
             raise InvalidArgument("sampling interval must be positive")
-        if Decimal(self.low) > Decimal(self.high):
+        if decimal_value(self.low, "low") > decimal_value(self.high, "high"):
             raise InvalidArgument(f"empty distribution for {self.sensor_id}")
 
 
@@ -99,11 +100,7 @@ class FieldConfig:
             raise InvalidArgument(f"unknown product {self.product!r}")
         if not self.sensors:
             raise InvalidArgument(f"field {self.channel_id} has no sensors")
-        try:
-            rate = Decimal(self.fault_rate)
-        except InvalidOperation as exc:
-            raise InvalidArgument(f"fault_rate {self.fault_rate!r} is not a decimal") from exc
-        if not (0 <= rate <= 1):
+        if not (0 <= decimal_value(self.fault_rate, "fault_rate") <= 1):
             raise InvalidArgument("fault_rate must lie in [0, 1]")
         if self.ops_interval <= 0:
             raise InvalidArgument("ops_interval must be positive")

@@ -21,7 +21,8 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .canon import canonical_json, canonical_loads, sha256
 from .errors import InvalidArgument, PathTypeConflict
-from .ledger import KIND_BY_LABEL, Ledger, Transaction, TxKind, iter_transactions
+from .ledger import (KIND_BY_LABEL, Ledger, Transaction, TxKind, iter_transactions,
+                     slot_setters)
 
 CONTEXT_KINDS = (TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY)
 
@@ -29,7 +30,7 @@ WorldState = Mapping[str, dict]  # document id -> body
 EMPTY_STATE: WorldState = MappingProxyType({})
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ContextOp:
     """One update or append, addressed by document id and object-key path."""
 
@@ -38,13 +39,21 @@ class ContextOp:
     path: tuple[str, ...]
     value: Any
 
-    def __post_init__(self):
-        if self.op not in CONTEXT_KINDS:
-            raise InvalidArgument(f"{self.op} is not a context operation kind")
-        if not isinstance(self.doc_id, str) or not self.doc_id:
+    def __init__(self, op: TxKind, doc_id: str, path: tuple[str, ...], value: Any):
+        if op not in CONTEXT_KINDS:
+            raise InvalidArgument(f"{op} is not a context operation kind")
+        if not isinstance(doc_id, str) or not doc_id:
             raise InvalidArgument("doc_id must be a non-empty string")
-        if not self.path or any(not isinstance(s, str) or not s for s in self.path):
+        if not path or any(not isinstance(s, str) or not s for s in path):
             raise InvalidArgument("path must be a non-empty list of non-empty keys")
+        set_op, set_doc_id, set_path, set_value = _OP_SLOTS
+        set_op(self, op)
+        set_doc_id(self, doc_id)
+        set_path(self, path)
+        set_value(self, value)
+
+
+_OP_SLOTS = slot_setters(ContextOp)
 
 
 def op_payload(op: ContextOp) -> bytes:

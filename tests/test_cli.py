@@ -66,6 +66,50 @@ def test_run_rejects_a_bad_config_before_writing_anything(tmp_path, capsys, chan
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("where, text", [
+    ("low", " 9 "), ("high", "1_0"), ("max_valid", "12.5\n"), ("min_valid", "\u0661\u0661"),
+    ("fault_rate", "0.05 "),
+])
+def test_run_rejects_a_config_decimal_that_is_not_a_plain_literal(tmp_path, capsys, where, text):
+    value = to_json_value(small_scenario())
+    field = value["fields"][0]
+    target = {"low": field["sensors"][0], "high": field["sensors"][0], "fault_rate": field,
+              "max_valid": value["ranges"][0], "min_valid": value["ranges"][0]}[where]
+    target[where] = text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(canonical_json(value))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{where} {text!r} is not a plain decimal literal" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_verify_rejects_an_archived_reading_that_is_not_a_plain_literal(run_dir, tmp_path,
+                                                                         capsys):
+    """A re-linked archive whose reading carries the same number padded with a
+    newline passes verify_chain; the audit refuses the reading as stats."""
+    archive = tmp_path / "archive"
+    archive.mkdir()
+    for path in (run_dir / "archive").iterdir():
+        archive.joinpath(path.name).write_bytes(path.read_bytes())
+    victim = archive / "north.epoch0.tcgw"
+    ledger = load_ledger(victim, chain_id="north")
+    report = canonical_loads((run_dir / "report.json").read_bytes())
+    stats = report["channels"]["north"][0]["summary"]["stats"]
+    extremes = {text for s in stats for text in (s["min"], s["max"])}
+    height, index, tx, payload = next(
+        (height, index, tx, payload) for height, index, tx in iter_transactions(ledger)
+        if tx.kind.label == "RawReading"
+        and (payload := canonical_loads(tx.payload))["value"] not in extremes
+        and "." in payload["value"])
+    payload["value"] += "\n"
+    save_ledger(_relink(ledger, height, index, tx.kind, canonical_json(payload)), victim)
+    assert main(["verify", "--archive", str(archive),
+                 "--chain", str(run_dir / "public.tcgw")]) == 1
+    out = capsys.readouterr().out
+    assert "north epoch 0: FAIL (head, stats)" in out
+    assert out.count(": ok") == 3
+
+
 def test_verify_accepts_honest_artifacts(run_dir, capsys):
     assert main(["verify", "--archive", str(run_dir / "archive"),
                  "--chain", str(run_dir / "public.tcgw")]) == 0

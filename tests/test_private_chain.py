@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,8 +29,10 @@ from tcgw import (
     verify_chain,
 )
 from tcgw.canon import canonical_json
+from tcgw.private_chain import decimal_value
 from tcgw.errors import (
     DuplicateTransaction,
+    InvalidArgument,
     InvalidTransaction,
     InvalidWindow,
     NonEmptyMempool,
@@ -87,9 +90,14 @@ _READING = {"metric": "temperature_c", "sensor_id": "s-0", "timestamp": 0, "valu
     (TxKind.RAW_READING, {**_READING, "timestamp": 99}),
     (TxKind.UPDATE_FIELD, {"doc_id": "d", "op": "AppendToArray", "path": ["k"], "value": 1}),
     (TxKind.RAW_READING, {**_READING, "timestamp": False}),
+    (TxKind.RAW_READING, {**_READING, "value": " 9 "}),
+    (TxKind.RAW_READING, {**_READING, "value": "1_0"}),
+    (TxKind.RAW_READING, {**_READING, "value": "12.5\n"}),
+    (TxKind.RAW_READING, {**_READING, "value": "\u0661\u0661"}),
 ], ids=["unknown-metric", "list-value", "number-value", "array-payload", "string-payload",
         "empty-op", "number-doc-id", "other-sensor", "other-timestamp", "op-kind-mismatch",
-        "bool-timestamp"])
+        "bool-timestamp", "padded-value", "underscore-value", "newline-value",
+        "arabic-indic-value"])
 def test_submit_rejects_payload_later_stages_cannot_read(kind, payload):
     node = _node(authors=("s-0",))
     tx = make_transaction("fieldA", 0, kind, canonical_json(payload), "s-0")
@@ -332,6 +340,38 @@ def test_save_load_roundtrip(tmp_path):
     dup = node.ledger.blocks[1].transactions[0]
     with pytest.raises(DuplicateTransaction):
         loaded.submit(dup)
+
+
+@pytest.mark.parametrize("text", ["-20", "20.50", "2.05E+1", "+1", ".5", "5.", "1e3", "-0", "0E-7"])
+def test_decimal_value_reads_plain_literals(text):
+    assert decimal_value(text) == Decimal(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    (" 9 ", "value ' 9 ' is not a plain decimal literal"),
+    ("1_0", "value '1_0' is not a plain decimal literal"),
+    ("12.5\n", "value '12.5\\n' is not a plain decimal literal"),
+    ("\t1", "value '\\t1' is not a plain decimal literal"),
+    ("\u0661\u0661", "value '\u0661\u0661' is not a plain decimal literal"),
+    ("\uff11", "value '\uff11' is not a plain decimal literal"),
+    ("1\u2003", "value '1\\u2003' is not a plain decimal literal"),  # an em space
+    ("NaN", "value 'NaN' is not finite"),
+    (" Infinity", "value ' Infinity' is not finite"),
+    ("abc", "value 'abc' is not a decimal"),
+    ("", "value '' is not a decimal"),
+    (5, "value 5 is not a decimal string"),
+])
+def test_decimal_value_rejects_what_is_not_a_plain_literal(text, message):
+    with pytest.raises(InvalidArgument) as info:
+        decimal_value(text)
+    assert str(info.value) == message
+    with pytest.raises(InvalidArgument) as info:
+        decimal_value(text, "low")
+    assert str(info.value) == "low" + message[len("value"):]
+    if isinstance(text, str):
+        with pytest.raises(InvalidArgument) as info:
+            make_reading(0, value=text)
+        assert str(info.value) == message
 
 
 def test_reading_validation():

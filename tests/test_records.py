@@ -118,6 +118,11 @@ _R = ("s-0", "temperature_c", "20.5", 0)
     (("s-0", "temperature_c", "sNaN", 0), "value 'sNaN' is not finite"),
     (("s-0", "temperature_c", "Infinity", 0), "value 'Infinity' is not finite"),
     (("s-0", "temperature_c", "-inf", 0), "value '-inf' is not finite"),
+    (("s-0", "temperature_c", " 9 ", 0), "value ' 9 ' is not a plain decimal literal"),
+    (("s-0", "temperature_c", "1_0", 0), "value '1_0' is not a plain decimal literal"),
+    (("s-0", "temperature_c", "12.5\n", 0), "value '12.5\\n' is not a plain decimal literal"),
+    (("s-0", "temperature_c", "\u0661\u0661", 0),
+     "value '\u0661\u0661' is not a plain decimal literal"),
     # the first failing check names the error
     (("s-0", "pressure", 20, "0"), "unknown metric 'pressure'"),
     (("s-0", "temperature_c", 20, "0"), "value 20 is not a decimal string"),

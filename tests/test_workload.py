@@ -17,7 +17,7 @@ from tcgw import (
     run_scenario,
     verify_pruned_epoch,
 )
-from tcgw.canon import canonical_json, digest_json
+from tcgw.canon import canonical_json, canonical_loads, digest_json
 from tcgw.errors import DuplicateRange, InvalidArgument, InvalidWindow
 from tcgw.canon import from_json_value, to_json_value
 from tcgw.workload import DEFAULT_VALIDITY_RANGES, apply_seed_override, load_scenario_config
@@ -98,6 +98,20 @@ def test_field_config_validation():
     for channel in ["../escaped", "a/b", "a\\b", ".", "..", "a\nb", "a\0b"]:
         with pytest.raises(InvalidArgument, match="cannot name a file"):
             _field(channel)
+
+
+@pytest.mark.parametrize("text", [" 9 ", "1_0", "12.5\n", "\u0661\u0661", "-Infinity"])
+def test_config_decimals_are_finite_plain_literals(text):
+    """Every decimal string of a config reads as a finite plain literal, as
+    a reading's value does; each error names the field."""
+    cases = {"min_valid": lambda: ValidityRange("temperature_c", text, "100"),
+             "max_valid": lambda: ValidityRange("temperature_c", "-100", text),
+             "low": lambda: SensorSpec("s", "temperature_c", 60, text, "100"),
+             "high": lambda: SensorSpec("s", "temperature_c", 60, "-100", text),
+             "fault_rate": lambda: _field(fault=text)}
+    for name, build in cases.items():
+        with pytest.raises(InvalidArgument, match=f"^{name} "):
+            build()
 
 
 def test_scenario_config_roundtrip(tmp_path):
@@ -199,6 +213,33 @@ def test_run_scenario_parses_each_payload_twice(monkeypatch):
     assert result.report["confirmed_anchors"] == 6
     assert committed == 312
     assert decodes == 2 * committed
+
+
+def test_run_scenario_parses_each_reading_value_five_times(monkeypatch):
+    """Work counter: each reading's value is parsed as a Decimal once by each
+    of its three SensorReading constructions (generate, submit, the in-run
+    audit), once at rollover and once by the audit, which filter and
+    summarize in one pass each."""
+    from decimal import Decimal
+    from tcgw import gateway, private_chain
+    from tcgw.ledger import iter_transactions
+    parsed: list = []
+
+    def counting(value="0", *args):
+        parsed.append(value)
+        return Decimal(value, *args)
+
+    cfg = small_scenario(epochs=3)
+    for module in (private_chain, gateway):
+        monkeypatch.setattr(module, "Decimal", counting)
+    result = run_scenario(cfg)
+    monkeypatch.undo()
+    values = [canonical_loads(tx.payload)["value"] for ledger in result.archives.values()
+              for _, _, tx in iter_transactions(ledger) if tx.kind is TxKind.RAW_READING]
+    bounds = {text for r in cfg.ranges for text in (r.min_valid, r.max_valid)}
+    assert len(values) == 288 and bounds.isdisjoint(values)
+    readings = set(values)
+    assert sum(1 for text in parsed if text in readings) == 5 * len(values)
 
 
 def test_run_scenario_event_order_publish_before_prune():
