@@ -19,6 +19,7 @@ from tcgw import (
     verify_pruned_epoch,
 )
 from tcgw.errors import PublishFailed
+from tcgw.private_chain import BATCH_SIZE
 from tcgw.rng import SplitMix64
 
 RANGES = [ValidityRange("temperature_c", "-20", "60")]
@@ -32,7 +33,7 @@ for hour in range(MONTH // HOUR):
     value = "600" if rng.random() < 0.02 else f"{rng.uniform(6, 34):.3f}"
     node.clock = ts
     node.submit(reading_transaction("olive-grove", SensorReading("s-temp", "temperature_c", value, ts)))
-    if len(node.mempool) >= node.batch_size:
+    if len(node.mempool) >= BATCH_SIZE:
         node.commit_batch()
 while node.mempool:
     node.commit_batch()
@@ -45,7 +46,7 @@ pub.clock = MONTH
 gateway = PublicClient(pub, "gw-olive")
 
 trace: list = []
-summary, record, fresh_node = rollover_epoch(node, RANGES, 0, MONTH, gateway, trace=trace)
+summary, record, fresh_node = rollover_epoch(node, RANGES, 0, MONTH, gateway, trace)
 
 for s in summary.stats:
     print(f"epoch 0 {s.metric}: n={s.count} mean={float(s.mean):.3f} "
@@ -70,7 +71,7 @@ print(f"verify pruned epoch: ok={outcome.ok}")
 unknown = PublicClient(PublicChain(["val-0"]), "gw-stranger")
 before = head(fresh_node.ledger)
 try:
-    rollover_epoch(fresh_node, RANGES, MONTH, 2 * MONTH, unknown)
+    rollover_epoch(fresh_node, RANGES, MONTH, 2 * MONTH, unknown, [])
 except PublishFailed as exc:
     print(f"rejected publication: {exc}")
 assert head(fresh_node.ledger) == before

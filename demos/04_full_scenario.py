@@ -27,7 +27,7 @@ for channel, rows in sorted(result.report["channels"].items()):
 
 # Every event trace interleaves per field, but confirmation always
 # precedes the reset for the same epoch.
-first_field_events = [e for e in result.events if e["channel"] == "almond"]
+first_field_events = [e for e in result.report["events"] if e["channel"] == "almond"]
 print(f"almond events: {[(e['event'], e['epoch']) for e in first_field_events]}")
 
 # What a consumer sees after scanning the channel's code.

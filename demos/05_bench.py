@@ -18,7 +18,7 @@ print(f"{'n_existing':>10}{'occupied_kb':>13}{'batch_ms':>10}")
 for p in points:
     print(f"{p.n_existing:>10}{p.occupied_bytes / 1000:>13.1f}{p.batch_seconds * 1000:>10.2f}")
 
-fit = fit_storage(points, min_level=100)
+fit = fit_storage(points)
 print(f"\nstorage fit over n >= 100: {fit.slope:.1f} bytes per transaction, "
       f"intercept {fit.intercept:.0f} bytes, R^2 = {fit.r_squared:.6f}")
 

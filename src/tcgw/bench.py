@@ -1,11 +1,12 @@
 """Benchmark harness: storage growth and batch-commit latency.
 
 For each level N the harness builds a ledger of N single-reading
-transactions (blocks of 100, fixed seed), records its canonical size, and
-times committing one batch of 100 fresh transactions onto it. Timings are
-the median of three repetitions on a monotonic clock. With verify_mode on
-the timed region includes a full chain verification, the regime where cost
-grows with N; with it off, only the incremental submit+commit is timed.
+transactions (blocks of BATCH_SIZE, fixed seed), records its canonical size,
+and times committing one block of BATCH_SIZE fresh transactions onto it.
+Timings are the median of three repetitions on a monotonic clock. With
+verify_mode on the timed region includes a full chain verification, the
+regime where cost grows with N; with it off, only the incremental
+submit+commit is timed.
 
 Absolute numbers are machine- and serialization-specific and are not
 comparison targets; the reproducible claims are the growth laws (see
@@ -24,7 +25,7 @@ from typing import Sequence
 from .canon import canonical_json
 from .errors import InvalidArgument
 from .ledger import Ledger, append_block, genesis, ledger_size_bytes, verify_chain
-from .private_chain import PrivateNode, SensorReading, reading_transaction
+from .private_chain import BATCH_SIZE, PrivateNode, SensorReading, reading_transaction
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_LEVELS = (0, 5, 10, 50, 100, 500, 1000, 5000, 10000, 50000, 100000, 500000)
@@ -33,8 +34,8 @@ DEFAULT_MAX_LEVEL = 100_000
 BENCH_CHANNEL = "bench"
 BENCH_SENSOR = "bench-probe"
 BENCH_SEED = 0x7C6877
-BATCH = 100
 REPETITIONS = 3
+FIT_MIN_LEVEL = 100  # fit_storage leaves out the smaller levels
 
 NOTE = (
     "Storage and timing magnitudes depend on this host and serialization and are "
@@ -74,8 +75,8 @@ def build_reading_ledger(n: int) -> Ledger:
     """Ledger holding n deterministic single-reading transactions."""
     ledger = genesis(BENCH_CHANNEL)
     readings = _readings(n, 0, "base")
-    for start in range(0, n, BATCH):
-        chunk = readings[start:start + BATCH]
+    for start in range(0, n, BATCH_SIZE):
+        chunk = readings[start:start + BATCH_SIZE]
         txs = [reading_transaction(BENCH_CHANNEL, r) for r in chunk]
         ledger, _ = append_block(ledger, txs, chunk[-1].timestamp)
     return ledger
@@ -83,7 +84,7 @@ def build_reading_ledger(n: int) -> Ledger:
 
 def _time_batch(base_node: PrivateNode, level: int, rep: int, verify_mode: bool) -> float:
     node = copy.copy(base_node)
-    readings = _readings(BATCH, level + 1 + rep * BATCH, f"batch/{level}/{rep}")
+    readings = _readings(BATCH_SIZE, level + 1 + rep * BATCH_SIZE, f"batch/{level}/{rep}")
     txs = [reading_transaction(BENCH_CHANNEL, r) for r in readings]
     started = time.perf_counter()
     for tx in txs:
@@ -135,12 +136,12 @@ class LinearFit:
     r_squared: float
 
 
-def fit_storage(points: Sequence[BenchPoint], min_level: int = 100) -> LinearFit:
-    """Least-squares fit of occupied_bytes against n_existing, levels >= min_level."""
-    xs = [p.n_existing for p in points if p.n_existing >= min_level]
-    ys = [p.occupied_bytes for p in points if p.n_existing >= min_level]
+def fit_storage(points: Sequence[BenchPoint]) -> LinearFit:
+    """Least-squares fit of occupied_bytes against n_existing, levels >= FIT_MIN_LEVEL."""
+    xs = [p.n_existing for p in points if p.n_existing >= FIT_MIN_LEVEL]
+    ys = [p.occupied_bytes for p in points if p.n_existing >= FIT_MIN_LEVEL]
     if len(xs) < 2:
-        raise InvalidArgument(f"need at least two levels >= {min_level} to fit")
+        raise InvalidArgument(f"need at least two levels >= {FIT_MIN_LEVEL} to fit")
     slope, intercept = statistics.linear_regression(xs, ys)
     r = statistics.correlation(xs, ys)
     return LinearFit(slope, intercept, r * r)

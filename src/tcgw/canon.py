@@ -33,8 +33,6 @@ from typing import Any, Callable
 
 from .errors import InvalidArgument, UnsupportedValue
 
-DIGEST_SIZE = 32
-
 
 def sha256(data: bytes) -> bytes:
     """Return the raw 32-byte SHA-256 digest of `data`."""

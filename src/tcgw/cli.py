@@ -16,6 +16,7 @@ from pathlib import Path
 from .bench import (
     DEFAULT_LEVELS,
     DEFAULT_MAX_LEVEL,
+    FIT_MIN_LEVEL,
     bench_batch_time,
     emit_csv,
     fit_storage,
@@ -101,9 +102,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(points, out / "table2.csv")
     fit = None
-    if sum(1 for p in points if p.n_existing >= 100) >= 2:
+    if sum(1 for p in points if p.n_existing >= FIT_MIN_LEVEL) >= 2:
         fit = fit_storage(points)
-        print(f"storage fit over levels >= 100: slope {fit.slope:.3f} bytes/tx, "
+        print(f"storage fit over levels >= {FIT_MIN_LEVEL}: slope {fit.slope:.3f} bytes/tx, "
               f"intercept {fit.intercept:.1f}, R^2 {fit.r_squared:.6f}")
     write_bench_report(points, fit, verify_mode, out / "bench_report.json")
     print(f"wrote {out / 'table2.csv'} ({len(points)} rows)")

@@ -186,7 +186,7 @@ def epoch_stats(readings: Iterable[SensorReading],
 
 def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
                    window_start: int, window_end: int, pub,
-                   trace: list | None = None) -> tuple[EpochSummary, object, PrivateNode]:
+                   events: list) -> tuple[EpochSummary, object, PrivateNode]:
     """Close an epoch: collect, filter, summarize, anchor, then reset.
 
     The readings come from the node's held list, parsed once at submit; the
@@ -198,6 +198,9 @@ def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
     PublishFailed is raised; the reset happens strictly after the anchor is
     confirmed. Returns (summary, anchor record, fresh node); the old node
     keeps the archived ledger.
+
+    Each step appends its event to `events` as it happens: anchor_submitted,
+    anchor_confirmed, then ledger_reset. A failed publish leaves only those before it.
     """
     if node.mempool:
         raise NonEmptyMempool("commit or drop pending transactions before rollover")
@@ -221,18 +224,13 @@ def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
         record = pub.submit_anchor(summary)
     except (DuplicateEpoch, UnknownGateway) as exc:
         raise PublishFailed(f"anchor rejected: {exc}") from exc
-    if trace is not None:
-        trace.append({"event": "anchor_submitted", "channel": node.channel_id,
-                      "epoch": summary.epoch_index})
+    where = {"channel": node.channel_id, "epoch": summary.epoch_index}
+    events.append({"event": "anchor_submitted", **where})
     if not pub.confirm(record):
         raise PublishFailed("anchor was not confirmed; private ledger left intact")
-    if trace is not None:
-        trace.append({"event": "anchor_confirmed", "channel": node.channel_id,
-                      "epoch": summary.epoch_index})
+    events.append({"event": "anchor_confirmed", **where})
     new_node = node.reset_with_anchor(record.summary_digest)
-    if trace is not None:
-        trace.append({"event": "ledger_reset", "channel": node.channel_id,
-                      "epoch": summary.epoch_index})
+    events.append({"event": "ledger_reset", **where})
     return summary, record, new_node
 
 

@@ -45,28 +45,24 @@ LEDGER_VERSION = 1
 
 
 class TxKind(Enum):
-    """Transaction kinds; the value is the 1-byte wire code."""
+    """Transaction kinds. Each member holds two plain attributes: `_value_`,
+    the 1-byte wire code (also `.value`), and `label`, the CamelCase name
+    used inside JSON payloads and dumps."""
 
-    UPDATE_FIELD = 1
-    APPEND_TO_ARRAY = 2
-    RAW_READING = 3
-    ANCHOR = 4
+    UPDATE_FIELD = 1, "UpdateField"
+    APPEND_TO_ARRAY = 2, "AppendToArray"
+    RAW_READING = 3, "RawReading"
+    ANCHOR = 4, "Anchor"
 
-    @property
-    def label(self) -> str:
-        """CamelCase name used inside JSON payloads and dumps."""
-        return _KIND_LABELS[self]
+    def __new__(cls, code: int, label: str) -> "TxKind":
+        member = object.__new__(cls)
+        member._value_ = code
+        member.label = label
+        return member
 
 
-_KIND_LABELS = {
-    TxKind.UPDATE_FIELD: "UpdateField",
-    TxKind.APPEND_TO_ARRAY: "AppendToArray",
-    TxKind.RAW_READING: "RawReading",
-    TxKind.ANCHOR: "Anchor",
-}
-KIND_BY_LABEL = {label: kind for kind, label in _KIND_LABELS.items()}
-_CODE_BY_KIND = {kind: kind.value for kind in TxKind}  # a dict hit is cheaper than .value
-_KIND_BY_CODE = {code: kind for kind, code in _CODE_BY_KIND.items()}
+KIND_BY_LABEL = {kind.label: kind for kind in TxKind}
+_KIND_BY_CODE = {kind._value_: kind for kind in TxKind}
 
 
 def slot_setters(cls: type) -> tuple:
@@ -135,7 +131,7 @@ def transaction_body(channel_id: str, timestamp: int, kind: TxKind,
     channel = channel_id.encode("utf-8")
     author = author_id.encode("utf-8")
     return b"".join((_U32.pack(len(channel)), channel,
-                     _TS_KIND_LEN.pack(timestamp, _CODE_BY_KIND[kind], len(payload)), payload,
+                     _TS_KIND_LEN.pack(timestamp, kind._value_, len(payload)), payload,
                      _U32.pack(len(author)), author))
 
 

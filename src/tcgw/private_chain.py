@@ -43,18 +43,20 @@ from .worldstate import (CONTEXT_KINDS, ContextOp, WorldState, apply_ops, check_
 
 METRICS = ("temperature_c", "humidity_pct", "rain_pct", "wind_speed_ms")
 
-DEFAULT_BATCH_SIZE = 100
+BATCH_SIZE = 100  # transactions per block at most
 
 
 def decimal_value(text: str, name: str = "value") -> Decimal:
-    """The finite Decimal that `text` spells as a plain decimal literal.
+    """The finite Decimal that `text` spells as a plain decimal literal of
+    magnitude below 1E+100, which keeps every float step of epoch_stats finite.
 
     A plain literal is ASCII with nothing around it: an optional sign,
     digits with an optional point, and an optional exponent, as in "-20",
     "20.50" or "2.05E+1". Decimal() also reads surrounding whitespace, `_`
     between digits and non-ASCII digits; those raise InvalidArgument here,
-    as does anything Decimal() cannot read or that is not finite. `name`
-    labels the error message.
+    as does anything Decimal() cannot read, that is not finite, or whose
+    adjusted exponent is 100 or more ("0E+100" too). `name` labels the
+    error message.
     """
     if not isinstance(text, str):
         raise InvalidArgument(f"{name} {text!r} is not a decimal string")
@@ -66,6 +68,8 @@ def decimal_value(text: str, name: str = "value") -> Decimal:
         raise InvalidArgument(f"{name} {text!r} is not finite")
     if not text.isascii() or "_" in text or text.strip() != text:
         raise InvalidArgument(f"{name} {text!r} is not a plain decimal literal")
+    if dec.adjusted() >= 100:
+        raise InvalidArgument(f"{name} {text!r} is not below 1E+100 in magnitude")
     return dec
 
 
@@ -73,10 +77,10 @@ def decimal_value(text: str, name: str = "value") -> Decimal:
 class SensorReading:
     """One sampled value; `value` is a decimal string, never a float.
 
-    The value must be a finite plain decimal literal (see decimal_value):
-    ASCII, an optional sign, digits with an optional point and an optional
-    exponent, and no whitespace or `_`. Every construction checks it,
-    dataclasses.replace included.
+    The value must be a finite plain decimal literal below 1E+100 in
+    magnitude (see decimal_value): ASCII, an optional sign, digits with an
+    optional point and an optional exponent, and no whitespace or `_`.
+    Every construction checks it, dataclasses.replace included.
     """
 
     sensor_id: str
@@ -116,8 +120,11 @@ def parse_reading(payload: bytes) -> SensorReading:
 
 
 def reading_from_value(value: Any) -> SensorReading:
-    """The SensorReading in a parsed payload; raises InvalidArgument if malformed."""
+    """The SensorReading in a parsed payload: an object with exactly the four
+    keys reading_payload writes. Raises InvalidArgument if malformed."""
     try:
+        if len(value) != 4:
+            raise InvalidArgument(f"reading payload has {len(value)} keys, not 4")
         return SensorReading(value["sensor_id"], value["metric"],
                              value["value"], value["timestamp"])
     except (KeyError, TypeError) as exc:
@@ -147,14 +154,10 @@ class PrivateNode:
     known tx ids and readings in one walk of it.
     """
 
-    def __init__(self, channel_id: str, authorized_authors, batch_size: int = DEFAULT_BATCH_SIZE,
-                 clock: int = 0, genesis_anchor: bytes | None = None,
-                 ledger: Ledger | None = None):
-        if batch_size < 1:
-            raise InvalidArgument("batch_size must be positive")
+    def __init__(self, channel_id: str, authorized_authors, clock: int = 0,
+                 genesis_anchor: bytes | None = None, ledger: Ledger | None = None):
         self.channel_id = channel_id
         self.authorized_authors = frozenset(authorized_authors)
-        self.batch_size = batch_size
         self.clock = clock
         self.ledger = ledger if ledger is not None else genesis(channel_id, genesis_anchor)
         self.mempool: list[Transaction] = []
@@ -178,9 +181,10 @@ class PrivateNode:
 
     def submit(self, tx: Transaction) -> bool:
         """Queue a transaction; raises on wrong channel, author, duplicate,
-        bad tx_id, a payload that commit or rollover could not read, or one
-        that disagrees with the header: a reading's sensor and time must be
-        the tx author and timestamp, a context op's kind the tx kind. A
+        bad tx_id, an Anchor kind (a private chain holds none), a payload
+        that commit or rollover could not read, or one that disagrees with
+        the header: a reading's sensor and time must be the tx author and
+        timestamp, a context op's kind the tx kind. A
         context op must also be one state_digest can encode once applied
         (see check_digestible). The payload is parsed once, by the reader of
         its kind, and the result is kept for commit_batch."""
@@ -204,7 +208,7 @@ class PrivateNode:
                     raise InvalidArgument(f"payload op {parsed.op.label} in a {tx.kind.label} tx")
                 check_digestible(parsed)
             else:
-                canonical_loads(tx.payload)
+                raise InvalidArgument(f"a private chain holds no {tx.kind.label} transaction")
         except (ValueError, UnsupportedValue) as exc:  # UnicodeEncodeError is a ValueError
             raise InvalidTransaction(len(self.mempool), f"bad payload: {exc}") from exc
         self.mempool.append(tx)
@@ -213,7 +217,7 @@ class PrivateNode:
         return True
 
     def commit_batch(self) -> Block | None:
-        """Drain up to batch_size mempool transactions into one block.
+        """Drain up to BATCH_SIZE mempool transactions into one block.
 
         The context ops submit kept are applied to a trial state before the
         ledger advances, and the block's kept readings join the held ones
@@ -223,7 +227,7 @@ class PrivateNode:
         """
         if not self.mempool:
             return None
-        batch = self.mempool[:self.batch_size]
+        batch = self.mempool[:BATCH_SIZE]
         parsed = self._parsed[:len(batch)]
         trial = apply_ops(self.state, (p for p in parsed if type(p) is ContextOp))
         new_ledger, block = append_block(self.ledger, batch, self.clock)
@@ -243,8 +247,7 @@ class PrivateNode:
         """
         if self.mempool:
             raise NonEmptyMempool(f"{len(self.mempool)} transactions still pending")
-        return PrivateNode(self.channel_id, self.authorized_authors,
-                           batch_size=self.batch_size, clock=self.clock,
+        return PrivateNode(self.channel_id, self.authorized_authors, clock=self.clock,
                            genesis_anchor=anchor)
 
     def readings_in_window(self, start: int, end: int) -> list[SensorReading]:

@@ -29,6 +29,7 @@ from .ledger import (Block, Ledger, Transaction, TxKind, append_block, genesis, 
 
 DEFAULT_CONFIRMATIONS = 2
 META_SUFFIX = ".meta.json"
+OPERATIONS_ARRAY = "Cultural Operations"  # the document array trace_product counts
 
 
 @dataclass(frozen=True)
@@ -160,15 +161,15 @@ class PublicChain:
         """Consumer view: confirmed summaries plus the in-progress document.
 
         Returns a JSON value (canonical-encodable). When `doc` is given the
-        trace also reports the current field values and the length of the
-        "Cultural Operations" array.
+        trace also reports the current field values and the length of its
+        OPERATIONS_ARRAY array.
         """
         trace: dict = {
             "channel_id": channel_id,
             "summaries": [to_json_value(rec.summary) for rec in self.query_channel(channel_id)],
         }
         if doc is not None:
-            ops = doc.get("Cultural Operations", [])
+            ops = doc.get(OPERATIONS_ARRAY, [])
             trace["cultural_operations_count"] = len(ops) if isinstance(ops, list) else 0
             trace["current_values"] = doc
         return trace
@@ -241,12 +242,12 @@ class PublicClient:
     def submit_anchor(self, summary: EpochSummary) -> AnchorRecord:
         return self.chain.submit_anchor(summary, self.author)
 
-    def confirm(self, record: AnchorRecord, max_blocks: int | None = None) -> bool:
-        """Drive block production until `record` confirms; True on success."""
-        limit = max_blocks if max_blocks is not None else self.chain.confirmations_required + 2
+    def confirm(self, record: AnchorRecord) -> bool:
+        """Produce the pending block, then tick until `record` confirms, at most
+        confirmations_required + 2 times; True on success."""
         self.chain.produce_block()
-        produced = 0
-        while not self.chain.is_confirmed(record) and produced < limit:
+        for _ in range(self.chain.confirmations_required + 2):
+            if self.chain.is_confirmed(record):
+                return True
             self.chain.tick()
-            produced += 1
         return self.chain.is_confirmed(record)

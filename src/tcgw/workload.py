@@ -21,20 +21,20 @@ from .errors import InvalidArgument, InvalidWindow
 from .gateway import ValidityRange, range_bounds, rollover_epoch, verify_pruned_epoch
 from .ledger import Ledger, TxKind, head, ledger_size_bytes, make_transaction
 from .private_chain import (
+    BATCH_SIZE,
     METRICS,
     PrivateNode,
     SensorReading,
     decimal_value,
     reading_transaction,
 )
-from .public_chain import PublicChain, PublicClient
+from .public_chain import DEFAULT_CONFIRMATIONS, OPERATIONS_ARRAY, PublicChain, PublicClient
 from .rng import SplitMix64, derive_seed
 from .worldstate import ContextOp, op_payload
 
 PRODUCTS = ("asparagus", "pomegranate", "almond", "tomato", "durum_wheat")
 
 CULTURAL_OPERATIONS = ("irrigation", "fertilization", "pruning", "weeding", "pest_control")
-OPERATIONS_ARRAY = "Cultural Operations"
 DENSITY_FIELD = "Plant density"
 
 DAY = 86_400
@@ -80,6 +80,10 @@ class SensorSpec:
             raise InvalidArgument("sampling interval must be positive")
         if decimal_value(self.low, "low") > decimal_value(self.high, "high"):
             raise InvalidArgument(f"empty distribution for {self.sensor_id}")
+        # generate_readings writes floats sampled in [low, high]; below 1E+99
+        # they stay below the 1E+100 that decimal_value admits
+        if max(abs(float(self.low)), abs(float(self.high))) >= 1e99:
+            raise InvalidArgument(f"distribution of {self.sensor_id} reaches 1E+99")
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ class ScenarioConfig:
     epochs: int = 1
     ranges: tuple[ValidityRange, ...] = DEFAULT_VALIDITY_RANGES
     validators: int = 4
-    confirmations_required: int = 2
+    confirmations_required: int = DEFAULT_CONFIRMATIONS
 
     def __post_init__(self):
         if not self.fields:
@@ -134,6 +138,8 @@ class ScenarioConfig:
         if len(set(channels)) != len(channels):
             raise InvalidArgument("channel ids must be unique")
         range_bounds(self.ranges)  # two ranges for one metric raise DuplicateRange
+        for r in self.ranges:  # generate_readings writes this spike for a faulty reading
+            decimal_value(_spike_value(r.metric, self.ranges), f"{r.metric} fault spike")
         if self.validators < 1:
             raise InvalidArgument("need at least one validator")
 
@@ -238,7 +244,6 @@ class ScenarioResult:
     public_chain: PublicChain
     archives: dict[tuple[str, int], Ledger]
     final_docs: dict[str, dict | None]
-    events: list[dict]
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -279,7 +284,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             for tx in txs:
                 node.clock = max(node.clock, tx.timestamp)
                 node.submit(tx)
-                if len(node.mempool) >= node.batch_size:
+                if len(node.mempool) >= BATCH_SIZE:
                     node.commit_batch()
             while node.mempool:
                 node.commit_batch()
@@ -289,7 +294,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             pub.clock = window_end
             summary, _, new_node = rollover_epoch(
                 node, cfg.ranges, window_start, window_end,
-                clients[f.channel_id], trace=events)
+                clients[f.channel_id], events)
             archive = archives[(f.channel_id, epoch)] = node.ledger
             # Rebinding drops the archived node, and its held readings with
             # it, before the audit builds its own.
@@ -326,4 +331,4 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         "ok": all_ok,
         "public_head_height": head(pub.ledger)[0],
     }
-    return ScenarioResult(report, pub, archives, final_docs, events)
+    return ScenarioResult(report, pub, archives, final_docs)

@@ -76,18 +76,21 @@ def parse_op(payload: bytes) -> ContextOp:
 
 
 def op_from_value(value: Any) -> ContextOp:
-    """The ContextOp in a parsed payload; raises InvalidArgument if malformed."""
+    """The ContextOp in a parsed payload: an object with exactly the four
+    keys op_payload writes, its path a JSON array. Raises InvalidArgument if
+    malformed."""
     if not isinstance(value, dict):
         raise InvalidArgument("context payload must be a JSON object")
+    if len(value) != 4:
+        raise InvalidArgument(f"context payload has {len(value)} keys, not 4")
     try:
         kind = KIND_BY_LABEL[value["op"]]
-        doc_id = value["doc_id"]
-        path = tuple(value["path"])
+        doc_id, path, body = value["doc_id"], value["path"], value["value"]
     except (KeyError, TypeError) as exc:
         raise InvalidArgument(f"context payload missing field: {exc}") from exc
-    if "value" not in value:
-        raise InvalidArgument("context payload missing field: 'value'")
-    return ContextOp(kind, doc_id, path, value["value"])
+    if type(path) is not list:
+        raise InvalidArgument("context payload path must be a JSON array")
+    return ContextOp(kind, doc_id, tuple(path), body)
 
 
 class OpBatch:

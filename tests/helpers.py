@@ -7,6 +7,7 @@ import dataclasses
 from tcgw import (
     Ledger,
     PrivateNode,
+    PublicClient,
     SensorReading,
     Transaction,
     append_block,
@@ -49,6 +50,14 @@ def node_with_readings(channel: str = "fieldA", n: int = 60,
     while node.mempool:
         node.commit_batch()
     return node
+
+
+class NeverConfirms(PublicClient):
+    """A client whose anchor is included but never reaches confirmation depth."""
+
+    def confirm(self, record):
+        self.chain.produce_block()
+        return False
 
 
 def flip_byte(data: bytes, index: int, bit: int = 0x01) -> bytes:

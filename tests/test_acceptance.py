@@ -41,7 +41,7 @@ from tcgw.private_chain import SensorReading
 
 import dataclasses
 
-from helpers import build_ledger, node_with_readings, tamper_ledger
+from helpers import NeverConfirms, build_ledger, node_with_readings, tamper_ledger
 
 TEMP_RANGE = ValidityRange("temperature_c", "-20", "60")
 
@@ -145,18 +145,13 @@ def _sweep_scenario(seed: int) -> ScenarioConfig:
                           validators=3)
 
 
-class _NeverConfirms(PublicClient):
-    def confirm(self, record, max_blocks=None):
-        return super().confirm(record, max_blocks=0)
-
-
 @criterion(3, "publish-before-prune over 100 seeds; rejection leaves head unchanged")
 def test_criterion_3_publish_before_prune():
     for seed in range(100):
         result = run_scenario(_sweep_scenario(seed))
         assert result.report["ok"], f"seed {seed}: honest epoch failed verification"
         positions: dict[tuple[str, int], dict[str, int]] = {}
-        for index, event in enumerate(result.events):
+        for index, event in enumerate(result.report["events"]):
             positions.setdefault((event["channel"], event["epoch"]), {})[event["event"]] = index
         assert len(positions) == 4  # 2 fields x 2 epochs
         for key, marks in positions.items():
@@ -171,9 +166,9 @@ def test_criterion_3_publish_before_prune():
             client = PublicClient(pub, "gw-fieldA")
         else:
             pub = PublicChain(["val-0"], gateways=("gw-fieldA",))
-            client = _NeverConfirms(pub, "gw-fieldA")
+            client = NeverConfirms(pub, "gw-fieldA")
         with pytest.raises(PublishFailed):
-            rollover_epoch(node, [TEMP_RANGE], 0, 200, client)
+            rollover_epoch(node, [TEMP_RANGE], 0, 200, client, [])
         assert head(node.ledger) == before
 
 
@@ -216,7 +211,7 @@ def test_criterion_5_storage_growth():
     assert occupied[0] > 0
     ordered = [p.occupied_bytes for p in points]
     assert all(a < b for a, b in zip(ordered, ordered[1:])), "not strictly monotone"
-    fit = fit_storage(points, min_level=100)
+    fit = fit_storage(points)
     assert fit.r_squared >= 0.99, f"R^2 {fit.r_squared}"
     ratio = occupied[100_000] / occupied[10_000]
     assert 8.5 <= ratio <= 11.5, f"decade ratio {ratio:.3f}"

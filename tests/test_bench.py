@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from tcgw.bench import (
+    BENCH_CHANNEL,
+    BENCH_SENSOR,
     BenchPoint,
+    _time_batch,
     bench_batch_time,
     bench_memory,
     build_reading_ledger,
@@ -16,7 +19,7 @@ from tcgw.bench import (
 from tcgw.canon import canonical_loads
 from tcgw.errors import InvalidArgument
 from tcgw.ledger import verify_chain
-from tcgw.private_chain import PrivateNode
+from tcgw.private_chain import BATCH_SIZE, PrivateNode
 
 SMALL_LEVELS = [0, 5, 10, 50, 100, 500, 1000]
 
@@ -34,6 +37,26 @@ def test_built_ledgers_verify_and_batch_at_100():
     ledger = build_reading_ledger(250)
     assert verify_chain(ledger).ok
     assert [len(b.transactions) for b in ledger.blocks] == [0, 100, 100, 50]
+
+
+def test_timed_batch_commits_one_block_of_batch_size(monkeypatch):
+    """The timed region drains its batch with one commit_batch, onto a copy."""
+    base = build_reading_ledger(250)
+    node = PrivateNode(BENCH_CHANNEL, {BENCH_SENSOR}, ledger=base,
+                       clock=base.blocks[-1].timestamp)
+    committed = []
+    commit_batch = PrivateNode.commit_batch
+
+    def spy(self):
+        committed.append(self)
+        return commit_batch(self)
+
+    monkeypatch.setattr(PrivateNode, "commit_batch", spy)
+    _time_batch(node, 250, 0, verify_mode=True)
+    timed, = committed
+    assert timed.ledger.blocks[:-1] == base.blocks
+    assert len(timed.ledger.blocks[-1].transactions) == BATCH_SIZE
+    assert timed.mempool == [] and node.ledger is base
 
 
 def test_memory_points_positive_and_strictly_monotone():

@@ -83,6 +83,28 @@ def test_run_rejects_a_config_decimal_that_is_not_a_plain_literal(tmp_path, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("where, text, message", [
+    ("max_valid", "1E+100", "max_valid '1E+100' is not below 1E+100 in magnitude"),
+    ("high", "1.7E+308", "high '1.7E+308' is not below 1E+100 in magnitude"),
+    ("low", "-1E+400", "low '-1E+400' is not below 1E+100 in magnitude"),
+    ("max_valid", "1E+99", "fault spike '1.0E+100' is not below 1E+100 in magnitude"),
+    ("high", "9.9999999E+99", "reaches 1E+99"),
+])
+def test_run_rejects_a_config_value_that_a_reading_could_not_hold(tmp_path, capsys, where,
+                                                                  text, message):
+    """Sensor bounds, validity ranges and the fault spikes generated from them
+    must keep every reading below 1E+100, so no epoch statistic overflows."""
+    value = to_json_value(small_scenario())
+    sensor = value["fields"][0]["sensors"][0]
+    target = {"low": sensor, "high": sensor, "max_valid": value["ranges"][0]}[where]
+    target[where] = text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(canonical_json(value))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_verify_rejects_an_archived_reading_that_is_not_a_plain_literal(run_dir, tmp_path,
                                                                          capsys):
     """A re-linked archive whose reading carries the same number padded with a

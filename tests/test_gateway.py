@@ -34,9 +34,10 @@ from tcgw import (
 )
 from tcgw.canon import from_json_value, to_json_value
 from tcgw.errors import DuplicateRange, InvalidArgument, NonEmptyMempool, PublishFailed
+from tcgw.gateway import epoch_stats
 from tcgw.ledger import make_block
 
-from helpers import node_with_readings, reading_tx, tamper_ledger
+from helpers import NeverConfirms, node_with_readings, reading_tx, tamper_ledger
 
 TEMP_RANGE = ValidityRange("temperature_c", "-20", "60")
 
@@ -178,6 +179,30 @@ def test_rollover_and_audit_stats_equal_summarize_of_the_filtered_readings(pairs
     assert direct == rolled
 
 
+_extreme_values = st.one_of(
+    st.sampled_from(["9.999999999999999999999E+99", "-9.999999999999999999999E+99",
+                     "9E+99", "-9E+99", "1E-400", "-0E-500", "1E+100", "1.7E+308", "1E+400"]),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.builds("{}E{:+d}".format, st.integers(-10**25, 10**25), st.integers(-420, 420)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.tuples(st.sampled_from(METRICS), _extreme_values), max_size=30))
+def test_epoch_stats_of_admitted_values_are_finite(pairs):
+    """Whatever values SensorReading admits, epoch_stats neither raises nor
+    publishes inf or nan."""
+    readings = []
+    for ts, (metric, value) in enumerate(pairs):
+        try:
+            readings.append(_reading(value, ts, metric))
+        except InvalidArgument:
+            pass
+    stats, excluded = epoch_stats(readings, ())
+    assert excluded == 0 and sum(s.count for s in stats) == len(readings)
+    for s in stats:
+        assert math.isfinite(float(s.mean)) and math.isfinite(float(s.std_dev)), s
+
+
 def _two_pass(values):
     n = len(values)
     total = 0.0
@@ -230,25 +255,44 @@ def test_summary_json_roundtrip():
             from_json_value(EpochSummary, bad)
 
 
-def _rollover(node, pub, start, end, ranges=(TEMP_RANGE,), trace=None):
+def _rollover(node, pub, start, end, ranges=(TEMP_RANGE,)):
     client = PublicClient(pub, "gw-fieldA")
-    return rollover_epoch(node, ranges, start, end, client, trace=trace)
+    return rollover_epoch(node, ranges, start, end, client, [])
 
 
 def test_rollover_end_to_end():
     node = node_with_readings(n=300, spacing=10)  # readings in [0, 3000)
     pub = _pub()
-    trace: list = []
-    summary, record, fresh = _rollover(node, pub, 0, 3000, trace=trace)
+    events: list = []
+    summary, record, fresh = rollover_epoch(node, (TEMP_RANGE,), 0, 3000,
+                                            PublicClient(pub, "gw-fieldA"), events)
     assert sum(s.count for s in summary.stats) + summary.excluded_count == 300
     assert summary.epoch_index == 0
     assert (summary.ledger_height, summary.ledger_head_hash) == head(node.ledger)
     assert pub.is_confirmed(record)
     assert len(fresh.ledger.blocks) == 1
     assert fresh.ledger.genesis_anchor == record.summary_digest
-    assert [e["event"] for e in trace] == ["anchor_submitted", "anchor_confirmed", "ledger_reset"]
+    assert [e["event"] for e in events] == ["anchor_submitted", "anchor_confirmed", "ledger_reset"]
     # dimension reduction: archived ledger outweighs the fresh one
     assert ledger_size_bytes(fresh.ledger) < ledger_size_bytes(node.ledger)
+
+
+@pytest.mark.parametrize("gateways, client_type, steps", [
+    (("gw-fieldA",), PublicClient, ["anchor_submitted", "anchor_confirmed", "ledger_reset"]),
+    (("gw-fieldA",), NeverConfirms, ["anchor_submitted"]),
+    ((), PublicClient, []),
+], ids=["published", "unconfirmed", "rejected"])
+def test_rollover_appends_each_event_as_its_step_happens(gateways, client_type, steps):
+    node = node_with_readings(n=20, spacing=10)
+    client = client_type(_pub(gateways=gateways), "gw-fieldA")
+    events: list = [{"event": "earlier"}]
+    if steps[-1:] == ["ledger_reset"]:
+        rollover_epoch(node, (TEMP_RANGE,), 0, 200, client, events)
+    else:
+        with pytest.raises(PublishFailed):
+            rollover_epoch(node, (TEMP_RANGE,), 0, 200, client, events)
+    assert events == [{"event": "earlier"}] + [
+        {"event": step, "channel": "fieldA", "epoch": 0} for step in steps]
 
 
 def test_rollover_requires_empty_mempool():
@@ -339,16 +383,22 @@ def test_verify_pruned_epoch_detects_missing_anchor():
 def _epoch_with_ops():
     """Honest epoch of 60 readings in [0, 600) plus two updates and two
     appends to one document, over several blocks."""
-    node = PrivateNode("fieldA", {"s-0", "op-author"}, batch_size=7)
+    node = PrivateNode("fieldA", {"s-0", "op-author"})
+
+    def submit(tx):
+        node.submit(tx)
+        if len(node.mempool) == 7:
+            node.commit_batch()
+
     ops = {5: ContextOp(TxKind.UPDATE_FIELD, "lot1", ("Plant density",), "4.2"),
            12: ContextOp(TxKind.APPEND_TO_ARRAY, "lot1", ("Cultural Operations",), {"op": "irrigation"}),
            30: ContextOp(TxKind.UPDATE_FIELD, "lot1", ("origin", "parcel"), "It-BA-07"),
            41: ContextOp(TxKind.APPEND_TO_ARRAY, "lot1", ("Cultural Operations",), {"op": "pruning"})}
     for i in range(60):
         node.clock = i * 10
-        node.submit(reading_tx("fieldA", i, timestamp=i * 10))
+        submit(reading_tx("fieldA", i, timestamp=i * 10))
         if i in ops:
-            node.submit(make_transaction("fieldA", i * 10, ops[i].op, op_payload(ops[i]), "op-author"))
+            submit(make_transaction("fieldA", i * 10, ops[i].op, op_payload(ops[i]), "op-author"))
     while node.mempool:
         node.commit_batch()
     pub = _pub()

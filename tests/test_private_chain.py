@@ -29,7 +29,8 @@ from tcgw import (
     verify_chain,
 )
 from tcgw.canon import canonical_json
-from tcgw.private_chain import decimal_value
+from tcgw.private_chain import decimal_value, reading_from_value
+from tcgw.worldstate import op_from_value
 from tcgw.errors import (
     DuplicateTransaction,
     InvalidArgument,
@@ -76,6 +77,7 @@ def test_submit_rejects_wrong_channel():
 
 
 _READING = {"metric": "temperature_c", "sensor_id": "s-0", "timestamp": 0, "value": "20.5"}
+_OP = {"doc_id": "d", "op": "UpdateField", "path": ["k"], "value": 1}
 
 
 @pytest.mark.parametrize("kind, payload", [
@@ -94,10 +96,16 @@ _READING = {"metric": "temperature_c", "sensor_id": "s-0", "timestamp": 0, "valu
     (TxKind.RAW_READING, {**_READING, "value": "1_0"}),
     (TxKind.RAW_READING, {**_READING, "value": "12.5\n"}),
     (TxKind.RAW_READING, {**_READING, "value": "\u0661\u0661"}),
+    (TxKind.UPDATE_FIELD, {**_OP, "path": "abc"}),
+    (TxKind.UPDATE_FIELD, {**_OP, "path": {"k": 1}}),
+    (TxKind.UPDATE_FIELD, {**_OP, "extra": 0}),
+    (TxKind.RAW_READING, {**_READING, "extra": 0}),
+    (TxKind.RAW_READING, {**_READING, "value": "1E+100"}),
 ], ids=["unknown-metric", "list-value", "number-value", "array-payload", "string-payload",
         "empty-op", "number-doc-id", "other-sensor", "other-timestamp", "op-kind-mismatch",
         "bool-timestamp", "padded-value", "underscore-value", "newline-value",
-        "arabic-indic-value"])
+        "arabic-indic-value", "string-path", "object-path", "op-fifth-key",
+        "reading-fifth-key", "value-1E+100"])
 def test_submit_rejects_payload_later_stages_cannot_read(kind, payload):
     node = _node(authors=("s-0",))
     tx = make_transaction("fieldA", 0, kind, canonical_json(payload), "s-0")
@@ -116,7 +124,8 @@ def test_submit_rejects_payload_later_stages_cannot_read(kind, payload):
     (TxKind.ANCHOR, b'{"summary_digest":"00","weight":1.5}'),
     (TxKind.ANCHOR, b"{not json"),
     (TxKind.RAW_READING, b"[" * 100_000),
-], ids=["reading-fraction", "anchor-fraction", "anchor-not-json", "too-deep"])
+    (TxKind.ANCHOR, b'{"tick":1}'),  # well-formed, but a private chain holds no anchor
+], ids=["reading-fraction", "anchor-fraction", "anchor-not-json", "too-deep", "anchor"])
 def test_submit_rejects_payload_that_is_not_canonical_json(kind, payload):
     node = _node(authors=("s-0",))
     tx = make_transaction("fieldA", 0, kind, payload, "s-0")
@@ -125,6 +134,21 @@ def test_submit_rejects_payload_that_is_not_canonical_json(kind, payload):
     assert node.mempool == []
     assert "payload" in str(info.value)
     assert "tx_id" not in str(info.value)
+
+
+@pytest.mark.parametrize("read, value", [
+    (op_from_value, {**_OP, "path": "abc"}),
+    (op_from_value, {**_OP, "path": {"k": 1}}),
+    (op_from_value, {**_OP, "extra": 0}),
+    (reading_from_value, {**_READING, "extra": 0}),
+], ids=["string-path", "object-path", "op-fifth-key", "reading-fifth-key"])
+def test_payload_readers_take_exactly_the_shape_their_writers_make(read, value):
+    """A string path would be split into one key per character, and an extra
+    key ignored, so two payloads would apply or count as one."""
+    with pytest.raises(InvalidArgument):
+        read(value)
+    good = {**value, "path": ["k"]} if read is op_from_value else _READING
+    read({k: v for k, v in good.items() if k != "extra"})
 
 
 def _nested(depth: int):
@@ -167,12 +191,12 @@ def test_op_at_the_nesting_limit_is_admitted_and_rolls_over(kind, arrays):
     node.submit(_op_tx(0, op_payload(at_limit), kind))
     node.commit_batch()
     pub = PublicChain(["val-0"], ["gw-fieldA"], confirmations_required=1)
-    summary, _, _ = rollover_epoch(node, (), 0, 10, PublicClient(pub, "gw-fieldA"))
+    summary, _, _ = rollover_epoch(node, (), 0, 10, PublicClient(pub, "gw-fieldA"), [])
     assert summary.state_digest == state_digest(replay(node.ledger))
 
 
 def test_commit_batches_fifo_100_100_50():
-    node = _node(batch_size=100)
+    node = _node()
     for i in range(250):
         node.clock = i
         node.submit(reading_tx("fieldA", i))
@@ -342,7 +366,8 @@ def test_save_load_roundtrip(tmp_path):
         loaded.submit(dup)
 
 
-@pytest.mark.parametrize("text", ["-20", "20.50", "2.05E+1", "+1", ".5", "5.", "1e3", "-0", "0E-7"])
+@pytest.mark.parametrize("text", ["-20", "20.50", "2.05E+1", "+1", ".5", "5.", "1e3", "-0", "0E-7",
+                                  "9.999999999999999999999E+99", "-9E+99", "1E-400"])
 def test_decimal_value_reads_plain_literals(text):
     assert decimal_value(text) == Decimal(text)
 
@@ -360,6 +385,12 @@ def test_decimal_value_reads_plain_literals(text):
     ("abc", "value 'abc' is not a decimal"),
     ("", "value '' is not a decimal"),
     (5, "value 5 is not a decimal string"),
+    # plain, but of 1E+100 or more: epoch_stats overflowed or published inf or nan
+    ("1E+100", "value '1E+100' is not below 1E+100 in magnitude"),
+    ("0E+100", "value '0E+100' is not below 1E+100 in magnitude"),
+    ("-1E+200", "value '-1E+200' is not below 1E+100 in magnitude"),
+    ("1.7E+308", "value '1.7E+308' is not below 1E+100 in magnitude"),
+    ("1E+400", "value '1E+400' is not below 1E+100 in magnitude"),
 ])
 def test_decimal_value_rejects_what_is_not_a_plain_literal(text, message):
     with pytest.raises(InvalidArgument) as info:

@@ -245,7 +245,7 @@ def test_run_scenario_parses_each_reading_value_five_times(monkeypatch):
 def test_run_scenario_event_order_publish_before_prune():
     result = run_scenario(small_scenario())
     order: dict[tuple[str, int], dict[str, int]] = {}
-    for position, event in enumerate(result.events):
+    for position, event in enumerate(result.report["events"]):
         order.setdefault((event["channel"], event["epoch"]), {})[event["event"]] = position
     assert order
     for positions in order.values():
