@@ -160,18 +160,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _audit_epoch(path: Path | None, channel: str, epoch: int, chain: PublicChain,
                  ranges: tuple[ValidityRange, ...]) -> str:
-    """One epoch's verdict: "ok" or "FAIL (<codes>)"."""
+    """One epoch's verdict: "ok" or "FAIL (<codes>)", where the chain code
+    says where the archive broke: "chain: TxId at block 37", or the byte
+    offset at which it failed to decode."""
     if path is None:
         return "FAIL (missing)"
     try:
         ledger = load_ledger(path, chain_id=channel)
-    except TcgwError:
-        return "FAIL (chain)"  # unreadable bytes are a tamper signal, not a usage error
+    except TcgwError as exc:  # unreadable bytes are a tamper signal, not a usage error
+        return f"FAIL (chain: {exc})"
     record = chain.find_anchor(channel, epoch)
     if record is None:
         return "FAIL (anchor)"
     outcome = verify_pruned_epoch(ledger, record.summary, chain, ranges)
-    return "ok" if outcome.ok else f"FAIL ({', '.join(outcome.failures)})"
+    if outcome.ok:
+        return "ok"
+    codes = [f"chain: {outcome.chain}" if code == "chain" else code for code in outcome.failures]
+    return f"FAIL ({', '.join(codes)})"
 
 
 def cmd_trace(args: argparse.Namespace) -> int:

@@ -29,7 +29,7 @@ from .errors import (
     PublishFailed,
     UnknownGateway,
 )
-from .ledger import Ledger, Transaction, TxKind, head, verify_chain
+from .ledger import Ledger, Transaction, TxKind, VerificationReport, head, verify_chain
 from .private_chain import (METRICS, PrivateNode, SensorReading, decimal_value,
                             ledger_readings, reading_from_value)
 from .worldstate import CONTEXT_KINDS, EMPTY_STATE, OpBatch, op_from_value, state_digest
@@ -144,6 +144,49 @@ class _Group:
         self.least_text = self.greatest_text = text
 
 
+class _EpochStats:
+    """The one accumulator behind epoch_stats: `add` filters and folds in
+    one reading, in the order given, and `result` renders (stats, excluded
+    count). It keeps each kept value as a float, for the two-pass variance,
+    and no reading."""
+
+    __slots__ = ("bounds", "groups", "excluded")
+
+    def __init__(self, bounds: dict[str, tuple[Decimal, Decimal]]):
+        self.bounds = bounds
+        self.groups: dict[str, _Group] = {}
+        self.excluded = 0
+
+    def add(self, reading: SensorReading) -> None:
+        metric, text = reading.metric, reading.value
+        dec = Decimal(text)
+        limits = self.bounds.get(metric)
+        if limits is not None and not limits[0] <= dec <= limits[1]:
+            self.excluded += 1
+            return
+        group = self.groups.get(metric)
+        if group is None:
+            self.groups[metric] = _Group(dec, text)
+            return
+        group.values.append(float(text))
+        if dec < group.least:
+            group.least, group.least_text = dec, text
+        elif dec > group.greatest:
+            group.greatest, group.greatest_text = dec, text
+
+    def result(self) -> tuple[tuple[MetricStats, ...], int]:
+        stats = []
+        for metric in sorted(self.groups):
+            group = self.groups[metric]
+            values = group.values
+            n = len(values)
+            mean = math.fsum(values) / n
+            variance = math.fsum((v - mean) * (v - mean) for v in values) / n
+            stats.append(MetricStats(metric, n, repr(mean), repr(math.sqrt(variance)),
+                                     group.least_text, group.greatest_text))
+        return tuple(stats), self.excluded
+
+
 def epoch_stats(readings: Iterable[SensorReading],
                 ranges: Iterable[ValidityRange]) -> tuple[tuple[MetricStats, ...], int]:
     """(stats, excluded count) of an epoch: the same as summarize(kept) and
@@ -153,35 +196,11 @@ def epoch_stats(readings: Iterable[SensorReading],
     float() of a plain decimal literal equals float() of its Decimal: both
     round the same exact value correctly.
     """
-    bounds = range_bounds(ranges)
-    groups: dict[str, _Group] = {}
-    excluded = 0
+    stats = _EpochStats(range_bounds(ranges))
+    add = stats.add
     for reading in readings:
-        metric, text = reading.metric, reading.value
-        dec = Decimal(text)
-        limits = bounds.get(metric)
-        if limits is not None and not limits[0] <= dec <= limits[1]:
-            excluded += 1
-            continue
-        group = groups.get(metric)
-        if group is None:
-            groups[metric] = _Group(dec, text)
-            continue
-        group.values.append(float(text))
-        if dec < group.least:
-            group.least, group.least_text = dec, text
-        elif dec > group.greatest:
-            group.greatest, group.greatest_text = dec, text
-    stats = []
-    for metric in sorted(groups):
-        group = groups[metric]
-        values = group.values
-        n = len(values)
-        mean = math.fsum(values) / n
-        variance = math.fsum((v - mean) * (v - mean) for v in values) / n
-        stats.append(MetricStats(metric, n, repr(mean), repr(math.sqrt(variance)),
-                                 group.least_text, group.greatest_text))
-    return tuple(stats), excluded
+        add(reading)
+    return stats.result()
 
 
 def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
@@ -236,7 +255,11 @@ def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
 
 @dataclass(frozen=True)
 class EpochVerification:
+    """The failure codes of one audit, and where verify_chain found the
+    archive broken (`chain.ok` when it was not)."""
+
     failures: tuple[str, ...]
+    chain: VerificationReport
 
     @property
     def ok(self) -> bool:
@@ -256,43 +279,52 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
                in-window reading does not decode
       anchor - no confirmed public anchor commits to these summary bytes
 
-    One walk: verify_chain hands each parsed payload to a visitor that keeps
-    the in-window readings and feeds context ops to one OpBatch. On a broken
-    chain `state` is unchecked and the readings are read from the whole archive.
+    One walk: verify_chain hands each parsed payload to a visitor that folds
+    each in-window reading into the epoch_stats accumulator as it goes, so
+    no list of readings is built, and feeds context ops to one OpBatch. On a
+    broken chain `state` is unchecked and the stats are recomputed from
+    every in-window reading of the whole archive.
 
     `pub` is the PublicChain (or anything with find_anchor and is_confirmed).
     """
     start, end = summary.window_start, summary.window_end
-    readings: list[SensorReading] = []
     batch = OpBatch(EMPTY_STATE)
     found: set[str] = set()  # codes of payloads that do not decode or apply
+    try:
+        bounds = range_bounds(ranges)
+    except Exception:  # ranges that cannot be read reproduce no stats
+        bounds = {}
+        found.add("stats")
+    stats = _EpochStats(bounds)
+    add_reading = stats.add
 
     def visit(height: int, index: int, tx: Transaction, value) -> None:
         try:
             if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end:
-                readings.append(reading_from_value(value))
+                add_reading(reading_from_value(value))
             elif tx.kind in CONTEXT_KINDS and "state" not in found:
                 batch.apply(op_from_value(value))
-        except (InvalidArgument, PathTypeConflict):
+        except (InvalidArgument, PathTypeConflict, ArithmeticError):  # a NaN bound compares
             found.add("stats" if tx.kind is TxKind.RAW_READING else "state")
 
     failures: list[str] = []
-    chain_ok = verify_chain(archived, visit).ok
-    if not chain_ok:
+    chain = verify_chain(archived, visit)
+    if not chain.ok:
         failures.append("chain")
     if head(archived) != (summary.ledger_height, summary.ledger_head_hash):
         failures.append("head")
-    if chain_ok:
+    if chain.ok:
         try:
             if "state" in found or state_digest(batch.state()) != summary.state_digest:
                 failures.append("state")
         except Exception:
             failures.append("state")
     try:
-        if not chain_ok:
-            readings = ledger_readings(archived, start, end)
-        if ("stats" in found or epoch_stats(readings, ranges)
-                != (summary.stats, summary.excluded_count)):
+        if not chain.ok:  # the walk stopped at the bad block
+            stats = _EpochStats(bounds)
+            for reading in ledger_readings(archived, start, end):
+                stats.add(reading)
+        if "stats" in found or stats.result() != (summary.stats, summary.excluded_count):
             failures.append("stats")
     except Exception:
         failures.append("stats")
@@ -300,4 +332,4 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
     if (record is None or not pub.is_confirmed(record)
             or record.summary_digest != summary_digest(summary)):
         failures.append("anchor")
-    return EpochVerification(tuple(failures))
+    return EpochVerification(tuple(failures), chain)

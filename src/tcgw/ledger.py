@@ -306,6 +306,10 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.reason is None
 
+    def __str__(self) -> str:
+        """Where the chain broke, as in "TxId at block 37"; "ok" if it did not."""
+        return "ok" if self.ok else f"{self.reason.value} at block {self.first_bad_height}"
+
 
 def verify_chain(ledger: Ledger,
                  visit: Callable[..., None] | None = None) -> VerificationReport:
@@ -346,15 +350,24 @@ def verify_chain(ledger: Ledger,
     return VerificationReport()
 
 
+class _Utf8Sizes(dict):
+    """str -> its UTF-8 length, encoding each distinct string once."""
+
+    def __missing__(self, name: str) -> int:
+        size = self[name] = len(name.encode("utf-8"))
+        return size
+
+
 def ledger_size_bytes(ledger: Ledger) -> int:
     """Total serialized size of all blocks (the persisted payload), without
     serializing: a block's fixed fields plus, per transaction, its fixed
-    fields and the lengths of its two strings (as UTF-8) and its payload."""
-    total = _BLOCK_FIXED_SIZE * len(ledger.blocks)
+    fields and the lengths of its two strings (as UTF-8) and its payload.
+    Each distinct channel_id and author_id is encoded once per call."""
+    total, sizes = _BLOCK_FIXED_SIZE * len(ledger.blocks), _Utf8Sizes()
     for block in ledger.blocks:
         for tx in block.transactions:
-            total += (_TX_FIXED_SIZE + len(tx.channel_id.encode("utf-8"))
-                      + len(tx.payload) + len(tx.author_id.encode("utf-8")))
+            total += (_TX_FIXED_SIZE + sizes[tx.channel_id]
+                      + len(tx.payload) + sizes[tx.author_id])
     return total
 
 

@@ -11,6 +11,7 @@ value stays alive for archival.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Any
@@ -42,6 +43,7 @@ from .worldstate import (CONTEXT_KINDS, ContextOp, WorldState, apply_ops, check_
                          parse_op, replay)
 
 METRICS = ("temperature_c", "humidity_pct", "rain_pct", "wind_speed_ms")
+_METRIC_NAMES = {metric: metric for metric in METRICS}  # a parsed name -> the constant
 
 BATCH_SIZE = 100  # transactions per block at most
 
@@ -89,6 +91,8 @@ class SensorReading:
     timestamp: int
 
     def __init__(self, sensor_id: str, metric: str, value: str, timestamp: int):
+        if not isinstance(sensor_id, str):
+            raise InvalidArgument(f"sensor_id {sensor_id!r} is not a string")
         if metric not in METRICS:
             raise InvalidArgument(f"unknown metric {metric!r}")
         if not isinstance(value, str):
@@ -121,11 +125,17 @@ def parse_reading(payload: bytes) -> SensorReading:
 
 def reading_from_value(value: Any) -> SensorReading:
     """The SensorReading in a parsed payload: an object with exactly the four
-    keys reading_payload writes. Raises InvalidArgument if malformed."""
+    keys reading_payload writes. Raises InvalidArgument if malformed.
+
+    The readings share their names instead of each holding the parse's own
+    copies: `metric` is the METRICS string, `sensor_id` the interned one
+    (sys.intern refuses a non-str with TypeError, read as malformed here).
+    """
     try:
         if len(value) != 4:
             raise InvalidArgument(f"reading payload has {len(value)} keys, not 4")
-        return SensorReading(value["sensor_id"], value["metric"],
+        metric = value["metric"]
+        return SensorReading(sys.intern(value["sensor_id"]), _METRIC_NAMES.get(metric, metric),
                              value["value"], value["timestamp"])
     except (KeyError, TypeError) as exc:
         raise InvalidArgument(f"malformed reading payload: {exc}") from exc

@@ -224,7 +224,7 @@ class PublicChain:
 
         report = verify_chain(ledger, visit)
         if not report.ok:
-            raise InvalidChain(f"{report.reason.value} at block {report.first_bad_height}")
+            raise InvalidChain(str(report))
         chain.ledger, chain.clock = ledger, ledger.blocks[-1].timestamp
         return chain
 

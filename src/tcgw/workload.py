@@ -280,12 +280,18 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             txs = [reading_transaction(f.channel_id, r) for r in readings]
             txs += [make_transaction(f.channel_id, t, op.op, op_payload(op), f.ops_author)
                     for t, op in ops]
+            generated = len(readings)
+            cultural = sum(1 for _, op in ops if op.op is TxKind.APPEND_TO_ARRAY)
+            # The transactions carry everything the node keeps (submit parses
+            # its own copies), so the generator's lists go before it does.
+            del readings, ops
             txs.sort(key=lambda tx: (tx.timestamp, tx.author_id, tx.tx_id))
             for tx in txs:
                 node.clock = max(node.clock, tx.timestamp)
                 node.submit(tx)
                 if len(node.mempool) >= BATCH_SIZE:
                     node.commit_batch()
+            del txs
             while node.mempool:
                 node.commit_batch()
 
@@ -297,21 +303,20 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 clients[f.channel_id], events)
             archive = archives[(f.channel_id, epoch)] = node.ledger
             # Rebinding drops the archived node, and its held readings with
-            # it, before the audit builds its own.
+            # it, before the audit walks the archive.
             nodes[f.channel_id] = node = new_node
             verification = verify_pruned_epoch(archive, summary, pub, cfg.ranges)
             if epoch == cfg.epochs - 1:
                 final_docs[f.channel_id] = doc_body
 
-            cultural = sum(1 for _, op in ops if op.op is TxKind.APPEND_TO_ARRAY)
             rows[f.channel_id].append({
                 "anchor_included_height": pub.included[f.channel_id, summary.epoch_index],
                 "archive_file": archive_name(f.channel_id, epoch),
                 "cultural_operations": cultural,
                 "epoch_index": summary.epoch_index,
                 "excluded": summary.excluded_count,
-                "generated": len(readings),
-                "kept": len(readings) - summary.excluded_count,
+                "generated": generated,
+                "kept": generated - summary.excluded_count,
                 "post_reset_size": ledger_size_bytes(node.ledger),
                 "pre_reset_size": pre_size,
                 "summary": to_json_value(summary),

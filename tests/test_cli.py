@@ -11,7 +11,7 @@ from tcgw.canon import canonical_json, canonical_loads, to_json_value
 from tcgw.cli import main
 from tcgw.ledger import iter_transactions, load_ledger, save_ledger
 
-from helpers import flip_byte
+from helpers import flip_byte, tamper_ledger
 from test_gateway import _relink
 from test_workload import small_scenario
 
@@ -154,6 +154,23 @@ def test_verify_flags_corrupted_archive(run_dir, tmp_path, capsys):
     assert "north" in captured.err and "1" in captured.err
 
 
+@pytest.mark.parametrize("target, fault", [("tx_id", "TxId"), ("tx_root", "TxRoot"),
+                                           ("previous_hash", "HashLink")])
+def test_verify_names_the_block_where_an_archive_breaks(run_dir, tmp_path, capsys,
+                                                        target, fault):
+    archive = tmp_path / "archive"
+    archive.mkdir()
+    for path in (run_dir / "archive").iterdir():
+        archive.joinpath(path.name).write_bytes(path.read_bytes())
+    victim = archive / "south.epoch1.tcgw"
+    save_ledger(tamper_ledger(load_ledger(victim), height=1, target=target), victim)
+    assert main(["verify", "--archive", str(archive),
+                 "--chain", str(run_dir / "public.tcgw")]) == 1
+    out = capsys.readouterr().out
+    assert f"south epoch 1: FAIL (chain: {fault} at block 1)\n" in out
+    assert out.count(": ok") == 3
+
+
 def test_invalid_utf8_in_archive_is_a_chain_failure(run_dir, tmp_path, capsys):
     tampered_dir = tmp_path / "archive"
     tampered_dir.mkdir()
@@ -168,7 +185,7 @@ def test_invalid_utf8_in_archive_is_a_chain_failure(run_dir, tmp_path, capsys):
     assert main(["verify", "--archive", str(tampered_dir),
                  "--chain", str(run_dir / "public.tcgw")]) == 1
     out = capsys.readouterr().out
-    assert "north epoch 0: FAIL (chain)" in out
+    assert "north epoch 0: FAIL (chain: string at byte 241 is not valid UTF-8)" in out
     assert out.count(": ok") == 3  # the later archives are still checked
     assert main(["inspect", str(victim)]) == 2
     assert "not valid UTF-8" in capsys.readouterr().err

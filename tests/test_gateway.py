@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -345,6 +346,37 @@ def test_verify_pruned_epoch_honest_run():
     archived, summary, pub = _honest_epoch()
     outcome = verify_pruned_epoch(archived, summary, pub, [TEMP_RANGE])
     assert outcome.ok and outcome.failures == ()
+
+
+def _audit_peak(n: int) -> int:
+    """Bytes the traced heap peaks above its level before verify_pruned_epoch
+    audits an honest epoch of n readings."""
+    node = node_with_readings(n=n, spacing=10)
+    pub = _pub()
+    summary, _, _ = _rollover(node, pub, 0, n * 10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert verify_pruned_epoch(node.ledger, summary, pub, [TEMP_RANGE]).ok
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_pruned_epoch_holds_no_reading_per_reading():
+    """The audit streams each reading into the stats: its peak grows by a
+    float and a list slot per reading (32 bytes), not by a SensorReading and
+    its strings (about 300 bytes)."""
+    n = 1000
+    assert (_audit_peak(2 * n) - _audit_peak(n)) / n < 100
+
+
+def test_verify_pruned_epoch_reports_ranges_it_cannot_read_as_stats():
+    archived, summary, pub = _honest_epoch()
+    assert verify_pruned_epoch(archived, summary, pub, [TEMP_RANGE] * 2).failures == ("stats",)
+    nan_range = dataclasses.make_dataclass("R", ["metric", "min_valid", "max_valid"])(
+        "temperature_c", "NaN", "60")  # no ValidityRange check: every comparison raises
+    assert verify_pruned_epoch(archived, summary, pub, [nan_range]).failures == ("stats",)
 
 
 def test_verify_pruned_epoch_detects_archive_tamper():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcgw import (
+    METRICS,
     ContextOp,
     PrivateNode,
     PublicChain,
@@ -28,7 +29,7 @@ from tcgw import (
     state_digest,
     verify_chain,
 )
-from tcgw.canon import canonical_json
+from tcgw.canon import canonical_json, canonical_loads
 from tcgw.private_chain import decimal_value, reading_from_value
 from tcgw.worldstate import op_from_value
 from tcgw.errors import (
@@ -134,6 +135,36 @@ def test_submit_rejects_payload_that_is_not_canonical_json(kind, payload):
     assert node.mempool == []
     assert "payload" in str(info.value)
     assert "tx_id" not in str(info.value)
+
+
+@pytest.mark.parametrize("sensor_id", [None, ["x"], {"a": 1}, 7],
+                         ids=["null", "array", "object", "number"])
+def test_reading_from_value_refuses_a_sensor_id_that_is_not_a_string(sensor_id):
+    with pytest.raises(InvalidArgument):
+        reading_from_value({**_READING, "sensor_id": sensor_id})
+
+
+def test_parsed_readings_share_their_name_strings(tmp_path):
+    """Every reading parsed from a payload holds the METRICS string as its
+    metric and one shared string per sensor_id, not the parse's own copies;
+    the held readings still equal a parse of the ledger."""
+    node = _node(authors=("s-0", "s-1"))
+    for i in range(40):
+        node.submit(reading_tx("fieldA", i, sensor=f"s-{i % 2}", metric=METRICS[i % 4]))
+    while node.mempool:
+        node.commit_batch()
+    held = node.readings_in_window(0, 1 << 64)
+    assert held == ledger_readings(node.ledger, 0, 1 << 64)
+    path = save_ledger(node.ledger, tmp_path / "fieldA.tcgw")
+    reloaded = PrivateNode("fieldA", {"s-0", "s-1"}, ledger=load_ledger(path))
+    assert reloaded.readings_in_window(0, 1 << 64) == held
+    parsed = (held + reloaded.readings_in_window(0, 1 << 64)
+              + ledger_readings(node.ledger, 0, 1 << 64)
+              + [reading_from_value(canonical_loads(tx.payload))
+                 for _, _, tx in iter_transactions(node.ledger)])
+    assert len(parsed) == 160
+    assert {id(r.metric) for r in parsed} == {id(metric) for metric in METRICS}
+    assert len({id(r.sensor_id) for r in parsed}) == 2
 
 
 @pytest.mark.parametrize("read, value", [

@@ -128,6 +128,13 @@ _R = ("s-0", "temperature_c", "20.5", 0)
     (("s-0", "temperature_c", 20, "0"), "value 20 is not a decimal string"),
     (("s-0", "temperature_c", "abc", "0"), "timestamp '0' is not an integer"),
     (("s-0", "temperature_c", "NaN", "0"), "timestamp '0' is not an integer"),
+    ((None, "pressure", 20, "0"), "sensor_id None is not a string"),
+    # a sensor_id of each type that is not a string
+    ((None, "temperature_c", "20.5", 0), "sensor_id None is not a string"),
+    ((["x"], "temperature_c", "20.5", 0), "sensor_id ['x'] is not a string"),
+    (({"a": 1}, "temperature_c", "20.5", 0), "sensor_id {'a': 1} is not a string"),
+    ((7, "temperature_c", "20.5", 0), "sensor_id 7 is not a string"),
+    ((b"s-0", "temperature_c", "20.5", 0), "sensor_id b's-0' is not a string"),
 ])
 def test_sensor_reading_errors(args, message):
     with pytest.raises(InvalidArgument) as info:
