@@ -31,7 +31,7 @@ from .errors import (
 )
 from .ledger import Ledger, Transaction, TxKind, VerificationReport, head, verify_chain
 from .private_chain import (METRICS, PrivateNode, SensorReading, decimal_value,
-                            ledger_readings, reading_from_value)
+                            ledger_readings, reading_fields)
 from .worldstate import CONTEXT_KINDS, EMPTY_STATE, OpBatch, op_from_value, state_digest
 
 
@@ -97,17 +97,15 @@ def filter_out_of_scale(readings: Sequence[SensorReading],
 
     A reading is kept when its metric has no configured range or its value
     lies inside the inclusive bounds; everything else is treated as sensor
-    malfunction or tampering and excluded from analysis.
+    malfunction or tampering and excluded from analysis. The bound test is
+    the one epoch_stats folds with.
     """
-    bounds = range_bounds(ranges)
+    add = _EpochStats(range_bounds(ranges)).add
     kept: list[SensorReading] = []
     excluded: list[SensorReading] = []
     for reading in readings:
-        limits = bounds.get(reading.metric)
-        if limits is None or limits[0] <= Decimal(reading.value) <= limits[1]:
-            kept.append(reading)
-        else:
-            excluded.append(reading)
+        (kept if add(reading.metric, reading.value, Decimal(reading.value))
+         else excluded).append(reading)
     return kept, excluded
 
 
@@ -145,10 +143,12 @@ class _Group:
 
 
 class _EpochStats:
-    """The one accumulator behind epoch_stats: `add` filters and folds in
-    one reading, in the order given, and `result` renders (stats, excluded
-    count). It keeps each kept value as a float, for the two-pass variance,
-    and no reading."""
+    """The one fold behind rollover, the audit and epoch_stats: `add` filters
+    and folds in one reading's (metric, value text, Decimal of the text) and
+    says whether it was kept, and `result` renders (stats, excluded count).
+    Each metric's readings must come in commit order; how metrics interleave
+    does not matter. It keeps each kept value as a float, for the two-pass
+    variance, and no reading."""
 
     __slots__ = ("bounds", "groups", "excluded")
 
@@ -157,22 +157,21 @@ class _EpochStats:
         self.groups: dict[str, _Group] = {}
         self.excluded = 0
 
-    def add(self, reading: SensorReading) -> None:
-        metric, text = reading.metric, reading.value
-        dec = Decimal(text)
+    def add(self, metric: str, text: str, dec: Decimal) -> bool:
         limits = self.bounds.get(metric)
         if limits is not None and not limits[0] <= dec <= limits[1]:
             self.excluded += 1
-            return
+            return False
         group = self.groups.get(metric)
         if group is None:
             self.groups[metric] = _Group(dec, text)
-            return
+            return True
         group.values.append(float(text))
         if dec < group.least:
             group.least, group.least_text = dec, text
         elif dec > group.greatest:
             group.greatest, group.greatest_text = dec, text
+        return True
 
     def result(self) -> tuple[tuple[MetricStats, ...], int]:
         stats = []
@@ -196,11 +195,17 @@ def epoch_stats(readings: Iterable[SensorReading],
     float() of a plain decimal literal equals float() of its Decimal: both
     round the same exact value correctly.
     """
-    stats = _EpochStats(range_bounds(ranges))
+    return _fold(((r.metric, r.value) for r in readings), range_bounds(ranges)).result()
+
+
+def _fold(texts: Iterable[tuple[str, str]],
+          bounds: dict[str, tuple[Decimal, Decimal]]) -> _EpochStats:
+    """The fold of (metric, value text) pairs, each text parsed once."""
+    stats = _EpochStats(bounds)
     add = stats.add
-    for reading in readings:
-        add(reading)
-    return stats.result()
+    for metric, text in texts:
+        add(metric, text, Decimal(text))
+    return stats
 
 
 def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
@@ -208,9 +213,10 @@ def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
                    events: list) -> tuple[EpochSummary, object, PrivateNode]:
     """Close an epoch: collect, filter, summarize, anchor, then reset.
 
-    The readings come from the node's held list, parsed once at submit; the
-    ledger is not walked. A reading outside [window_start, window_end)
-    raises InvalidWindow before anything is published.
+    The readings are the node's held value texts, checked once at submit
+    and folded per metric in commit order; the ledger is not walked. An
+    empty or inverted window, or a held time span outside [window_start,
+    window_end), raises InvalidWindow before anything is published.
 
     `pub` is the gateway's public-chain client (see public_chain.PublicClient).
     On any publication failure the private ledger is untouched and
@@ -223,10 +229,13 @@ def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
     """
     if node.mempool:
         raise NonEmptyMempool("commit or drop pending transactions before rollover")
-    readings = node.readings_in_window(window_start, window_end)
-    if node.raw_reading_count() != len(readings):
+    if window_start >= window_end:
+        raise InvalidWindow(f"[{window_start}, {window_end}) is empty or inverted")
+    span = node.time_span
+    if span is not None and not window_start <= span[0] <= span[1] < window_end:
         raise InvalidWindow("ledger holds readings outside the epoch window")
-    stats, excluded = epoch_stats(readings, ranges)
+    stats, excluded = _fold(((metric, text) for metric, texts in node.values.items()
+                             for text in texts), range_bounds(ranges)).result()
     height, head_hash = head(node.ledger)
     summary = EpochSummary(
         channel_id=node.channel_id,
@@ -279,9 +288,10 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
                in-window reading does not decode
       anchor - no confirmed public anchor commits to these summary bytes
 
-    One walk: verify_chain hands each parsed payload to a visitor that folds
-    each in-window reading into the epoch_stats accumulator as it goes, so
-    no list of readings is built, and feeds context ops to one OpBatch. On a
+    One walk: verify_chain hands each parsed payload to a visitor that
+    checks each in-window reading with reading_fields and folds its value
+    text and Decimal into the epoch_stats fold as it goes, so no list and
+    no SensorReading is built, and feeds context ops to one OpBatch. On a
     broken chain `state` is unchecked and the stats are recomputed from
     every in-window reading of the whole archive.
 
@@ -301,7 +311,8 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
     def visit(height: int, index: int, tx: Transaction, value) -> None:
         try:
             if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end:
-                add_reading(reading_from_value(value))
+                _, metric, text, _, dec = reading_fields(value)
+                add_reading(metric, text, dec)
             elif tx.kind in CONTEXT_KINDS and "state" not in found:
                 batch.apply(op_from_value(value))
         except (InvalidArgument, PathTypeConflict, ArithmeticError):  # a NaN bound compares
@@ -321,9 +332,8 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
             failures.append("state")
     try:
         if not chain.ok:  # the walk stopped at the bad block
-            stats = _EpochStats(bounds)
-            for reading in ledger_readings(archived, start, end):
-                stats.add(reading)
+            stats = _fold(((r.metric, r.value) for r in ledger_readings(archived, start, end)),
+                          bounds)
         if "stats" in found or stats.result() != (summary.stats, summary.excluded_count):
             failures.append("stats")
     except Exception:

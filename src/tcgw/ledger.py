@@ -318,7 +318,9 @@ def verify_chain(ledger: Ledger,
     Per block, checks run in this order: height continuity, previous-hash
     link, per-transaction ids (transaction_valid) and payload parseability
     (canonical_loads; a payload that does not parse is also a TX_ID fault),
-    Merkle root, own block hash. A single flipped byte anywhere in the data
+    Merkle root, own block hash. A block that holds one tx id twice is a
+    TX_ROOT fault: merkle_root pads an odd level with its last node, so a
+    block with its last transactions repeated has the same root. A single flipped byte anywhere in the data
     surfaces at the mutated block or the one after it.
 
     `visit(height, index, tx, value)` is called in chain order with the
@@ -341,7 +343,8 @@ def verify_chain(ledger: Ledger,
                 return VerificationReport(index, ChainFault.TX_ID)
             if visit is not None:
                 visit(index, i, tx, value)
-        if merkle_root([tx.tx_id for tx in block.transactions]) != block.tx_root:
+        ids = [tx.tx_id for tx in block.transactions]
+        if len(set(ids)) != len(ids) or merkle_root(ids) != block.tx_root:
             return VerificationReport(index, ChainFault.TX_ROOT)
         if sha256(_block_header(block.height, block.previous_hash,
                                 block.timestamp, block.tx_root)) != block.block_hash:

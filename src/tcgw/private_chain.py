@@ -2,11 +2,12 @@
 
 A PrivateNode accepts sensor readings and context operations from a fixed
 set of authorized authors, batches them FIFO into blocks, and keeps its
-world state and its committed readings equal to a replay of its ledger
-after every commit. Resetting with an anchor starts a fresh one-block
-ledger that holds the published summary's digest as `genesis_anchor`, in
-memory only: the genesis block neither hashes nor saves it. The old ledger
-value stays alive for archival.
+world state, and the value texts and time span of its committed readings,
+equal to a replay of its ledger after every commit; it holds no
+SensorReading. Resetting with an anchor starts a fresh one-block ledger
+that holds the published summary's digest as `genesis_anchor`, in memory
+only: the genesis block neither hashes nor saves it. The old ledger value
+stays alive for archival.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import (
     DuplicateTransaction,
     InvalidArgument,
     InvalidTransaction,
-    InvalidWindow,
     NonEmptyMempool,
     UnauthorizedAuthor,
     UnsupportedValue,
@@ -91,20 +91,30 @@ class SensorReading:
     timestamp: int
 
     def __init__(self, sensor_id: str, metric: str, value: str, timestamp: int):
-        if not isinstance(sensor_id, str):
-            raise InvalidArgument(f"sensor_id {sensor_id!r} is not a string")
-        if metric not in METRICS:
-            raise InvalidArgument(f"unknown metric {metric!r}")
-        if not isinstance(value, str):
-            raise InvalidArgument(f"value {value!r} is not a decimal string")
-        if type(timestamp) is not int:
-            raise InvalidArgument(f"timestamp {timestamp!r} is not an integer")
-        decimal_value(value)
-        set_sensor_id, set_metric, set_value, set_timestamp = _READING_SLOTS
-        set_sensor_id(self, sensor_id)
-        set_metric(self, metric)
-        set_value(self, value)
-        set_timestamp(self, timestamp)
+        _check_reading(sensor_id, metric, value, timestamp)
+        _set_reading(self, sensor_id, metric, value, timestamp)
+
+
+def _check_reading(sensor_id, metric, value, timestamp) -> Decimal:
+    """Every check a SensorReading's fields pass; returns the value's Decimal."""
+    if not isinstance(sensor_id, str):
+        raise InvalidArgument(f"sensor_id {sensor_id!r} is not a string")
+    if metric not in METRICS:
+        raise InvalidArgument(f"unknown metric {metric!r}")
+    if not isinstance(value, str):
+        raise InvalidArgument(f"value {value!r} is not a decimal string")
+    if type(timestamp) is not int:
+        raise InvalidArgument(f"timestamp {timestamp!r} is not an integer")
+    return decimal_value(value)
+
+
+def _set_reading(reading: SensorReading, sensor_id: str, metric: str, value: str,
+                 timestamp: int) -> None:
+    set_sensor_id, set_metric, set_value, set_timestamp = _READING_SLOTS
+    set_sensor_id(reading, sensor_id)
+    set_metric(reading, metric)
+    set_value(reading, value)
+    set_timestamp(reading, timestamp)
 
 
 _READING_SLOTS = slot_setters(SensorReading)
@@ -123,22 +133,32 @@ def parse_reading(payload: bytes) -> SensorReading:
     return reading_from_value(canonical_loads(payload))
 
 
-def reading_from_value(value: Any) -> SensorReading:
-    """The SensorReading in a parsed payload: an object with exactly the four
-    keys reading_payload writes. Raises InvalidArgument if malformed.
-
-    The readings share their names instead of each holding the parse's own
-    copies: `metric` is the METRICS string, `sensor_id` the interned one
-    (sys.intern refuses a non-str with TypeError, read as malformed here).
-    """
+def reading_fields(value: Any) -> tuple[str, str, str, int, Decimal]:
+    """(sensor_id, metric, value, timestamp, Decimal of value) of a parsed
+    payload: an object with exactly the four keys reading_payload writes,
+    whose fields pass every SensorReading check. No object is built, and
+    `metric` is the METRICS string. Raises InvalidArgument if malformed."""
     try:
         if len(value) != 4:
             raise InvalidArgument(f"reading payload has {len(value)} keys, not 4")
-        metric = value["metric"]
-        return SensorReading(sys.intern(value["sensor_id"]), _METRIC_NAMES.get(metric, metric),
-                             value["value"], value["timestamp"])
+        metric, sensor_id, text, timestamp = (value["metric"], value["sensor_id"],
+                                              value["value"], value["timestamp"])
     except (KeyError, TypeError) as exc:
         raise InvalidArgument(f"malformed reading payload: {exc}") from exc
+    dec = _check_reading(sensor_id, metric, text, timestamp)
+    return sensor_id, _METRIC_NAMES[metric], text, timestamp, dec
+
+
+def reading_from_value(value: Any) -> SensorReading:
+    """The SensorReading in a parsed payload, checked by reading_fields.
+
+    The readings share their names instead of each holding the parse's own
+    copies: `metric` is the METRICS string, `sensor_id` the interned one.
+    """
+    sensor_id, metric, text, timestamp, _ = reading_fields(value)
+    reading = object.__new__(SensorReading)
+    _set_reading(reading, sys.intern(sensor_id), metric, text, timestamp)
+    return reading
 
 
 def reading_transaction(channel_id: str, reading: SensorReading) -> Transaction:
@@ -156,12 +176,15 @@ def ledger_readings(ledger: Ledger, start: int, end: int) -> list[SensorReading]
 class PrivateNode:
     """Single-writer node: submit fills the mempool, commit_batch drains it.
 
-    submit parses each payload once and keeps the SensorReading or ContextOp
-    beside the mempool; commit and rollover use that, not the bytes. Two
-    invariants hold after every call: state == replay(ledger), and the
-    held readings == ledger_readings(ledger, 0, 1 << 64). Only the node
-    sets either. A node built over an existing `ledger` derives its state,
-    known tx ids and readings in one walk of it.
+    submit parses each payload once and keeps what commit needs beside the
+    mempool: a ContextOp, or a reading's (metric, value text, timestamp);
+    commit and rollover use that, not the bytes. No SensorReading is held.
+    The node holds `values`, each metric's committed value texts in commit
+    order, and `time_span`, the (lowest, highest) committed reading
+    timestamp or None. Invariants after every call: state == replay(ledger),
+    and `values` and `time_span` equal those of ledger_readings(ledger, 0,
+    1 << 64). Only the node sets them. A node built over an existing
+    `ledger` derives its state, known tx ids and readings in one walk of it.
     """
 
     def __init__(self, channel_id: str, authorized_authors, clock: int = 0,
@@ -171,23 +194,37 @@ class PrivateNode:
         self.clock = clock
         self.ledger = ledger if ledger is not None else genesis(channel_id, genesis_anchor)
         self.mempool: list[Transaction] = []
-        self._parsed: list[SensorReading | ContextOp | None] = []  # one per mempool tx
+        self._parsed: list[tuple[str, str, int] | ContextOp] = []  # one per mempool tx
         self._known_ids: set[bytes] = set()
-        self._readings: list[SensorReading] = []
+        self.values: dict[str, list[str]] = {metric: [] for metric in METRICS}
+        self.time_span: tuple[int, int] | None = None
+        readings: list[tuple[str, str, int]] = []
 
         def visit(tx: Transaction) -> None:
             self._known_ids.add(tx.tx_id)
             if tx.kind is TxKind.RAW_READING:
-                self._readings.append(parse_reading(tx.payload))
+                _, metric, text, timestamp, _ = reading_fields(canonical_loads(tx.payload))
+                readings.append((metric, text, timestamp))
 
         self.state: WorldState = replay(self.ledger, visit)
+        self._hold(readings)
 
     def __copy__(self) -> "PrivateNode":
         """An equal, independent node; only the immutable ledger and state are shared."""
         twin = object.__new__(type(self))
         twin.__dict__ = {**self.__dict__, "mempool": self.mempool[:], "_parsed": self._parsed[:],
-                         "_known_ids": set(self._known_ids), "_readings": self._readings[:]}
+                         "_known_ids": set(self._known_ids),
+                         "values": {metric: texts[:] for metric, texts in self.values.items()}}
         return twin
+
+    def _hold(self, readings: list[tuple[str, str, int]]) -> None:
+        """Add committed (metric, value text, timestamp) readings, in commit order."""
+        if not readings:
+            return
+        for metric, text, _ in readings:
+            self.values[metric].append(text)
+        times = [timestamp for _, _, timestamp in readings] + list(self.time_span or ())
+        self.time_span = (min(times), max(times))
 
     def submit(self, tx: Transaction) -> bool:
         """Queue a transaction; raises on wrong channel, author, duplicate,
@@ -207,11 +244,12 @@ class PrivateNode:
         if not transaction_valid(tx):
             raise InvalidTransaction(len(self.mempool), "tx_id does not match payload")
         try:
-            parsed: SensorReading | ContextOp | None = None
+            parsed: tuple[str, str, int] | ContextOp
             if tx.kind is TxKind.RAW_READING:
-                parsed = parse_reading(tx.payload)
-                if (parsed.sensor_id, parsed.timestamp) != (tx.author_id, tx.timestamp):
+                sensor_id, metric, text, timestamp, _ = reading_fields(canonical_loads(tx.payload))
+                if sensor_id != tx.author_id or timestamp != tx.timestamp:
                     raise InvalidArgument("reading's sensor or time differs from its header")
+                parsed = (metric, text, timestamp)
             elif tx.kind in CONTEXT_KINDS:
                 parsed = parse_op(tx.payload)
                 if parsed.op is not tx.kind:
@@ -230,10 +268,10 @@ class PrivateNode:
         """Drain up to BATCH_SIZE mempool transactions into one block.
 
         The context ops submit kept are applied to a trial state before the
-        ledger advances, and the block's kept readings join the held ones
-        only once it is appended. So a commit that raises (PathTypeConflict)
-        changes nothing, and both node invariants hold afterwards. Returns
-        None when the mempool is empty.
+        ledger advances, and the block's readings join the held values and
+        time span only once it is appended. So a commit that raises
+        (PathTypeConflict) changes nothing, and the node invariants hold
+        afterwards. Returns None when the mempool is empty.
         """
         if not self.mempool:
             return None
@@ -243,7 +281,7 @@ class PrivateNode:
         new_ledger, block = append_block(self.ledger, batch, self.clock)
         self.ledger = new_ledger
         self.state = trial
-        self._readings += [p for p in parsed if type(p) is SensorReading]
+        self._hold([p for p in parsed if type(p) is tuple])
         del self.mempool[:len(batch)]
         del self._parsed[:len(batch)]
         return block
@@ -259,14 +297,3 @@ class PrivateNode:
             raise NonEmptyMempool(f"{len(self.mempool)} transactions still pending")
         return PrivateNode(self.channel_id, self.authorized_authors, clock=self.clock,
                            genesis_anchor=anchor)
-
-    def readings_in_window(self, start: int, end: int) -> list[SensorReading]:
-        """Committed RawReadings with start <= timestamp < end, in commit
-        order: a filter of the held readings, with no ledger walk or parse."""
-        if start >= end:
-            raise InvalidWindow(f"[{start}, {end}) is empty or inverted")
-        return [r for r in self._readings if start <= r.timestamp < end]
-
-    def raw_reading_count(self) -> int:
-        """Number of committed RawReadings."""
-        return len(self._readings)

@@ -302,8 +302,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 node, cfg.ranges, window_start, window_end,
                 clients[f.channel_id], events)
             archive = archives[(f.channel_id, epoch)] = node.ledger
-            # Rebinding drops the archived node, and its held readings with
-            # it, before the audit walks the archive.
+            # Rebinding drops the archived node, and its held value texts
+            # with it, before the audit walks the archive.
             nodes[f.channel_id] = node = new_node
             verification = verify_pruned_epoch(archive, summary, pub, cfg.ranges)
             if epoch == cfg.epochs - 1:

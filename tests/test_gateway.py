@@ -6,6 +6,7 @@ import dataclasses
 import math
 import random
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,10 +34,11 @@ from tcgw import (
     summary_digest,
     verify_pruned_epoch,
 )
-from tcgw.canon import from_json_value, to_json_value
+from tcgw.canon import canonical_loads, from_json_value, to_json_value
 from tcgw.errors import DuplicateRange, InvalidArgument, NonEmptyMempool, PublishFailed
 from tcgw.gateway import epoch_stats
 from tcgw.ledger import make_block
+from tcgw.private_chain import BATCH_SIZE
 
 from helpers import NeverConfirms, node_with_readings, reading_tx, tamper_ledger
 
@@ -369,6 +371,73 @@ def test_verify_pruned_epoch_holds_no_reading_per_reading():
     its strings (about 300 bytes)."""
     n = 1000
     assert (_audit_peak(2 * n) - _audit_peak(n)) / n < 100
+
+
+def _node_heap(n: int) -> int:
+    """Bytes of traced heap a node holds after submitting and committing n
+    readings, beyond the transactions it was given."""
+    rng = random.Random(7)
+    txs = [reading_tx("fieldA", i, value=f"{rng.uniform(5, 35):.3f}", timestamp=10 * i)
+           for i in range(n)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        node = PrivateNode("fieldA", {"s-0"})
+        for tx in txs:
+            node.clock = tx.timestamp
+            node.submit(tx)
+            if len(node.mempool) >= BATCH_SIZE:
+                node.commit_batch()
+        while node.mempool:
+            node.commit_batch()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_node_holds_a_value_text_per_committed_reading():
+    """Each committed reading adds its value text and a list slot to the
+    node (74 bytes with its share of the block and the known-id set), not
+    a SensorReading (166 bytes when the node held those)."""
+    n = 2000
+    assert (_node_heap(2 * n) - _node_heap(n)) / n < 120
+
+
+def test_submit_and_audit_build_no_reading_and_intern_no_name(monkeypatch):
+    """Work counter: submit, commit, rollover and verify_pruned_epoch build
+    no SensorReading and call no sys.intern per reading. Every
+    SensorReading gets its fields through private_chain._set_reading."""
+    from tcgw import private_chain
+    counts = {"readings": 0, "interns": 0}
+    set_reading, intern = private_chain._set_reading, private_chain.sys.intern
+
+    def counting_set_reading(*args):
+        counts["readings"] += 1
+        return set_reading(*args)
+
+    def counting_intern(name):
+        counts["interns"] += 1
+        return intern(name)
+
+    n = 250
+    txs = [reading_tx("fieldA", i, sensor=f"s-{i % 2}", metric=METRICS[i % 4]) for i in range(n)]
+    monkeypatch.setattr(private_chain, "_set_reading", counting_set_reading)
+    monkeypatch.setattr(private_chain, "sys", types.SimpleNamespace(intern=counting_intern))
+    node = PrivateNode("fieldA", {"s-0", "s-1"})
+    for tx in txs:
+        node.clock = tx.timestamp
+        node.submit(tx)
+    while node.mempool:
+        node.commit_batch()
+    pub = _pub()
+    summary, _, _ = _rollover(node, pub, 0, n)
+    assert counts == {"readings": 0, "interns": 0}
+    assert verify_pruned_epoch(node.ledger, summary, pub, [TEMP_RANGE]).ok
+    assert counts == {"readings": 0, "interns": 0}
+    # the counters count: reading_from_value builds and interns, as does a parse
+    private_chain.reading_from_value(canonical_loads(txs[0].payload))
+    SensorReading("s-0", "temperature_c", "20.5", 0)
+    assert counts == {"readings": 2, "interns": 1}
 
 
 def test_verify_pruned_epoch_reports_ranges_it_cannot_read_as_stats():

@@ -394,3 +394,20 @@ def test_verify_chain_visits_each_tx_once_in_order_up_to_the_first_bad_block():
         report = verify_chain(tampered, visit)
         assert (report.ok, report.first_bad_height) == (False, 3)
         assert [(h, i, tx) for h, i, tx, _ in seen] == list(iter_transactions(tampered))[:visited]
+
+
+@pytest.mark.parametrize("n_txs, repeated", [(3, 1), (6, 2), (5, 1)],
+                         ids=["last-of-3", "last-2-of-6", "last-of-5"])
+def test_verify_flags_a_block_that_repeats_its_last_transactions(n_txs, repeated):
+    """Merkle roots that pad an odd level with its last node give a block
+    with its tail repeated the same tx_root and block_hash (the
+    CVE-2012-2459 pattern), so verify_chain refuses repeated tx ids."""
+    ledger = build_ledger(n_txs=n_txs, per_block=n_txs)
+    ledger, _ = append_block(ledger, [reading_tx("fieldA", n_txs)], n_txs)
+    block = ledger.blocks[1]
+    forged_txs = block.transactions + block.transactions[-repeated:]
+    assert merkle_root([tx.tx_id for tx in forged_txs]) == block.tx_root
+    forged = dataclasses.replace(ledger, blocks=(
+        ledger.blocks[0], dataclasses.replace(block, transactions=forged_txs), ledger.blocks[2]))
+    report = verify_chain(forged)
+    assert (report.ok, report.first_bad_height, report.reason) == (False, 1, ChainFault.TX_ROOT)

@@ -30,6 +30,7 @@ from tcgw import (
     verify_chain,
 )
 from tcgw.canon import canonical_json, canonical_loads
+from tcgw.gateway import epoch_stats
 from tcgw.private_chain import decimal_value, reading_from_value
 from tcgw.worldstate import op_from_value
 from tcgw.errors import (
@@ -48,6 +49,20 @@ from helpers import make_reading, node_with_readings, reading_tx
 
 def _node(channel="fieldA", authors=("s-0",), **kwargs) -> PrivateNode:
     return PrivateNode(channel, set(authors), **kwargs)
+
+
+def _held(node: PrivateNode) -> tuple:
+    """What the node holds of its committed readings: the value texts per
+    metric in commit order, and the (lowest, highest) timestamp or None."""
+    return node.values, node.time_span
+
+
+def _derived(ledger) -> tuple:
+    """What a node over `ledger` must hold, derived from a parse of all of it."""
+    readings = ledger_readings(ledger, 0, 1 << 64)
+    times = [r.timestamp for r in readings]
+    return ({metric: [r.value for r in readings if r.metric == metric] for metric in METRICS},
+            (min(times), max(times)) if times else None)
 
 
 def test_submit_accepts_authorized_reading():
@@ -116,7 +131,8 @@ def test_submit_rejects_payload_later_stages_cannot_read(kind, payload):
     # the channel stays usable: a good reading still commits and reads back
     node.submit(reading_tx("fieldA", 0))
     node.commit_batch()
-    assert [r.value for r in node.readings_in_window(0, 10)] == ["20.5"]
+    assert _held(node) == ({**{m: [] for m in METRICS}, "temperature_c": ["20.5"]}, (0, 0))
+    assert _held(node) == _derived(node.ledger)
 
 
 @pytest.mark.parametrize("kind, payload", [
@@ -147,22 +163,25 @@ def test_reading_from_value_refuses_a_sensor_id_that_is_not_a_string(sensor_id):
 def test_parsed_readings_share_their_name_strings(tmp_path):
     """Every reading parsed from a payload holds the METRICS string as its
     metric and one shared string per sensor_id, not the parse's own copies;
-    the held readings still equal a parse of the ledger."""
+    a node, built by submits or over a reloaded ledger, holds only value
+    texts, keyed by the METRICS strings, equal to a parse of the ledger."""
     node = _node(authors=("s-0", "s-1"))
     for i in range(40):
         node.submit(reading_tx("fieldA", i, sensor=f"s-{i % 2}", metric=METRICS[i % 4]))
     while node.mempool:
         node.commit_batch()
-    held = node.readings_in_window(0, 1 << 64)
-    assert held == ledger_readings(node.ledger, 0, 1 << 64)
+    assert _held(node) == _derived(node.ledger)
     path = save_ledger(node.ledger, tmp_path / "fieldA.tcgw")
     reloaded = PrivateNode("fieldA", {"s-0", "s-1"}, ledger=load_ledger(path))
-    assert reloaded.readings_in_window(0, 1 << 64) == held
-    parsed = (held + reloaded.readings_in_window(0, 1 << 64)
-              + ledger_readings(node.ledger, 0, 1 << 64)
+    assert _held(reloaded) == _held(node)
+    for held in (node, reloaded):
+        assert [id(metric) for metric in held.values] == [id(metric) for metric in METRICS]
+        assert {type(text) for texts in held.values.values() for text in texts} == {str}
+    parsed = (ledger_readings(node.ledger, 0, 1 << 64)
+              + ledger_readings(reloaded.ledger, 0, 1 << 64)
               + [reading_from_value(canonical_loads(tx.payload))
                  for _, _, tx in iter_transactions(node.ledger)])
-    assert len(parsed) == 160
+    assert len(parsed) == 120
     assert {id(r.metric) for r in parsed} == {id(metric) for metric in METRICS}
     assert len({id(r.sensor_id) for r in parsed}) == 2
 
@@ -289,8 +308,7 @@ def test_copy_is_an_equal_independent_node():
     node.submit(reading_tx("fieldA", 1))  # still pending
 
     def view(n: PrivateNode) -> tuple:
-        return (n.ledger, n.state, list(n.mempool), n.clock,
-                n.readings_in_window(0, 1 << 64), n.raw_reading_count())
+        return (n.ledger, n.state, list(n.mempool), n.clock, copy.deepcopy(_held(n)))
 
     before = view(node)
     twin = copy.copy(node)
@@ -298,13 +316,14 @@ def test_copy_is_an_equal_independent_node():
     twin.submit(reading_tx("fieldA", 2))
     twin.clock = 2
     twin.commit_batch()
-    assert twin.raw_reading_count() == 3
+    assert twin.values["temperature_c"] == ["20.5", "21.5", "22.5"]
+    assert twin.time_span == (0, 2)
     assert view(node) == before
     assert node.submit(reading_tx("fieldA", 2))  # the twin's ids are its own
     with pytest.raises(DuplicateTransaction):
         twin.submit(reading_tx("fieldA", 2))
     node.commit_batch()
-    assert node.readings_in_window(0, 1 << 64) == twin.readings_in_window(0, 1 << 64)
+    assert _held(node) == _held(twin) == _derived(node.ledger)
     assert state_digest(node.state) == state_digest(replay(node.ledger))
 
 
@@ -333,33 +352,45 @@ def test_reset_refuses_pending_transactions():
         node.reset_with_anchor(bytes(32))
 
 
+def _rollover(node: PrivateNode, start: int, end: int):
+    pub = PublicChain(["val-0"], [f"gw-{node.channel_id}"], confirmations_required=1)
+    return rollover_epoch(node, (), start, end, PublicClient(pub, f"gw-{node.channel_id}"), [])
+
+
 def test_readings_window_is_half_open():
     node = _node()
     for ts in (100, 200):
         node.clock = ts
         node.submit(reading_tx("fieldA", ts, timestamp=ts))
     node.commit_batch()
-    got = node.readings_in_window(100, 200)
-    assert [r.timestamp for r in got] == [100]
+    assert node.time_span == (100, 200)
+    for start, end in [(100, 200), (101, 201)]:
+        with pytest.raises(InvalidWindow):
+            _rollover(node, start, end)
+    summary, _, _ = _rollover(node, 100, 201)
+    assert summary.stats[0].count == 2
 
 
 def test_readings_window_rejects_inverted():
-    with pytest.raises(InvalidWindow):
-        _node().readings_in_window(10, 10)
+    for start, end in [(10, 10), (10, 9)]:
+        with pytest.raises(InvalidWindow, match="empty or inverted"):
+            _rollover(_node(), start, end)
 
 
 def test_readings_window_empty_ledger():
-    assert _node().readings_in_window(0, 100) == []
+    node = _node()
+    assert _held(node) == ({metric: [] for metric in METRICS}, None) == _derived(node.ledger)
+    summary, _, _ = _rollover(node, 0, 100)
+    assert (summary.stats, summary.excluded_count) == ((), 0)
 
 
 def test_readings_window_matches_linear_scan():
     node = node_with_readings(n=120, spacing=7)
-    start, end = 100, 500
-    got = node.readings_in_window(start, end)
-    expected = [tx for _, _, tx in iter_transactions(node.ledger)
-                if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end]
-    assert len(got) == len(expected)
-    assert [r.timestamp for r in got] == [tx.timestamp for tx in expected]
+    scanned = [canonical_loads(tx.payload) for _, _, tx in iter_transactions(node.ledger)
+               if tx.kind is TxKind.RAW_READING]
+    assert node.values["temperature_c"] == [value["value"] for value in scanned]
+    assert node.time_span == (0, 119 * 7)
+    assert _held(node) == _derived(node.ledger)
 
 
 def test_no_committed_block_contains_unauthorized_author():
@@ -456,8 +487,10 @@ _windows = st.lists(st.tuples(st.integers(0, 45), st.integers(1, 20)), min_size=
 @given(steps=_steps, windows=_windows)
 def test_held_readings_equal_ledger_readings(tmp_path_factory, steps, windows):
     """Across valid and rejected submits, commits (conflicting ones too) and
-    nodes built over a saved and reloaded ledger, the held readings equal a
-    parse of the ledger and every window equals a linear scan of it."""
+    nodes built over a saved and reloaded ledger, the held value texts and
+    time span equal those of a parse of the ledger. At the end, rollover
+    takes a window exactly when a linear scan finds every reading inside
+    it, and then publishes the stats of that scan."""
     authors = {"s-0", "s-1", "op-a"}
     node = PrivateNode("fieldA", authors)
     path = tmp_path_factory.mktemp("held") / "fieldA.tcgw"
@@ -465,7 +498,8 @@ def test_held_readings_equal_ledger_readings(tmp_path_factory, steps, windows):
     for n, (action, sensor, ts) in enumerate(steps):
         if action == "reading":
             node.clock = max(node.clock, ts)
-            tx = reading_transaction("fieldA", make_reading(ts, sensor=sensor, timestamp=ts))
+            tx = reading_transaction("fieldA", make_reading(ts, sensor=sensor, timestamp=ts,
+                                                            metric=METRICS[n % 4]))
             try:
                 node.submit(tx)
             except UnauthorizedAuthor:
@@ -482,11 +516,11 @@ def test_held_readings_equal_ledger_readings(tmp_path_factory, steps, windows):
                 node.submit(make_transaction("fieldA", ts, TxKind.RAW_READING,
                                              b'{"value":"1"}', "s-0"))
         elif action == "commit":
-            before = (head(node.ledger), node.readings_in_window(0, 1 << 64))
+            before = (head(node.ledger), copy.deepcopy(_held(node)))
             try:
                 node.commit_batch()
             except PathTypeConflict:
-                assert (head(node.ledger), node.readings_in_window(0, 1 << 64)) == before
+                assert (head(node.ledger), _held(node)) == before
                 # the conflicting op blocks the mempool: restart over the ledger
                 node = PrivateNode("fieldA", authors, clock=node.clock, ledger=node.ledger)
         else:
@@ -499,10 +533,16 @@ def test_held_readings_equal_ledger_readings(tmp_path_factory, steps, windows):
             node = PrivateNode("fieldA", authors, clock=node.clock,
                                ledger=load_ledger(path, chain_id="fieldA"))
 
-        held = node.readings_in_window(0, 1 << 64)
-        assert held == ledger_readings(node.ledger, 0, 1 << 64)
-        assert node.raw_reading_count() == len(held)
-        for start, length in windows:
-            assert (node.readings_in_window(start, start + length)
-                    == ledger_readings(node.ledger, start, start + length))
+        assert _held(node) == _derived(node.ledger)
         assert state_digest(node.state) == state_digest(replay(node.ledger))
+
+    node = PrivateNode("fieldA", authors, clock=node.clock, ledger=node.ledger)  # no mempool
+    readings = ledger_readings(node.ledger, 0, 1 << 64)
+    for start, length in [(0, 41), *windows]:
+        inside = ledger_readings(node.ledger, start, start + length)
+        if len(inside) < len(readings):
+            with pytest.raises(InvalidWindow):
+                _rollover(node, start, start + length)
+            continue
+        summary, _, _ = _rollover(node, start, start + length)
+        assert (summary.stats, summary.excluded_count) == epoch_stats(inside, ())

@@ -215,11 +215,11 @@ def test_run_scenario_parses_each_payload_twice(monkeypatch):
     assert decodes == 2 * committed
 
 
-def test_run_scenario_parses_each_reading_value_five_times(monkeypatch):
-    """Work counter: each reading's value is parsed as a Decimal once by each
-    of its three SensorReading constructions (generate, submit, the in-run
-    audit), once at rollover and once by the audit, which filter and
-    summarize in one pass each."""
+def test_run_scenario_parses_each_reading_value_four_times(monkeypatch):
+    """Work counter: each reading's value is parsed as a Decimal once each
+    by the generator's SensorReading, submit's check, the rollover fold of
+    the node's held texts and the in-run audit, whose check hands its
+    Decimal to the fold."""
     from decimal import Decimal
     from tcgw import gateway, private_chain
     from tcgw.ledger import iter_transactions
@@ -239,7 +239,7 @@ def test_run_scenario_parses_each_reading_value_five_times(monkeypatch):
     bounds = {text for r in cfg.ranges for text in (r.min_valid, r.max_valid)}
     assert len(values) == 288 and bounds.isdisjoint(values)
     readings = set(values)
-    assert sum(1 for text in parsed if text in readings) == 5 * len(values)
+    assert sum(1 for text in parsed if text in readings) == 4 * len(values)
 
 
 def test_run_scenario_event_order_publish_before_prune():
