@@ -23,8 +23,8 @@ from .bench import (
     write_bench_report,
 )
 from .canon import canonical_json, canonical_loads, from_json_value, to_json_value
-from .errors import InvalidChain, TcgwError
-from .gateway import ValidityRange, range_bounds, verify_pruned_epoch
+from .errors import InvalidChain, LedgerFormatError, TcgwError
+from .gateway import ValidityRange, range_bounds, verify_archive
 from .ledger import load_ledger, save_ledger
 from .public_chain import PublicChain
 from .workload import (
@@ -162,17 +162,19 @@ def _audit_epoch(path: Path | None, channel: str, epoch: int, chain: PublicChain
                  ranges: tuple[ValidityRange, ...]) -> str:
     """One epoch's verdict: "ok" or "FAIL (<codes>)", where the chain code
     says where the archive broke: "chain: TxId at block 37", or the byte
-    offset at which it failed to decode."""
+    offset at which it failed to decode. The archive is audited from its
+    bytes in one streaming walk (verify_archive), each transaction body
+    hashed as read."""
     if path is None:
         return "FAIL (missing)"
-    try:
-        ledger = load_ledger(path, chain_id=channel)
-    except TcgwError as exc:  # unreadable bytes are a tamper signal, not a usage error
-        return f"FAIL (chain: {exc})"
     record = chain.find_anchor(channel, epoch)
-    if record is None:
-        return "FAIL (anchor)"
-    outcome = verify_pruned_epoch(ledger, record.summary, chain, ranges)
+    try:  # unreadable bytes are a tamper signal, not a usage error
+        if record is None:
+            load_ledger(path, chain_id=channel)  # a format error wins here too
+            return "FAIL (anchor)"
+        outcome = verify_archive(path, record.summary, chain, ranges)
+    except LedgerFormatError as exc:
+        return f"FAIL (chain: {exc})"
     if outcome.ok:
         return "ok"
     codes = [f"chain: {outcome.chain}" if code == "chain" else code for code in outcome.failures]

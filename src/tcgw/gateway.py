@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 from .canon import digest_json, to_json_value
 from .errors import (
@@ -29,7 +30,8 @@ from .errors import (
     PublishFailed,
     UnknownGateway,
 )
-from .ledger import Ledger, Transaction, TxKind, VerificationReport, head, verify_chain
+from .ledger import (Block, Ledger, Transaction, TxKind, VerificationReport, head, load_ledger,
+                     read_blocks, verify_blocks, verify_chain)
 from .private_chain import (METRICS, PrivateNode, SensorReading, decimal_value,
                             ledger_readings, reading_fields)
 from .worldstate import CONTEXT_KINDS, EMPTY_STATE, OpBatch, op_from_value, state_digest
@@ -297,6 +299,36 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
 
     `pub` is the PublicChain (or anything with find_anchor and is_confirmed).
     """
+    return _verify_epoch(lambda visit: (verify_chain(archived, visit), archived.blocks[-1]),
+                         lambda: archived, summary, pub, ranges)
+
+
+def verify_archive(path: Path, summary: EpochSummary, pub,
+                   ranges: Iterable[ValidityRange]) -> EpochVerification:
+    """verify_pruned_epoch(load_ledger(path), summary, pub, ranges), from the
+    file's bytes in one streaming walk: each transaction's tx_id is checked
+    against the SHA-256 of the body bytes read, and only the last block is
+    kept, for `head`. No Ledger is built unless the chain is broken.
+
+    Raises LedgerFormatError if the file does not decode, even where the
+    walk found a chain fault first: it decodes the rest of the file.
+    """
+    def walk(visit) -> tuple[VerificationReport, Block]:
+        blocks = read_blocks(path)
+        report, last = verify_blocks(blocks, visit)
+        for last, _ in blocks:
+            pass
+        return report, last
+
+    return _verify_epoch(walk, lambda: load_ledger(path), summary, pub, ranges)
+
+
+def _verify_epoch(walk: Callable[..., tuple[VerificationReport, Block]],
+                  archived: Callable[[], Ledger], summary: EpochSummary, pub,
+                  ranges: Iterable[ValidityRange]) -> EpochVerification:
+    """verify_pruned_epoch's checks. `walk(visit)` verifies the archive with
+    `visit` and returns the report and its last block; `archived()` gives the
+    whole ledger, for the stats of a broken chain."""
     start, end = summary.window_start, summary.window_end
     batch = OpBatch(EMPTY_STATE)
     found: set[str] = set()  # codes of payloads that do not decode or apply
@@ -319,10 +351,10 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
             found.add("stats" if tx.kind is TxKind.RAW_READING else "state")
 
     failures: list[str] = []
-    chain = verify_chain(archived, visit)
+    chain, last = walk(visit)
     if not chain.ok:
         failures.append("chain")
-    if head(archived) != (summary.ledger_height, summary.ledger_head_hash):
+    if (last.height, last.block_hash) != (summary.ledger_height, summary.ledger_head_hash):
         failures.append("head")
     if chain.ok:
         try:
@@ -332,7 +364,7 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
             failures.append("state")
     try:
         if not chain.ok:  # the walk stopped at the bad block
-            stats = _fold(((r.metric, r.value) for r in ledger_readings(archived, start, end)),
+            stats = _fold(((r.metric, r.value) for r in ledger_readings(archived(), start, end)),
                           bounds)
         if "stats" in found or stats.result() != (summary.stats, summary.excluded_count):
             failures.append("stats")

@@ -22,6 +22,12 @@ u64(timestamp) tx_root)``, and ``tx_root`` is the binary Merkle root over the
 ordered tx_ids: parents are ``sha256(left || right)``, an odd level duplicates
 its last node, a single leaf is its own root, and the empty list hashes to
 ``sha256(b"")``.
+
+One walk, verify_blocks, checks every chain. verify_chain feeds it a
+ledger in memory, each tx_id checked by rebuilding its body
+(transaction_valid); read_blocks feeds it a file's blocks as they are
+decoded, each tx_id checked against the SHA-256 of the body bytes read,
+so an audit from a file hashes every body as read and builds none.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import struct
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .canon import canonical_loads, sha256
 from .errors import (ClockSkew, EmptyBatch, InvalidArgument, LedgerFormatError,
@@ -223,9 +229,14 @@ class _Names(dict):
         return name
 
 
-def _decode_blocks(data: bytes, offset: int) -> Iterator[Block]:
-    """Decode every block from `offset` on in one flat pass. A record that does
-    not fit or decode is walked again field by field for its exact error."""
+def _decode_blocks(data: bytes, offset: int) -> Iterator[tuple[Block, int]]:
+    """Decode every block from `offset` on in one flat pass, yielding each
+    with the index of its first transaction whose tx_id is not the SHA-256
+    of the body bytes it was read from (-1 if none). That is the
+    transaction_valid check: a strict UTF-8 decode encodes back to the same
+    bytes and kind codes map one to one, so the body read is the body
+    transaction_body would build. A record that does not fit or decode is
+    walked again field by field for its exact error."""
     end, names, kinds = len(data), _Names(), _KIND_BY_CODE
     tx_head, ts_kind_len, u32 = _TX_HEAD.unpack_from, _TS_KIND_LEN.unpack_from, _U32.unpack_from
     head_size, fixed_size = _TX_HEAD.size, _TS_KIND_LEN.size
@@ -235,8 +246,8 @@ def _decode_blocks(data: bytes, offset: int) -> Iterator[Block]:
                 _, offset = _take(data, offset, size)
         height, previous_hash, timestamp, tx_root, count = _BLOCK_HEAD.unpack_from(data, offset)
         offset += _BLOCK_HEAD.size
-        txs = []
-        for _ in range(count):
+        txs, bad = [], -1
+        for i in range(count):
             start = offset
             try:  # unpack_from raises past the end; a long slice moves the next read there
                 tx_id, n = tx_head(data, offset)
@@ -253,9 +264,11 @@ def _decode_blocks(data: bytes, offset: int) -> Iterator[Block]:
                 offset = end + 1
             if offset > end:  # also an author_id cut short
                 tx, offset = _transaction_slowly(data, start)
+            if bad < 0 and sha256(data[start + DIGEST_SIZE:offset]) != tx.tx_id:
+                bad = i
             txs.append(tx)
         block_hash, offset = _take(data, offset, DIGEST_SIZE)
-        yield Block(height, previous_hash, timestamp, tx_root, tuple(txs), block_hash)
+        yield Block(height, previous_hash, timestamp, tx_root, tuple(txs), block_hash), bad
 
 
 def genesis(chain_id: str, genesis_anchor: bytes | None = None) -> Ledger:
@@ -295,6 +308,7 @@ class ChainFault(Enum):
     TX_ROOT = "TxRoot"
     TX_ID = "TxId"
     HEIGHT_GAP = "HeightGap"
+    CLOCK_SKEW = "ClockSkew"
 
 
 @dataclass(frozen=True)
@@ -315,42 +329,78 @@ def verify_chain(ledger: Ledger,
                  visit: Callable[..., None] | None = None) -> VerificationReport:
     """Re-derive every hash and link; report the lowest offending height.
 
+    This is verify_blocks over the ledger's blocks, each transaction
+    checked by transaction_valid.
+    """
+    return verify_blocks(((block, _first_invalid(block)) for block in ledger.blocks), visit)[0]
+
+
+def _first_invalid(block: Block) -> int:
+    """Index of the block's first transaction that fails transaction_valid, or -1."""
+    return next((i for i, tx in enumerate(block.transactions) if not transaction_valid(tx)), -1)
+
+
+def verify_blocks(blocks: Iterable[tuple[Block, int]],
+                  visit: Callable[..., None] | None = None
+                  ) -> tuple[VerificationReport, Block | None]:
+    """The one per-block walk behind verify_chain and every file audit.
+
+    `blocks` gives each block with the index of its first transaction whose
+    tx_id is not the SHA-256 of its body (-1 if none): transaction_valid in
+    memory, the hash of the bytes read for read_blocks. Returns the report
+    and the last block taken from `blocks`; the walk takes none past the
+    first bad block, and a caller that must see the rest of a file (a
+    format error there wins) drains `blocks` itself.
+
     Per block, checks run in this order: height continuity, previous-hash
-    link, per-transaction ids (transaction_valid) and payload parseability
-    (canonical_loads; a payload that does not parse is also a TX_ID fault),
-    Merkle root, own block hash. A block that holds one tx id twice is a
-    TX_ROOT fault: merkle_root pads an odd level with its last node, so a
-    block with its last transactions repeated has the same root. A single flipped byte anywhere in the data
-    surfaces at the mutated block or the one after it.
+    link, per-transaction ids and payload parseability (canonical_loads; a
+    payload that does not parse is also a TX_ID fault), Merkle root, own
+    block hash, and a timestamp no earlier than the previous block's (the
+    CLOCK_SKEW that append_block refuses). A block that holds one tx id
+    twice is a TX_ROOT fault: merkle_root pads an odd level with its last
+    node, so a block with its last transactions repeated has the same root.
+    A single flipped byte anywhere in the data surfaces at the mutated
+    block or the one after it.
 
     `visit(height, index, tx, value)` is called in chain order with the
     parsed payload of each transaction that passes its own checks, so a
     caller can audit contents in the same walk. A block's transactions are
     visited before its Merkle root and hash are checked; none past a bad block.
     """
-    prev_hash = ZERO_HASH
-    for index, block in enumerate(ledger.blocks):
-        if block.height != index:
-            return VerificationReport(index, ChainFault.HEIGHT_GAP)
-        if block.previous_hash != prev_hash:
-            return VerificationReport(index, ChainFault.HASH_LINK)
-        for i, tx in enumerate(block.transactions):
-            if not transaction_valid(tx):
-                return VerificationReport(index, ChainFault.TX_ID)
-            try:
-                value = canonical_loads(tx.payload)
-            except (ValueError, UnsupportedValue):
-                return VerificationReport(index, ChainFault.TX_ID)
-            if visit is not None:
-                visit(index, i, tx, value)
-        ids = [tx.tx_id for tx in block.transactions]
-        if len(set(ids)) != len(ids) or merkle_root(ids) != block.tx_root:
-            return VerificationReport(index, ChainFault.TX_ROOT)
-        if sha256(_block_header(block.height, block.previous_hash,
-                                block.timestamp, block.tx_root)) != block.block_hash:
-            return VerificationReport(index, ChainFault.HASH_LINK)
-        prev_hash = block.block_hash
-    return VerificationReport()
+    prev_hash, prev_time, block = ZERO_HASH, 0, None
+    for index, (block, bad) in enumerate(blocks):
+        fault = _block_fault(index, block, bad, prev_hash, prev_time, visit)
+        if fault is not None:
+            return VerificationReport(index, fault), block
+        prev_hash, prev_time = block.block_hash, block.timestamp
+    return VerificationReport(), block
+
+
+def _block_fault(index: int, block: Block, bad: int, prev_hash: bytes, prev_time: int,
+                 visit: Callable[..., None] | None) -> ChainFault | None:
+    """The first check block `index` fails, in verify_blocks' order, or None."""
+    if block.height != index:
+        return ChainFault.HEIGHT_GAP
+    if block.previous_hash != prev_hash:
+        return ChainFault.HASH_LINK
+    for i, tx in enumerate(block.transactions):
+        if i == bad:
+            return ChainFault.TX_ID
+        try:
+            value = canonical_loads(tx.payload)
+        except (ValueError, UnsupportedValue):
+            return ChainFault.TX_ID
+        if visit is not None:
+            visit(index, i, tx, value)
+    ids = [tx.tx_id for tx in block.transactions]
+    if len(set(ids)) != len(ids) or merkle_root(ids) != block.tx_root:
+        return ChainFault.TX_ROOT
+    if sha256(_block_header(block.height, block.previous_hash,
+                            block.timestamp, block.tx_root)) != block.block_hash:
+        return ChainFault.HASH_LINK
+    if block.timestamp < prev_time:
+        return ChainFault.CLOCK_SKEW
+    return None
 
 
 class _Utf8Sizes(dict):
@@ -392,12 +442,12 @@ def save_ledger(ledger: Ledger, path: str | Path) -> Path:
     return path
 
 
-def load_ledger(path: str | Path, chain_id: str | None = None) -> Ledger:
-    """Read a ledger file back.
-
-    The file carries only blocks; chain_id defaults to the file stem and
-    the genesis anchor, which is not persisted, is None.
-    """
+def read_blocks(path: str | Path) -> Iterator[tuple[Block, int]]:
+    """Each block of a ledger file with the index of its first transaction
+    whose tx_id is not the SHA-256 of the body bytes read (-1 if none), for
+    verify_blocks. The file is read whole, its blocks decoded one at a time
+    as they are taken. Raises LedgerFormatError where the bytes are not a
+    ledger or hold no block."""
     path = Path(path)
     data = path.read_bytes()
     if _take(data, 0, 4)[0] != LEDGER_MAGIC:
@@ -405,7 +455,15 @@ def load_ledger(path: str | Path, chain_id: str | None = None) -> Ledger:
     version = _take(data, 4, 1)[0][0]
     if version != LEDGER_VERSION:
         raise LedgerFormatError(f"{path}: unsupported ledger version {version} at byte 4")
-    blocks = tuple(_decode_blocks(data, 5))
-    if not blocks:
+    if len(data) == 5:
         raise LedgerFormatError(f"{path}: no blocks")
-    return Ledger(chain_id or path.stem, blocks)
+    yield from _decode_blocks(data, 5)
+
+
+def load_ledger(path: str | Path, chain_id: str | None = None) -> Ledger:
+    """Read a ledger file back.
+
+    The file carries only blocks; chain_id defaults to the file stem and
+    the genesis anchor, which is not persisted, is None.
+    """
+    return Ledger(chain_id or Path(path).stem, tuple(block for block, _ in read_blocks(path)))

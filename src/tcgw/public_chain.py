@@ -11,7 +11,8 @@ transacting. `tick()` models that: it appends a heartbeat transaction
 confirmation depth can accrue on an otherwise quiet chain.
 
 `load` rebuilds the chain from its ledger and ChainParams sidecar in one
-verify_chain walk that accepts only what submit_anchor and tick could write.
+verify_blocks walk, each tx_id checked against the bytes read, that accepts
+only what submit_anchor and tick could write.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .canon import canonical_json, canonical_loads, from_json_value, to_json_val
 from .errors import (DuplicateEpoch, InvalidArgument, InvalidChain, LedgerFormatError,
                      TcgwError, UnknownGateway, UnsupportedValue)
 from .gateway import EpochSummary, summary_digest
-from .ledger import (Block, Ledger, Transaction, TxKind, append_block, genesis, load_ledger,
-                     make_transaction, save_ledger, verify_chain)
+from .ledger import (Block, Ledger, Transaction, TxKind, append_block, genesis, make_transaction,
+                     read_blocks, save_ledger, verify_blocks)
 
 DEFAULT_CONFIRMATIONS = 2
 META_SUFFIX = ".meta.json"
@@ -186,9 +187,11 @@ class PublicChain:
     @classmethod
     def load(cls, path: str | Path) -> "PublicChain":
         """Read what `save` wrote. A malformed file raises LedgerFormatError; a
-        ledger that fails verify_chain, or holds a transaction `submit_anchor`
-        or `tick` could not have written there, raises InvalidChain. Digests
-        are kept as published; verify_pruned_epoch checks them."""
+        ledger that fails verify_blocks (a clock that runs backwards too), or
+        holds a transaction `submit_anchor` or `tick` could not have written
+        there, raises InvalidChain. The whole file is decoded before the walk,
+        so a format error wins. Digests are kept as published;
+        verify_pruned_epoch checks them."""
         path = Path(path)
         meta_path = Path(str(path) + META_SUFFIX)
         if not meta_path.exists():
@@ -199,7 +202,7 @@ class PublicChain:
                         params.confirmations_required, params.chain_id)
         except (ValueError, UnsupportedValue) as exc:
             raise LedgerFormatError(f"malformed chain metadata {meta_path}: {exc!r}") from exc
-        ledger = load_ledger(path, chain_id=chain.chain_id)
+        blocks = list(read_blocks(path))  # every format error before any visit
 
         def visit(height: int, index: int, tx: Transaction, value) -> None:
             if not (isinstance(value, dict) and "summary" in value):
@@ -222,10 +225,11 @@ class PublicChain:
             key = (rec.channel_id, rec.epoch_index)
             chain.anchors[key], chain.included[key] = rec, height
 
-        report = verify_chain(ledger, visit)
+        report, last = verify_blocks(blocks, visit)
         if not report.ok:
             raise InvalidChain(str(report))
-        chain.ledger, chain.clock = ledger, ledger.blocks[-1].timestamp
+        chain.ledger = Ledger(chain.chain_id, tuple(block for block, _ in blocks))
+        chain.clock = last.timestamp
         return chain
 
 

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
+import tracemalloc
 
 import pytest
 
 from tcgw.canon import canonical_json, canonical_loads, to_json_value
-from tcgw.cli import main
-from tcgw.ledger import iter_transactions, load_ledger, save_ledger
+from tcgw.cli import _audit_epoch, main
+from tcgw.errors import InvalidChain
+from tcgw.ledger import iter_transactions, load_ledger, make_block, save_ledger
+from tcgw.public_chain import PublicChain
 
-from helpers import flip_byte, tamper_ledger
-from test_gateway import _relink
+from helpers import flip_byte, node_with_readings, tamper_ledger
+from test_gateway import TEMP_RANGE, _pub, _relink, _rollover
 from test_workload import small_scenario
 
 
@@ -251,6 +255,64 @@ def test_verify_checks_the_published_digest(run_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"{channel} epoch {epoch}: FAIL (anchor)" in out
     assert out.count(": ok") == 3
+
+
+def test_verify_refuses_a_public_chain_whose_clock_runs_backwards(run_dir, tmp_path, capsys):
+    """The public chain's last block set to time 0, its hash re-derived:
+    append_block could not have written it, so the load refuses it."""
+    ledger = load_ledger(run_dir / "public.tcgw", chain_id="public")
+    last = ledger.blocks[-1]
+    assert last.timestamp > 0
+    forged = dataclasses.replace(ledger, blocks=ledger.blocks[:-1] + (
+        make_block(last.height, last.previous_hash, 0, last.transactions),))
+    save_ledger(forged, tmp_path / "public.tcgw")
+    (tmp_path / "public.tcgw.meta.json").write_bytes(
+        (run_dir / "public.tcgw.meta.json").read_bytes())
+    with pytest.raises(InvalidChain, match=f"ClockSkew at block {last.height}"):
+        PublicChain.load(tmp_path / "public.tcgw")
+    argv = ["verify", "--archive", str(run_dir / "archive"), "--chain", str(tmp_path / "public.tcgw")]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == f"public chain: FAIL (ClockSkew at block {last.height})\n"
+
+
+def test_verify_builds_no_transaction_body(run_dir, monkeypatch, capsys):
+    """Work counter: `tcgw verify` checks every tx_id against the SHA-256 of
+    the body bytes it read, so it builds no body with transaction_body (it
+    built one per archived and per public-chain transaction when it
+    decoded each file into objects and verified those)."""
+    from tcgw import ledger
+    calls = []
+    build = ledger.transaction_body
+    monkeypatch.setattr(ledger, "transaction_body", lambda *args: calls.append(1) or build(*args))
+    assert main(["verify", "--archive", str(run_dir / "archive"),
+                 "--chain", str(run_dir / "public.tcgw")]) == 0
+    assert capsys.readouterr().out.count(": ok") == 4
+    assert calls == []
+
+
+def _file_audit_peak(tmp_path, n: int) -> int:
+    """Bytes the traced heap peaks above its level before `tcgw verify`
+    audits the archive file of an honest epoch of n readings."""
+    node = node_with_readings(n=n, spacing=10)
+    pub = _pub()
+    _rollover(node, pub, 0, n * 10)
+    path = save_ledger(node.ledger, tmp_path / f"fieldA.n{n}.tcgw")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert _audit_epoch(path, "fieldA", 0, pub, (TEMP_RANGE,)) == "ok"
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_holds_the_file_and_no_transaction_per_transaction(tmp_path):
+    """The file audit streams the decoded blocks: its peak grows per archived
+    reading by the file's bytes (142) and a float and a list slot for the
+    stats (32), 174 bytes here, not by every decoded transaction beside
+    them (438 bytes when the audit loaded the whole ledger first)."""
+    n = 1000
+    assert (_file_audit_peak(tmp_path, 2 * n) - _file_audit_peak(tmp_path, n)) / n < 250
 
 
 def test_verify_rejects_a_digest_that_is_not_hex(run_dir, tmp_path, capsys):

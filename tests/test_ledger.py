@@ -411,3 +411,23 @@ def test_verify_flags_a_block_that_repeats_its_last_transactions(n_txs, repeated
         ledger.blocks[0], dataclasses.replace(block, transactions=forged_txs), ledger.blocks[2]))
     report = verify_chain(forged)
     assert (report.ok, report.first_bad_height, report.reason) == (False, 1, ChainFault.TX_ROOT)
+
+
+def test_verify_flags_a_block_whose_timestamp_runs_backwards():
+    """append_block refuses a timestamp below the head's (ClockSkew), so
+    verify_chain refuses a chain that holds one, at the block that runs
+    back, even with every hash re-derived. An equal timestamp is fine."""
+    ledger = build_ledger(n_txs=5)  # block k holds reading k - 1 at time k - 1
+
+    def retimed(timestamp: int) -> Ledger:
+        blocks = list(ledger.blocks[:3])
+        for block in ledger.blocks[3:]:
+            blocks.append(make_block(block.height, blocks[-1].block_hash,
+                                     timestamp if block.height == 3 else block.timestamp,
+                                     block.transactions))
+        return dataclasses.replace(ledger, blocks=tuple(blocks))
+
+    report = verify_chain(retimed(0))
+    assert (report.ok, report.first_bad_height, report.reason) == (False, 3, ChainFault.CLOCK_SKEW)
+    assert str(report) == "ClockSkew at block 3"
+    assert verify_chain(retimed(1)).ok

@@ -1,22 +1,27 @@
-"""One-bit flips of the public chain files: `tcgw verify` must never exit 0.
+"""One-bit flips of the run's files: `tcgw verify` must never exit 0.
 
 The run is the first two fleet fields of the benchmark workloads (seed 1)
 over two 2-day epochs. Every wire field of every block and transaction of
-`public.tcgw` gets one flipped bit, found from the struct layouts the
-ledger codec uses; every byte of the sidecar gets its bit 0 flipped.
+`public.tcgw` and of one epoch-1 archive gets one flipped bit, found from
+the struct layouts the ledger codec uses; every byte of the sidecar gets
+its bit 0 flipped.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+import shutil
 import struct
 
 import pytest
 
-from tcgw.canon import canonical_json
+from tcgw.canon import canonical_json, from_json_value
 from tcgw.cli import main
-from tcgw.ledger import _BLOCK_HEAD, _TS_KIND_LEN, _TX_HEAD, DIGEST_SIZE
+from tcgw.errors import LedgerFormatError
+from tcgw.gateway import ValidityRange, verify_archive, verify_pruned_epoch
+from tcgw.ledger import _BLOCK_HEAD, _TS_KIND_LEN, _TX_HEAD, DIGEST_SIZE, load_ledger, verify_chain
+from tcgw.public_chain import PublicChain
 
 from helpers import flip_byte
 
@@ -106,3 +111,43 @@ def test_every_flip_of_the_public_chain_files_fails(small_run, tmp_path, capsys)
     passed += [("meta", i) for i in range(len(meta_data))
                if exit_code(data, flip_byte(meta_data, i)) not in (1, 2)]
     assert passed == []
+
+
+def test_every_flip_of_an_archive_fails_alike_in_both_walks(small_run, tmp_path, capsys):
+    """Each wire field of the first field's epoch-1 archive, flipped: `tcgw
+    verify` exits 1. The streaming file audit gives what loading the copy
+    and auditing the ledger gives, its chain report that of verify_chain;
+    where the copy does not decode, both raise the same LedgerFormatError."""
+    channel = SMALL_RUN["fields"][0]["channel_id"]
+    archive = tmp_path / "archive"
+    shutil.copytree(small_run / "archive", archive)
+    path = archive / f"{channel}.epoch1.tcgw"
+    data = path.read_bytes()
+    chain = PublicChain.load(small_run / "public.tcgw")
+    summary = chain.find_anchor(channel, 1).summary
+    ranges = from_json_value(tuple[ValidityRange, ...], SMALL_RUN["ranges"])
+    argv = ["verify", "--archive", str(archive), "--chain", str(small_run / "public.tcgw")]
+    fields = wire_fields(data)
+    assert len(fields) > 100
+    differ, passed, undecoded = [], [], 0
+    for at, size in fields:
+        path.write_bytes(flip_byte(data, at + size - 1))
+        if main(argv) != 1:
+            passed.append(at + size - 1)
+        assert "Traceback" not in capsys.readouterr().err
+        try:
+            ledger = load_ledger(path)
+        except LedgerFormatError as exc:
+            undecoded += 1
+            with pytest.raises(LedgerFormatError) as raised:
+                verify_archive(path, summary, chain, ranges)
+            if str(raised.value) != str(exc):
+                differ.append((at + size - 1, str(exc), str(raised.value)))
+            continue
+        streamed = verify_archive(path, summary, chain, ranges)
+        loaded = verify_pruned_epoch(ledger, summary, chain, ranges)
+        if (streamed != loaded or streamed.chain != verify_chain(ledger)
+                or streamed.chain.ok):
+            differ.append((at + size - 1, loaded, streamed))
+    assert (passed, differ) == ([], [])
+    assert 0 < undecoded < len(fields)
