@@ -70,7 +70,6 @@ from .private_chain import (
     PrivateNode,
     SensorReading,
     ledger_readings,
-    parse_reading,
     reading_payload,
     reading_transaction,
 )

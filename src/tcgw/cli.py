@@ -25,7 +25,7 @@ from .bench import (
 from .canon import canonical_json, canonical_loads, from_json_value, to_json_value
 from .errors import InvalidChain, LedgerFormatError, TcgwError
 from .gateway import ValidityRange, range_bounds, verify_archive
-from .ledger import load_ledger, save_ledger
+from .ledger import load_ledger, read_blocks, save_ledger
 from .public_chain import PublicChain
 from .workload import (
     ARCHIVE_NAME,
@@ -164,13 +164,15 @@ def _audit_epoch(path: Path | None, channel: str, epoch: int, chain: PublicChain
     says where the archive broke: "chain: TxId at block 37", or the byte
     offset at which it failed to decode. The archive is audited from its
     bytes in one streaming walk (verify_archive), each transaction body
-    hashed as read."""
+    hashed as read; one with no anchor is still decoded, so a format error
+    wins there too."""
     if path is None:
         return "FAIL (missing)"
     record = chain.find_anchor(channel, epoch)
     try:  # unreadable bytes are a tamper signal, not a usage error
         if record is None:
-            load_ledger(path, chain_id=channel)  # a format error wins here too
+            for _ in read_blocks(path):
+                pass
             return "FAIL (anchor)"
         outcome = verify_archive(path, record.summary, chain, ranges)
     except LedgerFormatError as exc:

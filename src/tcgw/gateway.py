@@ -8,7 +8,9 @@ is unrecoverable, so the order is strict: publish before prune.
 
 verify_pruned_epoch is the consumer-side counterpart: given an archived
 ledger and a summary, it re-derives everything and checks the public chain
-holds a confirmed anchor committing to exactly these bytes.
+holds a confirmed anchor committing to exactly these bytes. verify_archive
+runs the same checks over an archive file's blocks as they are decoded.
+Both are one walk of one block stream, broken chain included.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .canon import digest_json, to_json_value
+from .canon import canonical_loads, digest_json, to_json_value
 from .errors import (
     DuplicateEpoch,
     DuplicateRange,
@@ -29,11 +31,11 @@ from .errors import (
     PathTypeConflict,
     PublishFailed,
     UnknownGateway,
+    UnsupportedValue,
 )
-from .ledger import (Block, Ledger, Transaction, TxKind, VerificationReport, head, load_ledger,
-                     read_blocks, verify_blocks, verify_chain)
-from .private_chain import (METRICS, PrivateNode, SensorReading, decimal_value,
-                            ledger_readings, reading_fields)
+from .ledger import (Block, Ledger, Transaction, TxKind, VerificationReport, head,
+                     ledger_blocks, read_blocks, verify_blocks)
+from .private_chain import METRICS, PrivateNode, SensorReading, decimal_value, reading_fields
 from .worldstate import CONTEXT_KINDS, EMPTY_STATE, OpBatch, op_from_value, state_digest
 
 
@@ -285,50 +287,44 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
       chain  - archived ledger does not pass verify_chain
       head   - archived head hash/height differ from the summary's
       state  - replayed state digest differs from the summary's
-      stats  - re-running epoch_stats does not reproduce the summary's stats
-               and excluded count exactly (they are bit-reproducible), or an
-               in-window reading does not decode
+      stats  - re-running epoch_stats over every in-window reading does not
+               reproduce the summary's stats and excluded count exactly
+               (they are bit-reproducible), or such a reading does not decode
       anchor - no confirmed public anchor commits to these summary bytes
 
-    One walk: verify_chain hands each parsed payload to a visitor that
-    checks each in-window reading with reading_fields and folds its value
-    text and Decimal into the epoch_stats fold as it goes, so no list and
-    no SensorReading is built, and feeds context ops to one OpBatch. On a
-    broken chain `state` is unchecked and the stats are recomputed from
-    every in-window reading of the whole archive.
+    One walk of ledger_blocks(archived): verify_blocks hands each parsed
+    payload to a visitor that checks each in-window reading with
+    reading_fields and folds its value text and Decimal into the
+    epoch_stats fold as it goes, so no list and no SensorReading is built,
+    and feeds context ops to one OpBatch. On a broken chain `state` is
+    unchecked, and the same block stream is drained after the bad block:
+    the readings the walk did not reach are folded too.
 
     `pub` is the PublicChain (or anything with find_anchor and is_confirmed).
     """
-    return _verify_epoch(lambda visit: (verify_chain(archived, visit), archived.blocks[-1]),
-                         lambda: archived, summary, pub, ranges)
+    return _verify_epoch(ledger_blocks(archived), summary, pub, ranges)
 
 
 def verify_archive(path: Path, summary: EpochSummary, pub,
                    ranges: Iterable[ValidityRange]) -> EpochVerification:
     """verify_pruned_epoch(load_ledger(path), summary, pub, ranges), from the
-    file's bytes in one streaming walk: each transaction's tx_id is checked
-    against the SHA-256 of the body bytes read, and only the last block is
-    kept, for `head`. No Ledger is built unless the chain is broken.
+    file's bytes in one streaming walk of read_blocks(path): each
+    transaction's tx_id is checked against the SHA-256 of the body bytes
+    read, and only the last block is kept, for `head`. No Ledger is built,
+    and the file is read once, broken chain included.
 
     Raises LedgerFormatError if the file does not decode, even where the
-    walk found a chain fault first: it decodes the rest of the file.
+    walk found a chain fault first: the drain decodes the rest of the file.
     """
-    def walk(visit) -> tuple[VerificationReport, Block]:
-        blocks = read_blocks(path)
-        report, last = verify_blocks(blocks, visit)
-        for last, _ in blocks:
-            pass
-        return report, last
-
-    return _verify_epoch(walk, lambda: load_ledger(path), summary, pub, ranges)
+    return _verify_epoch(read_blocks(path), summary, pub, ranges)
 
 
-def _verify_epoch(walk: Callable[..., tuple[VerificationReport, Block]],
-                  archived: Callable[[], Ledger], summary: EpochSummary, pub,
+def _verify_epoch(blocks: Iterator[tuple[Block, int]], summary: EpochSummary, pub,
                   ranges: Iterable[ValidityRange]) -> EpochVerification:
-    """verify_pruned_epoch's checks. `walk(visit)` verifies the archive with
-    `visit` and returns the report and its last block; `archived()` gives the
-    whole ledger, for the stats of a broken chain."""
+    """verify_pruned_epoch's checks over one iterator of (block, first bad
+    tx index) pairs, as verify_blocks takes them. After a chain fault the
+    same iterator is drained, and the in-window readings the walk did not
+    reach, in the rest of the bad block and every later block, are folded."""
     start, end = summary.window_start, summary.window_end
     batch = OpBatch(EMPTY_STATE)
     found: set[str] = set()  # codes of payloads that do not decode or apply
@@ -339,8 +335,11 @@ def _verify_epoch(walk: Callable[..., tuple[VerificationReport, Block]],
         found.add("stats")
     stats = _EpochStats(bounds)
     add_reading = stats.add
+    reached_block = reached_tx = -1  # block index and tx index of the last visit
 
     def visit(height: int, index: int, tx: Transaction, value) -> None:
+        nonlocal reached_block, reached_tx
+        reached_block, reached_tx = height, index
         try:
             if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end:
                 _, metric, text, _, dec = reading_fields(value)
@@ -350,9 +349,22 @@ def _verify_epoch(walk: Callable[..., tuple[VerificationReport, Block]],
         except (InvalidArgument, PathTypeConflict, ArithmeticError):  # a NaN bound compares
             found.add("stats" if tx.kind is TxKind.RAW_READING else "state")
 
+    def fold_unvisited(txs: Iterable[Transaction]) -> None:
+        for tx in txs:
+            if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end:
+                try:
+                    _, metric, text, _, dec = reading_fields(canonical_loads(tx.payload))
+                    add_reading(metric, text, dec)
+                except (ValueError, UnsupportedValue, ArithmeticError):
+                    found.add("stats")
+
     failures: list[str] = []
-    chain, last = walk(visit)
-    if not chain.ok:
+    chain, last = verify_blocks(blocks, visit)
+    if not chain.ok:  # drain the stream: a format error wins, and the readings not reached fold
+        skip = reached_tx + 1 if reached_block == chain.first_bad_height else 0
+        fold_unvisited(last.transactions[skip:])
+        for last, _ in blocks:
+            fold_unvisited(last.transactions)
         failures.append("chain")
     if (last.height, last.block_hash) != (summary.ledger_height, summary.ledger_head_hash):
         failures.append("head")
@@ -363,9 +375,6 @@ def _verify_epoch(walk: Callable[..., tuple[VerificationReport, Block]],
         except Exception:
             failures.append("state")
     try:
-        if not chain.ok:  # the walk stopped at the bad block
-            stats = _fold(((r.metric, r.value) for r in ledger_readings(archived(), start, end)),
-                          bounds)
         if "stats" in found or stats.result() != (summary.stats, summary.excluded_count):
             failures.append("stats")
     except Exception:

@@ -23,7 +23,7 @@ ordered tx_ids: parents are ``sha256(left || right)``, an odd level duplicates
 its last node, a single leaf is its own root, and the empty list hashes to
 ``sha256(b"")``.
 
-One walk, verify_blocks, checks every chain. verify_chain feeds it a
+One walk, verify_blocks, checks every chain. ledger_blocks feeds it a
 ledger in memory, each tx_id checked by rebuilding its body
 (transaction_valid); read_blocks feeds it a file's blocks as they are
 decoded, each tx_id checked against the SHA-256 of the body bytes read,
@@ -152,7 +152,7 @@ def make_transaction(channel_id: str, timestamp: int, kind: TxKind,
 
 def transaction_valid(tx: Transaction) -> bool:
     """True iff tx_id is the SHA-256 of the transaction body. The payload
-    is not parsed here: PrivateNode.submit and verify_chain parse it."""
+    is not parsed here: PrivateNode.submit and verify_blocks parse it."""
     body = transaction_body(tx.channel_id, tx.timestamp, tx.kind, tx.payload, tx.author_id)
     return sha256(body) == tx.tx_id
 
@@ -291,7 +291,7 @@ def append_block(ledger: Ledger, txs: Sequence[Transaction], timestamp: int) -> 
     """Append one block holding `txs`; returns the grown ledger and the block.
 
     Callers pass transactions they built or admitted (PrivateNode.submit);
-    ledgers read from disk are checked by verify_chain. The batch must be
+    ledgers read from disk are checked by verify_blocks. The batch must be
     non-empty and the timestamp must not run backwards.
     """
     if not txs:
@@ -325,32 +325,33 @@ class VerificationReport:
         return "ok" if self.ok else f"{self.reason.value} at block {self.first_bad_height}"
 
 
-def verify_chain(ledger: Ledger,
-                 visit: Callable[..., None] | None = None) -> VerificationReport:
+def verify_chain(ledger: Ledger) -> VerificationReport:
     """Re-derive every hash and link; report the lowest offending height.
 
-    This is verify_blocks over the ledger's blocks, each transaction
-    checked by transaction_valid.
+    This is verify_blocks over ledger_blocks(ledger).
     """
-    return verify_blocks(((block, _first_invalid(block)) for block in ledger.blocks), visit)[0]
+    return verify_blocks(ledger_blocks(ledger))[0]
 
 
-def _first_invalid(block: Block) -> int:
-    """Index of the block's first transaction that fails transaction_valid, or -1."""
-    return next((i for i, tx in enumerate(block.transactions) if not transaction_valid(tx)), -1)
+def ledger_blocks(ledger: Ledger) -> Iterator[tuple[Block, int]]:
+    """Each block of a ledger in memory with the index of its first
+    transaction that fails transaction_valid (-1 if none), for verify_blocks."""
+    for block in ledger.blocks:
+        yield block, next((i for i, tx in enumerate(block.transactions)
+                           if not transaction_valid(tx)), -1)
 
 
 def verify_blocks(blocks: Iterable[tuple[Block, int]],
                   visit: Callable[..., None] | None = None
                   ) -> tuple[VerificationReport, Block | None]:
-    """The one per-block walk behind verify_chain and every file audit.
+    """The one per-block walk behind verify_chain and every audit.
 
     `blocks` gives each block with the index of its first transaction whose
     tx_id is not the SHA-256 of its body (-1 if none): transaction_valid in
     memory, the hash of the bytes read for read_blocks. Returns the report
     and the last block taken from `blocks`; the walk takes none past the
-    first bad block, and a caller that must see the rest of a file (a
-    format error there wins) drains `blocks` itself.
+    first bad block, and a caller that must see the rest (the audit: a
+    file's format error there wins) drains the same iterator itself.
 
     Per block, checks run in this order: height continuity, previous-hash
     link, per-transaction ids and payload parseability (canonical_loads; a

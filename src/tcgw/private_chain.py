@@ -12,7 +12,6 @@ stays alive for archival.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Any
@@ -92,7 +91,11 @@ class SensorReading:
 
     def __init__(self, sensor_id: str, metric: str, value: str, timestamp: int):
         _check_reading(sensor_id, metric, value, timestamp)
-        _set_reading(self, sensor_id, metric, value, timestamp)
+        set_sensor_id, set_metric, set_value, set_timestamp = _READING_SLOTS
+        set_sensor_id(self, sensor_id)
+        set_metric(self, metric)
+        set_value(self, value)
+        set_timestamp(self, timestamp)
 
 
 def _check_reading(sensor_id, metric, value, timestamp) -> Decimal:
@@ -108,15 +111,6 @@ def _check_reading(sensor_id, metric, value, timestamp) -> Decimal:
     return decimal_value(value)
 
 
-def _set_reading(reading: SensorReading, sensor_id: str, metric: str, value: str,
-                 timestamp: int) -> None:
-    set_sensor_id, set_metric, set_value, set_timestamp = _READING_SLOTS
-    set_sensor_id(reading, sensor_id)
-    set_metric(reading, metric)
-    set_value(reading, value)
-    set_timestamp(reading, timestamp)
-
-
 _READING_SLOTS = slot_setters(SensorReading)
 
 
@@ -127,10 +121,6 @@ def reading_payload(reading: SensorReading) -> bytes:
         "timestamp": reading.timestamp,
         "value": reading.value,
     })
-
-
-def parse_reading(payload: bytes) -> SensorReading:
-    return reading_from_value(canonical_loads(payload))
 
 
 def reading_fields(value: Any) -> tuple[str, str, str, int, Decimal]:
@@ -149,18 +139,6 @@ def reading_fields(value: Any) -> tuple[str, str, str, int, Decimal]:
     return sensor_id, _METRIC_NAMES[metric], text, timestamp, dec
 
 
-def reading_from_value(value: Any) -> SensorReading:
-    """The SensorReading in a parsed payload, checked by reading_fields.
-
-    The readings share their names instead of each holding the parse's own
-    copies: `metric` is the METRICS string, `sensor_id` the interned one.
-    """
-    sensor_id, metric, text, timestamp, _ = reading_fields(value)
-    reading = object.__new__(SensorReading)
-    _set_reading(reading, sys.intern(sensor_id), metric, text, timestamp)
-    return reading
-
-
 def reading_transaction(channel_id: str, reading: SensorReading) -> Transaction:
     """RawReading transaction authored by the sensor at the reading's time."""
     return make_transaction(channel_id, reading.timestamp, TxKind.RAW_READING,
@@ -168,8 +146,11 @@ def reading_transaction(channel_id: str, reading: SensorReading) -> Transaction:
 
 
 def ledger_readings(ledger: Ledger, start: int, end: int) -> list[SensorReading]:
-    """RawReading payloads with start <= timestamp < end, in commit order."""
-    return [parse_reading(tx.payload) for _, _, tx in iter_transactions(ledger)
+    """RawReading payloads with start <= timestamp < end, in commit order.
+    The reference the node's held readings are tested against; no audit
+    builds a SensorReading."""
+    return [SensorReading(*reading_fields(canonical_loads(tx.payload))[:4])
+            for _, _, tx in iter_transactions(ledger)
             if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end]
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -290,29 +291,54 @@ def test_verify_builds_no_transaction_body(run_dir, monkeypatch, capsys):
     assert calls == []
 
 
-def _file_audit_peak(tmp_path, n: int) -> int:
+def _file_audit_peak(tmp_path, n: int, tampered: bool = False) -> int:
     """Bytes the traced heap peaks above its level before `tcgw verify`
-    audits the archive file of an honest epoch of n readings."""
+    audits the archive file of an honest epoch of n readings, or of one
+    with the first digit of its first reading's value flipped. Either audit
+    reads the file once."""
     node = node_with_readings(n=n, spacing=10)
     pub = _pub()
     _rollover(node, pub, 0, n * 10)
     path = save_ledger(node.ledger, tmp_path / f"fieldA.n{n}.tcgw")
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        assert _audit_epoch(path, "fieldA", 0, pub, (TEMP_RANGE,)) == "ok"
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    verdict = "ok"
+    if tampered:
+        data = bytearray(path.read_bytes())
+        data[data.index(b'"value":"') + 9] ^= 0x01
+        path.write_bytes(bytes(data))
+        verdict = "FAIL (chain: TxId at block 1, stats)"
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counting_read_bytes(self):
+        reads.append(self)
+        return read_bytes(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Path, "read_bytes", counting_read_bytes)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert _audit_epoch(path, "fieldA", 0, pub, (TEMP_RANGE,)) == verdict
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert reads == [path]
+    return peak
 
 
 def test_verify_holds_the_file_and_no_transaction_per_transaction(tmp_path):
     """The file audit streams the decoded blocks: its peak grows per archived
     reading by the file's bytes (142) and a float and a list slot for the
     stats (32), 174 bytes here, not by every decoded transaction beside
-    them (438 bytes when the audit loaded the whole ledger first)."""
+    them (438 bytes when the audit loaded the whole ledger first). A broken
+    chain's stats are folded from the same block stream, so a tampered
+    archive's audit grows alike (452 bytes when it read the file again into
+    a Ledger and a SensorReading per reading)."""
     n = 1000
-    assert (_file_audit_peak(tmp_path, 2 * n) - _file_audit_peak(tmp_path, n)) / n < 250
+    for tampered in (False, True):
+        growth = (_file_audit_peak(tmp_path, 2 * n, tampered)
+                  - _file_audit_peak(tmp_path, n, tampered)) / n
+        assert growth < 250, (tampered, growth)
 
 
 def test_verify_rejects_a_digest_that_is_not_hex(run_dir, tmp_path, capsys):
@@ -471,11 +497,14 @@ def test_verify_reports_a_renamed_archive(run_dir, tmp_path, capsys):
     (archive / "north.epoch0.tcgw").rename(archive / "north.epoch7.tcgw")
     (archive / "south.epoch0.tcgw").rename(archive / "south-epoch0.tcgw")
     (archive / "south.epoch1.tcgw").rename(archive / "south.epoch01.tcgw")
+    # an archive with no anchor is still decoded: its format error wins
+    (archive / "north.epoch8.tcgw").write_bytes((archive / "north.epoch7.tcgw").read_bytes()[:-7])
     assert main(["verify", "--archive", str(archive),
                  "--chain", str(run_dir / "public.tcgw")]) == 1
     captured = capsys.readouterr()
     assert "north epoch 0: FAIL (missing)" in captured.out
     assert "north epoch 7: FAIL (anchor)" in captured.out
+    assert "north epoch 8: FAIL (chain: " in captured.out
     assert "south epoch 0: FAIL (missing)" in captured.out
     assert "south epoch 1: FAIL (missing)" in captured.out
     assert captured.out.count(": ok") == 1

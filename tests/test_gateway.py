@@ -6,7 +6,6 @@ import dataclasses
 import math
 import random
 import tracemalloc
-import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +24,7 @@ from tcgw import (
     filter_out_of_scale,
     head,
     iter_transactions,
+    ledger_readings,
     ledger_size_bytes,
     make_transaction,
     op_payload,
@@ -34,7 +34,7 @@ from tcgw import (
     summary_digest,
     verify_pruned_epoch,
 )
-from tcgw.canon import canonical_loads, from_json_value, to_json_value
+from tcgw.canon import from_json_value, to_json_value
 from tcgw.errors import DuplicateRange, InvalidArgument, NonEmptyMempool, PublishFailed
 from tcgw.gateway import epoch_stats
 from tcgw.ledger import make_block
@@ -403,26 +403,19 @@ def test_node_holds_a_value_text_per_committed_reading():
     assert (_node_heap(2 * n) - _node_heap(n)) / n < 120
 
 
-def test_submit_and_audit_build_no_reading_and_intern_no_name(monkeypatch):
-    """Work counter: submit, commit, rollover and verify_pruned_epoch build
-    no SensorReading and call no sys.intern per reading. Every
-    SensorReading gets its fields through private_chain._set_reading."""
-    from tcgw import private_chain
-    counts = {"readings": 0, "interns": 0}
-    set_reading, intern = private_chain._set_reading, private_chain.sys.intern
+def test_submit_and_audit_build_no_reading(monkeypatch):
+    """Work counter: submit, commit, rollover and verify_pruned_epoch, of an
+    honest and of a broken archive, build no SensorReading."""
+    counts = {"readings": 0}
+    init = SensorReading.__init__
 
-    def counting_set_reading(*args):
+    def counting_init(self, *args):
         counts["readings"] += 1
-        return set_reading(*args)
-
-    def counting_intern(name):
-        counts["interns"] += 1
-        return intern(name)
+        init(self, *args)
 
     n = 250
     txs = [reading_tx("fieldA", i, sensor=f"s-{i % 2}", metric=METRICS[i % 4]) for i in range(n)]
-    monkeypatch.setattr(private_chain, "_set_reading", counting_set_reading)
-    monkeypatch.setattr(private_chain, "sys", types.SimpleNamespace(intern=counting_intern))
+    monkeypatch.setattr(SensorReading, "__init__", counting_init)
     node = PrivateNode("fieldA", {"s-0", "s-1"})
     for tx in txs:
         node.clock = tx.timestamp
@@ -431,13 +424,15 @@ def test_submit_and_audit_build_no_reading_and_intern_no_name(monkeypatch):
         node.commit_batch()
     pub = _pub()
     summary, _, _ = _rollover(node, pub, 0, n)
-    assert counts == {"readings": 0, "interns": 0}
+    assert counts == {"readings": 0}
     assert verify_pruned_epoch(node.ledger, summary, pub, [TEMP_RANGE]).ok
-    assert counts == {"readings": 0, "interns": 0}
-    # the counters count: reading_from_value builds and interns, as does a parse
-    private_chain.reading_from_value(canonical_loads(txs[0].payload))
+    tampered = tamper_ledger(node.ledger, height=1, target="payload", byte_index=5)
+    assert verify_pruned_epoch(tampered, summary, pub, [TEMP_RANGE]).failures == ("chain", "stats")
+    assert counts == {"readings": 0}
+    # the counter counts: a reading built directly, and the reference parse
     SensorReading("s-0", "temperature_c", "20.5", 0)
-    assert counts == {"readings": 2, "interns": 1}
+    assert len(ledger_readings(node.ledger, 0, 1)) == 1
+    assert counts == {"readings": 2}
 
 
 def test_verify_pruned_epoch_reports_ranges_it_cannot_read_as_stats():
@@ -527,7 +522,11 @@ def _relink(ledger, height, tx_index, kind, payload):
 
 
 def _tamper_case(name, ledger):
+    """The named tamper of `ledger`. The tx_id and previous_hash flips break
+    block 3 of _epoch_with_ops, whose 7 transactions are all readings: the
+    audit must still fold each in-window reading exactly once."""
     last = len(ledger.blocks) - 1
+    last_tx = len(ledger.blocks[3].transactions) - 1
     reading_at = _first_tx(ledger, TxKind.RAW_READING)
     append_at = _first_tx(ledger, TxKind.APPEND_TO_ARRAY)
     onto_scalar = ContextOp(TxKind.APPEND_TO_ARRAY, "lot1", ("Plant density",), "x")
@@ -536,6 +535,10 @@ def _tamper_case(name, ledger):
         "tx_root": lambda: tamper_ledger(ledger, height=3, target="tx_root", byte_index=2),
         "last_block_hash": lambda: tamper_ledger(ledger, height=last, target="block_hash"),
         "payload_flip": lambda: tamper_ledger(ledger, height=2, target="payload", byte_index=5),
+        "tx_id_first": lambda: tamper_ledger(ledger, height=3, target="tx_id"),
+        "tx_id_middle": lambda: tamper_ledger(ledger, height=3, target="tx_id", tx_index=last_tx // 2),
+        "tx_id_last": lambda: tamper_ledger(ledger, height=3, target="tx_id", tx_index=last_tx),
+        "previous_hash": lambda: tamper_ledger(ledger, height=3, target="previous_hash"),
         "not_a_reading": lambda: _relink(ledger, *reading_at, TxKind.RAW_READING,
                                          b'{"sensor_id":"s-0"}'),
         "append_onto_scalar": lambda: _relink(ledger, *append_at, TxKind.APPEND_TO_ARRAY,
@@ -556,6 +559,10 @@ def _tamper_case(name, ledger):
     ("append_onto_scalar", ("head", "state")),
     ("unparseable", ("chain", "head", "stats")),
     ("unencodable_doc_id", ("head", "state")),
+    ("tx_id_first", ("chain",)),
+    ("tx_id_middle", ("chain",)),
+    ("tx_id_last", ("chain",)),
+    ("previous_hash", ("chain",)),
 ])
 def test_verify_pruned_epoch_failure_table(case, failures):
     archived, summary, pub = _epoch_with_ops()

@@ -32,7 +32,7 @@ from tcgw.errors import (
     InvalidTransaction,
     LedgerFormatError,
 )
-from tcgw.ledger import ZERO_HASH, make_block, make_transaction
+from tcgw.ledger import ZERO_HASH, ledger_blocks, make_block, make_transaction, verify_blocks
 
 from helpers import build_ledger, flip_byte, reading_tx, tamper_ledger
 
@@ -375,14 +375,14 @@ def test_load_ledger_raises_only_ledger_format_error(tmp_path_factory, data):
     assert isinstance(ledger, Ledger) and ledger.blocks
 
 
-def test_verify_chain_visits_each_tx_once_in_order_up_to_the_first_bad_block():
+def test_verify_blocks_visits_each_tx_once_in_order_up_to_the_first_bad_block():
     ledger = build_ledger(n_txs=20, per_block=3)  # blocks 1-6 hold 3 txs, block 7 holds 2
     seen: list = []
 
     def visit(height, index, tx, value):
         seen.append((height, index, tx, value))
 
-    assert verify_chain(ledger, visit).ok
+    assert verify_blocks(ledger_blocks(ledger), visit)[0].ok
     assert [(h, i, tx) for h, i, tx, _ in seen] == list(iter_transactions(ledger))
     assert all(value == canonical_loads(tx.payload) for _, _, tx, value in seen)
     # Block 3 is bad. Its transactions are visited up to the first that fails
@@ -391,8 +391,8 @@ def test_verify_chain_visits_each_tx_once_in_order_up_to_the_first_bad_block():
                             ("block_hash", 9)]:
         tampered = tamper_ledger(ledger, height=3, target=target, tx_index=1, byte_index=2)
         seen.clear()
-        report = verify_chain(tampered, visit)
-        assert (report.ok, report.first_bad_height) == (False, 3)
+        report, last = verify_blocks(ledger_blocks(tampered), visit)
+        assert (report.ok, report.first_bad_height, last) == (False, 3, tampered.blocks[3])
         assert [(h, i, tx) for h, i, tx, _ in seen] == list(iter_transactions(tampered))[:visited]
 
 

@@ -31,7 +31,7 @@ from tcgw import (
 )
 from tcgw.canon import canonical_json, canonical_loads
 from tcgw.gateway import epoch_stats
-from tcgw.private_chain import decimal_value, reading_from_value
+from tcgw.private_chain import decimal_value, reading_fields
 from tcgw.worldstate import op_from_value
 from tcgw.errors import (
     DuplicateTransaction,
@@ -156,15 +156,16 @@ def test_submit_rejects_payload_that_is_not_canonical_json(kind, payload):
 @pytest.mark.parametrize("sensor_id", [None, ["x"], {"a": 1}, 7],
                          ids=["null", "array", "object", "number"])
 def test_reading_from_value_refuses_a_sensor_id_that_is_not_a_string(sensor_id):
+    """reading_fields, the one reader of a parsed reading payload (it
+    replaced reading_from_value), refuses it."""
     with pytest.raises(InvalidArgument):
-        reading_from_value({**_READING, "sensor_id": sensor_id})
+        reading_fields({**_READING, "sensor_id": sensor_id})
 
 
 def test_parsed_readings_share_their_name_strings(tmp_path):
-    """Every reading parsed from a payload holds the METRICS string as its
-    metric and one shared string per sensor_id, not the parse's own copies;
-    a node, built by submits or over a reloaded ledger, holds only value
-    texts, keyed by the METRICS strings, equal to a parse of the ledger."""
+    """A node, built by submits or over a reloaded ledger, holds only value
+    texts, keyed by the METRICS strings, not the parse's own copies, equal
+    to a parse of the ledger."""
     node = _node(authors=("s-0", "s-1"))
     for i in range(40):
         node.submit(reading_tx("fieldA", i, sensor=f"s-{i % 2}", metric=METRICS[i % 4]))
@@ -177,20 +178,13 @@ def test_parsed_readings_share_their_name_strings(tmp_path):
     for held in (node, reloaded):
         assert [id(metric) for metric in held.values] == [id(metric) for metric in METRICS]
         assert {type(text) for texts in held.values.values() for text in texts} == {str}
-    parsed = (ledger_readings(node.ledger, 0, 1 << 64)
-              + ledger_readings(reloaded.ledger, 0, 1 << 64)
-              + [reading_from_value(canonical_loads(tx.payload))
-                 for _, _, tx in iter_transactions(node.ledger)])
-    assert len(parsed) == 120
-    assert {id(r.metric) for r in parsed} == {id(metric) for metric in METRICS}
-    assert len({id(r.sensor_id) for r in parsed}) == 2
 
 
 @pytest.mark.parametrize("read, value", [
     (op_from_value, {**_OP, "path": "abc"}),
     (op_from_value, {**_OP, "path": {"k": 1}}),
     (op_from_value, {**_OP, "extra": 0}),
-    (reading_from_value, {**_READING, "extra": 0}),
+    (reading_fields, {**_READING, "extra": 0}),
 ], ids=["string-path", "object-path", "op-fifth-key", "reading-fifth-key"])
 def test_payload_readers_take_exactly_the_shape_their_writers_make(read, value):
     """A string path would be split into one key per character, and an extra
