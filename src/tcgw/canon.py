@@ -70,11 +70,14 @@ def _check_value(value: Any, depth: int = 0) -> None:
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                             ensure_ascii=False, allow_nan=False)
+# The string encoder both encoders below use (quote, backslash and control
+# characters escaped, non-ASCII literal); reading_head escapes ids with it.
+encode_string = json.encoder.encode_basestring
 # The C encoder that JSONEncoder.encode builds on every call, built once and
 # without cycle markers (_check_value stops a cycle at depth 65); without the
 # _json accelerator, the stdlib's Python encoder. Each returns chunks to join.
 _encode_chunks = (json.encoder.c_make_encoder(
-    None, _ENCODER.default, json.encoder.encode_basestring, None, ":", ",", True, False, False)
+    None, _ENCODER.default, encode_string, None, ":", ",", True, False, False)
     if json.encoder.c_make_encoder else _ENCODER.iterencode)
 
 

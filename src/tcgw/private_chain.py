@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Any
 
-from .canon import canonical_json, canonical_loads
+from .canon import canonical_loads, encode_string
 from .errors import (
     DuplicateTransaction,
     InvalidArgument,
@@ -114,15 +114,6 @@ def _check_reading(sensor_id, metric, value, timestamp) -> Decimal:
 _READING_SLOTS = slot_setters(SensorReading)
 
 
-def reading_payload(reading: SensorReading) -> bytes:
-    return canonical_json({
-        "metric": reading.metric,
-        "sensor_id": reading.sensor_id,
-        "timestamp": reading.timestamp,
-        "value": reading.value,
-    })
-
-
 def reading_fields(value: Any) -> tuple[str, str, str, int, Decimal]:
     """(sensor_id, metric, value, timestamp, Decimal of value) of a parsed
     payload: an object with exactly the four keys reading_payload writes,
@@ -137,6 +128,20 @@ def reading_fields(value: Any) -> tuple[str, str, str, int, Decimal]:
         raise InvalidArgument(f"malformed reading payload: {exc}") from exc
     dec = _check_reading(sensor_id, metric, text, timestamp)
     return sensor_id, _METRIC_NAMES[metric], text, timestamp, dec
+
+
+def reading_head(sensor_id: str, metric: str) -> str:
+    """A reading payload's text up to its timestamp. The payload of a
+    reading is f'{head}{timestamp},"value":"{value}"}}' in UTF-8, which for
+    any fields a SensorReading admits is canonical_json of the four keys
+    reading_fields reads: the metric, the int and the plain decimal literal
+    need no escaping, and the id is escaped as canonical_json escapes it."""
+    return f'{{"metric":"{metric}","sensor_id":{encode_string(sensor_id)},"timestamp":'
+
+
+def reading_payload(reading: SensorReading) -> bytes:
+    head = reading_head(reading.sensor_id, reading.metric)
+    return f'{head}{reading.timestamp},"value":"{reading.value}"}}'.encode()
 
 
 def reading_transaction(channel_id: str, reading: SensorReading) -> Transaction:

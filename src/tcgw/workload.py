@@ -19,15 +19,8 @@ from pathlib import Path
 from .canon import canonical_loads, from_json_value, to_json_value
 from .errors import InvalidArgument, InvalidWindow
 from .gateway import ValidityRange, range_bounds, rollover_epoch, verify_pruned_epoch
-from .ledger import Ledger, TxKind, head, ledger_size_bytes, make_transaction
-from .private_chain import (
-    BATCH_SIZE,
-    METRICS,
-    PrivateNode,
-    SensorReading,
-    decimal_value,
-    reading_transaction,
-)
+from .ledger import Ledger, Transaction, TxKind, head, ledger_size_bytes, make_transaction
+from .private_chain import BATCH_SIZE, METRICS, PrivateNode, decimal_value, reading_head
 from .public_chain import DEFAULT_CONFIRMATIONS, OPERATIONS_ARRAY, PublicChain, PublicClient
 from .rng import SplitMix64, derive_seed
 from .worldstate import ContextOp, op_payload
@@ -65,6 +58,17 @@ DEFAULT_VALIDITY_RANGES = (
 )
 
 
+def _check_id(text, name: str) -> None:
+    """Raise InvalidArgument unless `text` is a str that UTF-8 can encode,
+    as every seed label, payload and file name made from it must be."""
+    if not isinstance(text, str):
+        raise InvalidArgument(f"{name} {text!r} is not a string")
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        raise InvalidArgument(f"{name} {text!r} is not UTF-8 encodable: {exc.reason}") from exc
+
+
 @dataclass(frozen=True)
 class SensorSpec:
     sensor_id: str
@@ -74,6 +78,7 @@ class SensorSpec:
     high: str
 
     def __post_init__(self):
+        _check_id(self.sensor_id, "sensor_id")
         if self.metric not in METRICS:
             raise InvalidArgument(f"unknown metric {self.metric!r}")
         if self.interval <= 0:
@@ -96,6 +101,7 @@ class FieldConfig:
     ops_interval: int = DEFAULT_OPS_INTERVAL
 
     def __post_init__(self):
+        _check_id(self.channel_id, "channel_id")
         match = ARCHIVE_NAME.match(archive_name(self.channel_id, 0))
         if (not match or match["channel"] != self.channel_id or self.channel_id in (".", "..")
                 or any(c in self.channel_id for c in "/\\\0")):
@@ -190,29 +196,34 @@ def _spike_value(metric: str, ranges) -> str:
 
 
 def generate_readings(cfg: FieldConfig, window_start: int, window_end: int,
-                      ranges=DEFAULT_VALIDITY_RANGES) -> list[SensorReading]:
-    """One reading per sensor per sampling interval, deterministic in (seed, window).
+                      ranges=DEFAULT_VALIDITY_RANGES) -> list[Transaction]:
+    """One RawReading transaction per sensor per sampling interval, sensor by
+    sensor and time-ascending, deterministic in (seed, window).
 
     With probability fault_rate a reading is replaced by an out-of-scale
-    spike (ten times the metric's max_valid), simulating malfunction.
+    spike (ten times the metric's max_valid), simulating malfunction. Each
+    payload is written from its sensor's reading_head; the spike is checked
+    once per sensor, and a sampled value is a plain literal inside the
+    SensorSpec's bounds, so no reading is checked here (submit checks each).
     """
     if window_start >= window_end:
         raise InvalidWindow(f"[{window_start}, {window_end}) is empty or inverted")
     fault_rate = float(Decimal(cfg.fault_rate))
-    readings: list[SensorReading] = []
+    channel_id, kind = cfg.channel_id, TxKind.RAW_READING
+    txs: list[Transaction] = []
     for sensor in cfg.sensors:
         rng = SplitMix64(derive_seed(
-            cfg.seed, f"readings/{cfg.channel_id}/{sensor.sensor_id}/{window_start}:{window_end}"))
+            cfg.seed, f"readings/{channel_id}/{sensor.sensor_id}/{window_start}:{window_end}"))
         low, high = float(Decimal(sensor.low)), float(Decimal(sensor.high))
         spike = _spike_value(sensor.metric, ranges)
-        t = window_start
-        while t < window_end:
+        decimal_value(spike, f"{sensor.metric} fault spike")
+        head, author = reading_head(sensor.sensor_id, sensor.metric), sensor.sensor_id
+        for t in range(window_start, window_end, sensor.interval):
             sampled = rng.uniform(low, high)
-            faulty = rng.random() < fault_rate
-            value = spike if faulty else f"{sampled:.3f}"
-            readings.append(SensorReading(sensor.sensor_id, sensor.metric, value, t))
-            t += sensor.interval
-    return readings
+            value = spike if rng.random() < fault_rate else f"{sampled:.3f}"
+            txs.append(make_transaction(channel_id, t, kind,
+                                        f'{head}{t},"value":"{value}"}}'.encode(), author))
+    return txs
 
 
 def generate_context_ops(cfg: FieldConfig, window_start: int,
@@ -275,16 +286,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         window_end = (epoch + 1) * cfg.epoch_length
         for f in fields:
             node = nodes[f.channel_id]
-            readings = generate_readings(f, window_start, window_end, cfg.ranges)
+            txs = generate_readings(f, window_start, window_end, cfg.ranges)
+            generated = len(txs)
             ops = generate_context_ops(f, window_start, window_end)
-            txs = [reading_transaction(f.channel_id, r) for r in readings]
             txs += [make_transaction(f.channel_id, t, op.op, op_payload(op), f.ops_author)
                     for t, op in ops]
-            generated = len(readings)
             cultural = sum(1 for _, op in ops if op.op is TxKind.APPEND_TO_ARRAY)
-            # The transactions carry everything the node keeps (submit parses
-            # its own copies), so the generator's lists go before it does.
-            del readings, ops
+            del ops  # the transactions carry them; submit parses its own copies
             txs.sort(key=lambda tx: (tx.timestamp, tx.author_id, tx.tx_id))
             for tx in txs:
                 node.clock = max(node.clock, tx.timestamp)

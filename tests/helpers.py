@@ -14,6 +14,8 @@ from tcgw import (
     genesis,
     reading_transaction,
 )
+from tcgw.canon import canonical_loads
+from tcgw.private_chain import reading_fields
 from tcgw.rng import SplitMix64, derive_seed
 
 
@@ -25,6 +27,12 @@ def make_reading(i: int, sensor: str = "s-0", metric: str = "temperature_c",
 
 def reading_tx(channel: str, i: int, **kwargs) -> Transaction:
     return reading_transaction(channel, make_reading(i, **kwargs))
+
+
+def tx_readings(txs) -> list[SensorReading]:
+    """The readings that RawReading transactions carry, read back from each
+    payload through reading_fields, in order."""
+    return [SensorReading(*reading_fields(canonical_loads(tx.payload))[:4]) for tx in txs]
 
 
 def build_ledger(channel: str = "fieldA", n_txs: int = 50, per_block: int = 1) -> Ledger:

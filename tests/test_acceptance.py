@@ -41,7 +41,7 @@ from tcgw.private_chain import SensorReading
 
 import dataclasses
 
-from helpers import NeverConfirms, build_ledger, node_with_readings, tamper_ledger
+from helpers import NeverConfirms, build_ledger, node_with_readings, tamper_ledger, tx_readings
 
 TEMP_RANGE = ValidityRange("temperature_c", "-20", "60")
 
@@ -236,7 +236,7 @@ def test_criterion_7_out_of_scale_filter():
     field = FieldConfig("fieldA", "tomato",
                         (SensorSpec("s-0", "temperature_c", 60, "5", "35"),),
                         "0.1", seed=314)
-    readings = generate_readings(field, 0, 600_000, [TEMP_RANGE])
+    readings = tx_readings(generate_readings(field, 0, 600_000, [TEMP_RANGE]))
     assert len(readings) == 10_000
     kept, excluded = filter_out_of_scale(readings, [TEMP_RANGE])
     sigma = math.sqrt(10_000 * 0.1 * 0.9)

@@ -72,6 +72,24 @@ def test_run_rejects_a_bad_config_before_writing_anything(tmp_path, capsys, chan
 
 
 @pytest.mark.parametrize("where, text", [
+    ("sensor_id", "s\ud800"), ("channel_id", "f\ud800"),
+], ids=["sensor", "channel"])
+def test_run_rejects_a_config_id_that_utf8_cannot_encode(tmp_path, capsys, where, text):
+    """A lone surrogate in an id is a config error (2) naming the field, not
+    a traceback out of the seed derivation."""
+    value = to_json_value(small_scenario())
+    field = value["fields"][0]
+    (field["sensors"][0] if where == "sensor_id" else field)[where] = text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(value))  # ASCII, the surrogate as a \u escape
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tcgw: config error: ")
+    assert f"{where} {text!r} is not UTF-8 encodable" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("where, text", [
     ("low", " 9 "), ("high", "1_0"), ("max_valid", "12.5\n"), ("min_valid", "\u0661\u0661"),
     ("fault_rate", "0.05 "),
 ])

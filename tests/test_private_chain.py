@@ -12,16 +12,21 @@ from hypothesis import given, settings, strategies as st
 from tcgw import (
     METRICS,
     ContextOp,
+    FieldConfig,
     PrivateNode,
     PublicChain,
     PublicClient,
+    SensorReading,
+    SensorSpec,
     TxKind,
+    generate_readings,
     head,
     iter_transactions,
     ledger_readings,
     load_ledger,
     make_transaction,
     op_payload,
+    reading_payload,
     reading_transaction,
     replay,
     rollover_epoch,
@@ -459,6 +464,59 @@ def test_decimal_value_rejects_what_is_not_a_plain_literal(text, message):
         with pytest.raises(InvalidArgument) as info:
             make_reading(0, value=text)
         assert str(info.value) == message
+
+
+_ID_CHARS = '"\\/\x00\x08\x1f\x7f\x85\u2028\u2029\ufeff\u00e9\u4e2d\U0001f600\U0010ffff'
+_sensor_ids = st.text(st.one_of(st.sampled_from(_ID_CHARS),
+                                st.characters(blacklist_categories=("Cs",))), max_size=12)
+_value_texts = st.one_of(
+    st.sampled_from(["-0.000", "1.0E+3", "20.50", "+1", ".5", "5.", "1e3", "-9E+99", "1E-400"]),
+    st.from_regex(r"[+-]?([0-9]{1,20}(\.[0-9]{0,6})?|\.[0-9]{1,6})([eE][+-]?[0-9]{1,3})?",
+                  fullmatch=True).filter(lambda text: Decimal(text).adjusted() < 100),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(metric=st.sampled_from(METRICS), sensor_id=_sensor_ids,
+       timestamp=st.integers(0, 2**63), value=_value_texts)
+def test_reading_payload_is_canonical_json_of_its_four_keys(metric, sensor_id, timestamp, value):
+    """The template reading_payload writes from is byte-identical to
+    canonical_json of the four keys, for every id escape and value form."""
+    reading = SensorReading(sensor_id, metric, value, timestamp)
+    payload = reading_payload(reading)
+    assert payload == canonical_json({"metric": metric, "sensor_id": sensor_id,
+                                      "timestamp": timestamp, "value": value})
+    assert reading_fields(canonical_loads(payload))[:4] == (sensor_id, metric, value, timestamp)
+
+
+@pytest.mark.parametrize("sensor_id", ["s\ud800", "\udfff", "a\ud83db"])
+def test_reading_payload_refuses_a_lone_surrogate_as_canonical_json_does(sensor_id):
+    reading = SensorReading(sensor_id, "temperature_c", "20.5", 0)
+    with pytest.raises(UnicodeEncodeError):
+        reading_payload(reading)
+    with pytest.raises(UnicodeEncodeError):
+        canonical_json({"metric": "temperature_c", "sensor_id": sensor_id,
+                        "timestamp": 0, "value": "20.5"})
+
+
+def test_generated_transactions_are_those_of_their_readings():
+    """generate_readings writes each payload from its sensor's template; the
+    transactions equal reading_transaction of the readings they carry, and
+    each payload is canonical JSON, spikes and sampled values alike."""
+    sensors = (SensorSpec("s-t", "temperature_c", 600, "-5", "35"),
+               SensorSpec('s "h"\u2028\U0001f600', "humidity_pct", 900, "20", "90"),
+               SensorSpec("s-r", "rain_pct", 3600, "0", "100"))
+    field = FieldConfig("fieldA", "tomato", sensors, "0.5", seed=9)
+    txs = generate_readings(field, 86_400, 2 * 86_400)
+    assert txs == [reading_transaction("fieldA",
+                                       SensorReading(*reading_fields(canonical_loads(tx.payload))[:4]))
+                   for tx in txs]
+    assert all(tx.payload == canonical_json(canonical_loads(tx.payload)) for tx in txs)
+    assert [(tx.author_id, tx.timestamp) for tx in txs] == [
+        (s.sensor_id, t) for s in sensors for t in range(86_400, 2 * 86_400, s.interval)]
+    values = [canonical_loads(tx.payload)["value"] for tx in txs]
+    spikes = {"600", "1000"}  # ten times max_valid, for the default ranges
+    assert 0.4 < sum(value in spikes for value in values) / len(values) < 0.6
 
 
 def test_reading_validation():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from tcgw import (
@@ -21,6 +23,8 @@ from tcgw.canon import canonical_json, canonical_loads, digest_json
 from tcgw.errors import DuplicateRange, InvalidArgument, InvalidWindow
 from tcgw.canon import from_json_value, to_json_value
 from tcgw.workload import DEFAULT_VALIDITY_RANGES, apply_seed_override, load_scenario_config
+
+from helpers import tx_readings
 
 TEMP_RANGE = ValidityRange("temperature_c", "-20", "60")
 
@@ -46,7 +50,7 @@ def small_scenario(seed_base=1, epochs=2) -> ScenarioConfig:
 
 
 def test_one_reading_per_sensor_per_interval():
-    readings = generate_readings(_field(), 0, 86_400)
+    readings = tx_readings(generate_readings(_field(), 0, 86_400))
     assert len(readings) == 24
     assert [r.timestamp for r in readings] == [i * 3600 for i in range(24)]
 
@@ -57,17 +61,17 @@ def test_generation_is_deterministic():
     assert a == b
     # a different window yields a different stream
     c = generate_readings(_field(), 86_400, 2 * 86_400)
-    assert [r.value for r in c] != [r.value for r in a]
+    assert [r.value for r in tx_readings(c)] != [r.value for r in tx_readings(a)]
 
 
 def test_zero_fault_rate_yields_zero_exclusions():
-    readings = generate_readings(_field(fault="0"), 0, 30 * 86_400)
+    readings = tx_readings(generate_readings(_field(fault="0"), 0, 30 * 86_400))
     _, excluded = filter_out_of_scale(readings, [TEMP_RANGE])
     assert excluded == []
 
 
 def test_faults_become_out_of_scale_spikes():
-    readings = generate_readings(_field(fault="1"), 0, 10 * 3600)
+    readings = tx_readings(generate_readings(_field(fault="1"), 0, 10 * 3600))
     assert {r.value for r in readings} == {"600"}  # max_valid 60 x 10
     _, excluded = filter_out_of_scale(readings, [TEMP_RANGE])
     assert len(excluded) == len(readings)
@@ -76,6 +80,15 @@ def test_faults_become_out_of_scale_spikes():
 def test_generate_rejects_bad_window():
     with pytest.raises(InvalidWindow):
         generate_readings(_field(), 10, 10)
+
+
+def test_generate_refuses_a_fault_spike_no_reading_could_hold():
+    """Ranges passed to generate_readings directly, not through a
+    ScenarioConfig, still cannot make a spike of 1E+100 or more."""
+    with pytest.raises(InvalidArgument,
+                       match=r"^temperature_c fault spike '1\.0E\+100' is not below"):
+        generate_readings(_field(fault="1"), 0, 3600,
+                          [ValidityRange("temperature_c", "0", "1E+99")])
 
 
 def test_context_ops_schedule_and_determinism():
@@ -98,6 +111,13 @@ def test_field_config_validation():
     for channel in ["../escaped", "a/b", "a\\b", ".", "..", "a\nb", "a\0b"]:
         with pytest.raises(InvalidArgument, match="cannot name a file"):
             _field(channel)
+    # an id is checked once per sensor or field, not per generated reading
+    for sensor_id, message in [(7, "sensor_id 7 is not a string"),
+                               ("s\udfff", "sensor_id 's\\\\udfff' is not UTF-8 encodable")]:
+        with pytest.raises(InvalidArgument, match=message):
+            SensorSpec(sensor_id, "temperature_c", 60, "0", "1")
+    with pytest.raises(InvalidArgument, match="channel_id None is not a string"):
+        _field(None)
 
 
 @pytest.mark.parametrize("text", [" 9 ", "1_0", "12.5\n", "\u0661\u0661", "-Infinity"])
@@ -215,14 +235,15 @@ def test_run_scenario_parses_each_payload_twice(monkeypatch):
     assert decodes == 2 * committed
 
 
-def test_run_scenario_parses_each_reading_value_four_times(monkeypatch):
+def test_run_scenario_parses_each_reading_value_three_times(monkeypatch):
     """Work counter: each reading's value is parsed as a Decimal once each
-    by the generator's SensorReading, submit's check, the rollover fold of
-    the node's held texts and the in-run audit, whose check hands its
-    Decimal to the fold."""
+    by submit's check, the rollover fold of the node's held texts and the
+    in-run audit, whose check hands its Decimal to the fold. The generator
+    parses none; it checks its sensor's fault spike once per window."""
     from decimal import Decimal
     from tcgw import gateway, private_chain
     from tcgw.ledger import iter_transactions
+    from tcgw.workload import _spike_value
     parsed: list = []
 
     def counting(value="0", *args):
@@ -239,7 +260,52 @@ def test_run_scenario_parses_each_reading_value_four_times(monkeypatch):
     bounds = {text for r in cfg.ranges for text in (r.min_valid, r.max_valid)}
     assert len(values) == 288 and bounds.isdisjoint(values)
     readings = set(values)
-    assert sum(1 for text in parsed if text in readings) == 4 * len(values)
+    spike_checks = cfg.epochs * sum(1 for f in cfg.fields for s in f.sensors
+                                    if _spike_value(s.metric, cfg.ranges) in readings)
+    assert sum(1 for text in parsed if text in readings) == 3 * len(values) + spike_checks
+
+
+def test_run_scenario_builds_no_reading_and_encodes_none(monkeypatch):
+    """Work counter: run_scenario builds no SensorReading, and its
+    canonical_json calls do not grow with the readings: two per context op
+    (op_payload writes it, submit's check_digestible encodes its body) and
+    a fixed few per field and epoch (state and summary digests, the anchor
+    and its confirmation ticks), at one and at twice the sampling rate."""
+    import sys
+    from tcgw import SensorReading, canon
+    counts = {"readings": 0, "encodes": 0}
+    init, encode = SensorReading.__init__, canon.canonical_json
+
+    def counting_init(self, *args):
+        counts["readings"] += 1
+        init(self, *args)
+
+    def counting_encode(value):
+        counts["encodes"] += 1
+        return encode(value)
+
+    monkeypatch.setattr(SensorReading, "__init__", counting_init)
+    for name, module in list(sys.modules.items()):
+        if name == "tcgw" or name.startswith("tcgw."):
+            for attr, value in list(vars(module).items()):
+                if value is encode:
+                    monkeypatch.setattr(module, attr, counting_encode)
+    cfg = small_scenario(epochs=3)
+    denser = dataclasses.replace(cfg, fields=tuple(
+        dataclasses.replace(f, sensors=tuple(dataclasses.replace(s, interval=s.interval // 2)
+                                             for s in f.sensors))
+        for f in cfg.fields))
+    encodes = []
+    for config in (cfg, denser):
+        counts["encodes"] = 0
+        report = run_scenario(config).report
+        rows = [row for rs in report["channels"].values() for row in rs]
+        ops = sum(row["cultural_operations"] + 1 for row in rows)  # + the density update
+        assert counts["readings"] == 0
+        assert counts["encodes"] <= 2 * ops + 8 * len(rows)
+        encodes.append((counts["encodes"], sum(row["generated"] for row in rows)))
+    (small, readings), (dense, dense_readings) = encodes
+    assert dense == small and dense_readings == 2 * readings == 576
 
 
 def test_run_scenario_event_order_publish_before_prune():
