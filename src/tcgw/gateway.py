@@ -35,7 +35,7 @@ from .errors import (
 )
 from .ledger import (Block, Ledger, Transaction, TxKind, VerificationReport, head,
                      ledger_blocks, read_blocks, verify_blocks)
-from .private_chain import METRICS, PrivateNode, SensorReading, decimal_value, reading_fields
+from .private_chain import METRICS, PrivateNode, SensorReading, decimal_value, read_reading
 from .worldstate import CONTEXT_KINDS, EMPTY_STATE, OpBatch, op_from_value, state_digest
 
 
@@ -292,13 +292,13 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
                (they are bit-reproducible), or such a reading does not decode
       anchor - no confirmed public anchor commits to these summary bytes
 
-    One walk of ledger_blocks(archived): verify_blocks hands each parsed
-    payload to a visitor that checks each in-window reading with
-    reading_fields and folds its value text and Decimal into the
-    epoch_stats fold as it goes, so no list and no SensorReading is built,
-    and feeds context ops to one OpBatch. On a broken chain `state` is
-    unchecked, and the same block stream is drained after the bad block:
-    the readings the walk did not reach are folded too.
+    One walk of ledger_blocks(archived): verify_blocks hands each
+    transaction to a visitor that parses its payload once. It reads each
+    reading with read_reading and folds an in-window one's value text and
+    Decimal into the epoch_stats fold as it goes, so no list and no
+    SensorReading is built, and feeds context ops to one OpBatch. On a
+    broken chain `state` is unchecked, and the same block stream is drained
+    after the bad block: the readings the walk did not reach are folded too.
 
     `pub` is the PublicChain (or anything with find_anchor and is_confirmed).
     """
@@ -337,23 +337,32 @@ def _verify_epoch(blocks: Iterator[tuple[Block, int]], summary: EpochSummary, pu
     add_reading = stats.add
     reached_block = reached_tx = -1  # block index and tx index of the last visit
 
-    def visit(height: int, index: int, tx: Transaction, value) -> None:
+    def visit(height: int, index: int, tx: Transaction) -> None:
+        """Parse and fold one payload; a payload that does not parse raises
+        to verify_blocks (a TX_ID fault) and leaves the tx unreached."""
         nonlocal reached_block, reached_tx
-        reached_block, reached_tx = height, index
+        reading = tx.kind is TxKind.RAW_READING
         try:
-            if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end:
-                _, metric, text, _, dec = reading_fields(value)
-                add_reading(metric, text, dec)
-            elif tx.kind in CONTEXT_KINDS and "state" not in found:
-                batch.apply(op_from_value(value))
+            if reading:  # InvalidArgument: it parses but is no reading
+                _, metric, text, _, dec = read_reading(tx.payload)
+                if start <= tx.timestamp < end:
+                    add_reading(metric, text, dec)
+            else:
+                value = canonical_loads(tx.payload)
+                if tx.kind in CONTEXT_KINDS and "state" not in found:
+                    batch.apply(op_from_value(value))
         except (InvalidArgument, PathTypeConflict, ArithmeticError):  # a NaN bound compares
-            found.add("stats" if tx.kind is TxKind.RAW_READING else "state")
+            if not reading:
+                found.add("state")
+            elif start <= tx.timestamp < end:
+                found.add("stats")
+        reached_block, reached_tx = height, index
 
     def fold_unvisited(txs: Iterable[Transaction]) -> None:
         for tx in txs:
             if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end:
                 try:
-                    _, metric, text, _, dec = reading_fields(canonical_loads(tx.payload))
+                    _, metric, text, _, dec = read_reading(tx.payload)
                     add_reading(metric, text, dec)
                 except (ValueError, UnsupportedValue, ArithmeticError):
                     found.add("stats")

@@ -27,11 +27,16 @@ One walk, verify_blocks, checks every chain. ledger_blocks feeds it a
 ledger in memory, each tx_id checked by rebuilding its body
 (transaction_valid); read_blocks feeds it a file's blocks as they are
 decoded, each tx_id checked against the SHA-256 of the body bytes read,
-so an audit from a file hashes every body as read and builds none.
+so an audit from a file hashes every body as read and builds none. The
+walk's visitor parses each payload: canonical_loads when there is none,
+the audit's own readers (a reading's template, see
+private_chain.read_reading) and PublicChain.load's when there is, so no
+payload is parsed twice.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -129,30 +134,38 @@ _TX_HEAD = struct.Struct(">32sI")  # tx_id, channel_id length
 _TS_KIND_LEN = struct.Struct(">QBI")  # timestamp, kind code, payload length
 _BLOCK_FIXED_SIZE = _BLOCK_HEAD.size + DIGEST_SIZE
 _TX_FIXED_SIZE = _TX_HEAD.size + _TS_KIND_LEN.size + _U32.size
+MAX_TIMESTAMP = (1 << 64) - 1  # the wire writes timestamps as u64
+
+
+@functools.lru_cache(maxsize=1024)
+def _name_frame(name: str) -> bytes:
+    """A str field as the wire writes it: the u32 length of its UTF-8, then
+    the UTF-8. Cached, since a run's channel and author names repeat."""
+    raw = name.encode("utf-8")
+    return _U32.pack(len(raw)) + raw
 
 
 def transaction_body(channel_id: str, timestamp: int, kind: TxKind,
                      payload: bytes, author_id: str) -> bytes:
     """Canonical preimage of tx_id (the serialized transaction minus the id)."""
-    channel = channel_id.encode("utf-8")
-    author = author_id.encode("utf-8")
-    return b"".join((_U32.pack(len(channel)), channel,
+    return b"".join((_name_frame(channel_id),
                      _TS_KIND_LEN.pack(timestamp, kind._value_, len(payload)), payload,
-                     _U32.pack(len(author)), author))
+                     _name_frame(author_id)))
 
 
 def make_transaction(channel_id: str, timestamp: int, kind: TxKind,
                      payload: bytes, author_id: str) -> Transaction:
-    """Build a transaction with its tx_id computed from the other fields."""
-    if timestamp < 0:
-        raise InvalidArgument("timestamp must be a non-negative unix second")
+    """Build a transaction with its tx_id computed from the other fields.
+    The timestamp must fit the wire's u64."""
+    if not 0 <= timestamp <= MAX_TIMESTAMP:
+        raise InvalidArgument(f"timestamp {timestamp} is not a unix second in [0, 2**64)")
     body = transaction_body(channel_id, timestamp, kind, payload, author_id)
     return Transaction(sha256(body), channel_id, timestamp, kind, payload, author_id)
 
 
 def transaction_valid(tx: Transaction) -> bool:
     """True iff tx_id is the SHA-256 of the transaction body. The payload
-    is not parsed here: PrivateNode.submit and verify_blocks parse it."""
+    is not parsed here: PrivateNode.submit and verify_blocks' visitor parse it."""
     body = transaction_body(tx.channel_id, tx.timestamp, tx.kind, tx.payload, tx.author_id)
     return sha256(body) == tx.tx_id
 
@@ -341,8 +354,13 @@ def ledger_blocks(ledger: Ledger) -> Iterator[tuple[Block, int]]:
                            if not transaction_valid(tx)), -1)
 
 
+def _parse_payload(height: int, index: int, tx: Transaction) -> None:
+    """verify_blocks' visitor when it is given none: the payload must parse."""
+    canonical_loads(tx.payload)
+
+
 def verify_blocks(blocks: Iterable[tuple[Block, int]],
-                  visit: Callable[..., None] | None = None
+                  visit: Callable[[int, int, Transaction], None] = _parse_payload
                   ) -> tuple[VerificationReport, Block | None]:
     """The one per-block walk behind verify_chain and every audit.
 
@@ -354,19 +372,23 @@ def verify_blocks(blocks: Iterable[tuple[Block, int]],
     file's format error there wins) drains the same iterator itself.
 
     Per block, checks run in this order: height continuity, previous-hash
-    link, per-transaction ids and payload parseability (canonical_loads; a
-    payload that does not parse is also a TX_ID fault), Merkle root, own
-    block hash, and a timestamp no earlier than the previous block's (the
-    CLOCK_SKEW that append_block refuses). A block that holds one tx id
-    twice is a TX_ROOT fault: merkle_root pads an odd level with its last
-    node, so a block with its last transactions repeated has the same root.
+    link, per-transaction ids and visits (a payload that does not parse is
+    also a TX_ID fault), Merkle root, own block hash, and a timestamp no
+    earlier than the previous block's (the CLOCK_SKEW that append_block
+    refuses). A block that holds one tx id twice is a TX_ROOT fault:
+    merkle_root pads an odd level with its last node, so a block with its
+    last transactions repeated has the same root.
     A single flipped byte anywhere in the data surfaces at the mutated
     block or the one after it.
 
-    `visit(height, index, tx, value)` is called in chain order with the
-    parsed payload of each transaction that passes its own checks, so a
-    caller can audit contents in the same walk. A block's transactions are
-    visited before its Merkle root and hash are checked; none past a bad block.
+    `visit(height, index, tx)` is called in chain order for each
+    transaction whose tx_id checks, so a caller can audit contents in the
+    same walk. It parses the payload itself, each one it is given: a visit
+    that raises ValueError or UnsupportedValue, as canonical_loads does on a
+    payload that does not parse, makes that transaction a TX_ID fault. With
+    no visitor, each payload is parsed with canonical_loads and dropped. A
+    block's transactions are visited before its Merkle root and hash are
+    checked; none past a bad block.
     """
     prev_hash, prev_time, block = ZERO_HASH, 0, None
     for index, (block, bad) in enumerate(blocks):
@@ -378,7 +400,7 @@ def verify_blocks(blocks: Iterable[tuple[Block, int]],
 
 
 def _block_fault(index: int, block: Block, bad: int, prev_hash: bytes, prev_time: int,
-                 visit: Callable[..., None] | None) -> ChainFault | None:
+                 visit: Callable[[int, int, Transaction], None]) -> ChainFault | None:
     """The first check block `index` fails, in verify_blocks' order, or None."""
     if block.height != index:
         return ChainFault.HEIGHT_GAP
@@ -388,11 +410,9 @@ def _block_fault(index: int, block: Block, bad: int, prev_hash: bytes, prev_time
         if i == bad:
             return ChainFault.TX_ID
         try:
-            value = canonical_loads(tx.payload)
+            visit(index, i, tx)
         except (ValueError, UnsupportedValue):
             return ChainFault.TX_ID
-        if visit is not None:
-            visit(index, i, tx, value)
     ids = [tx.tx_id for tx in block.transactions]
     if len(set(ids)) != len(ids) or merkle_root(ids) != block.tx_root:
         return ChainFault.TX_ROOT

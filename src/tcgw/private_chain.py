@@ -8,10 +8,16 @@ SensorReading. Resetting with an anchor starts a fresh one-block ledger
 that holds the published summary's digest as `genesis_anchor`, in memory
 only: the genesis block neither hashes nor saves it. The old ledger value
 stays alive for archival.
+
+A reading payload is read by read_reading: the bytes reading_payload
+writes, when neither the id nor the value needs escaping, by one pattern
+match; any other payload by the reference reading_fields(canonical_loads()),
+with the same result or error.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Any
@@ -130,6 +136,32 @@ def reading_fields(value: Any) -> tuple[str, str, str, int, Decimal]:
     return sensor_id, _METRIC_NAMES[metric], text, timestamp, dec
 
 
+# A reading payload as reading_payload writes it when neither the id nor the
+# value needs escaping: each JSON string then decodes to itself, and the
+# timestamp is JSON's plain base-10 int.
+_UNESCAPED = r'([^"\\\x00-\x1f]*)'
+_TEMPLATE_MATCH = re.compile(
+    '{"metric":"(' + "|".join(map(re.escape, METRICS)) + ')","sensor_id":"' + _UNESCAPED
+    + '","timestamp":(0|[1-9][0-9]{0,19}),"value":"' + _UNESCAPED + '"}').fullmatch
+
+
+def read_reading(payload: bytes) -> tuple[str, str, str, int, Decimal]:
+    """reading_fields(canonical_loads(payload)), result and error alike.
+
+    A payload in reading_payload's template, its id and value unescaped, is
+    read by one match of a pattern built from METRICS; decimal_value checks
+    its value, and no JSON is parsed. Any other payload, one that is not
+    UTF-8 included, takes the reference call itself."""
+    try:
+        match = _TEMPLATE_MATCH(payload.decode("utf-8"))
+    except UnicodeDecodeError:
+        match = None
+    if match is None:
+        return reading_fields(canonical_loads(payload))
+    metric, sensor_id, timestamp, text = match.groups()
+    return sensor_id, _METRIC_NAMES[metric], text, int(timestamp), decimal_value(text)
+
+
 def reading_head(sensor_id: str, metric: str) -> str:
     """A reading payload's text up to its timestamp. The payload of a
     reading is f'{head}{timestamp},"value":"{value}"}}' in UTF-8, which for
@@ -162,9 +194,10 @@ def ledger_readings(ledger: Ledger, start: int, end: int) -> list[SensorReading]
 class PrivateNode:
     """Single-writer node: submit fills the mempool, commit_batch drains it.
 
-    submit parses each payload once and keeps what commit needs beside the
-    mempool: a ContextOp, or a reading's (metric, value text, timestamp);
-    commit and rollover use that, not the bytes. No SensorReading is held.
+    submit parses each payload once, a reading with read_reading, and keeps
+    what commit needs beside the mempool: a ContextOp, or a reading's
+    (metric, value text, timestamp); commit and rollover use that, not the
+    bytes. No SensorReading is held.
     The node holds `values`, each metric's committed value texts in commit
     order, and `time_span`, the (lowest, highest) committed reading
     timestamp or None. Invariants after every call: state == replay(ledger),
@@ -189,7 +222,7 @@ class PrivateNode:
         def visit(tx: Transaction) -> None:
             self._known_ids.add(tx.tx_id)
             if tx.kind is TxKind.RAW_READING:
-                _, metric, text, timestamp, _ = reading_fields(canonical_loads(tx.payload))
+                _, metric, text, timestamp, _ = read_reading(tx.payload)
                 readings.append((metric, text, timestamp))
 
         self.state: WorldState = replay(self.ledger, visit)
@@ -232,7 +265,7 @@ class PrivateNode:
         try:
             parsed: tuple[str, str, int] | ContextOp
             if tx.kind is TxKind.RAW_READING:
-                sensor_id, metric, text, timestamp, _ = reading_fields(canonical_loads(tx.payload))
+                sensor_id, metric, text, timestamp, _ = read_reading(tx.payload)
                 if sensor_id != tx.author_id or timestamp != tx.timestamp:
                     raise InvalidArgument("reading's sensor or time differs from its header")
                 parsed = (metric, text, timestamp)

@@ -204,7 +204,8 @@ class PublicChain:
             raise LedgerFormatError(f"malformed chain metadata {meta_path}: {exc!r}") from exc
         blocks = list(read_blocks(path))  # every format error before any visit
 
-        def visit(height: int, index: int, tx: Transaction, value) -> None:
+        def visit(height: int, index: int, tx: Transaction) -> None:
+            value = canonical_loads(tx.payload)  # a payload that does not parse is a TxId fault
             if not (isinstance(value, dict) and "summary" in value):
                 chain._tick_seq += 1
                 if (tx.kind, tx.channel_id, tx.author_id, tx.payload) != (

@@ -9,6 +9,9 @@ output mixes the new state with the murmur-style finalizer
     z ^= z >> 31
 
 all modulo 2**64. Doubles take the top 53 bits of an output word.
+``random`` and ``uniform`` advance the state and finalize it themselves,
+through the one finalizer ``_mix``, not through nested ``next_u64`` calls:
+a generated reading draws twice.
 
 Substreams are derived, not split: ``derive_seed(seed, label)`` is the
 first 8 bytes (big-endian) of SHA-256 over ``"%016x/%s" % (seed, label)``.
@@ -20,6 +23,14 @@ import hashlib
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_UNIT = 2.0 ** -53  # one step of a 53-bit double in [0, 1)
+
+
+def _mix(z: int) -> int:
+    """The output finalizer of one advanced state word."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 class SplitMix64:
@@ -31,18 +42,19 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self._state = z = (self._state + _GAMMA) & _MASK64
+        return _mix(z)
 
     def random(self) -> float:
-        """Uniform double in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+        """Uniform double in [0, 1) with 53 bits of precision:
+        (next_u64() >> 11) * 2**-53."""
+        self._state = z = (self._state + _GAMMA) & _MASK64
+        return (_mix(z) >> 11) * _UNIT
 
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
+        """lo + (hi - lo) * random()."""
+        self._state = z = (self._state + _GAMMA) & _MASK64
+        return lo + (hi - lo) * ((_mix(z) >> 11) * _UNIT)
 
     def choice(self, seq):
         if not seq:

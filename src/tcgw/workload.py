@@ -19,7 +19,8 @@ from pathlib import Path
 from .canon import canonical_loads, from_json_value, to_json_value
 from .errors import InvalidArgument, InvalidWindow
 from .gateway import ValidityRange, range_bounds, rollover_epoch, verify_pruned_epoch
-from .ledger import Ledger, Transaction, TxKind, head, ledger_size_bytes, make_transaction
+from .ledger import (MAX_TIMESTAMP, Ledger, Transaction, TxKind, head, ledger_size_bytes,
+                     make_transaction)
 from .private_chain import BATCH_SIZE, METRICS, PrivateNode, decimal_value, reading_head
 from .public_chain import DEFAULT_CONFIRMATIONS, OPERATIONS_ARRAY, PublicChain, PublicClient
 from .rng import SplitMix64, derive_seed
@@ -110,6 +111,12 @@ class FieldConfig:
             raise InvalidArgument(f"unknown product {self.product!r}")
         if not self.sensors:
             raise InvalidArgument(f"field {self.channel_id} has no sensors")
+        seen: set[str] = set()
+        for sensor in self.sensors:  # one id, one RNG stream: equal specs repeat every tx
+            if sensor.sensor_id in seen:
+                raise InvalidArgument(
+                    f"field {self.channel_id} repeats sensor_id {sensor.sensor_id!r}")
+            seen.add(sensor.sensor_id)
         if not (0 <= decimal_value(self.fault_rate, "fault_rate") <= 1):
             raise InvalidArgument("fault_rate must lie in [0, 1]")
         if self.ops_interval <= 0:
@@ -140,6 +147,9 @@ class ScenarioConfig:
             raise InvalidArgument("epochs must be >= 1")
         if self.epoch_length <= 0:
             raise InvalidArgument("epoch_length must be positive")
+        if self.epochs * self.epoch_length > MAX_TIMESTAMP:  # the last anchor's timestamp
+            raise InvalidArgument(f"{self.epochs} epochs of {self.epoch_length} s end past "
+                                  f"the last u64 timestamp")
         channels = [f.channel_id for f in self.fields]
         if len(set(channels)) != len(channels):
             raise InvalidArgument("channel ids must be unique")
@@ -218,9 +228,10 @@ def generate_readings(cfg: FieldConfig, window_start: int, window_end: int,
         spike = _spike_value(sensor.metric, ranges)
         decimal_value(spike, f"{sensor.metric} fault spike")
         head, author = reading_head(sensor.sensor_id, sensor.metric), sensor.sensor_id
+        uniform, draw = rng.uniform, rng.random
         for t in range(window_start, window_end, sensor.interval):
-            sampled = rng.uniform(low, high)
-            value = spike if rng.random() < fault_rate else f"{sampled:.3f}"
+            sampled = uniform(low, high)
+            value = spike if draw() < fault_rate else f"{sampled:.3f}"
             txs.append(make_transaction(channel_id, t, kind,
                                         f'{head}{t},"value":"{value}"}}'.encode(), author))
     return txs

@@ -89,6 +89,42 @@ def test_run_rejects_a_config_id_that_utf8_cannot_encode(tmp_path, capsys, where
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_run_rejects_epochs_that_end_past_u64(tmp_path, capsys):
+    """Timestamps are u64 on the wire: a config whose last epoch ends past
+    2**64 - 1 s is a config error (2), not a struct.error traceback out of
+    transaction_body (1, "verification failed")."""
+    value = to_json_value(small_scenario())
+    value["epoch_length"], value["epochs"] = 2**63, 2
+    for field in value["fields"]:
+        field["ops_interval"] = 2**62
+        for sensor in field["sensors"]:
+            sensor["interval"] = 2**62
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(canonical_json(value))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tcgw: config error: ")
+    assert "2 epochs of 9223372036854775808 s end past the last u64 timestamp" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_run_rejects_a_repeated_sensor_id(tmp_path, capsys):
+    """Two sensors of one field with one id share an RNG stream, so equal
+    specs generate equal transactions: a config error (2) naming the field
+    and the id, not a bare tx id from submit mid-run."""
+    value = to_json_value(small_scenario())
+    field = value["fields"][0]
+    field["sensors"].append(dict(field["sensors"][0]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(canonical_json(value))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    sensor_id = field["sensors"][0]["sensor_id"]
+    assert err.startswith("tcgw: config error: ")
+    assert f"field {field['channel_id']} repeats sensor_id {sensor_id!r}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("where, text", [
     ("low", " 9 "), ("high", "1_0"), ("max_valid", "12.5\n"), ("min_valid", "\u0661\u0661"),
     ("fault_rate", "0.05 "),

@@ -24,14 +24,16 @@ from tcgw import (
     serialize_block,
     verify_chain,
 )
-from tcgw.canon import canonical_loads, sha256
+from tcgw.canon import sha256
 from tcgw.errors import (
     ClockSkew,
     EmptyBatch,
     InvalidArgument,
     InvalidTransaction,
     LedgerFormatError,
+    UnsupportedValue,
 )
+from tcgw import ledger as ledger_module
 from tcgw.ledger import ZERO_HASH, ledger_blocks, make_block, make_transaction, verify_blocks
 
 from helpers import build_ledger, flip_byte, reading_tx, tamper_ledger
@@ -379,12 +381,20 @@ def test_verify_blocks_visits_each_tx_once_in_order_up_to_the_first_bad_block():
     ledger = build_ledger(n_txs=20, per_block=3)  # blocks 1-6 hold 3 txs, block 7 holds 2
     seen: list = []
 
-    def visit(height, index, tx, value):
-        seen.append((height, index, tx, value))
+    def visit(height, index, tx):
+        seen.append((height, index, tx))
 
     assert verify_blocks(ledger_blocks(ledger), visit)[0].ok
-    assert [(h, i, tx) for h, i, tx, _ in seen] == list(iter_transactions(ledger))
-    assert all(value == canonical_loads(tx.payload) for _, _, tx, value in seen)
+    assert seen == list(iter_transactions(ledger))
+    # The visitor parses payloads itself: one that raises as canonical_loads
+    # does on a payload that does not parse makes that tx a TxId fault.
+    for error in (ValueError("broken JSON"), UnsupportedValue("fractional literal")):
+        def refuse(height, index, tx, error=error):
+            if (height, index) == (4, 1):
+                raise error
+
+        report = verify_blocks(ledger_blocks(ledger), refuse)[0]
+        assert (report.first_bad_height, report.reason) == (4, ChainFault.TX_ID)
     # Block 3 is bad. Its transactions are visited up to the first that fails
     # its own check; none of a later block is.
     for target, visited in [("previous_hash", 6), ("payload", 7), ("tx_root", 9),
@@ -393,7 +403,7 @@ def test_verify_blocks_visits_each_tx_once_in_order_up_to_the_first_bad_block():
         seen.clear()
         report, last = verify_blocks(ledger_blocks(tampered), visit)
         assert (report.ok, report.first_bad_height, last) == (False, 3, tampered.blocks[3])
-        assert [(h, i, tx) for h, i, tx, _ in seen] == list(iter_transactions(tampered))[:visited]
+        assert seen == list(iter_transactions(tampered))[:visited]
 
 
 @pytest.mark.parametrize("n_txs, repeated", [(3, 1), (6, 2), (5, 1)],
@@ -431,3 +441,42 @@ def test_verify_flags_a_block_whose_timestamp_runs_backwards():
     assert (report.ok, report.first_bad_height, report.reason) == (False, 3, ChainFault.CLOCK_SKEW)
     assert str(report) == "ClockSkew at block 3"
     assert verify_chain(retimed(1)).ok
+
+
+def _reference_body(channel_id, timestamp, kind, payload, author_id) -> bytes:
+    """The wire body written field by field, as the module docstring spells it."""
+    def string(text):
+        raw = text.encode("utf-8")
+        return len(raw).to_bytes(4, "big") + raw
+    return (string(channel_id) + timestamp.to_bytes(8, "big") + bytes([kind.value])
+            + len(payload).to_bytes(4, "big") + payload + string(author_id))
+
+
+@pytest.mark.parametrize("channel_id, author_id", [
+    ("fieldA", "s-0"), ("", ""), ("été", "中\U0001f600 "),
+    ("c" * 70_000, "a\x00b" * 1_000),
+], ids=["ascii", "empty", "non-ascii", "long"])
+def test_transaction_body_is_its_fields_framed_one_by_one(channel_id, author_id):
+    """transaction_body takes each name's frame from a cache; first build and
+    cached build alike equal the field-by-field encoding, as does the tx_id."""
+    for timestamp, kind, payload in [(0, TxKind.RAW_READING, b""),
+                                     (2**64 - 1, TxKind.ANCHOR, b'{"tick":1}' * 50)]:
+        expected = _reference_body(channel_id, timestamp, kind, payload, author_id)
+        for _ in range(2):
+            assert ledger_module.transaction_body(channel_id, timestamp, kind, payload,
+                                                  author_id) == expected
+        tx = make_transaction(channel_id, timestamp, kind, payload, author_id)
+        assert tx.tx_id == sha256(expected)
+
+
+def test_name_frame_cache_stays_within_its_bound():
+    frame = ledger_module._name_frame
+    bound = frame.cache_info().maxsize
+    assert bound is not None
+    for i in range(bound + 100):
+        ledger_module.transaction_body(f"c{i}", i, TxKind.RAW_READING, b"{}", f"a{i}")
+    assert frame.cache_info().currsize <= bound
+    # a name UTF-8 cannot encode still raises on every build: errors are not cached
+    for _ in range(2):
+        with pytest.raises(UnicodeEncodeError):
+            ledger_module.transaction_body("c", 0, TxKind.RAW_READING, b"{}", "s\ud800")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import random
 from decimal import Decimal
 
@@ -36,7 +37,7 @@ from tcgw import (
 )
 from tcgw.canon import canonical_json, canonical_loads
 from tcgw.gateway import epoch_stats
-from tcgw.private_chain import decimal_value, reading_fields
+from tcgw.private_chain import decimal_value, read_reading, reading_fields, reading_head
 from tcgw.worldstate import op_from_value
 from tcgw.errors import (
     DuplicateTransaction,
@@ -487,6 +488,71 @@ def test_reading_payload_is_canonical_json_of_its_four_keys(metric, sensor_id, t
     assert payload == canonical_json({"metric": metric, "sensor_id": sensor_id,
                                       "timestamp": timestamp, "value": value})
     assert reading_fields(canonical_loads(payload))[:4] == (sensor_id, metric, value, timestamp)
+
+
+_KEYS = ("metric", "sensor_id", "timestamp", "value")
+_unescaped_ids = st.text(st.characters(blacklist_categories=("Cs",), min_codepoint=0x20,
+                                       blacklist_characters='"\\'), max_size=12)
+# Value texts decimal_value accepts, and some it refuses with each of its messages.
+_payload_values = st.one_of(_value_texts, st.sampled_from(
+    ["NaN", "-Infinity", "1E+100", "0E+100", " 9", "1_0", "\u0661", "\uff11", "", "abc", "0x1F"]))
+
+
+@st.composite
+def _reading_payloads(draw) -> bytes:
+    """Payloads reading_payload writes (the value unchecked), and mutations of them."""
+    fields = {"metric": draw(st.sampled_from(METRICS)),
+              "sensor_id": draw(st.one_of(_sensor_ids, _unescaped_ids)),
+              "timestamp": draw(st.integers(0, 2**64)), "value": draw(_payload_values)}
+    text = (f'{reading_head(fields["sensor_id"], fields["metric"])}{fields["timestamp"]},'
+            f'"value":"{fields["value"]}"}}')
+    mutation = draw(st.sampled_from([None, None, None, "flip", "reorder", "repeat", "space",
+                                     "escape", "fifth", "long_time"]))
+    if mutation == "flip":
+        data = bytearray(text.encode())
+        data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+        return bytes(data)
+    if mutation == "reorder":
+        text = "{" + ",".join(f"{json.dumps(key)}:{json.dumps(fields[key], ensure_ascii=False)}"
+                              for key in draw(st.permutations(_KEYS))) + "}"
+    elif mutation == "repeat":  # JSON keeps a repeated key's last value
+        key, value = draw(st.sampled_from(_KEYS)), draw(st.sampled_from(["0", '""']))
+        extra = f'"{key}":{value}'
+        text = f"{{{extra},{text[1:]}" if draw(st.booleans()) else f"{text[:-1]},{extra}}}"
+    elif mutation == "space":
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from([" ", "\n", "\t", "\r"])) + text[i:]
+    elif mutation == "escape":  # one character as \u escapes, in a key, a value or the syntax
+        i = draw(st.integers(0, len(text) - 1))
+        units = text[i].encode("utf-16-be")  # a non-BMP character is two escapes
+        text = text[:i] + "".join(f"\\u{units[j]:02x}{units[j + 1]:02x}"
+                                  for j in range(0, len(units), 2)) + text[i + 1:]
+    elif mutation == "fifth":
+        text = f'{text[:-1]},"{draw(st.sampled_from(["x", "valuE", ""]))}":0}}'
+    elif mutation == "long_time":
+        text = text.replace(f'"timestamp":{fields["timestamp"]},',
+                            f'"timestamp":{draw(st.integers(10**20, 10**21 - 1))},')
+    return text.encode()
+
+
+def _read_outcome(read, payload: bytes):
+    try:
+        result = read(payload)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(type(item), repr(item)) for item in result]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(payload=_reading_payloads())
+def test_read_reading_is_reading_fields_of_canonical_loads(payload):
+    """The template reader returns what the reference returns, the metric as
+    the METRICS constant, or raises the same exception type and message."""
+    outcome = _read_outcome(read_reading, payload)
+    assert outcome == _read_outcome(lambda data: reading_fields(canonical_loads(data)), payload)
+    if isinstance(outcome, list):
+        metric = read_reading(payload)[1]
+        assert metric is METRICS[METRICS.index(metric)]
 
 
 @pytest.mark.parametrize("sensor_id", ["s\ud800", "\udfff", "a\ud83db"])

@@ -118,6 +118,30 @@ def test_field_config_validation():
             SensorSpec(sensor_id, "temperature_c", 60, "0", "1")
     with pytest.raises(InvalidArgument, match="channel_id None is not a string"):
         _field(None)
+    # two sensors of one field with one id would share one RNG stream
+    twins = (SensorSpec("s-t", "temperature_c", 60, "0", "1"),
+             SensorSpec("s-h", "humidity_pct", 60, "0", "1"),
+             SensorSpec("s-t", "rain_pct", 3600, "0", "1"))
+    with pytest.raises(InvalidArgument, match="^field fieldA repeats sensor_id 's-t'$"):
+        _field(sensors=twins)
+    _field(sensors=twins[:2])
+
+
+def test_scenario_config_refuses_epochs_that_end_past_u64():
+    """The last anchor's timestamp, epochs * epoch_length, must fit the
+    wire's u64; make_transaction refuses any timestamp that does not."""
+    from tcgw.ledger import make_transaction
+    fields = (_field(sensors=(SensorSpec("s", "temperature_c", 2**62, "0", "1"),),
+                     ops_interval=2**62),)
+    ScenarioConfig(fields, epoch_length=2**63, epochs=1)
+    ScenarioConfig(fields, epoch_length=2**64 - 1, epochs=1)
+    for epochs, length in [(2, 2**63), (1, 2**64)]:
+        with pytest.raises(InvalidArgument, match="end past the last u64 timestamp"):
+            ScenarioConfig(fields, epoch_length=length, epochs=epochs)
+    make_transaction("c", 2**64 - 1, TxKind.RAW_READING, b"{}", "a")
+    for timestamp in (-1, 2**64):
+        with pytest.raises(InvalidArgument, match=r"is not a unix second in \[0, 2\*\*64\)"):
+            make_transaction("c", timestamp, TxKind.RAW_READING, b"{}", "a")
 
 
 @pytest.mark.parametrize("text", [" 9 ", "1_0", "12.5\n", "\u0661\u0661", "-Infinity"])
@@ -214,25 +238,62 @@ def test_run_scenario_counts_and_conservation():
 
 
 def test_run_scenario_parses_each_payload_twice(monkeypatch):
-    """Work counter: every committed payload is decoded once at submit and
-    once by the in-run audit, and nothing else is decoded; the anchors add
-    none. A re-parse on the run path (commit, rollover) fails here."""
-    from tcgw import canon
-    decodes = 0
+    """Work counter: every committed payload is read once at submit and
+    once by the in-run audit, and nothing else is read; the anchors add
+    none. A read is a template match of a reading (read_reading) or a JSON
+    decode, and both are counted, so a re-parse on the run path (commit,
+    rollover) by either reader fails here."""
+    from tcgw import canon, private_chain
+    reads = 0
     raw_decode = canon._DECODER.raw_decode
+    template_match = private_chain._TEMPLATE_MATCH
 
-    def counting(text, idx=0):
-        nonlocal decodes
-        decodes += 1
+    def counting_decode(text, idx=0):
+        nonlocal reads
+        reads += 1
         return raw_decode(text, idx)
 
-    monkeypatch.setattr(canon._DECODER, "raw_decode", counting)
+    def counting_match(text):
+        nonlocal reads
+        match = template_match(text)
+        reads += match is not None  # a miss goes on to the decoder, which counts it
+        return match
+
+    monkeypatch.setattr(canon._DECODER, "raw_decode", counting_decode)
+    monkeypatch.setattr(private_chain, "_TEMPLATE_MATCH", counting_match)
     result = run_scenario(small_scenario(epochs=3))
     committed = sum(len(block.transactions) for ledger in result.archives.values()
                     for block in ledger.blocks)
     assert result.report["confirmed_anchors"] == 6
     assert committed == 312
-    assert decodes == 2 * committed
+    assert reads == 2 * committed
+
+
+def test_run_scenario_decodes_no_reading_as_json(monkeypatch):
+    """Work counter: every generated reading is in template form, so a run
+    makes no canonical_loads call for one. Only the context ops' payloads
+    are decoded, once at submit and once by the in-run audit."""
+    import sys
+    from tcgw import canon, private_chain
+    from tcgw.ledger import iter_transactions
+    decoded: list = []
+    original = canon.canonical_loads
+
+    def counting(data):
+        decoded.append(data)
+        return original(data)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tcgw" and getattr(module, "canonical_loads", None) is original:
+            monkeypatch.setattr(module, "canonical_loads", counting)
+    result = run_scenario(small_scenario(epochs=3))
+    monkeypatch.undo()
+    txs = [tx for ledger in result.archives.values() for _, _, tx in iter_transactions(ledger)]
+    readings = [tx.payload for tx in txs if tx.kind is TxKind.RAW_READING]
+    assert len(readings) == 288
+    assert all(private_chain._TEMPLATE_MATCH(payload.decode()) for payload in readings)
+    assert set(decoded).isdisjoint(readings)
+    assert len(decoded) == 2 * (len(txs) - len(readings)) == 48
 
 
 def test_run_scenario_parses_each_reading_value_three_times(monkeypatch):
@@ -346,3 +407,20 @@ def test_final_docs_match_last_epoch_ops():
         body = result.final_docs[field.channel_id]
         assert len(body["Cultural Operations"]) == expected_appends
         assert "Plant density" in body
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x9E3779B97F4A7C15, 20_260_101])
+def test_flat_draws_equal_the_next_u64_formula(seed):
+    """random() and uniform() advance and finalize the state themselves; each
+    draw equals the next_u64() formula on a twin generator, and both end in
+    the same state."""
+    from tcgw.rng import SplitMix64
+    flat, nested = SplitMix64(seed), SplitMix64(seed)
+    for i in range(10_000):
+        if i % 3:
+            lo, hi = (-20.0, 60.0) if i % 2 else (2.0, 8.0)
+            assert flat.uniform(lo, hi) == lo + (hi - lo) * ((nested.next_u64() >> 11) * 2.0**-53)
+        else:
+            assert flat.random() == (nested.next_u64() >> 11) * 2.0**-53
+    assert flat._state == nested._state
+    assert flat.next_u64() == nested.next_u64()
