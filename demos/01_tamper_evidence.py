@@ -7,12 +7,14 @@ one transaction payload, and watch verification name the broken block.
 import dataclasses
 
 from tcgw import (
-    SensorReading,
+    TxKind,
     append_block,
     genesis,
     head,
     ledger_size_bytes,
-    reading_transaction,
+    make_transaction,
+    reading_head,
+    reading_payload,
     verify_chain,
 )
 
@@ -21,14 +23,16 @@ from tcgw import (
 ledger = genesis("demo-field")
 print(f"genesis head: height={head(ledger)[0]} hash={head(ledger)[1].hex()[:16]}...")
 
-# Append ten blocks of three readings each. Values are decimal strings;
-# the transaction id is a digest over the full canonical encoding.
+# Append ten blocks of three readings each. A reading is its payload, a
+# small fixed-format JSON object whose value is a decimal string; the
+# transaction id is a digest over the full canonical encoding.
 for block_index in range(10):
     txs = []
     for s in range(3):
-        ts = block_index * 60 + s
-        reading = SensorReading(f"s-{s}", "temperature_c", f"{18 + s}.{block_index}", ts)
-        txs.append(reading_transaction("demo-field", reading))
+        ts, sensor = block_index * 60 + s, f"s-{s}"
+        payload = reading_payload(reading_head(sensor, "temperature_c"), ts,
+                                  f"{18 + s}.{block_index}")
+        txs.append(make_transaction("demo-field", ts, TxKind.RAW_READING, payload, sensor))
     ledger, block = append_block(ledger, txs, txs[-1].timestamp)
     assert block.previous_hash == ledger.blocks[block.height - 1].block_hash
 

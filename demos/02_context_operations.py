@@ -12,7 +12,7 @@ from tcgw import (
     ContextOp,
     TxKind,
     append_block,
-    apply_op,
+    apply_ops,
     genesis,
     make_transaction,
     op_payload,
@@ -24,16 +24,16 @@ update = lambda doc, path, value: ContextOp(TxKind.UPDATE_FIELD, doc, path, valu
 append = lambda doc, path, value: ContextOp(TxKind.APPEND_TO_ARRAY, doc, path, value)
 
 # Start the lot's record with a density estimate, then revise it.
-ws = apply_op(EMPTY_STATE, update("lot1", ("Plant density",), "4.2"))
-ws = apply_op(ws, update("lot1", ("Plant density",), "4.5"))
+ws = apply_ops(EMPTY_STATE, [update("lot1", ("Plant density",), "4.2"),
+                             update("lot1", ("Plant density",), "4.5")])
 
 # Log field work as it happens; the array is created on first append.
 for day, op_name in enumerate(["irrigation", "fertilization", "irrigation"]):
-    ws = apply_op(ws, append("lot1", ("Cultural Operations",),
-                             {"day": day, "operation": op_name}))
+    ws = apply_ops(ws, [append("lot1", ("Cultural Operations",),
+                               {"day": day, "operation": op_name})])
 
 # Nested paths auto-create intermediate objects.
-ws = apply_op(ws, update("lot1", ("origin", "parcel"), "It-BA-07"))
+ws = apply_ops(ws, [update("lot1", ("origin", "parcel"), "It-BA-07")])
 
 print(json.dumps(ws["lot1"], indent=2, sort_keys=True))
 print(f"state digest: {state_digest(ws).hex()[:24]}...")

@@ -10,11 +10,13 @@ from tcgw import (
     PrivateNode,
     PublicChain,
     PublicClient,
-    SensorReading,
+    TxKind,
     ValidityRange,
     head,
     ledger_size_bytes,
-    reading_transaction,
+    make_transaction,
+    reading_head,
+    reading_payload,
     rollover_epoch,
     verify_pruned_epoch,
 )
@@ -26,13 +28,15 @@ RANGES = [ValidityRange("temperature_c", "-20", "60")]
 HOUR, MONTH = 3_600, 30 * 86_400
 
 node = PrivateNode("olive-grove", {"s-temp"})
+prefix = reading_head("s-temp", "temperature_c")  # each payload's text up to its timestamp
 rng = SplitMix64(99)
 for hour in range(MONTH // HOUR):
     ts = hour * HOUR
     # every ~50th sample the sensor glitches far out of scale
     value = "600" if rng.random() < 0.02 else f"{rng.uniform(6, 34):.3f}"
     node.clock = ts
-    node.submit(reading_transaction("olive-grove", SensorReading("s-temp", "temperature_c", value, ts)))
+    node.submit(make_transaction("olive-grove", ts, TxKind.RAW_READING,
+                                 reading_payload(prefix, ts, value), "s-temp"))
     if len(node.mempool) >= BATCH_SIZE:
         node.commit_batch()
 while node.mempool:

@@ -65,21 +65,14 @@ from .ledger import (
     serialize_block,
     verify_chain,
 )
-from .private_chain import (
-    METRICS,
-    PrivateNode,
-    SensorReading,
-    ledger_readings,
-    reading_payload,
-    reading_transaction,
-)
+from .private_chain import METRICS, PrivateNode, reading_head, reading_payload
 from .public_chain import AnchorRecord, PublicChain, PublicClient
 from .rng import SplitMix64, derive_seed
 from .worldstate import (
     EMPTY_STATE,
     ContextOp,
     WorldState,
-    apply_op,
+    apply_ops,
     op_payload,
     parse_op,
     replay,

@@ -24,8 +24,9 @@ from typing import Sequence
 
 from .canon import canonical_json
 from .errors import InvalidArgument
-from .ledger import Ledger, append_block, genesis, ledger_size_bytes, verify_chain
-from .private_chain import BATCH_SIZE, PrivateNode, SensorReading, reading_transaction
+from .ledger import (Ledger, Transaction, TxKind, append_block, genesis, ledger_size_bytes,
+                     make_transaction, verify_chain)
+from .private_chain import BATCH_SIZE, PrivateNode, reading_head, reading_payload
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_LEVELS = (0, 5, 10, 50, 100, 500, 1000, 5000, 10000, 50000, 100000, 500000)
@@ -53,7 +54,8 @@ class BenchPoint:
     batch_seconds: float
 
 
-def _check_levels(levels: Sequence[int]) -> None:
+def check_levels(levels: Sequence[int]) -> None:
+    """Raise InvalidArgument unless `levels` is a non-empty ascending run of counts >= 0."""
     if not levels:
         raise InvalidArgument("need at least one level")
     if any(n < 0 for n in levels):
@@ -62,30 +64,29 @@ def _check_levels(levels: Sequence[int]) -> None:
         raise InvalidArgument("levels must be strictly ascending")
 
 
-def _readings(count: int, first_timestamp: int, stream: str) -> list[SensorReading]:
+def _reading_txs(count: int, first_timestamp: int, stream: str) -> list[Transaction]:
+    """`count` RawReading txs of BENCH_SENSOR, one second apart, valued from `stream`'s RNG."""
     rng = SplitMix64(derive_seed(BENCH_SEED, stream))
-    return [
-        SensorReading(BENCH_SENSOR, "temperature_c",
-                      f"{rng.uniform(5.0, 35.0):.3f}", first_timestamp + i)
-        for i in range(count)
-    ]
+    head = reading_head(BENCH_SENSOR, "temperature_c")
+    return [make_transaction(BENCH_CHANNEL, t, TxKind.RAW_READING,
+                             reading_payload(head, t, f"{rng.uniform(5.0, 35.0):.3f}"),
+                             BENCH_SENSOR)
+            for t in range(first_timestamp, first_timestamp + count)]
 
 
 def build_reading_ledger(n: int) -> Ledger:
     """Ledger holding n deterministic single-reading transactions."""
     ledger = genesis(BENCH_CHANNEL)
-    readings = _readings(n, 0, "base")
+    txs = _reading_txs(n, 0, "base")
     for start in range(0, n, BATCH_SIZE):
-        chunk = readings[start:start + BATCH_SIZE]
-        txs = [reading_transaction(BENCH_CHANNEL, r) for r in chunk]
-        ledger, _ = append_block(ledger, txs, chunk[-1].timestamp)
+        chunk = txs[start:start + BATCH_SIZE]
+        ledger, _ = append_block(ledger, chunk, chunk[-1].timestamp)
     return ledger
 
 
 def _time_batch(base_node: PrivateNode, level: int, rep: int, verify_mode: bool) -> float:
     node = copy.copy(base_node)
-    readings = _readings(BATCH_SIZE, level + 1 + rep * BATCH_SIZE, f"batch/{level}/{rep}")
-    txs = [reading_transaction(BENCH_CHANNEL, r) for r in readings]
+    txs = _reading_txs(BATCH_SIZE, level + 1 + rep * BATCH_SIZE, f"batch/{level}/{rep}")
     started = time.perf_counter()
     for tx in txs:
         node.submit(tx)
@@ -99,7 +100,7 @@ def _time_batch(base_node: PrivateNode, level: int, rep: int, verify_mode: bool)
 
 def bench_memory(levels: Sequence[int] = DEFAULT_LEVELS) -> list[BenchPoint]:
     """Occupied bytes per level; deterministic for a fixed seed."""
-    _check_levels(levels)
+    check_levels(levels)
     return [BenchPoint(n, ledger_size_bytes(build_reading_ledger(n)), 0.0)
             for n in levels]
 
@@ -107,7 +108,7 @@ def bench_memory(levels: Sequence[int] = DEFAULT_LEVELS) -> list[BenchPoint]:
 def bench_batch_time(levels: Sequence[int] = DEFAULT_LEVELS,
                      verify_mode: bool = True) -> list[BenchPoint]:
     """Median batch-commit seconds (and occupied bytes) per level."""
-    _check_levels(levels)
+    check_levels(levels)
     points = []
     for n in levels:
         base = build_reading_ledger(n)

@@ -18,6 +18,7 @@ from .bench import (
     DEFAULT_MAX_LEVEL,
     FIT_MIN_LEVEL,
     bench_batch_time,
+    check_levels,
     emit_csv,
     fit_storage,
     write_bench_report,
@@ -94,12 +95,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         else:
             levels = [n for n in DEFAULT_LEVELS if n <= args.max_level]
         verify_mode = args.verify_mode == "on"
+        check_levels(levels)
+        out = Path(args.out)  # made before measuring: an --out that cannot be made wastes no run
+        out.mkdir(parents=True, exist_ok=True)
         points = bench_batch_time(levels, verify_mode=verify_mode)
     except (TcgwError, ValueError) as exc:
         _err(f"bad bench flags: {exc}")
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     emit_csv(points, out / "table2.csv")
     fit = None
     if sum(1 for p in points if p.n_existing >= FIT_MIN_LEVEL) >= 2:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .canon import canonical_loads, digest_json, to_json_value
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .ledger import (Block, Ledger, Transaction, TxKind, VerificationReport, head,
                      ledger_blocks, read_blocks, verify_blocks)
-from .private_chain import METRICS, PrivateNode, SensorReading, decimal_value, read_reading
+from .private_chain import METRICS, PrivateNode, check_reading, decimal_value, read_reading
 from .worldstate import CONTEXT_KINDS, EMPTY_STATE, OpBatch, op_from_value, state_digest
 
 
@@ -95,25 +95,26 @@ def range_bounds(ranges: Iterable[ValidityRange]) -> dict[str, tuple[Decimal, De
     return out
 
 
-def filter_out_of_scale(readings: Sequence[SensorReading],
-                        ranges: Iterable[ValidityRange]) -> tuple[list[SensorReading], list[SensorReading]]:
+def filter_out_of_scale(readings: Iterable, ranges: Iterable[ValidityRange]) -> tuple[list, list]:
     """Partition readings into (kept, excluded), preserving order.
 
-    A reading is kept when its metric has no configured range or its value
-    lies inside the inclusive bounds; everything else is treated as sensor
-    malfunction or tampering and excluded from analysis. The bound test is
-    the one epoch_stats folds with.
+    A reading is any record with `sensor_id`, `metric`, `value` and
+    `timestamp`; check_reading checks each (InvalidArgument), as the
+    payload readers do. A reading is kept when its metric has no configured
+    range or its value lies inside the inclusive bounds; everything else is
+    treated as sensor malfunction or tampering and excluded from analysis.
+    The bound test is the one rollover and the audit fold with.
     """
     add = _EpochStats(range_bounds(ranges)).add
-    kept: list[SensorReading] = []
-    excluded: list[SensorReading] = []
-    for reading in readings:
-        (kept if add(reading.metric, reading.value, Decimal(reading.value))
-         else excluded).append(reading)
+    kept: list = []
+    excluded: list = []
+    for r in readings:
+        dec = check_reading(r.sensor_id, r.metric, r.value, r.timestamp)
+        (kept if add(r.metric, r.value, dec) else excluded).append(r)
     return kept, excluded
 
 
-def summarize(readings: Sequence[SensorReading]) -> list[MetricStats]:
+def summarize(readings: Iterable) -> list[MetricStats]:
     """Per-metric count, mean, population standard deviation, min, max.
 
     Values are parsed as exact decimals; mean and deviation are evaluated
@@ -128,10 +129,14 @@ def summarize(readings: Sequence[SensorReading]) -> list[MetricStats]:
     same strings, and verify_pruned_epoch compares them with ==. Square with
     `d * d`, never `** 2`: that calls libm pow, which may misround.
 
-    This is epoch_stats with no ranges. Rollover and audit call epoch_stats,
-    which filters and summarizes in one pass that parses each value once.
+    Each reading is checked as filter_out_of_scale checks it. Rollover and
+    the audit run the same fold (_EpochStats) under their ranges, over
+    texts checked once at submit or read, filtering and summarizing in one pass.
     """
-    return list(epoch_stats(readings, ())[0])
+    stats = _EpochStats({})
+    for r in readings:
+        stats.add(r.metric, r.value, check_reading(r.sensor_id, r.metric, r.value, r.timestamp))
+    return list(stats.result()[0])
 
 
 class _Group:
@@ -147,7 +152,7 @@ class _Group:
 
 
 class _EpochStats:
-    """The one fold behind rollover, the audit and epoch_stats: `add` filters
+    """The one fold behind rollover, the audit and summarize: `add` filters
     and folds in one reading's (metric, value text, Decimal of the text) and
     says whether it was kept, and `result` renders (stats, excluded count).
     Each metric's readings must come in commit order; how metrics interleave
@@ -190,21 +195,12 @@ class _EpochStats:
         return tuple(stats), self.excluded
 
 
-def epoch_stats(readings: Iterable[SensorReading],
-                ranges: Iterable[ValidityRange]) -> tuple[tuple[MetricStats, ...], int]:
-    """(stats, excluded count) of an epoch: the same as summarize(kept) and
-    len(excluded) for (kept, excluded) = filter_out_of_scale(readings, ranges),
-    in one pass that parses each value once and keeps no decimal per reading.
-
-    float() of a plain decimal literal equals float() of its Decimal: both
-    round the same exact value correctly.
-    """
-    return _fold(((r.metric, r.value) for r in readings), range_bounds(ranges)).result()
-
-
 def _fold(texts: Iterable[tuple[str, str]],
           bounds: dict[str, tuple[Decimal, Decimal]]) -> _EpochStats:
-    """The fold of (metric, value text) pairs, each text parsed once."""
+    """The fold of (metric, value text) pairs, each text parsed once: its
+    result() is (summarize(kept), len(excluded)) for (kept, excluded) =
+    filter_out_of_scale(readings, ranges), since float() of a plain decimal
+    literal equals float() of its Decimal (both round one exact value)."""
     stats = _EpochStats(bounds)
     add = stats.add
     for metric, text in texts:
@@ -287,7 +283,7 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
       chain  - archived ledger does not pass verify_chain
       head   - archived head hash/height differ from the summary's
       state  - replayed state digest differs from the summary's
-      stats  - re-running epoch_stats over every in-window reading does not
+      stats  - re-folding every in-window reading (_EpochStats) does not
                reproduce the summary's stats and excluded count exactly
                (they are bit-reproducible), or such a reading does not decode
       anchor - no confirmed public anchor commits to these summary bytes
@@ -295,8 +291,8 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
     One walk of ledger_blocks(archived): verify_blocks hands each
     transaction to a visitor that parses its payload once. It reads each
     reading with read_reading and folds an in-window one's value text and
-    Decimal into the epoch_stats fold as it goes, so no list and no
-    SensorReading is built, and feeds context ops to one OpBatch. On a
+    Decimal into the stats fold as it goes, so no list and no record is
+    built, and feeds context ops to one OpBatch. On a
     broken chain `state` is unchecked, and the same block stream is drained
     after the bad block: the readings the walk did not reach are folded too.
 

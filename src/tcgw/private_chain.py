@@ -3,22 +3,20 @@
 A PrivateNode accepts sensor readings and context operations from a fixed
 set of authorized authors, batches them FIFO into blocks, and keeps its
 world state, and the value texts and time span of its committed readings,
-equal to a replay of its ledger after every commit; it holds no
-SensorReading. Resetting with an anchor starts a fresh one-block ledger
-that holds the published summary's digest as `genesis_anchor`, in memory
-only: the genesis block neither hashes nor saves it. The old ledger value
-stays alive for archival.
+equal to a replay of its ledger after every commit. Resetting with an
+anchor starts a fresh one-block ledger that holds the published summary's
+digest as `genesis_anchor`, in memory only: the genesis block neither
+hashes nor saves it. The old ledger value stays alive for archival.
 
-A reading payload is read by read_reading: the bytes reading_payload
-writes, when neither the id nor the value needs escaping, by one pattern
-match; any other payload by the reference reading_fields(canonical_loads()),
-with the same result or error.
+A reading is its payload; no record type holds one. reading_payload is its
+one writer. read_reading reads the bytes it writes by one pattern match when
+neither the id nor the value needs escaping, and any other payload by the
+reference reading_fields(canonical_loads()), with the same result or error.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Any
 
@@ -39,9 +37,6 @@ from .ledger import (
     TxKind,
     append_block,
     genesis,
-    iter_transactions,
-    make_transaction,
-    slot_setters,
     transaction_valid,
 )
 from .worldstate import (CONTEXT_KINDS, ContextOp, WorldState, apply_ops, check_digestible,
@@ -55,7 +50,7 @@ BATCH_SIZE = 100  # transactions per block at most
 
 def decimal_value(text: str, name: str = "value") -> Decimal:
     """The finite Decimal that `text` spells as a plain decimal literal of
-    magnitude below 1E+100, which keeps every float step of epoch_stats finite.
+    magnitude below 1E+100, which keeps every float step of the stats fold finite.
 
     A plain literal is ASCII with nothing around it: an optional sign,
     digits with an optional point, and an optional exponent, as in "-20",
@@ -80,32 +75,8 @@ def decimal_value(text: str, name: str = "value") -> Decimal:
     return dec
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class SensorReading:
-    """One sampled value; `value` is a decimal string, never a float.
-
-    The value must be a finite plain decimal literal below 1E+100 in
-    magnitude (see decimal_value): ASCII, an optional sign, digits with an
-    optional point and an optional exponent, and no whitespace or `_`.
-    Every construction checks it, dataclasses.replace included.
-    """
-
-    sensor_id: str
-    metric: str
-    value: str
-    timestamp: int
-
-    def __init__(self, sensor_id: str, metric: str, value: str, timestamp: int):
-        _check_reading(sensor_id, metric, value, timestamp)
-        set_sensor_id, set_metric, set_value, set_timestamp = _READING_SLOTS
-        set_sensor_id(self, sensor_id)
-        set_metric(self, metric)
-        set_value(self, value)
-        set_timestamp(self, timestamp)
-
-
-def _check_reading(sensor_id, metric, value, timestamp) -> Decimal:
-    """Every check a SensorReading's fields pass; returns the value's Decimal."""
+def check_reading(sensor_id, metric, value, timestamp) -> Decimal:
+    """Every check a reading's four fields pass; returns the value's Decimal."""
     if not isinstance(sensor_id, str):
         raise InvalidArgument(f"sensor_id {sensor_id!r} is not a string")
     if metric not in METRICS:
@@ -117,14 +88,11 @@ def _check_reading(sensor_id, metric, value, timestamp) -> Decimal:
     return decimal_value(value)
 
 
-_READING_SLOTS = slot_setters(SensorReading)
-
-
 def reading_fields(value: Any) -> tuple[str, str, str, int, Decimal]:
     """(sensor_id, metric, value, timestamp, Decimal of value) of a parsed
     payload: an object with exactly the four keys reading_payload writes,
-    whose fields pass every SensorReading check. No object is built, and
-    `metric` is the METRICS string. Raises InvalidArgument if malformed."""
+    whose fields pass check_reading. No object is built, and `metric` is
+    the METRICS string. Raises InvalidArgument if malformed."""
     try:
         if len(value) != 4:
             raise InvalidArgument(f"reading payload has {len(value)} keys, not 4")
@@ -132,7 +100,7 @@ def reading_fields(value: Any) -> tuple[str, str, str, int, Decimal]:
                                               value["value"], value["timestamp"])
     except (KeyError, TypeError) as exc:
         raise InvalidArgument(f"malformed reading payload: {exc}") from exc
-    dec = _check_reading(sensor_id, metric, text, timestamp)
+    dec = check_reading(sensor_id, metric, text, timestamp)
     return sensor_id, _METRIC_NAMES[metric], text, timestamp, dec
 
 
@@ -163,32 +131,17 @@ def read_reading(payload: bytes) -> tuple[str, str, str, int, Decimal]:
 
 
 def reading_head(sensor_id: str, metric: str) -> str:
-    """A reading payload's text up to its timestamp. The payload of a
-    reading is f'{head}{timestamp},"value":"{value}"}}' in UTF-8, which for
-    any fields a SensorReading admits is canonical_json of the four keys
-    reading_fields reads: the metric, the int and the plain decimal literal
-    need no escaping, and the id is escaped as canonical_json escapes it."""
+    """A reading payload's text up to its timestamp, built once per sensor
+    and completed by reading_payload. For any fields reading_fields admits,
+    the payload is canonical_json of the four keys it reads: the metric,
+    the int and the plain decimal literal need no escaping, and the id is
+    escaped as canonical_json escapes it."""
     return f'{{"metric":"{metric}","sensor_id":{encode_string(sensor_id)},"timestamp":'
 
 
-def reading_payload(reading: SensorReading) -> bytes:
-    head = reading_head(reading.sensor_id, reading.metric)
-    return f'{head}{reading.timestamp},"value":"{reading.value}"}}'.encode()
-
-
-def reading_transaction(channel_id: str, reading: SensorReading) -> Transaction:
-    """RawReading transaction authored by the sensor at the reading's time."""
-    return make_transaction(channel_id, reading.timestamp, TxKind.RAW_READING,
-                            reading_payload(reading), reading.sensor_id)
-
-
-def ledger_readings(ledger: Ledger, start: int, end: int) -> list[SensorReading]:
-    """RawReading payloads with start <= timestamp < end, in commit order.
-    The reference the node's held readings are tested against; no audit
-    builds a SensorReading."""
-    return [SensorReading(*reading_fields(canonical_loads(tx.payload))[:4])
-            for _, _, tx in iter_transactions(ledger)
-            if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end]
+def reading_payload(head: str, timestamp: int, value: str) -> bytes:
+    """The one writer of a reading payload: reading_head's `head`, the timestamp, the value."""
+    return f'{head}{timestamp},"value":"{value}"}}'.encode()
 
 
 class PrivateNode:
@@ -197,13 +150,13 @@ class PrivateNode:
     submit parses each payload once, a reading with read_reading, and keeps
     what commit needs beside the mempool: a ContextOp, or a reading's
     (metric, value text, timestamp); commit and rollover use that, not the
-    bytes. No SensorReading is held.
-    The node holds `values`, each metric's committed value texts in commit
-    order, and `time_span`, the (lowest, highest) committed reading
+    bytes. The node holds `values`, each metric's committed value texts in
+    commit order, and `time_span`, the (lowest, highest) committed reading
     timestamp or None. Invariants after every call: state == replay(ledger),
-    and `values` and `time_span` equal those of ledger_readings(ledger, 0,
-    1 << 64). Only the node sets them. A node built over an existing
-    `ledger` derives its state, known tx ids and readings in one walk of it.
+    and `values` and `time_span` equal those of the ledger's RawReading
+    payloads as reading_fields(canonical_loads()) reads them. Only the node
+    sets them. A node built over an existing `ledger` derives its state,
+    known tx ids and readings in one walk of it.
     """
 
     def __init__(self, channel_id: str, authorized_authors, clock: int = 0,

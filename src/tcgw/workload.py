@@ -21,7 +21,8 @@ from .errors import InvalidArgument, InvalidWindow
 from .gateway import ValidityRange, range_bounds, rollover_epoch, verify_pruned_epoch
 from .ledger import (MAX_TIMESTAMP, Ledger, Transaction, TxKind, head, ledger_size_bytes,
                      make_transaction)
-from .private_chain import BATCH_SIZE, METRICS, PrivateNode, decimal_value, reading_head
+from .private_chain import (BATCH_SIZE, METRICS, PrivateNode, decimal_value, reading_head,
+                            reading_payload)
 from .public_chain import DEFAULT_CONFIRMATIONS, OPERATIONS_ARRAY, PublicChain, PublicClient
 from .rng import SplitMix64, derive_seed
 from .worldstate import ContextOp, op_payload
@@ -212,9 +213,9 @@ def generate_readings(cfg: FieldConfig, window_start: int, window_end: int,
 
     With probability fault_rate a reading is replaced by an out-of-scale
     spike (ten times the metric's max_valid), simulating malfunction. Each
-    payload is written from its sensor's reading_head; the spike is checked
-    once per sensor, and a sampled value is a plain literal inside the
-    SensorSpec's bounds, so no reading is checked here (submit checks each).
+    payload is reading_payload of its sensor's reading_head; the spike is
+    checked once per sensor, and a sampled value is a plain literal inside
+    the SensorSpec's bounds, so no reading is checked here (submit checks each).
     """
     if window_start >= window_end:
         raise InvalidWindow(f"[{window_start}, {window_end}) is empty or inverted")
@@ -232,8 +233,8 @@ def generate_readings(cfg: FieldConfig, window_start: int, window_end: int,
         for t in range(window_start, window_end, sensor.interval):
             sampled = uniform(low, high)
             value = spike if draw() < fault_rate else f"{sampled:.3f}"
-            txs.append(make_transaction(channel_id, t, kind,
-                                        f'{head}{t},"value":"{value}"}}'.encode(), author))
+            txs.append(make_transaction(channel_id, t, kind, reading_payload(head, t, value),
+                                        author))
     return txs
 
 

@@ -165,11 +165,6 @@ def apply_ops(ws: WorldState, ops: Iterable[ContextOp]) -> WorldState:
     return batch.state()
 
 
-def apply_op(ws: WorldState, op: ContextOp) -> WorldState:
-    """Apply one context operation, returning a new state (see apply_ops)."""
-    return apply_ops(ws, (op,))
-
-
 def state_digest(ws: WorldState) -> bytes:
     """Digest over documents sorted by id; independent of insertion order.
 

@@ -3,36 +3,66 @@
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 from tcgw import (
     Ledger,
     PrivateNode,
     PublicClient,
-    SensorReading,
     Transaction,
+    TxKind,
     append_block,
     genesis,
-    reading_transaction,
+    make_transaction,
 )
-from tcgw.canon import canonical_loads
+from tcgw.canon import canonical_json, canonical_loads
 from tcgw.private_chain import reading_fields
 from tcgw.rng import SplitMix64, derive_seed
 
 
+class Reading(NamedTuple):
+    """A reading's four payload fields, unchecked: the payload's readers check."""
+
+    sensor_id: str
+    metric: str
+    value: str
+    timestamp: int
+
+
+def reference_payload(reading: Reading) -> bytes:
+    """canonical_json of the four keys reading_fields reads: the reference
+    writer, independent of the template reading_payload writes from."""
+    return canonical_json({"metric": reading.metric, "sensor_id": reading.sensor_id,
+                           "timestamp": reading.timestamp, "value": reading.value})
+
+
+def reading_transaction(channel: str, reading: Reading) -> Transaction:
+    """RawReading transaction authored by the sensor at the reading's time."""
+    return make_transaction(channel, reading.timestamp, TxKind.RAW_READING,
+                            reference_payload(reading), reading.sensor_id)
+
+
 def make_reading(i: int, sensor: str = "s-0", metric: str = "temperature_c",
-                 value: str | None = None, timestamp: int | None = None) -> SensorReading:
-    return SensorReading(sensor, metric, value if value is not None else f"{20 + i % 10}.5",
-                         timestamp if timestamp is not None else i)
+                 value: str | None = None, timestamp: int | None = None) -> Reading:
+    return Reading(sensor, metric, value if value is not None else f"{20 + i % 10}.5",
+                   timestamp if timestamp is not None else i)
 
 
 def reading_tx(channel: str, i: int, **kwargs) -> Transaction:
     return reading_transaction(channel, make_reading(i, **kwargs))
 
 
-def tx_readings(txs) -> list[SensorReading]:
+def tx_readings(txs) -> list[Reading]:
     """The readings that RawReading transactions carry, read back from each
-    payload through reading_fields, in order."""
-    return [SensorReading(*reading_fields(canonical_loads(tx.payload))[:4]) for tx in txs]
+    payload through the reference reading_fields(canonical_loads()), in order."""
+    return [Reading(*reading_fields(canonical_loads(tx.payload))[:4]) for tx in txs]
+
+
+def ledger_readings(ledger: Ledger, start: int, end: int) -> list[Reading]:
+    """The ledger's RawReading payloads with start <= timestamp < end, in
+    commit order, read by the reference."""
+    return tx_readings(tx for block in ledger.blocks for tx in block.transactions
+                       if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end)
 
 
 def build_ledger(channel: str = "fieldA", n_txs: int = 50, per_block: int = 1) -> Ledger:
@@ -52,7 +82,7 @@ def node_with_readings(channel: str = "fieldA", n: int = 60,
     rng = SplitMix64(derive_seed(seed, channel))
     for i in range(n):
         ts = window_start + i * spacing
-        reading = SensorReading(sensor, "temperature_c", f"{rng.uniform(5, 35):.3f}", ts)
+        reading = Reading(sensor, "temperature_c", f"{rng.uniform(5, 35):.3f}", ts)
         node.clock = ts
         node.submit(reading_transaction(channel, reading))
     while node.mempool:

@@ -37,11 +37,11 @@ from tcgw.bench import DEFAULT_LEVELS, bench_batch_time, bench_memory, emit_csv,
 from tcgw.canon import canonical_loads
 from tcgw.cli import main
 from tcgw.errors import PublishFailed
-from tcgw.private_chain import SensorReading
 
 import dataclasses
 
-from helpers import NeverConfirms, build_ledger, node_with_readings, tamper_ledger, tx_readings
+from helpers import (NeverConfirms, Reading, build_ledger, node_with_readings, tamper_ledger,
+                     tx_readings)
 
 TEMP_RANGE = ValidityRange("temperature_c", "-20", "60")
 
@@ -121,8 +121,7 @@ def test_criterion_2_statistics_oracle():
     rng = random.Random(7)
     for workload in range(100):
         n = rng.randint(1, 10_000)
-        readings = [SensorReading("s-0", "temperature_c",
-                                  f"{rng.uniform(-30, 50):.4f}", i)
+        readings = [Reading("s-0", "temperature_c", f"{rng.uniform(-30, 50):.4f}", i)
                     for i in range(n)]
         stats, = summarize(readings)
         mean, std, lo, hi = _two_pass([float(r.value) for r in readings])

@@ -18,7 +18,7 @@ from tcgw.bench import (
 )
 from tcgw.canon import canonical_loads
 from tcgw.errors import InvalidArgument
-from tcgw.ledger import verify_chain
+from tcgw.ledger import head, verify_chain
 from tcgw.private_chain import BATCH_SIZE, PrivateNode
 
 SMALL_LEVELS = [0, 5, 10, 50, 100, 500, 1000]
@@ -69,6 +69,14 @@ def test_memory_points_positive_and_strictly_monotone():
 
 def test_memory_is_deterministic():
     assert bench_memory(SMALL_LEVELS) == bench_memory(SMALL_LEVELS)
+
+
+def test_bench_ledger_bytes_are_pinned():
+    """The bench ledger's bytes, pinned by its head hash and occupied sizes:
+    a change to how the bench writes its readings must keep every byte."""
+    assert head(build_reading_ledger(1234))[1].hex() == (
+        "6dd8efb6e081fbb43b36bb837ac5cd0748dd8cf7ef85c78cb4271276e205db61")
+    assert [p.occupied_bytes for p in bench_memory([0, 5, 100, 1000])] == [116, 991, 15507, 154981]
 
 
 def test_storage_fit_is_nearly_linear():

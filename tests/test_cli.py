@@ -598,6 +598,22 @@ def test_bench_levels_flag(tmp_path, capsys):
 def test_bench_rejects_bad_levels(tmp_path, capsys):
     assert main(["bench", "--levels", "10,5", "--out", str(tmp_path / "b")]) == 2
     assert "bad bench flags" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def test_bench_out_under_a_file_fails_before_measuring(tmp_path, monkeypatch, capsys):
+    """--out under a regular file is an input error (2) before any level is measured."""
+    import tcgw.cli
+
+    measured = []
+    monkeypatch.setattr(tcgw.cli, "bench_batch_time",
+                        lambda *args, **kwargs: measured.append(args) or [])
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    out = blocker / "bench"
+    _assert_input_error(["bench", "--levels", "0,100", "--out", str(out)], out, capsys)
+    assert measured == []
+    assert blocker.read_bytes() == b""
 
 
 def test_bench_max_level_caps_default_levels(tmp_path):

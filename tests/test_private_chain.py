@@ -17,26 +17,23 @@ from tcgw import (
     PrivateNode,
     PublicChain,
     PublicClient,
-    SensorReading,
     SensorSpec,
     TxKind,
     generate_readings,
     head,
     iter_transactions,
-    ledger_readings,
     load_ledger,
     make_transaction,
     op_payload,
     reading_payload,
-    reading_transaction,
     replay,
     rollover_epoch,
     save_ledger,
     state_digest,
+    summarize,
     verify_chain,
 )
 from tcgw.canon import canonical_json, canonical_loads
-from tcgw.gateway import epoch_stats
 from tcgw.private_chain import decimal_value, read_reading, reading_fields, reading_head
 from tcgw.worldstate import op_from_value
 from tcgw.errors import (
@@ -50,7 +47,8 @@ from tcgw.errors import (
     WrongChannel,
 )
 
-from helpers import make_reading, node_with_readings, reading_tx
+from helpers import (Reading, ledger_readings, make_reading, node_with_readings,
+                     reading_transaction, reading_tx, reference_payload, tx_readings)
 
 
 def _node(channel="fieldA", authors=("s-0",), **kwargs) -> PrivateNode:
@@ -447,7 +445,7 @@ def test_decimal_value_reads_plain_literals(text):
     ("abc", "value 'abc' is not a decimal"),
     ("", "value '' is not a decimal"),
     (5, "value 5 is not a decimal string"),
-    # plain, but of 1E+100 or more: epoch_stats overflowed or published inf or nan
+    # plain, but of 1E+100 or more: the stats fold overflowed or published inf or nan
     ("1E+100", "value '1E+100' is not below 1E+100 in magnitude"),
     ("0E+100", "value '0E+100' is not below 1E+100 in magnitude"),
     ("-1E+200", "value '-1E+200' is not below 1E+100 in magnitude"),
@@ -463,7 +461,7 @@ def test_decimal_value_rejects_what_is_not_a_plain_literal(text, message):
     assert str(info.value) == "low" + message[len("value"):]
     if isinstance(text, str):
         with pytest.raises(InvalidArgument) as info:
-            make_reading(0, value=text)
+            reading_fields(make_reading(0, value=text)._asdict())
         assert str(info.value) == message
 
 
@@ -483,10 +481,8 @@ _value_texts = st.one_of(
 def test_reading_payload_is_canonical_json_of_its_four_keys(metric, sensor_id, timestamp, value):
     """The template reading_payload writes from is byte-identical to
     canonical_json of the four keys, for every id escape and value form."""
-    reading = SensorReading(sensor_id, metric, value, timestamp)
-    payload = reading_payload(reading)
-    assert payload == canonical_json({"metric": metric, "sensor_id": sensor_id,
-                                      "timestamp": timestamp, "value": value})
+    payload = reading_payload(reading_head(sensor_id, metric), timestamp, value)
+    assert payload == reference_payload(Reading(sensor_id, metric, value, timestamp))
     assert reading_fields(canonical_loads(payload))[:4] == (sensor_id, metric, value, timestamp)
 
 
@@ -504,8 +500,8 @@ def _reading_payloads(draw) -> bytes:
     fields = {"metric": draw(st.sampled_from(METRICS)),
               "sensor_id": draw(st.one_of(_sensor_ids, _unescaped_ids)),
               "timestamp": draw(st.integers(0, 2**64)), "value": draw(_payload_values)}
-    text = (f'{reading_head(fields["sensor_id"], fields["metric"])}{fields["timestamp"]},'
-            f'"value":"{fields["value"]}"}}')
+    text = reading_payload(reading_head(fields["sensor_id"], fields["metric"]),
+                           fields["timestamp"], fields["value"]).decode()
     mutation = draw(st.sampled_from([None, None, None, "flip", "reorder", "repeat", "space",
                                      "escape", "fifth", "long_time"]))
     if mutation == "flip":
@@ -557,26 +553,23 @@ def test_read_reading_is_reading_fields_of_canonical_loads(payload):
 
 @pytest.mark.parametrize("sensor_id", ["s\ud800", "\udfff", "a\ud83db"])
 def test_reading_payload_refuses_a_lone_surrogate_as_canonical_json_does(sensor_id):
-    reading = SensorReading(sensor_id, "temperature_c", "20.5", 0)
     with pytest.raises(UnicodeEncodeError):
-        reading_payload(reading)
+        reading_payload(reading_head(sensor_id, "temperature_c"), 0, "20.5")
     with pytest.raises(UnicodeEncodeError):
-        canonical_json({"metric": "temperature_c", "sensor_id": sensor_id,
-                        "timestamp": 0, "value": "20.5"})
+        reference_payload(Reading(sensor_id, "temperature_c", "20.5", 0))
 
 
 def test_generated_transactions_are_those_of_their_readings():
     """generate_readings writes each payload from its sensor's template; the
-    transactions equal reading_transaction of the readings they carry, and
-    each payload is canonical JSON, spikes and sampled values alike."""
+    transactions equal those the reference writer builds from the readings
+    they carry, and each payload is canonical JSON, spikes and sampled
+    values alike."""
     sensors = (SensorSpec("s-t", "temperature_c", 600, "-5", "35"),
                SensorSpec('s "h"\u2028\U0001f600', "humidity_pct", 900, "20", "90"),
                SensorSpec("s-r", "rain_pct", 3600, "0", "100"))
     field = FieldConfig("fieldA", "tomato", sensors, "0.5", seed=9)
     txs = generate_readings(field, 86_400, 2 * 86_400)
-    assert txs == [reading_transaction("fieldA",
-                                       SensorReading(*reading_fields(canonical_loads(tx.payload))[:4]))
-                   for tx in txs]
+    assert txs == [reading_transaction("fieldA", reading) for reading in tx_readings(txs)]
     assert all(tx.payload == canonical_json(canonical_loads(tx.payload)) for tx in txs)
     assert [(tx.author_id, tx.timestamp) for tx in txs] == [
         (s.sensor_id, t) for s in sensors for t in range(86_400, 2 * 86_400, s.interval)]
@@ -586,10 +579,12 @@ def test_generated_transactions_are_those_of_their_readings():
 
 
 def test_reading_validation():
-    with pytest.raises(Exception):
-        make_reading(0, metric="pressure")
-    with pytest.raises(Exception):
-        make_reading(0, value="not-a-number")
+    node = _node()
+    with pytest.raises(InvalidTransaction, match="unknown metric 'pressure'"):
+        node.submit(reading_tx("fieldA", 0, metric="pressure"))
+    with pytest.raises(InvalidTransaction, match="value 'not-a-number' is not a decimal"):
+        node.submit(reading_tx("fieldA", 0, value="not-a-number"))
+    assert node.mempool == []
 
 
 _steps = st.lists(st.tuples(
@@ -663,4 +658,4 @@ def test_held_readings_equal_ledger_readings(tmp_path_factory, steps, windows):
                 _rollover(node, start, start + length)
             continue
         summary, _, _ = _rollover(node, start, start + length)
-        assert (summary.stats, summary.excluded_count) == epoch_stats(inside, ())
+        assert (summary.stats, summary.excluded_count) == (tuple(summarize(inside)), 0)

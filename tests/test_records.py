@@ -1,6 +1,7 @@
-"""Record semantics of Transaction, SensorReading and ContextOp: each behaves
-like the frozen slots dataclass its fields declare, and validates every
-construction, through dataclasses.replace too."""
+"""Record semantics of Transaction and ContextOp: each behaves like the
+frozen slots dataclass its fields declare, and validates every
+construction, through dataclasses.replace too. A reading has no record:
+its four payload fields pass reading_fields' checks or raise."""
 
 from __future__ import annotations
 
@@ -10,20 +11,20 @@ import pickle
 
 import pytest
 
-from tcgw import ContextOp, SensorReading, Transaction, TxKind
+from tcgw import ContextOp, Transaction, TxKind, filter_out_of_scale, summarize
 from tcgw.errors import InvalidArgument
+from tcgw.private_chain import reading_fields
+
+from helpers import Reading
 
 RECORDS = {
     Transaction: ((bytes(range(32)), "fieldA", 5, TxKind.RAW_READING, b"{}", "s-0"),
                   ("tx_id", "channel_id", "timestamp", "kind", "payload", "author_id")),
-    SensorReading: (("s-0", "temperature_c", "20.5", 7),
-                    ("sensor_id", "metric", "value", "timestamp")),
     ContextOp: ((TxKind.UPDATE_FIELD, "doc", ("a", "b"), "v"),
                 ("op", "doc_id", "path", "value")),
 }
 # One changed field per record that keeps it valid.
-OTHER = {Transaction: ("timestamp", 6), SensorReading: ("value", "20.6"),
-         ContextOp: ("path", ("a", "c"))}
+OTHER = {Transaction: ("timestamp", 6), ContextOp: ("path", ("a", "c"))}
 
 
 def _generated(cls):
@@ -100,9 +101,6 @@ def test_context_op_with_an_unhashable_value_compares_but_does_not_hash():
         hash(op)
 
 
-_R = ("s-0", "temperature_c", "20.5", 0)
-
-
 @pytest.mark.parametrize("args, message", [
     (("s-0", "pressure", "20.5", 0), "unknown metric 'pressure'"),
     (("s-0", None, "20.5", 0), "unknown metric None"),
@@ -137,13 +135,16 @@ _R = ("s-0", "temperature_c", "20.5", 0)
     ((b"s-0", "temperature_c", "20.5", 0), "sensor_id b's-0' is not a string"),
 ])
 def test_sensor_reading_errors(args, message):
+    """A parsed reading payload whose (sensor_id, metric, value, timestamp)
+    are `args` is refused by reading_fields with `message`, and so is a
+    reading record with those fields by summarize and filter_out_of_scale."""
     with pytest.raises(InvalidArgument) as info:
-        SensorReading(*args)
+        reading_fields(Reading(*args)._asdict())
     assert type(info.value) is InvalidArgument and str(info.value) == message
-    with pytest.raises(InvalidArgument) as info:
-        dataclasses.replace(SensorReading(*_R), **dict(
-            zip(("sensor_id", "metric", "value", "timestamp"), args)))
-    assert str(info.value) == message
+    for fold in (summarize, lambda readings: filter_out_of_scale(readings, ())):
+        with pytest.raises(InvalidArgument) as info:
+            fold([Reading("s-0", "temperature_c", "20.5", 0), Reading(*args)])
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("args, message", [

@@ -11,7 +11,6 @@ from tcgw import (
     TxKind,
     WorldState,
     append_block,
-    apply_op,
     genesis,
     make_transaction,
     op_payload,
@@ -33,38 +32,38 @@ def _append(doc: str, path: tuple[str, ...], value) -> ContextOp:
 
 
 def test_update_field_is_an_upsert():
-    ws = apply_op(EMPTY_STATE, _update("lot1", ("Plant density",), "4.2"))
-    ws = apply_op(ws, _update("lot1", ("Plant density",), "4.5"))
+    ws = apply_ops(EMPTY_STATE, [_update("lot1", ("Plant density",), "4.2")])
+    ws = apply_ops(ws, [_update("lot1", ("Plant density",), "4.5")])
     assert ws["lot1"]["Plant density"] == "4.5"
 
 
 def test_append_creates_array_on_empty_doc():
-    ws = apply_op(EMPTY_STATE, _append("lot1", ("Cultural Operations",), {"op": "irrigation"}))
+    ws = apply_ops(EMPTY_STATE, [_append("lot1", ("Cultural Operations",), {"op": "irrigation"})])
     array = ws["lot1"]["Cultural Operations"]
     assert array == [{"op": "irrigation"}]
 
 
 def test_append_to_scalar_conflicts_and_leaves_state_intact():
-    ws = apply_op(EMPTY_STATE, _update("lot1", ("Plant density",), "4.2"))
+    ws = apply_ops(EMPTY_STATE, [_update("lot1", ("Plant density",), "4.2")])
     before = state_digest(ws)
     with pytest.raises(PathTypeConflict):
-        apply_op(ws, _append("lot1", ("Plant density",), "x"))
+        apply_ops(ws, [_append("lot1", ("Plant density",), "x")])
     assert state_digest(ws) == before
 
 
 def test_traversing_scalar_segment_conflicts():
-    ws = apply_op(EMPTY_STATE, _update("lot1", ("a",), "scalar"))
+    ws = apply_ops(EMPTY_STATE, [_update("lot1", ("a",), "scalar")])
     with pytest.raises(PathTypeConflict):
-        apply_op(ws, _update("lot1", ("a", "b"), 1))
+        apply_ops(ws, [_update("lot1", ("a", "b"), 1)])
 
 
 def test_missing_intermediates_are_created():
-    ws = apply_op(EMPTY_STATE, _update("lot1", ("a", "b", "c"), 7))
+    ws = apply_ops(EMPTY_STATE, [_update("lot1", ("a", "b", "c"), 7)])
     assert ws["lot1"] == {"a": {"b": {"c": 7}}}
 
 
 def test_read_document_absent_and_side_effect_free():
-    ws = apply_op(EMPTY_STATE, _update("lot1", ("x",), 1))
+    ws = apply_ops(EMPTY_STATE, [_update("lot1", ("x",), 1)])
     before = state_digest(ws)
     assert ws.get("nope") is None
     assert ws["lot1"]["x"] == 1
@@ -72,7 +71,7 @@ def test_read_document_absent_and_side_effect_free():
 
 
 def test_state_is_a_read_only_mapping_of_bodies():
-    ws = apply_op(EMPTY_STATE, _update("lot1", ("x",), 1))
+    ws = apply_ops(EMPTY_STATE, [_update("lot1", ("x",), 1)])
     assert dict(ws) == {"lot1": {"x": 1}}
     for state in (EMPTY_STATE, ws):
         with pytest.raises(TypeError):
@@ -81,19 +80,19 @@ def test_state_is_a_read_only_mapping_of_bodies():
 
 def test_empty_state_digest_is_constant():
     assert state_digest(EMPTY_STATE) == state_digest(EMPTY_STATE)
-    ws = apply_op(EMPTY_STATE, _update("d", ("k",), 1))
+    ws = apply_ops(EMPTY_STATE, [_update("d", ("k",), 1)])
     assert state_digest(ws) != state_digest(EMPTY_STATE)
 
 
 def test_digest_independent_of_document_touch_order():
-    a = apply_op(apply_op(EMPTY_STATE, _update("d1", ("k",), 1)), _update("d2", ("k",), 2))
-    b = apply_op(apply_op(EMPTY_STATE, _update("d2", ("k",), 2)), _update("d1", ("k",), 1))
+    a = apply_ops(EMPTY_STATE, [_update("d1", ("k",), 1), _update("d2", ("k",), 2)])
+    b = apply_ops(EMPTY_STATE, [_update("d2", ("k",), 2), _update("d1", ("k",), 1)])
     assert state_digest(a) == state_digest(b)
 
 
 def test_digest_changes_when_a_value_changes():
-    base = apply_op(EMPTY_STATE, _update("d", ("k",), "1"))
-    changed = apply_op(base, _update("d", ("k",), "2"))
+    base = apply_ops(EMPTY_STATE, [_update("d", ("k",), "1")])
+    changed = apply_ops(base, [_update("d", ("k",), "2")])
     assert state_digest(base) != state_digest(changed)
 
 
@@ -137,7 +136,7 @@ def test_replay_equals_incremental_state_after_reload(tmp_path):
     for i in range(20):
         op = (_update("doc", (f"k{i % 5}",), i) if i % 2
               else _append("doc", ("log",), i))
-        ws = apply_op(ws, op)
+        ws = apply_ops(ws, [op])
         ledger, _ = append_block(ledger, [_op_tx("fieldA", op, i)], i)
     path = save_ledger(ledger, tmp_path / "fieldA.tcgw")
     assert state_digest(replay(load_ledger(path))) == state_digest(ws)
@@ -160,7 +159,7 @@ leaf_values = st.none() | st.booleans() | st.integers(-1000, 1000) | st.text(max
 
 @given(doc=segments, path=paths, value=leaf_values)
 def test_update_accepts_any_doc_path_value(doc, path, value):
-    ws = apply_op(EMPTY_STATE, _update(doc, path, value))
+    ws = apply_ops(EMPTY_STATE, [_update(doc, path, value)])
     node = ws[doc]
     for segment in path[:-1]:
         node = node[segment]
@@ -171,7 +170,7 @@ def test_update_accepts_any_doc_path_value(doc, path, value):
 def test_append_accumulates_in_order(doc, path, values):
     ws = EMPTY_STATE
     for value in values:
-        ws = apply_op(ws, _append(doc, path, value))
+        ws = apply_ops(ws, [_append(doc, path, value)])
     node = ws[doc]
     for segment in path[:-1]:
         node = node[segment]
@@ -238,7 +237,7 @@ def test_apply_matches_per_op_reference_fold(setup, ops):
     state, at = ws, None
     for i, op in enumerate(ops):
         try:
-            state = apply_op(state, op)
+            state = apply_ops(state, [op])
         except PathTypeConflict:
             at = i
             break
