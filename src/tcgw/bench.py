@@ -148,9 +148,9 @@ def fit_storage(points: Sequence[BenchPoint]) -> LinearFit:
     return LinearFit(slope, intercept, r * r)
 
 
-def bench_report(points: Sequence[BenchPoint], fit: LinearFit | None,
-                 verify_mode: bool) -> dict:
-    """JSON value for the fit report (floats carried as decimal strings)."""
+def write_bench_report(points: Sequence[BenchPoint], fit: LinearFit | None,
+                       verify_mode: bool, path: str | Path) -> Path:
+    """Write the fit report as canonical JSON (floats carried as decimal strings)."""
     report = {
         "note": NOTE,
         "points": [
@@ -166,11 +166,6 @@ def bench_report(points: Sequence[BenchPoint], fit: LinearFit | None,
             "r_squared": repr(fit.r_squared),
             "slope": repr(fit.slope),
         }
-    return report
-
-
-def write_bench_report(points: Sequence[BenchPoint], fit: LinearFit | None,
-                       verify_mode: bool, path: str | Path) -> Path:
     path = Path(path)
-    path.write_bytes(canonical_json(bench_report(points, fit, verify_mode)))
+    path.write_bytes(canonical_json(report))
     return path

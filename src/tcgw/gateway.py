@@ -195,19 +195,6 @@ class _EpochStats:
         return tuple(stats), self.excluded
 
 
-def _fold(texts: Iterable[tuple[str, str]],
-          bounds: dict[str, tuple[Decimal, Decimal]]) -> _EpochStats:
-    """The fold of (metric, value text) pairs, each text parsed once: its
-    result() is (summarize(kept), len(excluded)) for (kept, excluded) =
-    filter_out_of_scale(readings, ranges), since float() of a plain decimal
-    literal equals float() of its Decimal (both round one exact value)."""
-    stats = _EpochStats(bounds)
-    add = stats.add
-    for metric, text in texts:
-        add(metric, text, Decimal(text))
-    return stats
-
-
 def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
                    window_start: int, window_end: int, pub,
                    events: list) -> tuple[EpochSummary, object, PrivateNode]:
@@ -234,8 +221,17 @@ def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
     span = node.time_span
     if span is not None and not window_start <= span[0] <= span[1] < window_end:
         raise InvalidWindow("ledger holds readings outside the epoch window")
-    stats, excluded = _fold(((metric, text) for metric, texts in node.values.items()
-                             for text in texts), range_bounds(ranges)).result()
+    # Each text is parsed once. The texts were checked at submit, and float() of
+    # a plain decimal literal equals float() of its Decimal (both round one exact
+    # value), so the fold's result() is (summarize(kept), len(excluded)) for
+    # (kept, excluded) = filter_out_of_scale(readings, ranges).
+    fold = _EpochStats(range_bounds(ranges))
+    add = fold.add
+    for metric, texts in node.values.items():
+        for text in texts:
+            add(metric, text, Decimal(text))
+    stats, excluded = fold.result()
+    del fold, add  # hold no float per reading through publish and reset
     height, head_hash = head(node.ledger)
     summary = EpochSummary(
         channel_id=node.channel_id,

@@ -194,15 +194,12 @@ def make_block(height: int, previous_hash: bytes, timestamp: int,
     return Block(height, previous_hash, timestamp, tx_root, txs, block_hash)
 
 
-def serialize_transaction(tx: Transaction) -> bytes:
-    return tx.tx_id + transaction_body(tx.channel_id, tx.timestamp, tx.kind,
-                                       tx.payload, tx.author_id)
-
-
 def serialize_block(block: Block) -> bytes:
     out = [_BLOCK_HEAD.pack(block.height, block.previous_hash, block.timestamp,
                             block.tx_root, len(block.transactions))]
-    out.extend(serialize_transaction(tx) for tx in block.transactions)
+    out.extend(tx.tx_id + transaction_body(tx.channel_id, tx.timestamp, tx.kind,
+                                           tx.payload, tx.author_id)
+               for tx in block.transactions)
     out.append(block.block_hash)
     return b"".join(out)
 

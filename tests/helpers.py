@@ -6,16 +6,15 @@ import dataclasses
 from typing import NamedTuple
 
 from tcgw import (
-    Ledger,
     PrivateNode,
     PublicClient,
-    Transaction,
     TxKind,
     append_block,
     genesis,
     make_transaction,
 )
 from tcgw.canon import canonical_json, canonical_loads
+from tcgw.ledger import Ledger, Transaction
 from tcgw.private_chain import reading_fields
 from tcgw.rng import SplitMix64, derive_seed
 

@@ -15,21 +15,14 @@ import time
 import pytest
 
 from tcgw import (
-    FieldConfig,
     PublicChain,
     PublicClient,
-    ScenarioConfig,
-    SensorSpec,
     TxKind,
     ValidityRange,
     default_scenario,
-    filter_out_of_scale,
-    generate_context_ops,
-    generate_readings,
     head,
     rollover_epoch,
     run_scenario,
-    summarize,
     verify_chain,
     verify_pruned_epoch,
 )
@@ -37,6 +30,9 @@ from tcgw.bench import DEFAULT_LEVELS, bench_batch_time, bench_memory, emit_csv,
 from tcgw.canon import canonical_loads
 from tcgw.cli import main
 from tcgw.errors import PublishFailed
+from tcgw.gateway import filter_out_of_scale, summarize
+from tcgw.workload import (FieldConfig, ScenarioConfig, SensorSpec, generate_context_ops,
+                           generate_readings)
 
 import dataclasses
 

@@ -11,30 +11,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcgw import (
-    METRICS,
     ContextOp,
-    EpochSummary,
-    MetricStats,
     PrivateNode,
     PublicChain,
     PublicClient,
     TxKind,
     ValidityRange,
-    filter_out_of_scale,
     head,
-    iter_transactions,
     ledger_size_bytes,
     make_transaction,
     op_payload,
     rollover_epoch,
-    summarize,
-    summary_digest,
     verify_pruned_epoch,
 )
 from tcgw.canon import from_json_value, to_json_value
 from tcgw.errors import DuplicateRange, InvalidArgument, NonEmptyMempool, PublishFailed
-from tcgw.ledger import make_block
-from tcgw.private_chain import BATCH_SIZE, reading_fields
+from tcgw.gateway import EpochSummary, MetricStats, filter_out_of_scale, summarize, summary_digest
+from tcgw.ledger import iter_transactions, make_block
+from tcgw.private_chain import BATCH_SIZE, METRICS, reading_fields
 
 from helpers import (NeverConfirms, Reading, node_with_readings, reading_transaction, reading_tx,
                      tamper_ledger)

@@ -9,19 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcgw import (
-    ChainFault,
-    Ledger,
     PrivateNode,
     TxKind,
     append_block,
     genesis,
     head,
-    iter_transactions,
     ledger_size_bytes,
-    load_ledger,
-    merkle_root,
-    save_ledger,
-    serialize_block,
     verify_chain,
 )
 from tcgw.canon import sha256
@@ -34,7 +27,9 @@ from tcgw.errors import (
     UnsupportedValue,
 )
 from tcgw import ledger as ledger_module
-from tcgw.ledger import ZERO_HASH, ledger_blocks, make_block, make_transaction, verify_blocks
+from tcgw.ledger import (ZERO_HASH, ChainFault, Ledger, iter_transactions, ledger_blocks,
+                         load_ledger, make_block, make_transaction, merkle_root, save_ledger,
+                         serialize_block, verify_blocks)
 
 from helpers import build_ledger, flip_byte, reading_tx, tamper_ledger
 

@@ -11,30 +11,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcgw import (
-    METRICS,
     ContextOp,
-    FieldConfig,
     PrivateNode,
     PublicChain,
     PublicClient,
-    SensorSpec,
     TxKind,
-    generate_readings,
     head,
-    iter_transactions,
-    load_ledger,
     make_transaction,
     op_payload,
     reading_payload,
     replay,
     rollover_epoch,
-    save_ledger,
     state_digest,
-    summarize,
     verify_chain,
 )
 from tcgw.canon import canonical_json, canonical_loads
-from tcgw.private_chain import decimal_value, read_reading, reading_fields, reading_head
+from tcgw.gateway import summarize
+from tcgw.ledger import iter_transactions, load_ledger, save_ledger
+from tcgw.private_chain import (METRICS, decimal_value, read_reading, reading_fields,
+                                reading_head)
+from tcgw.workload import FieldConfig, SensorSpec, generate_readings
 from tcgw.worldstate import op_from_value
 from tcgw.errors import (
     DuplicateTransaction,

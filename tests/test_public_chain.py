@@ -8,18 +8,16 @@ import random
 import pytest
 
 from tcgw import (
-    AnchorRecord,
-    EpochSummary,
-    TxKind,
-    MetricStats,
     PublicChain,
+    TxKind,
     head,
-    save_ledger,
-    summary_digest,
     verify_chain,
 )
 from tcgw.canon import canonical_json, canonical_loads
 from tcgw.errors import DuplicateEpoch, InvalidChain, UnknownGateway
+from tcgw.gateway import EpochSummary, MetricStats, summary_digest
+from tcgw.ledger import save_ledger
+from tcgw.public_chain import AnchorRecord
 
 from helpers import tamper_ledger
 from test_gateway import _relink

@@ -11,7 +11,9 @@ import pickle
 
 import pytest
 
-from tcgw import ContextOp, Transaction, TxKind, filter_out_of_scale, summarize
+from tcgw import ContextOp, TxKind
+from tcgw.gateway import filter_out_of_scale, summarize
+from tcgw.ledger import Transaction
 from tcgw.errors import InvalidArgument
 from tcgw.private_chain import reading_fields
 

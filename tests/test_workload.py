@@ -7,22 +7,19 @@ import dataclasses
 import pytest
 
 from tcgw import (
-    FieldConfig,
-    ScenarioConfig,
-    SensorSpec,
     TxKind,
     ValidityRange,
     default_scenario,
-    filter_out_of_scale,
-    generate_context_ops,
-    generate_readings,
     run_scenario,
     verify_pruned_epoch,
 )
 from tcgw.canon import canonical_json, canonical_loads, digest_json
 from tcgw.errors import DuplicateRange, InvalidArgument, InvalidWindow
 from tcgw.canon import from_json_value, to_json_value
-from tcgw.workload import DEFAULT_VALIDITY_RANGES, apply_seed_override, load_scenario_config
+from tcgw.gateway import filter_out_of_scale
+from tcgw.workload import (DEFAULT_VALIDITY_RANGES, FieldConfig, ScenarioConfig, SensorSpec,
+                           apply_seed_override, generate_context_ops, generate_readings,
+                           load_scenario_config)
 
 from helpers import tx_readings
 

@@ -9,18 +9,16 @@ from tcgw import (
     EMPTY_STATE,
     ContextOp,
     TxKind,
-    WorldState,
     append_block,
     genesis,
     make_transaction,
     op_payload,
-    parse_op,
     replay,
     state_digest,
 )
 from tcgw.errors import InvalidArgument, PathTypeConflict
 from tcgw.ledger import load_ledger, save_ledger
-from tcgw.worldstate import apply_ops
+from tcgw.worldstate import WorldState, apply_ops, parse_op
 
 
 def _update(doc: str, path: tuple[str, ...], value) -> ContextOp:
