@@ -32,6 +32,17 @@ walk's visitor parses each payload: canonical_loads when there is none,
 the audit's own readers (a reading's template, see
 private_chain.read_reading) and PublicChain.load's when there is, so no
 payload is parsed twice.
+
+A transaction that make_transaction built is sealed: a slot outside its
+fields records that its tx_id is the SHA-256 of the body it was computed
+from, and the fields are frozen (only a deliberate bypass, such as
+object.__setattr__ or calling __init__ again, changes them).
+make_transaction is the only code that sets the seal; a direct
+Transaction(...) call, dataclasses.replace, copy, pickle and the decoders
+all give an unsealed transaction. PrivateNode.submit alone reads the seal,
+to skip re-hashing what was just hashed; every verification
+(transaction_valid, ledger_blocks, read_blocks, verify_chain,
+verify_blocks) re-derives every tx_id and never reads it.
 """
 
 from __future__ import annotations
@@ -87,8 +98,15 @@ def slot_setters(cls: type) -> tuple:
     return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
+class _Sealable:
+    """The seal's slot (see the module docstring). It is not a Transaction
+    field, so equality, hashing, repr, replace, copy and pickle ignore it."""
+
+    __slots__ = ("_sealed",)
+
+
 @dataclass(frozen=True, slots=True, init=False)
-class Transaction:
+class Transaction(_Sealable):
     tx_id: bytes
     channel_id: str
     timestamp: int
@@ -108,6 +126,7 @@ class Transaction:
 
 
 _TX_SLOTS = slot_setters(Transaction)
+_SEAL = _Sealable._sealed.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,17 +174,27 @@ def transaction_body(channel_id: str, timestamp: int, kind: TxKind,
 
 def make_transaction(channel_id: str, timestamp: int, kind: TxKind,
                      payload: bytes, author_id: str) -> Transaction:
-    """Build a transaction with its tx_id computed from the other fields.
-    The timestamp must fit the wire's u64."""
+    """Build a transaction with its tx_id computed from the other fields,
+    and seal it: the one place a seal is set. The timestamp must fit the
+    wire's u64."""
     if not 0 <= timestamp <= MAX_TIMESTAMP:
         raise InvalidArgument(f"timestamp {timestamp} is not a unix second in [0, 2**64)")
     body = transaction_body(channel_id, timestamp, kind, payload, author_id)
-    return Transaction(sha256(body), channel_id, timestamp, kind, payload, author_id)
+    tx = Transaction(sha256(body), channel_id, timestamp, kind, payload, author_id)
+    _SEAL(tx, True)
+    return tx
+
+
+def sealed(tx: Transaction) -> bool:
+    """True iff make_transaction built `tx`, so its tx_id is the SHA-256 of
+    its body. Only PrivateNode.submit asks; see the module docstring."""
+    return getattr(tx, "_sealed", False)
 
 
 def transaction_valid(tx: Transaction) -> bool:
-    """True iff tx_id is the SHA-256 of the transaction body. The payload
-    is not parsed here: PrivateNode.submit and verify_blocks' visitor parse it."""
+    """True iff tx_id is the SHA-256 of the body rebuilt from the fields,
+    sealed or not. The payload is not parsed here: PrivateNode.submit and
+    verify_blocks' visitor parse it."""
     body = transaction_body(tx.channel_id, tx.timestamp, tx.kind, tx.payload, tx.author_id)
     return sha256(body) == tx.tx_id
 

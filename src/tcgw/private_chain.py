@@ -37,6 +37,7 @@ from .ledger import (
     TxKind,
     append_block,
     genesis,
+    sealed,
     transaction_valid,
 )
 from .worldstate import (CONTEXT_KINDS, ContextOp, WorldState, apply_ops, check_digestible,
@@ -147,6 +148,9 @@ def reading_payload(head: str, timestamp: int, value: str) -> bytes:
 class PrivateNode:
     """Single-writer node: submit fills the mempool, commit_batch drains it.
 
+    submit re-derives the tx_id of each transaction that make_transaction
+    did not seal (see tcgw.ledger), and trusts the seal of one it did: the
+    seal is proof that the id was computed from the same frozen fields.
     submit parses each payload once, a reading with read_reading, and keeps
     what commit needs beside the mempool: a ContextOp, or a reading's
     (metric, value text, timestamp); commit and rollover use that, not the
@@ -200,20 +204,21 @@ class PrivateNode:
 
     def submit(self, tx: Transaction) -> bool:
         """Queue a transaction; raises on wrong channel, author, duplicate,
-        bad tx_id, an Anchor kind (a private chain holds none), a payload
-        that commit or rollover could not read, or one that disagrees with
-        the header: a reading's sensor and time must be the tx author and
-        timestamp, a context op's kind the tx kind. A
-        context op must also be one state_digest can encode once applied
-        (see check_digestible). The payload is parsed once, by the reader of
-        its kind, and the result is kept for commit_batch."""
+        bad tx_id (checked by transaction_valid unless the transaction is
+        sealed, as one from make_transaction is), an Anchor kind (a private
+        chain holds none), a payload that commit or rollover could not read,
+        or one that disagrees with the header: a reading's sensor and time
+        must be the tx author and timestamp, a context op's kind the tx
+        kind. A context op must also be one state_digest can encode once
+        applied (see check_digestible). The payload is parsed once, by the
+        reader of its kind, and the result is kept for commit_batch."""
         if tx.channel_id != self.channel_id:
             raise WrongChannel(f"tx for {tx.channel_id!r} sent to {self.channel_id!r}")
         if tx.author_id not in self.authorized_authors:
             raise UnauthorizedAuthor(f"{tx.author_id!r} may not write to {self.channel_id!r}")
         if tx.tx_id in self._known_ids:
             raise DuplicateTransaction(tx.tx_id.hex())
-        if not transaction_valid(tx):
+        if not sealed(tx) and not transaction_valid(tx):
             raise InvalidTransaction(len(self.mempool), "tx_id does not match payload")
         try:
             parsed: tuple[str, str, int] | ContextOp

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import pickle
 import random
 from decimal import Decimal
 
@@ -27,7 +29,8 @@ from tcgw import (
 )
 from tcgw.canon import canonical_json, canonical_loads
 from tcgw.gateway import summarize
-from tcgw.ledger import iter_transactions, load_ledger, save_ledger
+from tcgw import ledger as ledger_module
+from tcgw.ledger import Transaction, iter_transactions, load_ledger, save_ledger, sealed
 from tcgw.private_chain import (METRICS, decimal_value, read_reading, reading_fields,
                                 reading_head)
 from tcgw.workload import FieldConfig, SensorSpec, generate_readings
@@ -90,6 +93,98 @@ def test_submit_rejects_wrong_channel():
     node = _node()
     with pytest.raises(WrongChannel):
         node.submit(reading_tx("fieldB", 0))
+
+
+def _counting_bodies(monkeypatch) -> list:
+    """Count ledger.transaction_body calls from here on, the body builds
+    that transaction_valid makes."""
+    builds: list = []
+    build = ledger_module.transaction_body
+    monkeypatch.setattr(ledger_module, "transaction_body",
+                        lambda *args: builds.append(1) or build(*args))
+    return builds
+
+
+def test_submit_admits_a_made_transaction_without_rebuilding_its_body(monkeypatch):
+    """make_transaction seals the tx_id it computed, so submit does not
+    hash the same fields again."""
+    made = reading_tx("fieldA", 0)
+    assert sealed(made)
+    builds = _counting_bodies(monkeypatch)
+    node = _node()
+    node.submit(made)
+    assert builds == []
+    node.commit_batch()
+    assert verify_chain(node.ledger).ok
+    assert len(builds) == 1  # verification re-derives the id of a sealed transaction too
+
+
+def _flipped_value_digit(made, tmp_path):
+    """`made`, committed, saved and loaded back from a file in which one
+    digit of its reading's value was flipped (20.5 to 21.5)."""
+    node = _node()
+    node.submit(made)
+    node.commit_batch()
+    path = save_ledger(node.ledger, tmp_path / "fieldA.epoch0.tcgw")
+    data = bytearray(path.read_bytes())
+    data[data.index(b'"value":"20.5"') + 10] ^= 0x01
+    path.write_bytes(bytes(data))
+    return load_ledger(path).blocks[1].transactions[0]
+
+
+@pytest.mark.parametrize("forge", [
+    lambda made, _: dataclasses.replace(made, payload=made.payload.replace(b"20.5", b"21.5")),
+    lambda made, _: Transaction(made.tx_id, made.channel_id, made.timestamp, made.kind,
+                                made.payload.replace(b"20.5", b"21.5"), made.author_id),
+    _flipped_value_digit,
+], ids=["replace", "constructor", "load_ledger"])
+def test_submit_rehashes_an_unsealed_transaction_and_rejects_a_forged_id(forge, tmp_path,
+                                                                         monkeypatch):
+    """A transaction that keeps a made tx_id but carries another value is
+    unsealed, whichever way it was built, so submit re-derives its id and
+    rejects it. Its payload is a well-formed reading of the same sensor and
+    time, so the id check alone stands between it and the mempool."""
+    made = reading_tx("fieldA", 0, value="20.5")
+    forged = forge(made, tmp_path)
+    assert forged.tx_id == made.tx_id and forged.payload != made.payload
+    assert read_reading(forged.payload)[:4] == ("s-0", "temperature_c", "21.5", 0)
+    assert not sealed(forged)
+    builds = _counting_bodies(monkeypatch)
+    node = _node()
+    with pytest.raises(InvalidTransaction, match="tx_id does not match payload"):
+        node.submit(forged)
+    assert node.mempool == [] and len(builds) == 1
+
+
+@pytest.mark.parametrize("twin", [copy.copy, copy.deepcopy,
+                                  lambda tx: pickle.loads(pickle.dumps(tx))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_submit_admits_a_twin_of_a_made_transaction_after_one_body_build(twin, monkeypatch):
+    """A copy or unpickled twin is equal to the made transaction but
+    unsealed, so submit checks its id with one body build and admits it."""
+    made = reading_tx("fieldA", 0)
+    other = twin(made)
+    assert other == made and not sealed(other)
+    builds = _counting_bodies(monkeypatch)
+    node = _node()
+    node.submit(other)
+    assert node.mempool == [other] and len(builds) == 1
+
+
+def test_a_seal_cannot_be_set_or_deleted():
+    """The seal is not a field, so replace cannot pass it on; and, as with
+    the fields, assignment and deletion raise (FrozenInstanceError, or a
+    TypeError from the frozen __setattr__ of a slots dataclass, depending
+    on the Python release)."""
+    made = reading_tx("fieldA", 0)
+    unsealed = Transaction(*(getattr(made, f.name) for f in dataclasses.fields(made)))
+    assert "_sealed" not in {f.name for f in dataclasses.fields(made)}
+    for tx in (made, unsealed):
+        with pytest.raises((AttributeError, TypeError)):
+            tx._sealed = True
+        with pytest.raises((AttributeError, TypeError)):
+            del tx._sealed
+    assert sealed(made) and not sealed(unsealed)
 
 
 _READING = {"metric": "temperature_c", "sensor_id": "s-0", "timestamp": 0, "value": "20.5"}

@@ -266,6 +266,46 @@ def test_run_scenario_parses_each_payload_twice(monkeypatch):
     assert reads == 2 * committed
 
 
+def test_run_scenario_checks_each_transaction_id_once(monkeypatch):
+    """Work counter: submit admits each transaction make_transaction sealed
+    without re-deriving its id, so the in-run audit is the one
+    transaction_valid call per committed transaction. The anchors, on the
+    public chain, add none."""
+    import sys
+    from tcgw import ledger
+    checked: list = []
+    original = ledger.transaction_valid
+
+    def counting(tx):
+        checked.append(tx.tx_id)
+        return original(tx)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tcgw" and getattr(module, "transaction_valid", None) is original:
+            monkeypatch.setattr(module, "transaction_valid", counting)
+    result = run_scenario(small_scenario(epochs=3))
+    monkeypatch.undo()
+    committed = [tx.tx_id for ledger in result.archives.values() for block in ledger.blocks
+                 for tx in block.transactions]
+    assert len(checked) == len(committed) == 312
+    assert sorted(checked) == sorted(committed)
+
+
+def test_verify_chain_rebuilds_the_body_of_every_sealed_transaction(monkeypatch):
+    """Work counter: verification never reads the seal. Every transaction
+    of a bench ledger is made by make_transaction, and verify_chain still
+    builds each one's body to re-derive its id."""
+    from tcgw import ledger
+    from tcgw.bench import build_reading_ledger
+    chain = build_reading_ledger(250)
+    assert all(ledger.sealed(tx) for block in chain.blocks for tx in block.transactions)
+    builds: list = []
+    build = ledger.transaction_body
+    monkeypatch.setattr(ledger, "transaction_body", lambda *args: builds.append(1) or build(*args))
+    assert ledger.verify_chain(chain).ok
+    assert len(builds) == 250
+
+
 def test_run_scenario_decodes_no_reading_as_json(monkeypatch):
     """Work counter: every generated reading is in template form, so a run
     makes no canonical_loads call for one. Only the context ops' payloads
