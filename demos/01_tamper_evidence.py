@@ -18,9 +18,9 @@ from tcgw import (
     verify_chain,
 )
 
-# A private ledger for one field. Block 0 is the genesis: all-zero
-# previous hash, no transactions.
-ledger = genesis("demo-field")
+# A private ledger for one field: the tuple of its blocks. Block 0 is the
+# genesis: all-zero previous hash, no transactions.
+ledger = genesis()
 print(f"genesis head: height={head(ledger)[0]} hash={head(ledger)[1].hex()[:16]}...")
 
 # Append ten blocks of three readings each. A reading is its payload, a
@@ -34,19 +34,18 @@ for block_index in range(10):
                                   f"{18 + s}.{block_index}")
         txs.append(make_transaction("demo-field", ts, TxKind.RAW_READING, payload, sensor))
     ledger, block = append_block(ledger, txs, txs[-1].timestamp)
-    assert block.previous_hash == ledger.blocks[block.height - 1].block_hash
+    assert block.previous_hash == ledger[block.height - 1].block_hash
 
-print(f"built {len(ledger.blocks)} blocks, {ledger_size_bytes(ledger)} bytes on disk")
+print(f"built {len(ledger)} blocks, {ledger_size_bytes(ledger)} bytes on disk")
 print(f"verify untouched chain: {verify_chain(ledger)}")
 
 # Now the attack: change one byte of a committed value in block 6.
-victim = ledger.blocks[6]
+victim = ledger[6]
 tx = victim.transactions[1]
 tampered_tx = dataclasses.replace(tx, payload=tx.payload.replace(b"19.", b"99.", 1))
 tampered_block = dataclasses.replace(
     victim, transactions=victim.transactions[:1] + (tampered_tx,) + victim.transactions[2:])
-tampered = dataclasses.replace(
-    ledger, blocks=ledger.blocks[:6] + (tampered_block,) + ledger.blocks[7:])
+tampered = ledger[:6] + (tampered_block,) + ledger[7:]
 
 report = verify_chain(tampered)
 print(f"verify tampered chain:  ok={report.ok} "

@@ -39,8 +39,9 @@ print(json.dumps(ws["lot1"], indent=2, sort_keys=True))
 print(f"state digest: {state_digest(ws).hex()[:24]}...")
 
 # The same operations, committed to a ledger and replayed, land on the
-# same digest: the materialized view is a pure function of the chain.
-ledger = genesis("lot1-chain")
+# same digest: the materialized view is a pure function of the chain (a
+# ledger is the tuple of its blocks).
+ledger = genesis()
 ops = [
     update("lot1", ("Plant density",), "4.2"),
     update("lot1", ("Plant density",), "4.5"),

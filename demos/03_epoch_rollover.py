@@ -42,7 +42,7 @@ for hour in range(MONTH // HOUR):
 while node.mempool:
     node.commit_batch()
 
-print(f"private chain: {len(node.ledger.blocks)} blocks, "
+print(f"private chain: {len(node.ledger)} blocks, "
       f"{ledger_size_bytes(node.ledger)} bytes, head height {head(node.ledger)[0]}")
 
 pub = PublicChain(["val-0", "val-1", "val-2"], gateways=["gw-olive"])
@@ -60,11 +60,12 @@ height = pub.included[record.channel_id, record.epoch_index]
 print(f"anchor confirmed at public height {height}, "
       f"digest {record.summary_digest.hex()[:24]}...")
 print(f"event order: {[e['event'] for e in trace]}")
-# The fresh ledger holds the anchor digest in memory only: its genesis block
-# neither hashes it nor saves it, so the archive files do not link epochs.
-print(f"fresh private chain: {ledger_size_bytes(fresh_node.ledger)} bytes "
-      f"(anchor held in memory, not in genesis: "
-      f"{fresh_node.ledger.genesis_anchor.hex()[:24]}...)")
+# The fresh ledger is a bare genesis block. The link from this epoch to the
+# last is the confirmed anchor on the public chain: no genesis block hashes
+# the previous epoch's digest yet, so the archive files do not link epochs.
+print(f"fresh private chain: {len(fresh_node.ledger)} block, "
+      f"{ledger_size_bytes(fresh_node.ledger)} bytes; the epoch link is the "
+      f"confirmed anchor on the public chain")
 
 # The archived ledger remains fully checkable against the public record.
 outcome = verify_pruned_epoch(node.ledger, summary, pub, RANGES)

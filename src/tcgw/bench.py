@@ -29,8 +29,7 @@ from .ledger import (Ledger, Transaction, TxKind, append_block, genesis, ledger_
 from .private_chain import BATCH_SIZE, PrivateNode, reading_head, reading_payload
 from .rng import SplitMix64, derive_seed
 
-DEFAULT_LEVELS = (0, 5, 10, 50, 100, 500, 1000, 5000, 10000, 50000, 100000, 500000)
-DEFAULT_MAX_LEVEL = 100_000
+DEFAULT_LEVELS = (0, 5, 10, 50, 100, 500, 1000, 5000, 10000, 50000, 100000)
 
 BENCH_CHANNEL = "bench"
 BENCH_SENSOR = "bench-probe"
@@ -76,7 +75,7 @@ def _reading_txs(count: int, first_timestamp: int, stream: str) -> list[Transact
 
 def build_reading_ledger(n: int) -> Ledger:
     """Ledger holding n deterministic single-reading transactions."""
-    ledger = genesis(BENCH_CHANNEL)
+    ledger = genesis()
     txs = _reading_txs(n, 0, "base")
     for start in range(0, n, BATCH_SIZE):
         chunk = txs[start:start + BATCH_SIZE]
@@ -113,7 +112,7 @@ def bench_batch_time(levels: Sequence[int] = DEFAULT_LEVELS,
     for n in levels:
         base = build_reading_ledger(n)
         node = PrivateNode(BENCH_CHANNEL, {BENCH_SENSOR}, ledger=base,
-                           clock=base.blocks[-1].timestamp)
+                           clock=base[-1].timestamp)
         times = [_time_batch(node, n, rep, verify_mode) for rep in range(REPETITIONS)]
         points.append(BenchPoint(n, ledger_size_bytes(base), statistics.median(times)))
     return points

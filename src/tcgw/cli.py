@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .bench import (
     DEFAULT_LEVELS,
-    DEFAULT_MAX_LEVEL,
     FIT_MIN_LEVEL,
     bench_batch_time,
     check_levels,
@@ -90,10 +89,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
+        levels = DEFAULT_LEVELS
         if args.levels:
             levels = [int(part) for part in args.levels.split(",")]
-        else:
-            levels = [n for n in DEFAULT_LEVELS if n <= args.max_level]
         verify_mode = args.verify_mode == "on"
         check_levels(levels)
         out = Path(args.out)  # made before measuring: an --out that cannot be made wastes no run
@@ -217,7 +215,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         _err(f"cannot read {path}: {exc}")
         return 2
     blocks = []
-    for block in ledger.blocks:
+    for block in ledger:
         txs = []
         for tx in block.transactions:
             try:
@@ -240,7 +238,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             "tx_root": block.tx_root.hex(),
             "transactions": txs,
         })
-    print(json.dumps({"blocks": blocks, "chain_id": ledger.chain_id},
+    print(json.dumps({"blocks": blocks, "chain_id": path.stem},
                      indent=2, sort_keys=True))
     return 0
 
@@ -260,8 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="measure storage growth and batch latency")
     p_bench.add_argument("--levels", help="comma-separated ascending transaction counts")
     p_bench.add_argument("--verify-mode", choices=("on", "off"), default="on")
-    p_bench.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL,
-                         help="cap applied to the default levels")
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.set_defaults(func=cmd_bench)
 

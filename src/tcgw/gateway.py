@@ -253,7 +253,7 @@ def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
     if not pub.confirm(record):
         raise PublishFailed("anchor was not confirmed; private ledger left intact")
     events.append({"event": "anchor_confirmed", **where})
-    new_node = node.reset_with_anchor(record.summary_digest)
+    new_node = node.reset()
     events.append({"event": "ledger_reset", **where})
     return summary, record, new_node
 

@@ -1,8 +1,8 @@
 """Append-only hash-linked ledger with tamper-evident verification.
 
-Shared by the private (per-field) and public (anchor) chains. Values are
-immutable: appending produces a new Ledger, so readers can hold snapshots
-while a single logical writer advances the chain.
+Shared by the private (per-field) and public (anchor) chains. A Ledger is
+the tuple of its blocks, all that its file holds: appending makes a new
+tuple, so readers can hold snapshots while a single writer advances it.
 
 Wire format (also the unit of size accounting):
 
@@ -139,11 +139,7 @@ class Block:
     block_hash: bytes
 
 
-@dataclass(frozen=True)
-class Ledger:
-    chain_id: str
-    blocks: tuple[Block, ...]
-    genesis_anchor: bytes | None = None
+Ledger = tuple[Block, ...]
 
 
 _U32 = struct.Struct(">I")
@@ -310,19 +306,14 @@ def _decode_blocks(data: bytes, offset: int) -> Iterator[tuple[Block, int]]:
         yield Block(height, previous_hash, timestamp, tx_root, tuple(txs), block_hash), bad
 
 
-def genesis(chain_id: str, genesis_anchor: bytes | None = None) -> Ledger:
+def genesis() -> Ledger:
     """One-block ledger: height 0, all-zero previous hash, no transactions."""
-    if not chain_id:
-        raise InvalidArgument("chain_id must be non-empty")
-    if genesis_anchor is not None and len(genesis_anchor) != DIGEST_SIZE:
-        raise InvalidArgument("genesis_anchor must be a 32-byte digest")
-    block = make_block(0, ZERO_HASH, 0, ())
-    return Ledger(chain_id, (block,), genesis_anchor)
+    return (make_block(0, ZERO_HASH, 0, ()),)
 
 
 def head(ledger: Ledger) -> tuple[int, bytes]:
     """(height, block_hash) of the last block."""
-    last = ledger.blocks[-1]
+    last = ledger[-1]
     return last.height, last.block_hash
 
 
@@ -335,11 +326,11 @@ def append_block(ledger: Ledger, txs: Sequence[Transaction], timestamp: int) -> 
     """
     if not txs:
         raise EmptyBatch("cannot append a block with no transactions")
-    last = ledger.blocks[-1]
+    last = ledger[-1]
     if timestamp < last.timestamp:
         raise ClockSkew(f"timestamp {timestamp} precedes head timestamp {last.timestamp}")
     block = make_block(last.height + 1, last.block_hash, timestamp, txs)
-    return Ledger(ledger.chain_id, ledger.blocks + (block,), ledger.genesis_anchor), block
+    return ledger + (block,), block
 
 
 class ChainFault(Enum):
@@ -375,7 +366,7 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
 def ledger_blocks(ledger: Ledger) -> Iterator[tuple[Block, int]]:
     """Each block of a ledger in memory with the index of its first
     transaction that fails transaction_valid (-1 if none), for verify_blocks."""
-    for block in ledger.blocks:
+    for block in ledger:
         yield block, next((i for i, tx in enumerate(block.transactions)
                            if not transaction_valid(tx)), -1)
 
@@ -463,8 +454,8 @@ def ledger_size_bytes(ledger: Ledger) -> int:
     serializing: a block's fixed fields plus, per transaction, its fixed
     fields and the lengths of its two strings (as UTF-8) and its payload.
     Each distinct channel_id and author_id is encoded once per call."""
-    total, sizes = _BLOCK_FIXED_SIZE * len(ledger.blocks), _Utf8Sizes()
-    for block in ledger.blocks:
+    total, sizes = _BLOCK_FIXED_SIZE * len(ledger), _Utf8Sizes()
+    for block in ledger:
         for tx in block.transactions:
             total += (_TX_FIXED_SIZE + sizes[tx.channel_id]
                       + len(tx.payload) + sizes[tx.author_id])
@@ -473,7 +464,7 @@ def ledger_size_bytes(ledger: Ledger) -> int:
 
 def iter_transactions(ledger: Ledger) -> Iterator[tuple[int, int, Transaction]]:
     """Yield (height, index_in_block, transaction) in chain order."""
-    for block in ledger.blocks:
+    for block in ledger:
         for i, tx in enumerate(block.transactions):
             yield block.height, i, tx
 
@@ -484,7 +475,7 @@ def save_ledger(ledger: Ledger, path: str | Path) -> Path:
     with open(path, "wb") as fh:
         fh.write(LEDGER_MAGIC)
         fh.write(bytes([LEDGER_VERSION]))
-        for block in ledger.blocks:
+        for block in ledger:
             fh.write(serialize_block(block))
     return path
 
@@ -507,10 +498,6 @@ def read_blocks(path: str | Path) -> Iterator[tuple[Block, int]]:
     yield from _decode_blocks(data, 5)
 
 
-def load_ledger(path: str | Path, chain_id: str | None = None) -> Ledger:
-    """Read a ledger file back.
-
-    The file carries only blocks; chain_id defaults to the file stem and
-    the genesis anchor, which is not persisted, is None.
-    """
-    return Ledger(chain_id or Path(path).stem, tuple(block for block, _ in read_blocks(path)))
+def load_ledger(path: str | Path) -> Ledger:
+    """Read a ledger file back: load_ledger(save_ledger(ledger, path)) == ledger."""
+    return tuple(block for block, _ in read_blocks(path))

@@ -3,10 +3,10 @@
 A PrivateNode accepts sensor readings and context operations from a fixed
 set of authorized authors, batches them FIFO into blocks, and keeps its
 world state, and the value texts and time span of its committed readings,
-equal to a replay of its ledger after every commit. Resetting with an
-anchor starts a fresh one-block ledger that holds the published summary's
-digest as `genesis_anchor`, in memory only: the genesis block neither
-hashes nor saves it. The old ledger value stays alive for archival.
+equal to a replay of its ledger after every commit. Once an epoch's
+anchor is confirmed, reset starts a fresh one-block ledger; the old ledger
+value stays alive for archival. Until the genesis block hashes the anchor,
+the link between epochs is the confirmed anchor on the public chain.
 
 A reading is its payload; no record type holds one. reading_payload is its
 one writer. read_reading reads the bytes it writes by one pattern match when
@@ -164,11 +164,13 @@ class PrivateNode:
     """
 
     def __init__(self, channel_id: str, authorized_authors, clock: int = 0,
-                 genesis_anchor: bytes | None = None, ledger: Ledger | None = None):
+                 ledger: Ledger | None = None):
+        if not channel_id:
+            raise InvalidArgument("channel_id must be non-empty")
         self.channel_id = channel_id
         self.authorized_authors = frozenset(authorized_authors)
         self.clock = clock
-        self.ledger = ledger if ledger is not None else genesis(channel_id, genesis_anchor)
+        self.ledger = ledger if ledger is not None else genesis()
         self.mempool: list[Transaction] = []
         self._parsed: list[tuple[str, str, int] | ContextOp] = []  # one per mempool tx
         self._known_ids: set[bytes] = set()
@@ -263,14 +265,13 @@ class PrivateNode:
         del self._parsed[:len(batch)]
         return block
 
-    def reset_with_anchor(self, anchor: bytes) -> "PrivateNode":
-        """Fresh node for the next epoch, its ledger holding `anchor` in memory only
-        (the genesis block neither hashes nor saves it).
+    def reset(self) -> "PrivateNode":
+        """Fresh node for the next epoch: same channel, authors and clock, a
+        genesis-only ledger. rollover_epoch calls it once the anchor is confirmed.
 
         The receiver is left untouched (its ledger is the archive); pending
         transactions must be committed or dropped first.
         """
         if self.mempool:
             raise NonEmptyMempool(f"{len(self.mempool)} transactions still pending")
-        return PrivateNode(self.channel_id, self.authorized_authors, clock=self.clock,
-                           genesis_anchor=anchor)
+        return PrivateNode(self.channel_id, self.authorized_authors, clock=self.clock)

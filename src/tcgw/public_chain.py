@@ -68,10 +68,13 @@ class PublicChain:
             raise InvalidArgument("need at least one validator")
         if confirmations_required < 1:
             raise InvalidArgument("confirmations_required must be positive")
+        if not chain_id:
+            raise InvalidArgument("chain_id must be non-empty")
+        self.chain_id = chain_id
         self.gateways = set(gateways)
         self.confirmations_required = confirmations_required
         self.clock = 0
-        self.ledger: Ledger = genesis(chain_id)
+        self.ledger: Ledger = genesis()
         # Every admitted anchor, pending or included, and the height of each included one.
         self.anchors: dict[tuple[str, int], AnchorRecord] = {}
         self.included: dict[tuple[str, int], int] = {}
@@ -80,13 +83,9 @@ class PublicChain:
         self._tick_seq = 0
 
     @property
-    def chain_id(self) -> str:
-        return self.ledger.chain_id
-
-    @property
     def producers(self) -> list[str]:
         """Validator that produced each block after genesis, in height order."""
-        return [self._producer(h) for h in range(1, self.ledger.blocks[-1].height + 1)]
+        return [self._producer(h) for h in range(1, self.ledger[-1].height + 1)]
 
     def _producer(self, height: int) -> str:
         return self.validators[(height - 1) % len(self.validators)]
@@ -95,7 +94,7 @@ class PublicChain:
         """True once the head is `confirmations_required` blocks past the anchor."""
         height = self.included.get((record.channel_id, record.epoch_index))
         return (height is not None
-                and self.ledger.blocks[-1].height >= height + self.confirmations_required)
+                and self.ledger[-1].height >= height + self.confirmations_required)
 
     def next_epoch_index(self, channel_id: str) -> int:
         """The lowest epoch index this channel has no anchor for, pending or included."""
@@ -140,7 +139,7 @@ class PublicChain:
     def tick(self) -> Block:
         """Heartbeat block: advances the head (and confirmations) by one."""
         self._tick_seq += 1
-        producer = self._producer(self.ledger.blocks[-1].height + 1)
+        producer = self._producer(self.ledger[-1].height + 1)
         tx = make_transaction(self.chain_id, self.clock, TxKind.ANCHOR,
                               canonical_json({"tick": self._tick_seq}), producer)
         self.pending.append((tx, None))
@@ -229,7 +228,7 @@ class PublicChain:
         report, last = verify_blocks(blocks, visit)
         if not report.ok:
             raise InvalidChain(str(report))
-        chain.ledger = Ledger(chain.chain_id, tuple(block for block, _ in blocks))
+        chain.ledger = tuple(block for block, _ in blocks)
         chain.clock = last.timestamp
         return chain
 

@@ -60,13 +60,13 @@ def tx_readings(txs) -> list[Reading]:
 def ledger_readings(ledger: Ledger, start: int, end: int) -> list[Reading]:
     """The ledger's RawReading payloads with start <= timestamp < end, in
     commit order, read by the reference."""
-    return tx_readings(tx for block in ledger.blocks for tx in block.transactions
+    return tx_readings(tx for block in ledger for tx in block.transactions
                        if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end)
 
 
 def build_ledger(channel: str = "fieldA", n_txs: int = 50, per_block: int = 1) -> Ledger:
     """Ledger of n_txs single-reading transactions, per_block per block."""
-    ledger = genesis(channel)
+    ledger = genesis()
     for start in range(0, n_txs, per_block):
         txs = [reading_tx(channel, i) for i in range(start, min(start + per_block, n_txs))]
         ledger, _ = append_block(ledger, txs, txs[-1].timestamp)
@@ -104,7 +104,7 @@ def flip_byte(data: bytes, index: int, bit: int = 0x01) -> bytes:
 def tamper_ledger(ledger: Ledger, height: int, target: str,
                   byte_index: int = 0, tx_index: int = 0) -> Ledger:
     """Copy of `ledger` with one byte flipped in the chosen field of block `height`."""
-    block = ledger.blocks[height]
+    block = ledger[height]
     if target == "payload":
         tx = block.transactions[tx_index]
         new_tx = dataclasses.replace(tx, payload=flip_byte(tx.payload, byte_index))
@@ -123,5 +123,4 @@ def tamper_ledger(ledger: Ledger, height: int, target: str,
         new_block = dataclasses.replace(block, block_hash=flip_byte(block.block_hash, byte_index))
     else:
         raise ValueError(f"unknown tamper target {target}")
-    blocks = ledger.blocks[:height] + (new_block,) + ledger.blocks[height + 1:]
-    return dataclasses.replace(ledger, blocks=blocks)
+    return ledger[:height] + (new_block,) + ledger[height + 1:]

@@ -82,12 +82,12 @@ def test_criterion_1_tamper_evidence():
         if rng.random() < 0.6:
             target = rng.choice(tx_targets)
             height = rng.randrange(1, 51)  # genesis holds no transactions
-            tx_index = rng.randrange(len(ledger.blocks[height].transactions))
+            tx_index = rng.randrange(len(ledger[height].transactions))
         else:
             target = rng.choice(block_targets)
             height = rng.randrange(0, 51)
             tx_index = 0
-        payload_len = len(ledger.blocks[height].transactions[tx_index].payload) \
+        payload_len = len(ledger[height].transactions[tx_index].payload) \
             if target == "payload" else 32
         byte_index = rng.randrange(payload_len)
         mutated = tamper_ledger(ledger, height, target,

@@ -36,14 +36,14 @@ def test_levels_must_be_ascending():
 def test_built_ledgers_verify_and_batch_at_100():
     ledger = build_reading_ledger(250)
     assert verify_chain(ledger).ok
-    assert [len(b.transactions) for b in ledger.blocks] == [0, 100, 100, 50]
+    assert [len(b.transactions) for b in ledger] == [0, 100, 100, 50]
 
 
 def test_timed_batch_commits_one_block_of_batch_size(monkeypatch):
     """The timed region drains its batch with one commit_batch, onto a copy."""
     base = build_reading_ledger(250)
     node = PrivateNode(BENCH_CHANNEL, {BENCH_SENSOR}, ledger=base,
-                       clock=base.blocks[-1].timestamp)
+                       clock=base[-1].timestamp)
     committed = []
     commit_batch = PrivateNode.commit_batch
 
@@ -54,8 +54,8 @@ def test_timed_batch_commits_one_block_of_batch_size(monkeypatch):
     monkeypatch.setattr(PrivateNode, "commit_batch", spy)
     _time_batch(node, 250, 0, verify_mode=True)
     timed, = committed
-    assert timed.ledger.blocks[:-1] == base.blocks
-    assert len(timed.ledger.blocks[-1].transactions) == BATCH_SIZE
+    assert timed.ledger[:-1] == base
+    assert len(timed.ledger[-1].transactions) == BATCH_SIZE
     assert timed.mempool == [] and node.ledger is base
 
 
@@ -98,7 +98,7 @@ def test_batch_time_builds_one_node_over_base_per_level(monkeypatch):
 
     def counting_init(self, *args, ledger=None, **kwargs):
         if ledger is not None:
-            built.append(len(ledger.blocks))
+            built.append(len(ledger))
         init(self, *args, ledger=ledger, **kwargs)
 
     monkeypatch.setattr(PrivateNode, "__init__", counting_init)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 import tracemalloc
@@ -173,7 +172,7 @@ def test_verify_rejects_an_archived_reading_that_is_not_a_plain_literal(run_dir,
     for path in (run_dir / "archive").iterdir():
         archive.joinpath(path.name).write_bytes(path.read_bytes())
     victim = archive / "north.epoch0.tcgw"
-    ledger = load_ledger(victim, chain_id="north")
+    ledger = load_ledger(victim)
     report = canonical_loads((run_dir / "report.json").read_bytes())
     stats = report["channels"]["north"][0]["summary"]["stats"]
     extremes = {text for s in stats for text in (s["min"], s["max"])}
@@ -286,7 +285,7 @@ def _forge_first_published_digest(run_dir, tmp_path, digit: bytes | None = None)
 def _relink_first_published_digest(run_dir, tmp_path, digit: str | None = None):
     """The same forgery with its tx_id, Merkle root and later block hashes
     re-derived, so that the public chain still passes verify_chain."""
-    ledger = load_ledger(run_dir / "public.tcgw", chain_id="public")
+    ledger = load_ledger(run_dir / "public.tcgw")
     height, index, tx = next(found for found in iter_transactions(ledger)
                              if b'"summary"' in found[2].payload)
     payload = canonical_loads(tx.payload)
@@ -315,11 +314,10 @@ def test_verify_checks_the_published_digest(run_dir, tmp_path, capsys):
 def test_verify_refuses_a_public_chain_whose_clock_runs_backwards(run_dir, tmp_path, capsys):
     """The public chain's last block set to time 0, its hash re-derived:
     append_block could not have written it, so the load refuses it."""
-    ledger = load_ledger(run_dir / "public.tcgw", chain_id="public")
-    last = ledger.blocks[-1]
+    ledger = load_ledger(run_dir / "public.tcgw")
+    last = ledger[-1]
     assert last.timestamp > 0
-    forged = dataclasses.replace(ledger, blocks=ledger.blocks[:-1] + (
-        make_block(last.height, last.previous_hash, 0, last.transactions),))
+    forged = ledger[:-1] + (make_block(last.height, last.previous_hash, 0, last.transactions),)
     save_ledger(forged, tmp_path / "public.tcgw")
     (tmp_path / "public.tcgw.meta.json").write_bytes(
         (run_dir / "public.tcgw.meta.json").read_bytes())
@@ -472,7 +470,7 @@ def test_trace_meta_that_is_an_array(run_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("validators", "val-0val-1"), ("gateways", "gw-0"), ("chain_id", 7),
+    ("validators", "val-0val-1"), ("gateways", "gw-0"), ("chain_id", 7), ("chain_id", ""),
     ("confirmations_required", True),
     # keys that older sidecars held, before the clock was read from the ledger
     ("clock", 0), ("tick_seq", 0)])
@@ -616,14 +614,15 @@ def test_bench_out_under_a_file_fails_before_measuring(tmp_path, monkeypatch, ca
     assert blocker.read_bytes() == b""
 
 
-def test_bench_max_level_caps_default_levels(tmp_path):
-    out = tmp_path / "bench"
-    assert main(["bench", "--max-level", "1000", "--verify-mode", "off",
-                 "--out", str(out)]) == 0
-    lines = (out / "table2.csv").read_text().splitlines()
-    # default levels up to the cap: 0, 5, 10, 50, 100, 500, 1000
-    assert [line.split(",")[0] for line in lines[1:]] == \
-        ["0", "5", "10", "50", "100", "500", "1000"]
+def test_bench_without_levels_measures_the_default_levels(tmp_path, monkeypatch):
+    """No --levels: the eleven default levels, up to 100,000, nothing timed here."""
+    import tcgw.cli
+
+    measured = []
+    monkeypatch.setattr(tcgw.cli, "bench_batch_time",
+                        lambda levels, **kwargs: measured.append(list(levels)) or [])
+    assert main(["bench", "--verify-mode", "off", "--out", str(tmp_path / "bench")]) == 0
+    assert measured == [[0, 5, 10, 50, 100, 500, 1000, 5000, 10000, 50000, 100000]]
 
 
 def test_tcgw_seed_overrides_scenario_seeds(tmp_path, monkeypatch):

@@ -21,7 +21,6 @@ from tcgw.canon import sha256
 from tcgw.errors import (
     ClockSkew,
     EmptyBatch,
-    InvalidArgument,
     InvalidTransaction,
     LedgerFormatError,
     UnsupportedValue,
@@ -35,42 +34,32 @@ from helpers import build_ledger, flip_byte, reading_tx, tamper_ledger
 
 
 def test_genesis_shape():
-    ledger = genesis("fieldA")
-    assert len(ledger.blocks) == 1
+    ledger = genesis()
+    assert len(ledger) == 1
     assert head(ledger)[0] == 0
-    assert ledger.blocks[0].previous_hash == ZERO_HASH
-    assert ledger.blocks[0].transactions == ()
-    assert ledger.blocks[0].tx_root == sha256(b"")
-
-
-def test_genesis_anchor_passthrough():
-    anchor = bytes(range(32))
-    assert genesis("fieldA", anchor).genesis_anchor == anchor
-
-
-def test_genesis_rejects_empty_chain_id():
-    with pytest.raises(InvalidArgument):
-        genesis("")
+    assert ledger[0].previous_hash == ZERO_HASH
+    assert ledger[0].transactions == ()
+    assert ledger[0].tx_root == sha256(b"")
 
 
 def test_append_links_to_previous_hash():
-    ledger = genesis("fieldA")
+    ledger = genesis()
     grown, block = append_block(ledger, [reading_tx("fieldA", 0)], 0)
     assert block.height == 1
-    assert block.previous_hash == ledger.blocks[0].block_hash
-    assert len(grown.blocks) == 2
-    assert len(ledger.blocks) == 1  # input untouched
+    assert block.previous_hash == ledger[0].block_hash
+    assert len(grown) == 2
+    assert len(ledger) == 1  # input untouched
 
 
 def test_hundred_appends_verify():
     ledger = build_ledger(n_txs=100, per_block=1)
-    assert len(ledger.blocks) == 101
+    assert len(ledger) == 101
     assert verify_chain(ledger).ok
 
 
 def test_append_rejects_empty_batch():
     with pytest.raises(EmptyBatch):
-        append_block(genesis("fieldA"), [], 0)
+        append_block(genesis(), [], 0)
 
 
 def test_submit_rejects_bad_tx_id():
@@ -87,14 +76,14 @@ def test_submit_rejects_bad_tx_id():
 
 
 def test_append_rejects_clock_regression():
-    ledger, _ = append_block(genesis("fieldA"), [reading_tx("fieldA", 0, timestamp=50)], 50)
+    ledger, _ = append_block(genesis(), [reading_tx("fieldA", 0, timestamp=50)], 50)
     with pytest.raises(ClockSkew):
         append_block(ledger, [reading_tx("fieldA", 1, timestamp=10)], 10)
 
 
 def test_head_reporting_and_purity():
-    ledger = genesis("fieldA")
-    assert head(ledger) == (0, ledger.blocks[0].block_hash)
+    ledger = genesis()
+    assert head(ledger) == (0, ledger[0].block_hash)
     grown, block = append_block(ledger, [reading_tx("fieldA", 0)], 0)
     assert head(grown) == (1, block.block_hash)
     assert head(grown) == head(grown)
@@ -125,7 +114,7 @@ def test_verify_untampered_50_block_ledger():
 
 
 def test_verify_genesis_only():
-    assert verify_chain(genesis("fieldA")).ok
+    assert verify_chain(genesis()).ok
 
 
 def test_verify_flags_payload_flip_at_its_block():
@@ -169,12 +158,12 @@ def test_verify_flags_each_field_mutation(target, expected):
 def test_determinism_identical_builds_identical_bytes():
     a = build_ledger(n_txs=30, per_block=10)
     b = build_ledger(n_txs=30, per_block=10)
-    assert [serialize_block(x) for x in a.blocks] == [serialize_block(y) for y in b.blocks]
+    assert [serialize_block(x) for x in a] == [serialize_block(y) for y in b]
     assert head(a) == head(b)
 
 
 def test_size_positive_and_monotone():
-    ledger = genesis("fieldA")
+    ledger = genesis()
     size = ledger_size_bytes(ledger)
     assert size > 0
     for i in range(5):
@@ -195,8 +184,7 @@ def test_save_load_roundtrip(tmp_path):
     path = save_ledger(ledger, tmp_path / "fieldA.tcgw")
     assert path.read_bytes()[:5] == b"TCGW\x01"
     loaded = load_ledger(path)
-    assert loaded.chain_id == "fieldA"
-    assert loaded.blocks == ledger.blocks
+    assert loaded == ledger
     assert verify_chain(loaded).ok
     assert ledger_size_bytes(loaded) == ledger_size_bytes(ledger)
 
@@ -217,20 +205,19 @@ def _linked_blocks(contents) -> list:
 
 
 @settings(max_examples=60, deadline=None)
-@given(chain_id=st.text(min_size=1), contents=block_contents)
-def test_save_load_preserves_arbitrary_blocks(tmp_path_factory, chain_id, contents):
-    blocks = _linked_blocks(contents)
-    ledger = Ledger(chain_id, tuple(blocks))
+@given(contents=block_contents)
+def test_save_load_preserves_arbitrary_blocks(tmp_path_factory, contents):
+    ledger = tuple(_linked_blocks(contents))
     path = save_ledger(ledger, tmp_path_factory.mktemp("wire") / "ledger.tcgw")
-    assert load_ledger(path, chain_id=chain_id) == ledger
-    assert path.stat().st_size == 5 + sum(len(serialize_block(b)) for b in blocks)
+    assert load_ledger(path) == ledger
+    assert path.stat().st_size == 5 + sum(len(serialize_block(b)) for b in ledger)
 
 
 @settings(max_examples=60, deadline=None)
 @given(contents=block_contents)
 def test_size_counts_the_serialized_bytes(contents):
-    ledger = Ledger("fieldA", tuple(_linked_blocks(contents)))
-    assert ledger_size_bytes(ledger) == sum(len(serialize_block(b)) for b in ledger.blocks)
+    ledger = tuple(_linked_blocks(contents))
+    assert ledger_size_bytes(ledger) == sum(len(serialize_block(b)) for b in ledger)
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -277,7 +264,7 @@ FEW_CHANNEL, FEW_AUTHOR = "feld-ü", "sënsor-Ω"  # 7 and 10 bytes of UTF-8
 
 def _few_ledger() -> Ledger:
     """Genesis and two blocks of two transactions each, non-ASCII names."""
-    ledger = genesis(FEW_CHANNEL)
+    ledger = genesis()
     for height in (1, 2):
         txs = [make_transaction(FEW_CHANNEL, 10 * height + i, TxKind.RAW_READING,
                                 b'{"i":%d}' % i, FEW_AUTHOR) for i in range(2)]
@@ -285,7 +272,7 @@ def _few_ledger() -> Ledger:
     return ledger
 
 
-FEW_BYTES = b"TCGW\x01" + b"".join(serialize_block(b) for b in _few_ledger().blocks)
+FEW_BYTES = b"TCGW\x01" + b"".join(serialize_block(b) for b in _few_ledger())
 C, P, A = 7, 7, 10  # channel_id, payload and author_id lengths
 TX_SIZE = 32 + 4 + C + 13 + P + 4 + A
 # (field, its first byte, start and size of the read that covers it), relative
@@ -369,7 +356,7 @@ def test_load_ledger_raises_only_ledger_format_error(tmp_path_factory, data):
         ledger = load_ledger(path)
     except LedgerFormatError:
         return
-    assert isinstance(ledger, Ledger) and ledger.blocks
+    assert isinstance(ledger, tuple) and ledger
 
 
 def test_verify_blocks_visits_each_tx_once_in_order_up_to_the_first_bad_block():
@@ -397,7 +384,7 @@ def test_verify_blocks_visits_each_tx_once_in_order_up_to_the_first_bad_block():
         tampered = tamper_ledger(ledger, height=3, target=target, tx_index=1, byte_index=2)
         seen.clear()
         report, last = verify_blocks(ledger_blocks(tampered), visit)
-        assert (report.ok, report.first_bad_height, last) == (False, 3, tampered.blocks[3])
+        assert (report.ok, report.first_bad_height, last) == (False, 3, tampered[3])
         assert seen == list(iter_transactions(tampered))[:visited]
 
 
@@ -409,11 +396,10 @@ def test_verify_flags_a_block_that_repeats_its_last_transactions(n_txs, repeated
     CVE-2012-2459 pattern), so verify_chain refuses repeated tx ids."""
     ledger = build_ledger(n_txs=n_txs, per_block=n_txs)
     ledger, _ = append_block(ledger, [reading_tx("fieldA", n_txs)], n_txs)
-    block = ledger.blocks[1]
+    block = ledger[1]
     forged_txs = block.transactions + block.transactions[-repeated:]
     assert merkle_root([tx.tx_id for tx in forged_txs]) == block.tx_root
-    forged = dataclasses.replace(ledger, blocks=(
-        ledger.blocks[0], dataclasses.replace(block, transactions=forged_txs), ledger.blocks[2]))
+    forged = (ledger[0], dataclasses.replace(block, transactions=forged_txs), ledger[2])
     report = verify_chain(forged)
     assert (report.ok, report.first_bad_height, report.reason) == (False, 1, ChainFault.TX_ROOT)
 
@@ -425,12 +411,12 @@ def test_verify_flags_a_block_whose_timestamp_runs_backwards():
     ledger = build_ledger(n_txs=5)  # block k holds reading k - 1 at time k - 1
 
     def retimed(timestamp: int) -> Ledger:
-        blocks = list(ledger.blocks[:3])
-        for block in ledger.blocks[3:]:
+        blocks = list(ledger[:3])
+        for block in ledger[3:]:
             blocks.append(make_block(block.height, blocks[-1].block_hash,
                                      timestamp if block.height == 3 else block.timestamp,
                                      block.transactions))
-        return dataclasses.replace(ledger, blocks=tuple(blocks))
+        return tuple(blocks)
 
     report = verify_chain(retimed(0))
     assert (report.ok, report.first_bad_height, report.reason) == (False, 3, ChainFault.CLOCK_SKEW)

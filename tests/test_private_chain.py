@@ -68,6 +68,11 @@ def _derived(ledger) -> tuple:
             (min(times), max(times)) if times else None)
 
 
+def test_node_refuses_an_empty_channel_id():
+    with pytest.raises(InvalidArgument, match="channel_id must be non-empty"):
+        PrivateNode("", {"s-0"})
+
+
 def test_submit_accepts_authorized_reading():
     node = _node()
     assert node.submit(reading_tx("fieldA", 0)) is True
@@ -129,7 +134,7 @@ def _flipped_value_digit(made, tmp_path):
     data = bytearray(path.read_bytes())
     data[data.index(b'"value":"20.5"') + 10] ^= 0x01
     path.write_bytes(bytes(data))
-    return load_ledger(path).blocks[1].transactions[0]
+    return load_ledger(path)[1].transactions[0]
 
 
 @pytest.mark.parametrize("forge", [
@@ -343,7 +348,7 @@ def test_commit_batches_fifo_100_100_50():
     while node.mempool:
         sizes.append(len(node.commit_batch().transactions))
     assert sizes == [100, 100, 50]
-    first_block_ids = [tx.timestamp for tx in node.ledger.blocks[1].transactions]
+    first_block_ids = [tx.timestamp for tx in node.ledger[1].transactions]
     assert first_block_ids == list(range(100))
 
 
@@ -418,11 +423,9 @@ def test_copy_is_an_equal_independent_node():
 
 def test_reset_with_anchor_starts_fresh():
     node = node_with_readings(n=30)
-    anchor = bytes(range(32))
     archived = node.ledger
-    fresh = node.reset_with_anchor(anchor)
-    assert len(fresh.ledger.blocks) == 1
-    assert fresh.ledger.genesis_anchor == anchor
+    fresh = node.reset()
+    assert len(fresh.ledger) == 1
     assert fresh.state == {}
     assert fresh.channel_id == node.channel_id
     assert fresh.authorized_authors == node.authorized_authors
@@ -438,7 +441,7 @@ def test_reset_refuses_pending_transactions():
     node = _node()
     node.submit(reading_tx("fieldA", 0))
     with pytest.raises(NonEmptyMempool):
-        node.reset_with_anchor(bytes(32))
+        node.reset()
 
 
 def _rollover(node: PrivateNode, start: int, end: int):
@@ -507,12 +510,12 @@ def test_save_load_roundtrip(tmp_path):
     node = node_with_readings(n=35)
     path = save_ledger(node.ledger, tmp_path / "fieldA.epoch0.tcgw")
     loaded = PrivateNode("fieldA", node.authorized_authors, clock=node.clock,
-                         ledger=load_ledger(path, chain_id="fieldA"))
+                         ledger=load_ledger(path))
     assert loaded.channel_id == "fieldA"
-    assert loaded.ledger.blocks == node.ledger.blocks
+    assert loaded.ledger == node.ledger
     assert state_digest(loaded.state) == state_digest(node.state)
     # duplicate detection survives the reload
-    dup = node.ledger.blocks[1].transactions[0]
+    dup = node.ledger[1].transactions[0]
     with pytest.raises(DuplicateTransaction):
         loaded.submit(dup)
 
@@ -735,7 +738,7 @@ def test_held_readings_equal_ledger_readings(tmp_path_factory, steps, windows):
                     break
             save_ledger(node.ledger, path)
             node = PrivateNode("fieldA", authors, clock=node.clock,
-                               ledger=load_ledger(path, chain_id="fieldA"))
+                               ledger=load_ledger(path))
 
         assert _held(node) == _derived(node.ledger)
         assert state_digest(node.state) == state_digest(replay(node.ledger))

@@ -14,7 +14,7 @@ from tcgw import (
     verify_chain,
 )
 from tcgw.canon import canonical_json, canonical_loads
-from tcgw.errors import DuplicateEpoch, InvalidChain, UnknownGateway
+from tcgw.errors import DuplicateEpoch, InvalidArgument, InvalidChain, UnknownGateway
 from tcgw.gateway import EpochSummary, MetricStats, summary_digest
 from tcgw.ledger import save_ledger
 from tcgw.public_chain import AnchorRecord
@@ -32,6 +32,11 @@ def _summary(channel: str, epoch: int) -> EpochSummary:
 def _chain(gateways=("gw-a", "gw-b"), validators=3, confirmations=2) -> PublicChain:
     return PublicChain([f"val-{i}" for i in range(validators)], gateways,
                        confirmations_required=confirmations)
+
+
+def test_chain_refuses_an_empty_chain_id():
+    with pytest.raises(InvalidArgument, match="chain_id must be non-empty"):
+        PublicChain(["val-0"], chain_id="")
 
 
 def test_submit_anchor_enters_pending():
@@ -208,7 +213,7 @@ def test_load_applies_the_admission_rule(tmp_path):
 def test_load_rejects_a_relinked_anchor_the_chain_could_not_write(tmp_path, key, value,
                                                                   reason):
     chain = _confirmed_chain(2)
-    payload = canonical_loads(chain.ledger.blocks[2].transactions[0].payload)
+    payload = canonical_loads(chain.ledger[2].transactions[0].payload)
     payload[key] = value
     if key == "epoch_index" and value == 0:
         payload["summary"]["epoch_index"] = 0
@@ -224,7 +229,7 @@ def test_load_rejects_a_relinked_anchor_the_chain_could_not_write(tmp_path, key,
 ], ids=["payload key", "summary key", "upper-case digest"])
 def test_load_rejects_an_anchor_payload_submit_anchor_never_writes(tmp_path, forge, reason):
     chain = _confirmed_chain(2)
-    original = canonical_loads(chain.ledger.blocks[2].transactions[0].payload)
+    original = canonical_loads(chain.ledger[2].transactions[0].payload)
     payload = canonical_loads(canonical_json(original))
     forge(payload)
     assert payload != original
@@ -295,7 +300,7 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.validators == chain.validators
     assert loaded.gateways == chain.gateways
     assert loaded.confirmations_required == chain.confirmations_required
-    assert loaded.ledger.blocks == chain.ledger.blocks
+    assert loaded.ledger == chain.ledger
     assert (loaded.anchors, loaded.included) == (chain.anchors, chain.included)
     assert loaded.producers == chain.producers
     assert [r.epoch_index for r in loaded.query_channel("fieldA")] == [0, 1]

@@ -17,9 +17,11 @@ from tcgw.canon import canonical_json, canonical_loads, digest_json
 from tcgw.errors import DuplicateRange, InvalidArgument, InvalidWindow
 from tcgw.canon import from_json_value, to_json_value
 from tcgw.gateway import filter_out_of_scale
+from tcgw.ledger import load_ledger, save_ledger
+from tcgw.public_chain import PublicChain
 from tcgw.workload import (DEFAULT_VALIDITY_RANGES, FieldConfig, ScenarioConfig, SensorSpec,
-                           apply_seed_override, generate_context_ops, generate_readings,
-                           load_scenario_config)
+                           apply_seed_override, archive_name, generate_context_ops,
+                           generate_readings, load_scenario_config)
 
 from helpers import tx_readings
 
@@ -260,7 +262,7 @@ def test_run_scenario_parses_each_payload_twice(monkeypatch):
     monkeypatch.setattr(private_chain, "_TEMPLATE_MATCH", counting_match)
     result = run_scenario(small_scenario(epochs=3))
     committed = sum(len(block.transactions) for ledger in result.archives.values()
-                    for block in ledger.blocks)
+                    for block in ledger)
     assert result.report["confirmed_anchors"] == 6
     assert committed == 312
     assert reads == 2 * committed
@@ -285,7 +287,7 @@ def test_run_scenario_checks_each_transaction_id_once(monkeypatch):
             monkeypatch.setattr(module, "transaction_valid", counting)
     result = run_scenario(small_scenario(epochs=3))
     monkeypatch.undo()
-    committed = [tx.tx_id for ledger in result.archives.values() for block in ledger.blocks
+    committed = [tx.tx_id for ledger in result.archives.values() for block in ledger
                  for tx in block.transactions]
     assert len(checked) == len(committed) == 312
     assert sorted(checked) == sorted(committed)
@@ -298,7 +300,7 @@ def test_verify_chain_rebuilds_the_body_of_every_sealed_transaction(monkeypatch)
     from tcgw import ledger
     from tcgw.bench import build_reading_ledger
     chain = build_reading_ledger(250)
-    assert all(ledger.sealed(tx) for block in chain.blocks for tx in block.transactions)
+    assert all(ledger.sealed(tx) for block in chain for tx in block.transactions)
     builds: list = []
     build = ledger.transaction_body
     monkeypatch.setattr(ledger, "transaction_body", lambda *args: builds.append(1) or build(*args))
@@ -426,6 +428,17 @@ def test_archives_verify_against_public_chain():
         outcome = verify_pruned_epoch(archived, record.summary,
                                       result.public_chain, cfg.ranges)
         assert outcome.ok, (channel, epoch, outcome.failures)
+
+
+def test_every_ledger_a_run_writes_reads_back_equal(tmp_path):
+    """A ledger is its blocks: what a file holds is the whole value."""
+    result = run_scenario(small_scenario(epochs=2))
+    assert len(result.archives) == 4
+    for (channel, epoch), archived in result.archives.items():
+        path = save_ledger(archived, tmp_path / archive_name(channel, epoch))
+        assert load_ledger(path) == archived
+    chain = result.public_chain
+    assert PublicChain.load(chain.save(tmp_path / "public.tcgw")).ledger == chain.ledger
 
 
 def test_final_docs_match_last_epoch_ops():

@@ -111,7 +111,7 @@ def _op_tx(channel: str, op: ContextOp, ts: int):
 
 
 def test_replay_applies_ops_in_chain_order():
-    ledger = genesis("fieldA")
+    ledger = genesis()
     ops = [
         _update("lot1", ("Plant density",), "4.2"),
         _append("lot1", ("Cultural Operations",), {"op": "irrigation"}),
@@ -125,11 +125,11 @@ def test_replay_applies_ops_in_chain_order():
 
 
 def test_replay_of_genesis_is_empty():
-    assert replay(genesis("fieldA")) == {}
+    assert replay(genesis()) == {}
 
 
 def test_replay_equals_incremental_state_after_reload(tmp_path):
-    ledger = genesis("fieldA")
+    ledger = genesis()
     ws = EMPTY_STATE
     for i in range(20):
         op = (_update("doc", (f"k{i % 5}",), i) if i % 2
@@ -141,7 +141,7 @@ def test_replay_equals_incremental_state_after_reload(tmp_path):
 
 
 def test_replay_reports_offending_height_and_index():
-    ledger = genesis("fieldA")
+    ledger = genesis()
     ledger, _ = append_block(ledger, [_op_tx("fieldA", _update("d", ("k",), "s"), 0)], 0)
     ledger, _ = append_block(ledger, [_op_tx("fieldA", _append("d", ("k",), 1), 1)], 1)
     with pytest.raises(PathTypeConflict) as exc_info:
