@@ -10,7 +10,9 @@ verify_pruned_epoch is the consumer-side counterpart: given an archived
 ledger and a summary, it re-derives everything and checks the public chain
 holds a confirmed anchor committing to exactly these bytes. verify_archive
 runs the same checks over an archive file's blocks as they are decoded.
-Both are one walk of one block stream, broken chain included.
+Both are one walk of one block stream, broken chain included: readings
+are folded as the walk takes their block, other payloads are visited, and
+the audit relies only on the walk taking no block past the first bad one.
 """
 
 from __future__ import annotations
@@ -284,13 +286,12 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
                (they are bit-reproducible), or such a reading does not decode
       anchor - no confirmed public anchor commits to these summary bytes
 
-    One walk of ledger_blocks(archived): verify_blocks hands each
-    transaction to a visitor that parses its payload once. It reads each
-    reading with read_reading and folds an in-window one's value text and
-    Decimal into the stats fold as it goes, so no list and no record is
-    built, and feeds context ops to one OpBatch. On a
-    broken chain `state` is unchecked, and the same block stream is drained
-    after the bad block: the readings the walk did not reach are folded too.
+    One walk of ledger_blocks(archived), each payload parsed once: as
+    verify_blocks takes each block, its readings are read with read_reading
+    and the in-window ones folded (no list, no record; one that does not
+    parse is a TxId fault), and the walk's visitor parses the others,
+    feeding context ops to one OpBatch. On a broken chain `state` is
+    unchecked, and the rest of the stream is drained, folding its readings.
 
     `pub` is the PublicChain (or anything with find_anchor and is_confirmed).
     """
@@ -302,8 +303,9 @@ def verify_archive(path: Path, summary: EpochSummary, pub,
     """verify_pruned_epoch(load_ledger(path), summary, pub, ranges), from the
     file's bytes in one streaming walk of read_blocks(path): each
     transaction's tx_id is checked against the SHA-256 of the body bytes
-    read, and only the last block is kept, for `head`. No Ledger is built,
-    and the file is read once, broken chain included.
+    read, its readings folded and its other payloads visited as the walk
+    takes its block, and only the last block is kept, for `head`. No
+    Ledger is built, and the file is read once, broken chain included.
 
     Raises LedgerFormatError if the file does not decode, even where the
     walk found a chain fault first: the drain decodes the rest of the file.
@@ -314,9 +316,8 @@ def verify_archive(path: Path, summary: EpochSummary, pub,
 def _verify_epoch(blocks: Iterator[tuple[Block, int]], summary: EpochSummary, pub,
                   ranges: Iterable[ValidityRange]) -> EpochVerification:
     """verify_pruned_epoch's checks over one iterator of (block, first bad
-    tx index) pairs, as verify_blocks takes them. After a chain fault the
-    same iterator is drained, and the in-window readings the walk did not
-    reach, in the rest of the bad block and every later block, are folded."""
+    tx index) pairs, as verify_blocks takes them; draining it after a
+    chain fault folds the readings the walk did not reach."""
     start, end = summary.window_start, summary.window_end
     batch = OpBatch(EMPTY_STATE)
     found: set[str] = set()  # codes of payloads that do not decode or apply
@@ -327,47 +328,46 @@ def _verify_epoch(blocks: Iterator[tuple[Block, int]], summary: EpochSummary, pu
         found.add("stats")
     stats = _EpochStats(bounds)
     add_reading = stats.add
-    reached_block = reached_tx = -1  # block index and tx index of the last visit
+    taken: list[Block | None] = [None]  # the last block taken
+    raw = TxKind.RAW_READING  # bound once: an enum member lookup is slow on 3.11
+
+    def fold_readings() -> Iterator[tuple[Block, int]]:
+        """`blocks`, each block's readings read and the in-window ones folded
+        as it is taken, `bad` lowered to its first reading that does not parse."""
+        for block, bad in blocks:
+            for i, tx in enumerate(block.transactions):
+                if tx.kind is raw:
+                    try:
+                        _, metric, text, _, dec = read_reading(tx.payload)
+                        if start <= tx.timestamp < end:
+                            add_reading(metric, text, dec)
+                    except (ValueError, UnsupportedValue, ArithmeticError) as exc:
+                        if start <= tx.timestamp < end:  # no reading, or a NaN bound compares
+                            found.add("stats")
+                        if not isinstance(exc, (InvalidArgument, ArithmeticError)):
+                            bad = i if bad < 0 else min(bad, i)
+            taken[0] = block
+            yield block, bad
 
     def visit(height: int, index: int, tx: Transaction) -> None:
-        """Parse and fold one payload; a payload that does not parse raises
-        to verify_blocks (a TX_ID fault) and leaves the tx unreached."""
-        nonlocal reached_block, reached_tx
-        reading = tx.kind is TxKind.RAW_READING
-        try:
-            if reading:  # InvalidArgument: it parses but is no reading
-                _, metric, text, _, dec = read_reading(tx.payload)
-                if start <= tx.timestamp < end:
-                    add_reading(metric, text, dec)
-            else:
+        """Parse one payload that is no reading and apply a context op; a
+        payload that does not parse raises to verify_blocks (a TX_ID fault)."""
+        if tx.kind is not raw:
+            try:
                 value = canonical_loads(tx.payload)
                 if tx.kind in CONTEXT_KINDS and "state" not in found:
                     batch.apply(op_from_value(value))
-        except (InvalidArgument, PathTypeConflict, ArithmeticError):  # a NaN bound compares
-            if not reading:
+            except (InvalidArgument, PathTypeConflict, ArithmeticError):
                 found.add("state")
-            elif start <= tx.timestamp < end:
-                found.add("stats")
-        reached_block, reached_tx = height, index
-
-    def fold_unvisited(txs: Iterable[Transaction]) -> None:
-        for tx in txs:
-            if tx.kind is TxKind.RAW_READING and start <= tx.timestamp < end:
-                try:
-                    _, metric, text, _, dec = read_reading(tx.payload)
-                    add_reading(metric, text, dec)
-                except (ValueError, UnsupportedValue, ArithmeticError):
-                    found.add("stats")
 
     failures: list[str] = []
-    chain, last = verify_blocks(blocks, visit)
-    if not chain.ok:  # drain the stream: a format error wins, and the readings not reached fold
-        skip = reached_tx + 1 if reached_block == chain.first_bad_height else 0
-        fold_unvisited(last.transactions[skip:])
-        for last, _ in blocks:
-            fold_unvisited(last.transactions)
+    walk = fold_readings()
+    chain = verify_blocks(walk, visit)
+    if not chain.ok:  # drain the walk: a format error wins, and the readings not reached fold
+        for _ in walk:
+            pass
         failures.append("chain")
-    if (last.height, last.block_hash) != (summary.ledger_height, summary.ledger_head_hash):
+    if (taken[0].height, taken[0].block_hash) != (summary.ledger_height, summary.ledger_head_hash):
         failures.append("head")
     if chain.ok:
         try:

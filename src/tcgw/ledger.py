@@ -27,11 +27,11 @@ One walk, verify_blocks, checks every chain. ledger_blocks feeds it a
 ledger in memory, each tx_id checked by rebuilding its body
 (transaction_valid); read_blocks feeds it a file's blocks as they are
 decoded, each tx_id checked against the SHA-256 of the body bytes read,
-so an audit from a file hashes every body as read and builds none. The
-walk's visitor parses each payload: canonical_loads when there is none,
-the audit's own readers (a reading's template, see
-private_chain.read_reading) and PublicChain.load's when there is, so no
-payload is parsed twice.
+so an audit from a file hashes every body as read and builds none. Each
+payload is parsed once: the walk's visitor parses what it is given
+(canonical_loads when there is none, PublicChain.load's reader), and the
+epoch audit reads its readings in the stream it hands the walk, before
+the walk takes each block, and visits only its other payloads.
 
 A transaction that make_transaction built is sealed: a slot outside its
 fields records that its tx_id is the SHA-256 of the body it was computed
@@ -148,7 +148,7 @@ _BLOCK_HEAD = struct.Struct(">Q32sQ32sI")  # height, previous_hash, timestamp, t
 _TX_HEAD = struct.Struct(">32sI")  # tx_id, channel_id length
 _TS_KIND_LEN = struct.Struct(">QBI")  # timestamp, kind code, payload length
 _BLOCK_FIXED_SIZE = _BLOCK_HEAD.size + DIGEST_SIZE
-_TX_FIXED_SIZE = _TX_HEAD.size + _TS_KIND_LEN.size + _U32.size
+_TX_FIXED_SIZE = DIGEST_SIZE + _TS_KIND_LEN.size  # tx_id, timestamp, kind, payload length
 MAX_TIMESTAMP = (1 << 64) - 1  # the wire writes timestamps as u64
 
 
@@ -360,7 +360,7 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
 
     This is verify_blocks over ledger_blocks(ledger).
     """
-    return verify_blocks(ledger_blocks(ledger))[0]
+    return verify_blocks(ledger_blocks(ledger))
 
 
 def ledger_blocks(ledger: Ledger) -> Iterator[tuple[Block, int]]:
@@ -378,15 +378,14 @@ def _parse_payload(height: int, index: int, tx: Transaction) -> None:
 
 def verify_blocks(blocks: Iterable[tuple[Block, int]],
                   visit: Callable[[int, int, Transaction], None] = _parse_payload
-                  ) -> tuple[VerificationReport, Block | None]:
+                  ) -> VerificationReport:
     """The one per-block walk behind verify_chain and every audit.
 
     `blocks` gives each block with the index of its first transaction whose
     tx_id is not the SHA-256 of its body (-1 if none): transaction_valid in
-    memory, the hash of the bytes read for read_blocks. Returns the report
-    and the last block taken from `blocks`; the walk takes none past the
-    first bad block, and a caller that must see the rest (the audit: a
-    file's format error there wins) drains the same iterator itself.
+    memory, the hash of the bytes read for read_blocks; a stream may lower
+    that index to a transaction whose payload it read and found broken.
+    Returns the report. The walk takes no block past the first bad one.
 
     Per block, checks run in this order: height continuity, previous-hash
     link, per-transaction ids and visits (a payload that does not parse is
@@ -407,13 +406,13 @@ def verify_blocks(blocks: Iterable[tuple[Block, int]],
     block's transactions are visited before its Merkle root and hash are
     checked; none past a bad block.
     """
-    prev_hash, prev_time, block = ZERO_HASH, 0, None
+    prev_hash, prev_time = ZERO_HASH, 0
     for index, (block, bad) in enumerate(blocks):
         fault = _block_fault(index, block, bad, prev_hash, prev_time, visit)
         if fault is not None:
-            return VerificationReport(index, fault), block
+            return VerificationReport(index, fault)
         prev_hash, prev_time = block.block_hash, block.timestamp
-    return VerificationReport(), block
+    return VerificationReport()
 
 
 def _block_fault(index: int, block: Block, bad: int, prev_hash: bytes, prev_time: int,
@@ -441,24 +440,16 @@ def _block_fault(index: int, block: Block, bad: int, prev_hash: bytes, prev_time
     return None
 
 
-class _Utf8Sizes(dict):
-    """str -> its UTF-8 length, encoding each distinct string once."""
-
-    def __missing__(self, name: str) -> int:
-        size = self[name] = len(name.encode("utf-8"))
-        return size
-
-
 def ledger_size_bytes(ledger: Ledger) -> int:
     """Total serialized size of all blocks (the persisted payload), without
     serializing: a block's fixed fields plus, per transaction, its fixed
-    fields and the lengths of its two strings (as UTF-8) and its payload.
-    Each distinct channel_id and author_id is encoded once per call."""
-    total, sizes = _BLOCK_FIXED_SIZE * len(ledger), _Utf8Sizes()
+    fields, its payload and the wire frames of its two strings, from the
+    writer's own cache (_name_frame)."""
+    total, frame = _BLOCK_FIXED_SIZE * len(ledger), _name_frame
     for block in ledger:
         for tx in block.transactions:
-            total += (_TX_FIXED_SIZE + sizes[tx.channel_id]
-                      + len(tx.payload) + sizes[tx.author_id])
+            total += (_TX_FIXED_SIZE + len(frame(tx.channel_id))
+                      + len(tx.payload) + len(frame(tx.author_id)))
     return total
 
 

@@ -225,11 +225,11 @@ class PublicChain:
             key = (rec.channel_id, rec.epoch_index)
             chain.anchors[key], chain.included[key] = rec, height
 
-        report, last = verify_blocks(blocks, visit)
+        report = verify_blocks(blocks, visit)
         if not report.ok:
             raise InvalidChain(str(report))
         chain.ledger = tuple(block for block, _ in blocks)
-        chain.clock = last.timestamp
+        chain.clock = chain.ledger[-1].timestamp
         return chain
 
 

@@ -501,9 +501,9 @@ def _relink(ledger, height, tx_index, kind, payload):
 
 
 def _tamper_case(name, ledger):
-    """The named tamper of `ledger`. The tx_id and previous_hash flips break
-    block 3 of _epoch_with_ops, whose 7 transactions are all readings: the
-    audit must still fold each in-window reading exactly once."""
+    """The named tamper of `ledger`. The tx_id, previous_hash and op payload
+    flips break block 3 of _epoch_with_ops, its first AppendToArray and six
+    readings: the audit must still fold each in-window reading exactly once."""
     last = len(ledger) - 1
     last_tx = len(ledger[3].transactions) - 1
     reading_at = _first_tx(ledger, TxKind.RAW_READING)
@@ -514,6 +514,8 @@ def _tamper_case(name, ledger):
         "tx_root": lambda: tamper_ledger(ledger, height=3, target="tx_root", byte_index=2),
         "last_block_hash": lambda: tamper_ledger(ledger, height=last, target="block_hash"),
         "payload_flip": lambda: tamper_ledger(ledger, height=2, target="payload", byte_index=5),
+        "op_payload_flip": lambda: tamper_ledger(ledger, height=3, target="payload", tx_index=0,
+                                                 byte_index=5),
         "tx_id_first": lambda: tamper_ledger(ledger, height=3, target="tx_id"),
         "tx_id_middle": lambda: tamper_ledger(ledger, height=3, target="tx_id", tx_index=last_tx // 2),
         "tx_id_last": lambda: tamper_ledger(ledger, height=3, target="tx_id", tx_index=last_tx),
@@ -542,6 +544,7 @@ def _tamper_case(name, ledger):
     ("tx_id_middle", ("chain",)),
     ("tx_id_last", ("chain",)),
     ("previous_hash", ("chain",)),
+    ("op_payload_flip", ("chain",)),
 ])
 def test_verify_pruned_epoch_failure_table(case, failures):
     archived, summary, pub = _epoch_with_ops()

@@ -366,7 +366,7 @@ def test_verify_blocks_visits_each_tx_once_in_order_up_to_the_first_bad_block():
     def visit(height, index, tx):
         seen.append((height, index, tx))
 
-    assert verify_blocks(ledger_blocks(ledger), visit)[0].ok
+    assert verify_blocks(ledger_blocks(ledger), visit).ok
     assert seen == list(iter_transactions(ledger))
     # The visitor parses payloads itself: one that raises as canonical_loads
     # does on a payload that does not parse makes that tx a TxId fault.
@@ -375,7 +375,7 @@ def test_verify_blocks_visits_each_tx_once_in_order_up_to_the_first_bad_block():
             if (height, index) == (4, 1):
                 raise error
 
-        report = verify_blocks(ledger_blocks(ledger), refuse)[0]
+        report = verify_blocks(ledger_blocks(ledger), refuse)
         assert (report.first_bad_height, report.reason) == (4, ChainFault.TX_ID)
     # Block 3 is bad. Its transactions are visited up to the first that fails
     # its own check; none of a later block is.
@@ -383,8 +383,8 @@ def test_verify_blocks_visits_each_tx_once_in_order_up_to_the_first_bad_block():
                             ("block_hash", 9)]:
         tampered = tamper_ledger(ledger, height=3, target=target, tx_index=1, byte_index=2)
         seen.clear()
-        report, last = verify_blocks(ledger_blocks(tampered), visit)
-        assert (report.ok, report.first_bad_height, last) == (False, 3, tampered[3])
+        report = verify_blocks(ledger_blocks(tampered), visit)
+        assert (report.ok, report.first_bad_height) == (False, 3)
         assert seen == list(iter_transactions(tampered))[:visited]
 
 
