@@ -10,9 +10,9 @@ verify_pruned_epoch is the consumer-side counterpart: given an archived
 ledger and a summary, it re-derives everything and checks the public chain
 holds a confirmed anchor committing to exactly these bytes. verify_archive
 runs the same checks over an archive file's blocks as they are decoded.
-Both are one walk of one block stream, broken chain included: readings
-are folded as the walk takes their block, other payloads are visited, and
-the audit relies only on the walk taking no block past the first bad one.
+Both are one walk of one block stream, broken chain included: every
+payload is read in that stream as the walk takes its block, and the audit
+relies only on the walk taking no block past the first bad one.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     UnknownGateway,
     UnsupportedValue,
 )
-from .ledger import (Block, Ledger, Transaction, TxKind, VerificationReport, head,
+from .ledger import (Block, Ledger, TxKind, VerificationReport, head,
                      ledger_blocks, read_blocks, verify_blocks)
 from .private_chain import METRICS, PrivateNode, check_reading, decimal_value, read_reading
 from .worldstate import CONTEXT_KINDS, EMPTY_STATE, OpBatch, op_from_value, state_digest
@@ -286,12 +286,12 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
                (they are bit-reproducible), or such a reading does not decode
       anchor - no confirmed public anchor commits to these summary bytes
 
-    One walk of ledger_blocks(archived), each payload parsed once: as
-    verify_blocks takes each block, its readings are read with read_reading
-    and the in-window ones folded (no list, no record; one that does not
-    parse is a TxId fault), and the walk's visitor parses the others,
-    feeding context ops to one OpBatch. On a broken chain `state` is
-    unchecked, and the rest of the stream is drained, folding its readings.
+    One walk of ledger_blocks(archived), each payload parsed once, in the
+    stream handed to verify_blocks, as the walk takes its block: readings
+    with read_reading, the in-window ones folded (no list, no record), and
+    the others with canonical_loads, context ops fed to one OpBatch; a
+    payload that does not parse is a TxId fault. On a broken chain `state`
+    is unchecked, and the rest of the stream is drained, folding its readings.
 
     `pub` is the PublicChain (or anything with find_anchor and is_confirmed).
     """
@@ -303,9 +303,9 @@ def verify_archive(path: Path, summary: EpochSummary, pub,
     """verify_pruned_epoch(load_ledger(path), summary, pub, ranges), from the
     file's bytes in one streaming walk of read_blocks(path): each
     transaction's tx_id is checked against the SHA-256 of the body bytes
-    read, its readings folded and its other payloads visited as the walk
-    takes its block, and only the last block is kept, for `head`. No
-    Ledger is built, and the file is read once, broken chain included.
+    read and its payload read as the walk takes its block, and only the
+    last block is kept, for `head`. No Ledger is built, and the file is
+    read once, broken chain included.
 
     Raises LedgerFormatError if the file does not decode, even where the
     walk found a chain fault first: the drain decodes the rest of the file.
@@ -331,9 +331,11 @@ def _verify_epoch(blocks: Iterator[tuple[Block, int]], summary: EpochSummary, pu
     taken: list[Block | None] = [None]  # the last block taken
     raw = TxKind.RAW_READING  # bound once: an enum member lookup is slow on 3.11
 
-    def fold_readings() -> Iterator[tuple[Block, int]]:
-        """`blocks`, each block's readings read and the in-window ones folded
-        as it is taken, `bad` lowered to its first reading that does not parse."""
+    def audit_blocks() -> Iterator[tuple[Block, int]]:
+        """`blocks`, each block's payloads read as it is taken: every reading
+        by read_reading, the in-window ones folded; every other payload
+        before the bad index parsed, a context op applied; `bad` lowered to
+        the first payload that does not parse."""
         for block, bad in blocks:
             for i, tx in enumerate(block.transactions):
                 if tx.kind is raw:
@@ -346,23 +348,21 @@ def _verify_epoch(blocks: Iterator[tuple[Block, int]], summary: EpochSummary, pu
                             found.add("stats")
                         if not isinstance(exc, (InvalidArgument, ArithmeticError)):
                             bad = i if bad < 0 else min(bad, i)
+                elif not 0 <= bad <= i:
+                    try:
+                        value = canonical_loads(tx.payload)
+                        if tx.kind in CONTEXT_KINDS and "state" not in found:
+                            batch.apply(op_from_value(value))
+                    except (InvalidArgument, PathTypeConflict, ArithmeticError):
+                        found.add("state")
+                    except (ValueError, UnsupportedValue):  # no JSON: a TX_ID fault
+                        bad = i
             taken[0] = block
             yield block, bad
 
-    def visit(height: int, index: int, tx: Transaction) -> None:
-        """Parse one payload that is no reading and apply a context op; a
-        payload that does not parse raises to verify_blocks (a TX_ID fault)."""
-        if tx.kind is not raw:
-            try:
-                value = canonical_loads(tx.payload)
-                if tx.kind in CONTEXT_KINDS and "state" not in found:
-                    batch.apply(op_from_value(value))
-            except (InvalidArgument, PathTypeConflict, ArithmeticError):
-                found.add("state")
-
     failures: list[str] = []
-    walk = fold_readings()
-    chain = verify_blocks(walk, visit)
+    walk = audit_blocks()
+    chain = verify_blocks(walk)
     if not chain.ok:  # drain the walk: a format error wins, and the readings not reached fold
         for _ in walk:
             pass

@@ -28,10 +28,9 @@ ledger in memory, each tx_id checked by rebuilding its body
 (transaction_valid); read_blocks feeds it a file's blocks as they are
 decoded, each tx_id checked against the SHA-256 of the body bytes read,
 so an audit from a file hashes every body as read and builds none. Each
-payload is parsed once: the walk's visitor parses what it is given
-(canonical_loads when there is none, PublicChain.load's reader), and the
-epoch audit reads its readings in the stream it hands the walk, before
-the walk takes each block, and visits only its other payloads.
+payload is parsed once, in the block stream its caller hands the walk:
+read_payloads reads each for verify_chain and PublicChain.load, and the
+epoch audit reads every kind in its own stream.
 
 A transaction that make_transaction built is sealed: a slot outside its
 fields records that its tx_id is the SHA-256 of the body it was computed
@@ -190,7 +189,7 @@ def sealed(tx: Transaction) -> bool:
 def transaction_valid(tx: Transaction) -> bool:
     """True iff tx_id is the SHA-256 of the body rebuilt from the fields,
     sealed or not. The payload is not parsed here: PrivateNode.submit and
-    verify_blocks' visitor parse it."""
+    the block stream verify_blocks is handed parse it."""
     body = transaction_body(tx.channel_id, tx.timestamp, tx.kind, tx.payload, tx.author_id)
     return sha256(body) == tx.tx_id
 
@@ -356,11 +355,11 @@ class VerificationReport:
 
 
 def verify_chain(ledger: Ledger) -> VerificationReport:
-    """Re-derive every hash and link; report the lowest offending height.
-
-    This is verify_blocks over ledger_blocks(ledger).
+    """Re-derive every hash and link and parse every payload (canonical_loads,
+    in read_payloads); report the lowest offending height.
     """
-    return verify_blocks(ledger_blocks(ledger))
+    return verify_blocks(read_payloads(ledger_blocks(ledger),
+                                       lambda height, index, tx: canonical_loads(tx.payload)))
 
 
 def ledger_blocks(ledger: Ledger) -> Iterator[tuple[Block, int]]:
@@ -371,64 +370,60 @@ def ledger_blocks(ledger: Ledger) -> Iterator[tuple[Block, int]]:
                            if not transaction_valid(tx)), -1)
 
 
-def _parse_payload(height: int, index: int, tx: Transaction) -> None:
-    """verify_blocks' visitor when it is given none: the payload must parse."""
-    canonical_loads(tx.payload)
+def read_payloads(blocks: Iterable[tuple[Block, int]],
+                  read: Callable[[int, int, Transaction], object]) -> Iterator[tuple[Block, int]]:
+    """`blocks`, read(height, index, tx) called as each block is taken on
+    its transactions before its bad index, `height` the block's position in
+    the stream, and the index lowered to the first read that raises
+    ValueError or UnsupportedValue (as canonical_loads does on a payload
+    that does not parse)."""
+    for height, (block, bad) in enumerate(blocks):
+        for i, tx in enumerate(block.transactions[:bad] if bad >= 0 else block.transactions):
+            try:
+                read(height, i, tx)
+            except (ValueError, UnsupportedValue):
+                bad = i
+                break
+        yield block, bad
 
 
-def verify_blocks(blocks: Iterable[tuple[Block, int]],
-                  visit: Callable[[int, int, Transaction], None] = _parse_payload
-                  ) -> VerificationReport:
+def verify_blocks(blocks: Iterable[tuple[Block, int]]) -> VerificationReport:
     """The one per-block walk behind verify_chain and every audit.
 
     `blocks` gives each block with the index of its first transaction whose
     tx_id is not the SHA-256 of its body (-1 if none): transaction_valid in
     memory, the hash of the bytes read for read_blocks; a stream may lower
-    that index to a transaction whose payload it read and found broken.
-    Returns the report. The walk takes no block past the first bad one.
+    that index to a transaction whose payload it read and found broken
+    (read_payloads). Returns the report. The walk takes no block past the
+    first bad one, so a stream reads no payload past it.
 
     Per block, checks run in this order: height continuity, previous-hash
-    link, per-transaction ids and visits (a payload that does not parse is
-    also a TX_ID fault), Merkle root, own block hash, and a timestamp no
-    earlier than the previous block's (the CLOCK_SKEW that append_block
-    refuses). A block that holds one tx id twice is a TX_ROOT fault:
-    merkle_root pads an odd level with its last node, so a block with its
-    last transactions repeated has the same root.
+    link, the bad index (a TX_ID fault), Merkle root, own block hash, and a
+    timestamp no earlier than the previous block's (the CLOCK_SKEW that
+    append_block refuses). A block that holds one tx id twice is a TX_ROOT
+    fault: merkle_root pads an odd level with its last node, so a block
+    with its last transactions repeated has the same root.
     A single flipped byte anywhere in the data surfaces at the mutated
     block or the one after it.
-
-    `visit(height, index, tx)` is called in chain order for each
-    transaction whose tx_id checks, so a caller can audit contents in the
-    same walk. It parses the payload itself, each one it is given: a visit
-    that raises ValueError or UnsupportedValue, as canonical_loads does on a
-    payload that does not parse, makes that transaction a TX_ID fault. With
-    no visitor, each payload is parsed with canonical_loads and dropped. A
-    block's transactions are visited before its Merkle root and hash are
-    checked; none past a bad block.
     """
     prev_hash, prev_time = ZERO_HASH, 0
     for index, (block, bad) in enumerate(blocks):
-        fault = _block_fault(index, block, bad, prev_hash, prev_time, visit)
+        fault = _block_fault(index, block, bad, prev_hash, prev_time)
         if fault is not None:
             return VerificationReport(index, fault)
         prev_hash, prev_time = block.block_hash, block.timestamp
     return VerificationReport()
 
 
-def _block_fault(index: int, block: Block, bad: int, prev_hash: bytes, prev_time: int,
-                 visit: Callable[[int, int, Transaction], None]) -> ChainFault | None:
+def _block_fault(index: int, block: Block, bad: int, prev_hash: bytes,
+                 prev_time: int) -> ChainFault | None:
     """The first check block `index` fails, in verify_blocks' order, or None."""
     if block.height != index:
         return ChainFault.HEIGHT_GAP
     if block.previous_hash != prev_hash:
         return ChainFault.HASH_LINK
-    for i, tx in enumerate(block.transactions):
-        if i == bad:
-            return ChainFault.TX_ID
-        try:
-            visit(index, i, tx)
-        except (ValueError, UnsupportedValue):
-            return ChainFault.TX_ID
+    if bad >= 0:
+        return ChainFault.TX_ID
     ids = [tx.tx_id for tx in block.transactions]
     if len(set(ids)) != len(ids) or merkle_root(ids) != block.tx_root:
         return ChainFault.TX_ROOT

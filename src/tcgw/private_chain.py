@@ -37,6 +37,7 @@ from .ledger import (
     TxKind,
     append_block,
     genesis,
+    iter_transactions,
     sealed,
     transaction_valid,
 )
@@ -47,6 +48,7 @@ METRICS = ("temperature_c", "humidity_pct", "rain_pct", "wind_speed_ms")
 _METRIC_NAMES = {metric: metric for metric in METRICS}  # a parsed name -> the constant
 
 BATCH_SIZE = 100  # transactions per block at most
+_RAW_READING = TxKind.RAW_READING  # bound once: an enum member lookup is slow on 3.11
 
 
 def decimal_value(text: str, name: str = "value") -> Decimal:
@@ -159,8 +161,8 @@ class PrivateNode:
     timestamp or None. Invariants after every call: state == replay(ledger),
     and `values` and `time_span` equal those of the ledger's RawReading
     payloads as reading_fields(canonical_loads()) reads them. Only the node
-    sets them. A node built over an existing `ledger` derives its state,
-    known tx ids and readings in one walk of it.
+    sets them. A node built over an existing `ledger` derives its known tx
+    ids and readings in one walk of it, and its state by replay.
     """
 
     def __init__(self, channel_id: str, authorized_authors, clock: int = 0,
@@ -177,15 +179,13 @@ class PrivateNode:
         self.values: dict[str, list[str]] = {metric: [] for metric in METRICS}
         self.time_span: tuple[int, int] | None = None
         readings: list[tuple[str, str, int]] = []
-
-        def visit(tx: Transaction) -> None:
+        for _, _, tx in iter_transactions(self.ledger):
             self._known_ids.add(tx.tx_id)
-            if tx.kind is TxKind.RAW_READING:
+            if tx.kind is _RAW_READING:
                 _, metric, text, timestamp, _ = read_reading(tx.payload)
                 readings.append((metric, text, timestamp))
-
-        self.state: WorldState = replay(self.ledger, visit)
         self._hold(readings)
+        self.state: WorldState = replay(self.ledger)
 
     def __copy__(self) -> "PrivateNode":
         """An equal, independent node; only the immutable ledger and state are shared."""
@@ -224,7 +224,7 @@ class PrivateNode:
             raise InvalidTransaction(len(self.mempool), "tx_id does not match payload")
         try:
             parsed: tuple[str, str, int] | ContextOp
-            if tx.kind is TxKind.RAW_READING:
+            if tx.kind is _RAW_READING:
                 sensor_id, metric, text, timestamp, _ = read_reading(tx.payload)
                 if sensor_id != tx.author_id or timestamp != tx.timestamp:
                     raise InvalidArgument("reading's sensor or time differs from its header")

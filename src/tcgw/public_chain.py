@@ -11,8 +11,8 @@ transacting. `tick()` models that: it appends a heartbeat transaction
 confirmation depth can accrue on an otherwise quiet chain.
 
 `load` rebuilds the chain from its ledger and ChainParams sidecar in one
-verify_blocks walk, each tx_id checked against the bytes read, that accepts
-only what submit_anchor and tick could write.
+verify_blocks walk, each tx_id checked against the bytes read, whose block
+stream (read_payloads) accepts only what submit_anchor and tick could write.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from .errors import (DuplicateEpoch, InvalidArgument, InvalidChain, LedgerFormat
                      TcgwError, UnknownGateway, UnsupportedValue)
 from .gateway import EpochSummary, summary_digest
 from .ledger import (Block, Ledger, Transaction, TxKind, append_block, genesis, make_transaction,
-                     read_blocks, save_ledger, verify_blocks)
+                     read_blocks, read_payloads, save_ledger, verify_blocks)
 
 DEFAULT_CONFIRMATIONS = 2
 META_SUFFIX = ".meta.json"
 OPERATIONS_ARRAY = "Cultural Operations"  # the document array trace_product counts
+_ANCHOR = TxKind.ANCHOR  # bound once: an enum member lookup is slow on 3.11
 
 
 @dataclass(frozen=True)
@@ -201,14 +202,14 @@ class PublicChain:
                         params.confirmations_required, params.chain_id)
         except (ValueError, UnsupportedValue) as exc:
             raise LedgerFormatError(f"malformed chain metadata {meta_path}: {exc!r}") from exc
-        blocks = list(read_blocks(path))  # every format error before any visit
+        blocks = list(read_blocks(path))  # every format error before any payload is read
 
-        def visit(height: int, index: int, tx: Transaction) -> None:
+        def read(height: int, index: int, tx: Transaction) -> None:
             value = canonical_loads(tx.payload)  # a payload that does not parse is a TxId fault
             if not (isinstance(value, dict) and "summary" in value):
                 chain._tick_seq += 1
                 if (tx.kind, tx.channel_id, tx.author_id, tx.payload) != (
-                        TxKind.ANCHOR, chain.chain_id, chain._producer(height),
+                        _ANCHOR, chain.chain_id, chain._producer(height),
                         canonical_json({"tick": chain._tick_seq})):
                     raise InvalidChain(f"heartbeat at block {height} tx {index}: "
                                        f"not tick {chain._tick_seq}")
@@ -216,7 +217,7 @@ class PublicChain:
             try:
                 rec = from_json_value(AnchorRecord, value)
                 if (tx.kind, tx.channel_id, tx.channel_id, rec.epoch_index, tx.author_id) != (
-                        TxKind.ANCHOR, rec.channel_id, rec.summary.channel_id,
+                        _ANCHOR, rec.channel_id, rec.summary.channel_id,
                         rec.summary.epoch_index, rec.submitted_by):
                     raise InvalidArgument("payload disagrees with its transaction")
                 chain._admit(rec)
@@ -225,7 +226,7 @@ class PublicChain:
             key = (rec.channel_id, rec.epoch_index)
             chain.anchors[key], chain.included[key] = rec, height
 
-        report = verify_blocks(blocks, visit)
+        report = verify_blocks(read_payloads(blocks, read))
         if not report.ok:
             raise InvalidChain(str(report))
         chain.ledger = tuple(block for block, _ in blocks)

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .canon import canonical_json, canonical_loads, sha256
 from .errors import InvalidArgument, PathTypeConflict
-from .ledger import (KIND_BY_LABEL, Ledger, Transaction, TxKind, iter_transactions,
-                     slot_setters)
+from .ledger import KIND_BY_LABEL, Ledger, TxKind, iter_transactions, slot_setters
 
 CONTEXT_KINDS = (TxKind.UPDATE_FIELD, TxKind.APPEND_TO_ARRAY)
+_UPDATE_FIELD = TxKind.UPDATE_FIELD  # bound once: an enum member lookup is slow on 3.11
 
 WorldState = Mapping[str, dict]  # document id -> body
 EMPTY_STATE: WorldState = MappingProxyType({})
@@ -125,7 +125,7 @@ class OpBatch:
             node[segment] = child = self._own(child or {})
             node = child
         leaf = op.path[-1]
-        if op.op is TxKind.UPDATE_FIELD:
+        if op.op is _UPDATE_FIELD:
             node[leaf] = op.value
             return
         target = node.get(leaf)
@@ -175,18 +175,15 @@ def state_digest(ws: WorldState) -> bytes:
     return sha256(b"".join(parts))
 
 
-def replay(ledger: Ledger, visit: Callable[[Transaction], None] | None = None) -> WorldState:
+def replay(ledger: Ledger) -> WorldState:
     """Fold every context operation in chain order into one OpBatch.
 
-    RawReading and Anchor transactions leave documents untouched. `visit`,
-    when given, sees every transaction in chain order in the same walk.
-    Callers are expected to verify the chain first; a conflicting committed
-    op is re-raised with its (height, tx index) attached.
+    RawReading and Anchor transactions leave documents untouched. Callers
+    are expected to verify the chain first; a conflicting committed op is
+    re-raised with its (height, tx index) attached.
     """
     batch = OpBatch(EMPTY_STATE)
     for height, index, tx in iter_transactions(ledger):
-        if visit is not None:
-            visit(tx)
         if tx.kind not in CONTEXT_KINDS:
             continue
         try:

@@ -90,12 +90,14 @@ json_values = st.recursive(
 )
 
 
+@settings(derandomize=True)
 @given(json_values)
 def test_roundtrip_idempotence(value):
     encoded = canonical_json(value)
     assert canonical_json(canonical_loads(encoded)) == encoded
 
 
+@settings(derandomize=True)
 @given(st.dictionaries(st.text(min_size=1, max_size=8),
                        st.integers(min_value=0, max_value=99), min_size=2, max_size=6))
 def test_insertion_order_is_irrelevant(mapping):

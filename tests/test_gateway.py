@@ -11,27 +11,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcgw import (
+    EMPTY_STATE,
     ContextOp,
     PrivateNode,
     PublicChain,
     PublicClient,
     TxKind,
     ValidityRange,
+    apply_ops,
     head,
     ledger_size_bytes,
     make_transaction,
     op_payload,
     rollover_epoch,
+    state_digest,
     verify_pruned_epoch,
 )
 from tcgw.canon import from_json_value, to_json_value
 from tcgw.errors import DuplicateRange, InvalidArgument, NonEmptyMempool, PublishFailed
-from tcgw.gateway import EpochSummary, MetricStats, filter_out_of_scale, summarize, summary_digest
-from tcgw.ledger import iter_transactions, make_block
+from tcgw.gateway import (EpochSummary, MetricStats, filter_out_of_scale, summarize,
+                          summary_digest, verify_archive)
+from tcgw.ledger import iter_transactions, make_block, save_ledger
 from tcgw.private_chain import BATCH_SIZE, METRICS, reading_fields
+from tcgw.worldstate import CONTEXT_KINDS, parse_op
 
-from helpers import (NeverConfirms, Reading, node_with_readings, reading_transaction, reading_tx,
-                     tamper_ledger)
+from helpers import (NeverConfirms, Reading, ledger_readings, node_with_readings,
+                     reading_transaction, reading_tx, reference_payload, tamper_ledger)
 
 TEMP_RANGE = ValidityRange("temperature_c", "-20", "60")
 
@@ -550,3 +555,54 @@ def test_verify_pruned_epoch_failure_table(case, failures):
     archived, summary, pub = _epoch_with_ops()
     tampered = _tamper_case(case, archived)
     assert verify_pruned_epoch(tampered, summary, pub, [TEMP_RANGE]).failures == failures
+
+
+def _anchor(ledger, summary, **changes):
+    """`summary` with `changes` and the head of `ledger`, anchored and
+    confirmed on a fresh chain; returns (summary, chain)."""
+    height, head_hash = head(ledger)
+    summary = dataclasses.replace(summary, ledger_height=height, ledger_head_hash=head_hash,
+                                  **changes)
+    pub = _pub()
+    client = PublicClient(pub, "gw-fieldA")
+    assert client.confirm(client.submit_anchor(summary))
+    return summary, pub
+
+
+def _audit_both(tmp_path, ledger, summary, pub):
+    """The failure codes of verify_pruned_epoch(ledger) and of verify_archive
+    of its saved file, which must agree."""
+    in_memory = verify_pruned_epoch(ledger, summary, pub, [TEMP_RANGE]).failures
+    path = save_ledger(ledger, tmp_path / "fieldA.epoch0.tcgw")
+    assert verify_archive(path, summary, pub, [TEMP_RANGE]).failures == in_memory
+    return in_memory
+
+
+def test_audit_fails_stats_on_an_in_window_reading_that_fails_check_reading(tmp_path):
+    """A reading whose payload parses but names no metric ("x") folds
+    nothing and breaks no tx_id. Anchored with the stats of the other
+    readings, the archive fails `stats`, and nothing else."""
+    archived, summary, _ = _epoch_with_ops()
+    height, index = _first_tx(archived, TxKind.RAW_READING)
+    timestamp = archived[height].transactions[index].timestamp
+    ledger = _relink(archived, height, index, TxKind.RAW_READING,
+                     reference_payload(Reading("s-0", "x", "20.5", timestamp)))
+    kept, excluded = filter_out_of_scale(ledger_readings(archived, 0, 600)[1:], [TEMP_RANGE])
+    summary, pub = _anchor(ledger, summary, stats=tuple(summarize(kept)),
+                           excluded_count=len(excluded))
+    assert _audit_both(tmp_path, ledger, summary, pub) == ("stats",)
+
+
+def test_audit_fails_state_on_an_op_that_conflicts(tmp_path):
+    """An AppendToArray onto a scalar raises PathTypeConflict. Anchored with
+    the state digest of the other ops, the archive fails `state`, and
+    nothing else."""
+    archived, summary, _ = _epoch_with_ops()
+    append_at = _first_tx(archived, TxKind.APPEND_TO_ARRAY)
+    onto_scalar = ContextOp(TxKind.APPEND_TO_ARRAY, "lot1", ("Plant density",), "x")
+    ledger = _relink(archived, *append_at, TxKind.APPEND_TO_ARRAY, op_payload(onto_scalar))
+    others = [parse_op(tx.payload) for height, index, tx in iter_transactions(archived)
+              if tx.kind in CONTEXT_KINDS and (height, index) != append_at]
+    summary, pub = _anchor(ledger, summary,
+                           state_digest=state_digest(apply_ops(EMPTY_STATE, others)))
+    assert _audit_both(tmp_path, ledger, summary, pub) == ("state",)

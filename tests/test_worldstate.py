@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tcgw import (
     EMPTY_STATE,
@@ -155,6 +155,7 @@ paths = st.lists(segments, min_size=1, max_size=5).map(tuple)
 leaf_values = st.none() | st.booleans() | st.integers(-1000, 1000) | st.text(max_size=8)
 
 
+@settings(derandomize=True)
 @given(doc=segments, path=paths, value=leaf_values)
 def test_update_accepts_any_doc_path_value(doc, path, value):
     ws = apply_ops(EMPTY_STATE, [_update(doc, path, value)])
@@ -164,6 +165,7 @@ def test_update_accepts_any_doc_path_value(doc, path, value):
     assert node[path[-1]] == value
 
 
+@settings(derandomize=True)
 @given(doc=segments, path=paths, values=st.lists(leaf_values, min_size=1, max_size=4))
 def test_append_accumulates_in_order(doc, path, values):
     ws = EMPTY_STATE
@@ -226,6 +228,7 @@ context_ops = st.builds(ContextOp, st.sampled_from([TxKind.UPDATE_FIELD, TxKind.
                         st.sampled_from(["d1", "d2"]), short_paths, op_values)
 
 
+@settings(derandomize=True)
 @given(setup=st.lists(context_ops, max_size=6), ops=st.lists(context_ops, max_size=12))
 def test_apply_matches_per_op_reference_fold(setup, ops):
     ws, _ = _reference_fold(EMPTY_STATE, setup)
