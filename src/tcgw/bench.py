@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .canon import canonical_json
+from .canon import write_canonical_json
 from .errors import InvalidArgument
 from .ledger import (Ledger, Transaction, TxKind, append_block, genesis, ledger_size_bytes,
                      make_transaction, verify_chain)
@@ -166,5 +166,5 @@ def write_bench_report(points: Sequence[BenchPoint], fit: LinearFit | None,
             "slope": repr(fit.slope),
         }
     path = Path(path)
-    path.write_bytes(canonical_json(report))
+    write_canonical_json(report, path)
     return path

@@ -18,6 +18,7 @@ canonical_json checks a value in one walk that calls itself only for
 containers, then runs a C encoder built once at import. canonical_loads
 parses one bare value with one raw_decode and hands any other input to the
 full decoder, so its results and errors are the stdlib decoder's.
+write_canonical_json writes the same bytes to a file a piece at a time.
 
 Dataclasses travel through to_json_value/from_json_value: an object per
 instance keyed by field name, bytes as lowercase hex, tuples as arrays.
@@ -29,6 +30,7 @@ import dataclasses
 import hashlib
 import json
 import typing
+from pathlib import Path
 from typing import Any, Callable
 
 from .errors import InvalidArgument, UnsupportedValue
@@ -89,6 +91,30 @@ def canonical_json(value: Any) -> bytes:
     """
     _check_value(value)
     return "".join(_encode_chunks(value, 0)).encode("utf-8")
+
+
+def write_canonical_json(value: Any, path: str | Path) -> None:
+    """Write canonical_json(value) to `path` in pieces: the whole value is
+    checked before the file is created, so a value canonical_json refuses
+    for its type, key or depth leaves no file; then the top two container
+    levels are written a key or an item at a time, each item below them
+    encoded whole by canonical_json's encoder."""
+    _check_value(value)
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        _write_json(value, out.write, 2)
+
+
+def _write_json(value: Any, write: Callable[[str], Any], levels: int) -> None:
+    if not (levels and value and isinstance(value, (dict, list, tuple))):
+        write("".join(_encode_chunks(value, 0)))
+        return
+    is_object = isinstance(value, dict)
+    sep = "{" if is_object else "["
+    for item in sorted(value) if is_object else value:
+        write((sep + encode_string(item) + ":") if is_object else sep)
+        sep = ","
+        _write_json(value[item] if is_object else item, write, levels - 1)
+    write("}" if is_object else "]")
 
 
 def _reject_float(text: str) -> Any:

@@ -22,7 +22,8 @@ from .bench import (
     fit_storage,
     write_bench_report,
 )
-from .canon import canonical_json, canonical_loads, from_json_value, to_json_value
+from .canon import (canonical_json, canonical_loads, from_json_value, to_json_value,
+                    write_canonical_json)
 from .errors import InvalidChain, LedgerFormatError, TcgwError
 from .gateway import ValidityRange, range_bounds, verify_archive
 from .ledger import load_ledger, read_blocks, save_ledger
@@ -59,17 +60,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     state_dir = out / "state"
     archive_dir.mkdir(parents=True, exist_ok=True)
     state_dir.mkdir(parents=True, exist_ok=True)
-    result = run_scenario(cfg)
+    result = run_scenario(cfg, lambda channel, epoch, ledger: save_ledger(
+        ledger, archive_dir / archive_name(channel, epoch)))
 
-    (out / "report.json").write_bytes(canonical_json(result.report))
-    for (channel, epoch), ledger in sorted(result.archives.items()):
-        save_ledger(ledger, archive_dir / archive_name(channel, epoch))
-    (archive_dir / "ranges.json").write_bytes(
-        canonical_json({"ranges": to_json_value(cfg.ranges)}))
+    write_canonical_json(result.report, out / "report.json")
+    write_canonical_json({"ranges": to_json_value(cfg.ranges)}, archive_dir / "ranges.json")
     result.public_chain.save(out / "public.tcgw")
     for channel, body in sorted(result.final_docs.items()):
         if body is not None:
-            (state_dir / f"{channel}.json").write_bytes(canonical_json(body))
+            write_canonical_json(body, state_dir / f"{channel}.json")
 
     print(f"{'channel':<14}{'epoch':>6}{'generated':>11}{'kept':>7}"
           f"{'excluded':>10}{'anchored@':>11}{'verified':>10}")

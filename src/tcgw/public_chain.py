@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .canon import canonical_json, canonical_loads, from_json_value, to_json_value
+from .canon import (canonical_json, canonical_loads, from_json_value, to_json_value,
+                    write_canonical_json)
 from .errors import (DuplicateEpoch, InvalidArgument, InvalidChain, LedgerFormatError,
                      TcgwError, UnknownGateway, UnsupportedValue)
 from .gateway import EpochSummary, summary_digest
@@ -181,7 +182,7 @@ class PublicChain:
         save_ledger(self.ledger, path)
         params = ChainParams(self.chain_id, self.confirmations_required,
                              tuple(sorted(self.gateways)), tuple(self.validators))
-        Path(str(path) + META_SUFFIX).write_bytes(canonical_json(to_json_value(params)))
+        write_canonical_json(to_json_value(params), Path(str(path) + META_SUFFIX))
         return path
 
     @classmethod

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
+from typing import Any, Callable
 
 from .canon import canonical_loads, from_json_value, to_json_value
 from .errors import InvalidArgument, InvalidWindow
@@ -261,7 +262,8 @@ def generate_context_ops(cfg: FieldConfig, window_start: int,
 
 @dataclass
 class ScenarioResult:
-    """Run outcome: the JSON report plus the live artifacts behind it."""
+    """Run outcome: the JSON report plus the live artifacts behind it;
+    `archives` is empty when run_scenario handed each ledger to a hook."""
 
     report: dict
     public_chain: PublicChain
@@ -269,11 +271,14 @@ class ScenarioResult:
     final_docs: dict[str, dict | None]
 
 
-def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+def run_scenario(cfg: ScenarioConfig,
+                 archive: Callable[[str, int, Ledger], Any] | None = None) -> ScenarioResult:
     """Drive every field through every epoch; see the module docstring.
 
     Fields are processed per epoch in channel order, which fixes the public
-    submission interleaving and hence the whole run.
+    submission interleaving and hence the whole run. Each epoch's ledger goes
+    to archive(channel_id, epoch, ledger) once audited and is then dropped, so
+    a run holds one epoch's ledger; with no hook ScenarioResult.archives keeps them.
     """
     fields = sorted(cfg.fields, key=lambda f: f.channel_id)
     pub = PublicChain(
@@ -290,6 +295,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     events: list[dict] = []
     archives: dict[tuple[str, int], Ledger] = {}
+    if archive is None:
+        def archive(channel_id: str, epoch: int, ledger: Ledger) -> None:
+            archives[channel_id, epoch] = ledger
     final_docs: dict[str, dict | None] = {}
     rows: dict[str, list[dict]] = {f.channel_id: [] for f in fields}
 
@@ -321,11 +329,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             summary, _, new_node = rollover_epoch(
                 node, cfg.ranges, window_start, window_end,
                 clients[f.channel_id], events)
-            archive = archives[(f.channel_id, epoch)] = node.ledger
+            ledger = node.ledger
             # Rebinding drops the archived node, and its held value texts
             # with it, before the audit walks the archive.
             nodes[f.channel_id] = node = new_node
-            verification = verify_pruned_epoch(archive, summary, pub, cfg.ranges)
+            verification = verify_pruned_epoch(ledger, summary, pub, cfg.ranges)
+            archive(f.channel_id, epoch, ledger)
+            del ledger
             if epoch == cfg.epochs - 1:
                 final_docs[f.channel_id] = doc_body
 

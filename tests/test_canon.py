@@ -260,3 +260,44 @@ _payloads = (_texts | _texts.map(lambda s: s.encode("utf-8", "surrogatepass"))
 @given(_payloads)
 def test_canonical_loads_matches_reference(data):
     assert _outcome(canonical_loads, data) == _outcome(_reference_loads, data)
+
+
+_written_text = st.text(max_size=8) | st.sampled_from(
+    ["", '"', "\\", "\n", "\x00\x1f\x7f", "pomé", " ", "\U0001f331", 'k"\\\t'])
+_written = st.recursive(
+    st.none() | st.booleans() | st.integers() | _written_text,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_written_text, children, max_size=4),
+    max_leaves=20,
+)
+
+
+def _nested(levels: int, leaf=1):
+    """`leaf` inside `levels` containers, lists and objects in turn, so the
+    leaf is `levels` levels down."""
+    for level in range(levels):
+        leaf = {"k": leaf, "a": []} if level % 2 else [leaf, {}]
+    return leaf
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_written | st.sampled_from([_nested(64), _nested(64, "é"), {"b": _nested(63)},
+                                   [[], {}, _nested(63, None)]]))
+def test_write_canonical_json_writes_canonical_json_bytes(tmp_path_factory, value):
+    path = tmp_path_factory.getbasetemp() / "written.json"
+    canon.write_canonical_json(value, path)
+    assert path.read_bytes() == canonical_json(value)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {"a": [0.5]}, [{"x": {"y": [1, 2.5]}}], {1: "a"}, [{"a": {2: None}}],
+    _nested(65), {"b": _nested(64)}, [1, _nested(64, "x")],
+])
+def test_write_canonical_json_refuses_what_canonical_json_refuses_and_writes_nothing(
+        tmp_path, value):
+    path = tmp_path / "value.json"
+    with pytest.raises(UnsupportedValue) as raised:
+        canon.write_canonical_json(value, path)
+    assert _outcome(canonical_json, value) == ("raised", UnsupportedValue, str(raised.value))
+    assert not path.exists()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -13,7 +14,8 @@ from tcgw.canon import canonical_json, canonical_loads, to_json_value
 from tcgw.cli import _audit_epoch, main
 from tcgw.errors import InvalidChain
 from tcgw.ledger import iter_transactions, load_ledger, make_block, save_ledger
-from tcgw.public_chain import PublicChain
+from tcgw.public_chain import PublicChain, PublicClient
+from tcgw.workload import default_scenario
 
 from helpers import flip_byte, node_with_readings, tamper_ledger
 from test_gateway import TEMP_RANGE, _pub, _relink, _rollover
@@ -639,6 +641,71 @@ def test_tcgw_seed_overrides_scenario_seeds(tmp_path, monkeypatch):
     seeded_b = (out_seeded_b / "report.json").read_bytes()
     assert seeded_a != plain          # override changes the workload
     assert seeded_a == seeded_b       # but stays deterministic per seed
+
+
+def _run_peak(tmp_path, epochs: int) -> int:
+    """Bytes the traced heap peaks above its level before `tcgw run` of the
+    default scenario cut to its first field, over `epochs` epochs."""
+    cfg = default_scenario(epochs)
+    cfg = dataclasses.replace(cfg, fields=cfg.fields[:1])
+    cfg_path = tmp_path / f"cfg{epochs}.json"
+    cfg_path.write_bytes(canonical_json(to_json_value(cfg)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / f"o{epochs}")]) == 0
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_holds_one_epoch_at_a_time(tmp_path, capsys):
+    """Each archive is saved as its epoch closes and dropped, so a run's peak
+    grows per added epoch only by its report rows and public anchors (about
+    6.4 KB here), not by the archive of 1,470 transactions (about 478 KB
+    when every archived ledger was held until the run ended). The first run
+    warms the caches that first calls allocate."""
+    _run_peak(tmp_path, 1)
+    growth = (_run_peak(tmp_path, 4) - _run_peak(tmp_path, 2)) / 2
+    capsys.readouterr()
+    assert growth < 50_000, growth
+
+
+def test_a_failed_run_keeps_the_archives_of_the_epochs_it_closed(run_dir, tmp_path,
+                                                                 monkeypatch, capsys):
+    """An archive is written as its epoch closes: when epoch 1's first anchor
+    never confirms, both epoch-0 archives are on disk, the same bytes an
+    honest run writes, and nothing of epoch 1 or the report is."""
+    calls = []
+    confirm = PublicClient.confirm
+
+    def confirm_twice(self, record):
+        calls.append(record)
+        return len(calls) < 3 and confirm(self, record)
+
+    monkeypatch.setattr(PublicClient, "confirm", confirm_twice)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(canonical_json(to_json_value(small_scenario())))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "anchor was not confirmed" in capsys.readouterr().err
+    assert len(calls) == 3
+    names = sorted(p.name for p in (out / "archive").glob("*.tcgw"))
+    assert names == ["north.epoch0.tcgw", "south.epoch0.tcgw"]
+    for name in names:
+        assert (out / "archive" / name).read_bytes() == (run_dir / "archive" / name).read_bytes()
+    assert not (out / "report.json").exists()
+
+
+def test_run_writes_every_json_file_canonically(run_dir):
+    """report.json, ranges.json, the public chain's sidecar and every state
+    document are canonical JSON: canonical_json of what they parse to."""
+    paths = [run_dir / "report.json", run_dir / "archive" / "ranges.json",
+             run_dir / "public.tcgw.meta.json", *(run_dir / "state").glob("*.json")]
+    assert len(paths) == 5
+    for path in paths:
+        data = path.read_bytes()
+        assert canonical_json(canonical_loads(data)) == data, path
 
 
 def test_rerun_is_byte_identical(tmp_path):

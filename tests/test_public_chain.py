@@ -252,8 +252,9 @@ def test_load_accepts_only_the_heartbeats_tick_writes(tmp_path, kind, payload):
 
 @pytest.mark.parametrize("payload", [b"not json", b'{"tick":1.5}'], ids=["not-json", "fraction"])
 def test_load_names_a_relinked_payload_that_does_not_parse_as_a_tx_id_fault(tmp_path, payload):
-    """The load's visitor parses each payload itself: one that does not
-    parse is a TxId fault of its block, its tx_id and links re-derived or not."""
+    """The load's rule parses each payload in the read_payloads stream it
+    hands the walk: one that does not parse lowers its block's bad index, a
+    TxId fault of that block, its tx_id and links re-derived or not."""
     chain = _confirmed_chain(2)
     forged = _relink(chain.ledger, 3, 0, TxKind.ANCHOR, payload)
     with pytest.raises(InvalidChain, match=r"^TxId at block 3$"):

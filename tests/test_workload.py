@@ -441,6 +441,31 @@ def test_every_ledger_a_run_writes_reads_back_equal(tmp_path):
     assert PublicChain.load(chain.save(tmp_path / "public.tcgw")).ledger == chain.ledger
 
 
+def test_archive_hook_takes_each_audited_ledger_once_and_none_is_kept(monkeypatch):
+    """With a hook, each epoch's ledger goes to it once, right after its
+    in-run audit, in run order; the result keeps none of them, and the hook
+    sees the very ledgers a run without one collects."""
+    from tcgw import workload
+    calls = []
+    audit = workload.verify_pruned_epoch
+
+    def audited(ledger, *rest):
+        calls.append(("audit", ledger))
+        return audit(ledger, *rest)
+
+    monkeypatch.setattr(workload, "verify_pruned_epoch", audited)
+    result = run_scenario(small_scenario(), lambda *args: calls.append(args))
+    assert result.archives == {}
+    assert [call[:2] for call in calls[1::2]] == [
+        ("north", 0), ("south", 0), ("north", 1), ("south", 1)]
+    for (_, ledger), (_, _, archived) in zip(calls[::2], calls[1::2]):
+        assert archived is ledger
+    handed = {(channel, epoch): ledger for channel, epoch, ledger in calls[1::2]}
+    collected = run_scenario(small_scenario())
+    assert handed == collected.archives
+    assert collected.report == result.report
+
+
 def test_final_docs_match_last_epoch_ops():
     cfg = small_scenario()
     result = run_scenario(cfg)
