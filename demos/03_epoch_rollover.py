@@ -1,9 +1,11 @@
 """Publish before prune: the gateway's epoch protocol, including a failure.
 
-A month of readings lands on the private chain. The gateway filters
-out-of-scale values, reduces the rest to per-metric statistics, anchors
-the summary on the public chain, waits for confirmation depth, and only
-then resets the private ledger. If publication fails, nothing is pruned.
+A month of readings lands on the private chain. The node folds each
+reading into per-metric statistics as it commits it, leaving out-of-scale
+values out under the validity ranges it was built with, and holds no
+value text. The gateway anchors that summary on the public chain, waits
+for confirmation depth, and only then resets the private ledger. If
+publication fails, nothing is pruned.
 """
 
 from tcgw import (
@@ -27,7 +29,7 @@ from tcgw.rng import SplitMix64
 RANGES = [ValidityRange("temperature_c", "-20", "60")]
 HOUR, MONTH = 3_600, 30 * 86_400
 
-node = PrivateNode("olive-grove", {"s-temp"})
+node = PrivateNode("olive-grove", {"s-temp"}, ranges=RANGES)  # the stats fold's ranges
 prefix = reading_head("s-temp", "temperature_c")  # each payload's text up to its timestamp
 rng = SplitMix64(99)
 for hour in range(MONTH // HOUR):
@@ -50,7 +52,7 @@ pub.clock = MONTH
 gateway = PublicClient(pub, "gw-olive")
 
 trace: list = []
-summary, record, fresh_node = rollover_epoch(node, RANGES, 0, MONTH, gateway, trace)
+summary, record, fresh_node = rollover_epoch(node, 0, MONTH, gateway, trace)
 
 for s in summary.stats:
     print(f"epoch 0 {s.metric}: n={s.count} mean={float(s.mean):.3f} "
@@ -67,7 +69,8 @@ print(f"fresh private chain: {len(fresh_node.ledger)} block, "
       f"{ledger_size_bytes(fresh_node.ledger)} bytes; the epoch link is the "
       f"confirmed anchor on the public chain")
 
-# The archived ledger remains fully checkable against the public record.
+# The archived ledger remains fully checkable against the public record;
+# the auditor re-folds its readings under its own copy of the ranges.
 outcome = verify_pruned_epoch(node.ledger, summary, pub, RANGES)
 print(f"verify pruned epoch: ok={outcome.ok}")
 
@@ -76,7 +79,7 @@ print(f"verify pruned epoch: ok={outcome.ok}")
 unknown = PublicClient(PublicChain(["val-0"]), "gw-stranger")
 before = head(fresh_node.ledger)
 try:
-    rollover_epoch(fresh_node, RANGES, MONTH, 2 * MONTH, unknown, [])
+    rollover_epoch(fresh_node, MONTH, 2 * MONTH, unknown, [])
 except PublishFailed as exc:
     print(f"rejected publication: {exc}")
 assert head(fresh_node.ledger) == before

@@ -18,7 +18,8 @@ canonical_json checks a value in one walk that calls itself only for
 containers, then runs a C encoder built once at import. canonical_loads
 parses one bare value with one raw_decode and hands any other input to the
 full decoder, so its results and errors are the stdlib decoder's.
-write_canonical_json writes the same bytes to a file a piece at a time.
+write_canonical_json writes the same bytes to a file a piece at a time, and
+feed_canonical_json hands them, in the same pieces, to a hash's update.
 
 Dataclasses travel through to_json_value/from_json_value: an object per
 instance keyed by field name, bytes as lowercase hex, tuples as arrays.
@@ -102,6 +103,16 @@ def write_canonical_json(value: Any, path: str | Path) -> None:
     _check_value(value)
     with open(path, "w", encoding="utf-8", newline="") as out:
         _write_json(value, out.write, 2)
+
+
+def feed_canonical_json(value: Any, update: Callable[[bytes], Any]) -> None:
+    """Pass canonical_json(value) to `update` as UTF-8 pieces, those that
+    write_canonical_json writes, so that a hash of a long document never
+    holds its encoding. The whole value is checked first, and a value is
+    refused as canonical_json refuses it: UnsupportedValue for its type, a
+    key or its depth, UnicodeEncodeError for a lone surrogate."""
+    _check_value(value)
+    _write_json(value, lambda piece: update(piece.encode("utf-8")), 2)
 
 
 def _write_json(value: Any, write: Callable[[str], Any], levels: int) -> None:

@@ -25,8 +25,9 @@ from .bench import (
 from .canon import (canonical_json, canonical_loads, from_json_value, to_json_value,
                     write_canonical_json)
 from .errors import InvalidChain, LedgerFormatError, TcgwError
-from .gateway import ValidityRange, range_bounds, verify_archive
+from .gateway import ValidityRange, verify_archive
 from .ledger import load_ledger, read_blocks, save_ledger
+from .private_chain import range_bounds
 from .public_chain import PublicChain
 from .workload import (
     ARCHIVE_NAME,

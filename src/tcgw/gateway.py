@@ -4,7 +4,9 @@ The gateway turns an epoch of raw readings into a small set of per-metric
 statistics, binds them to the private ledger's head and state digest in an
 EpochSummary, publishes that summary to the public chain, and only after
 the anchor is confirmed resets the private ledger. Losing unpublished data
-is unrecoverable, so the order is strict: publish before prune.
+is unrecoverable, so the order is strict: publish before prune. The
+statistics are the node's own fold (private_chain._EpochStats), which it
+extends with each reading as it commits it, so rollover reads no payload.
 
 verify_pruned_epoch is the consumer-side counterpart: given an archived
 ledger and a summary, it re-derives everything and checks the public chain
@@ -17,16 +19,13 @@ relies only on the walk taking no block past the first bad one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from decimal import Decimal
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .canon import canonical_loads, digest_json, to_json_value
 from .errors import (
     DuplicateEpoch,
-    DuplicateRange,
     InvalidArgument,
     InvalidWindow,
     NonEmptyMempool,
@@ -37,7 +36,8 @@ from .errors import (
 )
 from .ledger import (Block, Ledger, TxKind, VerificationReport, head,
                      ledger_blocks, read_blocks, verify_blocks)
-from .private_chain import METRICS, PrivateNode, check_reading, decimal_value, read_reading
+from .private_chain import (METRICS, MetricStats, PrivateNode, _EpochStats, check_reading,
+                            decimal_value, range_bounds, read_reading)
 from .worldstate import CONTEXT_KINDS, EMPTY_STATE, OpBatch, op_from_value, state_digest
 
 
@@ -55,16 +55,6 @@ class ValidityRange:
         if (decimal_value(self.min_valid, "min_valid")
                 > decimal_value(self.max_valid, "max_valid")):
             raise InvalidArgument(f"empty validity range for {self.metric}")
-
-
-@dataclass(frozen=True)
-class MetricStats:
-    metric: str
-    count: int
-    mean: str
-    std_dev: str
-    min: str
-    max: str
 
 
 @dataclass(frozen=True)
@@ -87,16 +77,6 @@ def summary_digest(summary: EpochSummary) -> bytes:
     return digest_json(to_json_value(summary))
 
 
-def range_bounds(ranges: Iterable[ValidityRange]) -> dict[str, tuple[Decimal, Decimal]]:
-    """(min, max) per metric; two ranges for one metric raise DuplicateRange."""
-    out: dict[str, tuple[Decimal, Decimal]] = {}
-    for r in ranges:
-        if r.metric in out:
-            raise DuplicateRange(f"two ranges configured for {r.metric}")
-        out[r.metric] = (Decimal(r.min_valid), Decimal(r.max_valid))
-    return out
-
-
 def filter_out_of_scale(readings: Iterable, ranges: Iterable[ValidityRange]) -> tuple[list, list]:
     """Partition readings into (kept, excluded), preserving order.
 
@@ -105,7 +85,7 @@ def filter_out_of_scale(readings: Iterable, ranges: Iterable[ValidityRange]) -> 
     payload readers do. A reading is kept when its metric has no configured
     range or its value lies inside the inclusive bounds; everything else is
     treated as sensor malfunction or tampering and excluded from analysis.
-    The bound test is the one rollover and the audit fold with.
+    The bound test is the one the node and the audit fold with.
     """
     add = _EpochStats(range_bounds(ranges)).add
     kept: list = []
@@ -131,9 +111,10 @@ def summarize(readings: Iterable) -> list[MetricStats]:
     same strings, and verify_pruned_epoch compares them with ==. Square with
     `d * d`, never `** 2`: that calls libm pow, which may misround.
 
-    Each reading is checked as filter_out_of_scale checks it. Rollover and
-    the audit run the same fold (_EpochStats) under their ranges, over
-    texts checked once at submit or read, filtering and summarizing in one pass.
+    Each reading is checked as filter_out_of_scale checks it. The node (at
+    commit) and the audit run the same fold (_EpochStats) under their
+    ranges, over texts checked once at submit or read, filtering and
+    summarizing in one pass.
     """
     stats = _EpochStats({})
     for r in readings:
@@ -141,71 +122,15 @@ def summarize(readings: Iterable) -> list[MetricStats]:
     return list(stats.result()[0])
 
 
-class _Group:
-    """Running state of one metric: its values as floats, and the first
-    reading with the least and the first with the greatest decimal value."""
-
-    __slots__ = ("values", "least", "least_text", "greatest", "greatest_text")
-
-    def __init__(self, dec: Decimal, text: str):
-        self.values = [float(text)]
-        self.least = self.greatest = dec
-        self.least_text = self.greatest_text = text
-
-
-class _EpochStats:
-    """The one fold behind rollover, the audit and summarize: `add` filters
-    and folds in one reading's (metric, value text, Decimal of the text) and
-    says whether it was kept, and `result` renders (stats, excluded count).
-    Each metric's readings must come in commit order; how metrics interleave
-    does not matter. It keeps each kept value as a float, for the two-pass
-    variance, and no reading."""
-
-    __slots__ = ("bounds", "groups", "excluded")
-
-    def __init__(self, bounds: dict[str, tuple[Decimal, Decimal]]):
-        self.bounds = bounds
-        self.groups: dict[str, _Group] = {}
-        self.excluded = 0
-
-    def add(self, metric: str, text: str, dec: Decimal) -> bool:
-        limits = self.bounds.get(metric)
-        if limits is not None and not limits[0] <= dec <= limits[1]:
-            self.excluded += 1
-            return False
-        group = self.groups.get(metric)
-        if group is None:
-            self.groups[metric] = _Group(dec, text)
-            return True
-        group.values.append(float(text))
-        if dec < group.least:
-            group.least, group.least_text = dec, text
-        elif dec > group.greatest:
-            group.greatest, group.greatest_text = dec, text
-        return True
-
-    def result(self) -> tuple[tuple[MetricStats, ...], int]:
-        stats = []
-        for metric in sorted(self.groups):
-            group = self.groups[metric]
-            values = group.values
-            n = len(values)
-            mean = math.fsum(values) / n
-            variance = math.fsum((v - mean) * (v - mean) for v in values) / n
-            stats.append(MetricStats(metric, n, repr(mean), repr(math.sqrt(variance)),
-                                     group.least_text, group.greatest_text))
-        return tuple(stats), self.excluded
-
-
-def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
-                   window_start: int, window_end: int, pub,
+def rollover_epoch(node: PrivateNode, window_start: int, window_end: int, pub,
                    events: list) -> tuple[EpochSummary, object, PrivateNode]:
     """Close an epoch: collect, filter, summarize, anchor, then reset.
 
-    The readings are the node's held value texts, checked once at submit
-    and folded per metric in commit order; the ledger is not walked. An
-    empty or inverted window, or a held time span outside [window_start,
-    window_end), raises InvalidWindow before anything is published.
+    The stats are node.fold.result(): the node folded each reading, checked
+    at submit, as it committed it, under the ranges it was built with, so
+    neither the ledger nor any payload is read here. An empty or inverted
+    window, or a held time span outside [window_start, window_end), raises
+    InvalidWindow before anything is published.
 
     `pub` is the gateway's public-chain client (see public_chain.PublicClient).
     On any publication failure the private ledger is untouched and
@@ -223,17 +148,7 @@ def rollover_epoch(node: PrivateNode, ranges: Iterable[ValidityRange],
     span = node.time_span
     if span is not None and not window_start <= span[0] <= span[1] < window_end:
         raise InvalidWindow("ledger holds readings outside the epoch window")
-    # Each text is parsed once. The texts were checked at submit, and float() of
-    # a plain decimal literal equals float() of its Decimal (both round one exact
-    # value), so the fold's result() is (summarize(kept), len(excluded)) for
-    # (kept, excluded) = filter_out_of_scale(readings, ranges).
-    fold = _EpochStats(range_bounds(ranges))
-    add = fold.add
-    for metric, texts in node.values.items():
-        for text in texts:
-            add(metric, text, Decimal(text))
-    stats, excluded = fold.result()
-    del fold, add  # hold no float per reading through publish and reset
+    stats, excluded = node.fold.result()
     height, head_hash = head(node.ledger)
     summary = EpochSummary(
         channel_id=node.channel_id,

@@ -2,8 +2,8 @@
 
 A PrivateNode accepts sensor readings and context operations from a fixed
 set of authorized authors, batches them FIFO into blocks, and keeps its
-world state, and the value texts and time span of its committed readings,
-equal to a replay of its ledger after every commit. Once an epoch's
+world state, the statistics fold of its committed readings and their time
+span equal to those of its ledger after every commit. Once an epoch's
 anchor is confirmed, reset starts a fresh one-block ledger; the old ledger
 value stays alive for archival. Until the genesis block hashes the anchor,
 the link between epochs is the confirmed anchor on the public chain.
@@ -12,16 +12,24 @@ A reading is its payload; no record type holds one. reading_payload is its
 one writer. read_reading reads the bytes it writes by one pattern match when
 neither the id nor the value needs escaping, and any other payload by the
 reference reading_fields(canonical_loads()), with the same result or error.
+
+_EpochStats is the one statistics fold: the node folds each reading as it
+commits it, the audit as it reads it, and summarize over its records.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import re
+from array import array
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Any
+from typing import Any, Iterable
 
 from .canon import canonical_loads, encode_string
 from .errors import (
+    DuplicateRange,
     DuplicateTransaction,
     InvalidArgument,
     InvalidTransaction,
@@ -147,6 +155,88 @@ def reading_payload(head: str, timestamp: int, value: str) -> bytes:
     return f'{head}{timestamp},"value":"{value}"}}'.encode()
 
 
+@dataclass(frozen=True)
+class MetricStats:
+    metric: str
+    count: int
+    mean: str
+    std_dev: str
+    min: str
+    max: str
+
+
+def range_bounds(ranges: Iterable) -> dict[str, tuple[Decimal, Decimal]]:
+    """(min, max) per metric of gateway.ValidityRange records; two ranges for
+    one metric raise DuplicateRange."""
+    out: dict[str, tuple[Decimal, Decimal]] = {}
+    for r in ranges:
+        if r.metric in out:
+            raise DuplicateRange(f"two ranges configured for {r.metric}")
+        out[r.metric] = (Decimal(r.min_valid), Decimal(r.max_valid))
+    return out
+
+
+class _Group:
+    """Running state of one metric: its values as doubles, and the first
+    reading with the least and the first with the greatest decimal value."""
+
+    __slots__ = ("values", "least", "least_text", "greatest", "greatest_text")
+
+    def __init__(self, dec: Decimal, text: str):
+        self.values = array("d", (float(text),))
+        self.least = self.greatest = dec
+        self.least_text = self.greatest_text = text
+
+
+class _EpochStats:
+    """The one fold behind the node, the audit and summarize: `add` filters
+    and folds in one reading's (metric, value text, Decimal of the text) and
+    says whether it was kept, and `result` renders (stats, excluded count).
+    Each metric's readings must come in commit order; how metrics interleave
+    does not matter. It keeps each kept value as an 8-byte double, for the
+    two-pass variance, and no reading.
+
+    float() of a plain decimal literal equals float() of its Decimal (both
+    round one exact value), so for readings checked as check_reading checks
+    them, result() is (summarize(kept), len(excluded)) for (kept, excluded)
+    = filter_out_of_scale(readings, ranges) under the same bounds."""
+
+    __slots__ = ("bounds", "groups", "excluded")
+
+    def __init__(self, bounds: dict[str, tuple[Decimal, Decimal]]):
+        self.bounds = bounds
+        self.groups: dict[str, _Group] = {}
+        self.excluded = 0
+
+    def add(self, metric: str, text: str, dec: Decimal) -> bool:
+        limits = self.bounds.get(metric)
+        if limits is not None and not limits[0] <= dec <= limits[1]:
+            self.excluded += 1
+            return False
+        group = self.groups.get(metric)
+        if group is None:
+            self.groups[metric] = _Group(dec, text)
+            return True
+        group.values.append(float(text))
+        if dec < group.least:
+            group.least, group.least_text = dec, text
+        elif dec > group.greatest:
+            group.greatest, group.greatest_text = dec, text
+        return True
+
+    def result(self) -> tuple[tuple[MetricStats, ...], int]:
+        stats = []
+        for metric in sorted(self.groups):
+            group = self.groups[metric]
+            values = group.values
+            n = len(values)
+            mean = math.fsum(values) / n
+            variance = math.fsum((v - mean) * (v - mean) for v in values) / n
+            stats.append(MetricStats(metric, n, repr(mean), repr(math.sqrt(variance)),
+                                     group.least_text, group.greatest_text))
+        return tuple(stats), self.excluded
+
+
 class PrivateNode:
     """Single-writer node: submit fills the mempool, commit_batch drains it.
 
@@ -154,19 +244,21 @@ class PrivateNode:
     did not seal (see tcgw.ledger), and trusts the seal of one it did: the
     seal is proof that the id was computed from the same frozen fields.
     submit parses each payload once, a reading with read_reading, and keeps
-    what commit needs beside the mempool: a ContextOp, or a reading's
-    (metric, value text, timestamp); commit and rollover use that, not the
-    bytes. The node holds `values`, each metric's committed value texts in
-    commit order, and `time_span`, the (lowest, highest) committed reading
-    timestamp or None. Invariants after every call: state == replay(ledger),
-    and `values` and `time_span` equal those of the ledger's RawReading
-    payloads as reading_fields(canonical_loads()) reads them. Only the node
-    sets them. A node built over an existing `ledger` derives its known tx
-    ids and readings in one walk of it, and its state by replay.
+    what commit needs beside the mempool: a ContextOp, or read_reading's
+    result; commit uses that, not the bytes. Each committed reading is
+    folded into `fold`, the node's _EpochStats under range_bounds(ranges),
+    and `time_span`, the (lowest, highest) committed reading timestamp or
+    None; of the texts only each metric's least and greatest are held, and
+    rollover_epoch publishes fold.result(). Invariants after every call:
+    state == replay(ledger), and `fold` and `time_span` equal those of the
+    ledger's RawReading payloads as reading_fields(canonical_loads()) reads
+    them, folded in commit order under the same bounds. Only the node sets
+    them. A node built over an existing `ledger` derives its known tx ids
+    and folds its readings in one walk of it, and its state by replay.
     """
 
     def __init__(self, channel_id: str, authorized_authors, clock: int = 0,
-                 ledger: Ledger | None = None):
+                 ledger: Ledger | None = None, ranges: Iterable = ()):
         if not channel_id:
             raise InvalidArgument("channel_id must be non-empty")
         self.channel_id = channel_id
@@ -174,41 +266,46 @@ class PrivateNode:
         self.clock = clock
         self.ledger = ledger if ledger is not None else genesis()
         self.mempool: list[Transaction] = []
-        self._parsed: list[tuple[str, str, int] | ContextOp] = []  # one per mempool tx
+        self._parsed: list[tuple[str, str, str, int, Decimal] | ContextOp] = []  # per mempool tx
         self._known_ids: set[bytes] = set()
-        self.values: dict[str, list[str]] = {metric: [] for metric in METRICS}
+        self.fold = _EpochStats(range_bounds(ranges))
         self.time_span: tuple[int, int] | None = None
-        readings: list[tuple[str, str, int]] = []
-        for _, _, tx in iter_transactions(self.ledger):
-            self._known_ids.add(tx.tx_id)
-            if tx.kind is _RAW_READING:
-                _, metric, text, timestamp, _ = read_reading(tx.payload)
-                readings.append((metric, text, timestamp))
-        self._hold(readings)
+
+        def readings():  # one walk: every tx id, and each reading as it is read
+            for _, _, tx in iter_transactions(self.ledger):
+                self._known_ids.add(tx.tx_id)
+                if tx.kind is _RAW_READING:
+                    yield read_reading(tx.payload)
+
+        self._fold_in(readings())
         self.state: WorldState = replay(self.ledger)
 
     def __copy__(self) -> "PrivateNode":
         """An equal, independent node; only the immutable ledger and state are shared."""
         twin = object.__new__(type(self))
         twin.__dict__ = {**self.__dict__, "mempool": self.mempool[:], "_parsed": self._parsed[:],
-                         "_known_ids": set(self._known_ids),
-                         "values": {metric: texts[:] for metric, texts in self.values.items()}}
+                         "_known_ids": set(self._known_ids), "fold": copy.deepcopy(self.fold)}
         return twin
 
-    def _hold(self, readings: list[tuple[str, str, int]]) -> None:
-        """Add committed (metric, value text, timestamp) readings, in commit order."""
-        if not readings:
-            return
-        for metric, text, _ in readings:
-            self.values[metric].append(text)
-        times = [timestamp for _, _, timestamp in readings] + list(self.time_span or ())
-        self.time_span = (min(times), max(times))
+    def _fold_in(self, readings: Iterable[tuple[str, str, str, int, Decimal]]) -> None:
+        """Fold committed readings, read_reading's results in commit order,
+        into `fold` and `time_span`."""
+        add = self.fold.add
+        low, high = self.time_span or (math.inf, -math.inf)
+        for _, metric, text, timestamp, dec in readings:
+            add(metric, text, dec)
+            if timestamp < low:
+                low = timestamp
+            if timestamp > high:
+                high = timestamp
+        if low <= high:
+            self.time_span = (low, high)
 
     def submit(self, tx: Transaction) -> bool:
         """Queue a transaction; raises on wrong channel, author, duplicate,
         bad tx_id (checked by transaction_valid unless the transaction is
         sealed, as one from make_transaction is), an Anchor kind (a private
-        chain holds none), a payload that commit or rollover could not read,
+        chain holds none), a payload that commit could not read,
         or one that disagrees with the header: a reading's sensor and time
         must be the tx author and timestamp, a context op's kind the tx
         kind. A context op must also be one state_digest can encode once
@@ -223,12 +320,11 @@ class PrivateNode:
         if not sealed(tx) and not transaction_valid(tx):
             raise InvalidTransaction(len(self.mempool), "tx_id does not match payload")
         try:
-            parsed: tuple[str, str, int] | ContextOp
+            parsed: tuple[str, str, str, int, Decimal] | ContextOp
             if tx.kind is _RAW_READING:
-                sensor_id, metric, text, timestamp, _ = read_reading(tx.payload)
+                sensor_id, _, _, timestamp, _ = parsed = read_reading(tx.payload)
                 if sensor_id != tx.author_id or timestamp != tx.timestamp:
                     raise InvalidArgument("reading's sensor or time differs from its header")
-                parsed = (metric, text, timestamp)
             elif tx.kind in CONTEXT_KINDS:
                 parsed = parse_op(tx.payload)
                 if parsed.op is not tx.kind:
@@ -247,8 +343,8 @@ class PrivateNode:
         """Drain up to BATCH_SIZE mempool transactions into one block.
 
         The context ops submit kept are applied to a trial state before the
-        ledger advances, and the block's readings join the held values and
-        time span only once it is appended. So a commit that raises
+        ledger advances, and the block's readings are folded, with the
+        Decimals submit's read computed, only once it is appended. So a commit that raises
         (PathTypeConflict) changes nothing, and the node invariants hold
         afterwards. Returns None when the mempool is empty.
         """
@@ -260,18 +356,21 @@ class PrivateNode:
         new_ledger, block = append_block(self.ledger, batch, self.clock)
         self.ledger = new_ledger
         self.state = trial
-        self._hold([p for p in parsed if type(p) is tuple])
+        self._fold_in(p for p in parsed if type(p) is tuple)
         del self.mempool[:len(batch)]
         del self._parsed[:len(batch)]
         return block
 
     def reset(self) -> "PrivateNode":
         """Fresh node for the next epoch: same channel, authors and clock, a
-        genesis-only ledger. rollover_epoch calls it once the anchor is confirmed.
+        genesis-only ledger and an empty fold under the same bounds, which are
+        not parsed again. rollover_epoch calls it once the anchor is confirmed.
 
         The receiver is left untouched (its ledger is the archive); pending
         transactions must be committed or dropped first.
         """
         if self.mempool:
             raise NonEmptyMempool(f"{len(self.mempool)} transactions still pending")
-        return PrivateNode(self.channel_id, self.authorized_authors, clock=self.clock)
+        fresh = PrivateNode(self.channel_id, self.authorized_authors, clock=self.clock)
+        fresh.fold = _EpochStats(self.fold.bounds)
+        return fresh

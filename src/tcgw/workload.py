@@ -19,11 +19,11 @@ from typing import Any, Callable
 
 from .canon import canonical_loads, from_json_value, to_json_value
 from .errors import InvalidArgument, InvalidWindow
-from .gateway import ValidityRange, range_bounds, rollover_epoch, verify_pruned_epoch
+from .gateway import ValidityRange, rollover_epoch, verify_pruned_epoch
 from .ledger import (MAX_TIMESTAMP, Ledger, Transaction, TxKind, head, ledger_size_bytes,
                      make_transaction)
-from .private_chain import (BATCH_SIZE, METRICS, PrivateNode, decimal_value, reading_head,
-                            reading_payload)
+from .private_chain import (BATCH_SIZE, METRICS, PrivateNode, decimal_value, range_bounds,
+                            reading_head, reading_payload)
 from .public_chain import DEFAULT_CONFIRMATIONS, OPERATIONS_ARRAY, PublicChain, PublicClient
 from .rng import SplitMix64, derive_seed
 from .worldstate import ContextOp, op_payload
@@ -217,12 +217,15 @@ def generate_readings(cfg: FieldConfig, window_start: int, window_end: int,
     payload is reading_payload of its sensor's reading_head; the spike is
     checked once per sensor, and a sampled value is a plain literal inside
     the SensorSpec's bounds, so no reading is checked here (submit checks each).
+    Sensors on one sampling interval share one list of the window's
+    timestamps, so their transactions share each timestamp's int.
     """
     if window_start >= window_end:
         raise InvalidWindow(f"[{window_start}, {window_end}) is empty or inverted")
     fault_rate = float(Decimal(cfg.fault_rate))
     channel_id, kind = cfg.channel_id, TxKind.RAW_READING
     txs: list[Transaction] = []
+    times: dict[int, list[int]] = {}  # sampling interval -> the window's timestamps
     for sensor in cfg.sensors:
         rng = SplitMix64(derive_seed(
             cfg.seed, f"readings/{channel_id}/{sensor.sensor_id}/{window_start}:{window_end}"))
@@ -231,7 +234,9 @@ def generate_readings(cfg: FieldConfig, window_start: int, window_end: int,
         decimal_value(spike, f"{sensor.metric} fault spike")
         head, author = reading_head(sensor.sensor_id, sensor.metric), sensor.sensor_id
         uniform, draw = rng.uniform, rng.random
-        for t in range(window_start, window_end, sensor.interval):
+        if sensor.interval not in times:
+            times[sensor.interval] = list(range(window_start, window_end, sensor.interval))
+        for t in times[sensor.interval]:
             sampled = uniform(low, high)
             value = spike if draw() < fault_rate else f"{sampled:.3f}"
             txs.append(make_transaction(channel_id, t, kind, reading_payload(head, t, value),
@@ -290,7 +295,7 @@ def run_scenario(cfg: ScenarioConfig,
     clients: dict[str, PublicClient] = {}
     for f in fields:
         authors = {s.sensor_id for s in f.sensors} | {f.ops_author}
-        nodes[f.channel_id] = PrivateNode(f.channel_id, authors)
+        nodes[f.channel_id] = PrivateNode(f.channel_id, authors, ranges=cfg.ranges)
         clients[f.channel_id] = PublicClient(pub, f.gateway_id)
 
     events: list[dict] = []
@@ -309,7 +314,8 @@ def run_scenario(cfg: ScenarioConfig,
             txs = generate_readings(f, window_start, window_end, cfg.ranges)
             generated = len(txs)
             ops = generate_context_ops(f, window_start, window_end)
-            txs += [make_transaction(f.channel_id, t, op.op, op_payload(op), f.ops_author)
+            author = f.ops_author  # one str for every op: the property builds a new one
+            txs += [make_transaction(f.channel_id, t, op.op, op_payload(op), author)
                     for t, op in ops]
             cultural = sum(1 for _, op in ops if op.op is TxKind.APPEND_TO_ARRAY)
             del ops  # the transactions carry them; submit parses its own copies
@@ -327,10 +333,9 @@ def run_scenario(cfg: ScenarioConfig,
             pre_size = ledger_size_bytes(node.ledger)
             pub.clock = window_end
             summary, _, new_node = rollover_epoch(
-                node, cfg.ranges, window_start, window_end,
-                clients[f.channel_id], events)
+                node, window_start, window_end, clients[f.channel_id], events)
             ledger = node.ledger
-            # Rebinding drops the archived node, and its held value texts
+            # Rebinding drops the archived node, and its fold's doubles
             # with it, before the audit walks the archive.
             nodes[f.channel_id] = node = new_node
             verification = verify_pruned_epoch(ledger, summary, pub, cfg.ranges)

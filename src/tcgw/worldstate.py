@@ -11,15 +11,17 @@ A state is a read-only mapping from document id to body. Bodies are
 immutable from the caller's point of view: apply_ops copies each touched
 container once per batch, shares everything else, and leaves its input
 state usable and digest-identical even when an operation fails.
+state_digest hashes each document as it encodes it, a piece at a time.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
-from .canon import canonical_json, canonical_loads, sha256
+from .canon import canonical_json, canonical_loads, feed_canonical_json, sha256
 from .errors import InvalidArgument, PathTypeConflict
 from .ledger import KIND_BY_LABEL, Ledger, TxKind, iter_transactions, slot_setters
 
@@ -169,9 +171,14 @@ def state_digest(ws: WorldState) -> bytes:
     """Digest over documents sorted by id; independent of insertion order.
 
     Each entry contributes sha256(doc_id || canonical_json(body)); the
-    empty state digests the empty byte string.
+    empty state digests the empty byte string. Each body is hashed as it is
+    encoded (feed_canonical_json), so no document's encoding is held whole.
     """
-    parts = [sha256(doc_id.encode("utf-8") + canonical_json(ws[doc_id])) for doc_id in sorted(ws)]
+    parts = []
+    for doc_id in sorted(ws):
+        entry = hashlib.sha256(doc_id.encode("utf-8"))
+        feed_canonical_json(ws[doc_id], entry.update)
+        parts.append(entry.digest())
     return sha256(b"".join(parts))
 
 

@@ -75,9 +75,10 @@ def build_ledger(channel: str = "fieldA", n_txs: int = 50, per_block: int = 1) -
 
 def node_with_readings(channel: str = "fieldA", n: int = 60,
                        window_start: int = 0, spacing: int = 10,
-                       sensor: str = "s-0", seed: int = 7) -> PrivateNode:
-    """Committed node whose readings all fall in [window_start, window_start+n*spacing)."""
-    node = PrivateNode(channel, {sensor})
+                       sensor: str = "s-0", seed: int = 7, ranges=()) -> PrivateNode:
+    """Committed node whose readings all fall in [window_start, window_start+n*spacing),
+    folded under `ranges`."""
+    node = PrivateNode(channel, {sensor}, ranges=ranges)
     rng = SplitMix64(derive_seed(seed, channel))
     for i in range(n):
         ts = window_start + i * spacing

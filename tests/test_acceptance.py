@@ -154,7 +154,8 @@ def test_criterion_3_publish_before_prune():
 
         # injected rejection: even seeds an unregistered gateway, odd seeds a
         # submission that never reaches confirmation depth
-        node = node_with_readings(channel="fieldA", n=20, spacing=10, seed=seed)
+        node = node_with_readings(channel="fieldA", n=20, spacing=10, seed=seed,
+                                  ranges=[TEMP_RANGE])
         before = head(node.ledger)
         if seed % 2 == 0:
             pub = PublicChain(["val-0"], gateways=())
@@ -163,7 +164,7 @@ def test_criterion_3_publish_before_prune():
             pub = PublicChain(["val-0"], gateways=("gw-fieldA",))
             client = NeverConfirms(pub, "gw-fieldA")
         with pytest.raises(PublishFailed):
-            rollover_epoch(node, [TEMP_RANGE], 0, 200, client, [])
+            rollover_epoch(node, 0, 200, client, [])
         assert head(node.ledger) == before
 
 

@@ -16,7 +16,8 @@ from tcgw import canon
 from tcgw.canon import (canonical_json, canonical_loads, digest_json, from_json_value, sha256,
                         to_json_value)
 from tcgw.errors import InvalidArgument, UnsupportedValue
-from tcgw.gateway import EpochSummary, MetricStats
+from tcgw.gateway import EpochSummary
+from tcgw.private_chain import MetricStats
 
 
 def test_keys_sorted():

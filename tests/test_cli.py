@@ -350,7 +350,7 @@ def _file_audit_peak(tmp_path, n: int, tampered: bool = False) -> int:
     audits the archive file of an honest epoch of n readings, or of one
     with the first digit of its first reading's value flipped. Either audit
     reads the file once."""
-    node = node_with_readings(n=n, spacing=10)
+    node = node_with_readings(n=n, spacing=10, ranges=(TEMP_RANGE,))
     pub = _pub()
     _rollover(node, pub, 0, n * 10)
     path = save_ledger(node.ledger, tmp_path / f"fieldA.n{n}.tcgw")
@@ -382,8 +382,8 @@ def _file_audit_peak(tmp_path, n: int, tampered: bool = False) -> int:
 
 def test_verify_holds_the_file_and_no_transaction_per_transaction(tmp_path):
     """The file audit streams the decoded blocks: its peak grows per archived
-    reading by the file's bytes (142) and a float and a list slot for the
-    stats (32), 174 bytes here, not by every decoded transaction beside
+    reading by the file's bytes (142) and a double for the stats (8), 151
+    bytes here, not by every decoded transaction beside
     them (438 bytes when the audit loaded the whole ledger first). A broken
     chain's stats are folded from the same block stream, so a tampered
     archive's audit grows alike (452 bytes when it read the file again into

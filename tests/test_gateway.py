@@ -29,10 +29,10 @@ from tcgw import (
 )
 from tcgw.canon import from_json_value, to_json_value
 from tcgw.errors import DuplicateRange, InvalidArgument, NonEmptyMempool, PublishFailed
-from tcgw.gateway import (EpochSummary, MetricStats, filter_out_of_scale, summarize,
-                          summary_digest, verify_archive)
+from tcgw.gateway import (EpochSummary, filter_out_of_scale, summarize, summary_digest,
+                          verify_archive)
 from tcgw.ledger import iter_transactions, make_block, save_ledger
-from tcgw.private_chain import BATCH_SIZE, METRICS, reading_fields
+from tcgw.private_chain import BATCH_SIZE, METRICS, MetricStats, reading_fields
 from tcgw.worldstate import CONTEXT_KINDS, parse_op
 
 from helpers import (NeverConfirms, Reading, ledger_readings, node_with_readings,
@@ -127,13 +127,13 @@ def _epoch_stats_three_ways(pairs, ranges):
     readings = [_reading(value, i, metric) for i, (metric, value) in enumerate(pairs)]
     kept, excluded = filter_out_of_scale(readings, ranges)
     direct = (tuple(summarize(kept)), len(excluded))
-    node = PrivateNode("fieldA", {"s-0"})
+    node = PrivateNode("fieldA", {"s-0"}, ranges=ranges)
     for reading in readings:
         node.submit(reading_transaction("fieldA", reading))
     while node.mempool:
         node.commit_batch()
     pub = _pub()
-    summary, _, _ = _rollover(node, pub, 0, max(len(readings), 1), ranges)
+    summary, _, _ = _rollover(node, pub, 0, max(len(readings), 1))
     assert verify_pruned_epoch(node.ledger, summary, pub, ranges).ok
     return direct, (summary.stats, summary.excluded_count)
 
@@ -256,17 +256,16 @@ def test_summary_json_roundtrip():
             from_json_value(EpochSummary, bad)
 
 
-def _rollover(node, pub, start, end, ranges=(TEMP_RANGE,)):
+def _rollover(node, pub, start, end):
     client = PublicClient(pub, "gw-fieldA")
-    return rollover_epoch(node, ranges, start, end, client, [])
+    return rollover_epoch(node, start, end, client, [])
 
 
 def test_rollover_end_to_end():
-    node = node_with_readings(n=300, spacing=10)  # readings in [0, 3000)
+    node = node_with_readings(ranges=(TEMP_RANGE,), n=300, spacing=10)  # readings in [0, 3000)
     pub = _pub()
     events: list = []
-    summary, record, fresh = rollover_epoch(node, (TEMP_RANGE,), 0, 3000,
-                                            PublicClient(pub, "gw-fieldA"), events)
+    summary, record, fresh = rollover_epoch(node, 0, 3000, PublicClient(pub, "gw-fieldA"), events)
     assert sum(s.count for s in summary.stats) + summary.excluded_count == 300
     assert summary.epoch_index == 0
     assert (summary.ledger_height, summary.ledger_head_hash) == head(node.ledger)
@@ -283,27 +282,27 @@ def test_rollover_end_to_end():
     ((), PublicClient, []),
 ], ids=["published", "unconfirmed", "rejected"])
 def test_rollover_appends_each_event_as_its_step_happens(gateways, client_type, steps):
-    node = node_with_readings(n=20, spacing=10)
+    node = node_with_readings(ranges=(TEMP_RANGE,), n=20, spacing=10)
     client = client_type(_pub(gateways=gateways), "gw-fieldA")
     events: list = [{"event": "earlier"}]
     if steps[-1:] == ["ledger_reset"]:
-        rollover_epoch(node, (TEMP_RANGE,), 0, 200, client, events)
+        rollover_epoch(node, 0, 200, client, events)
     else:
         with pytest.raises(PublishFailed):
-            rollover_epoch(node, (TEMP_RANGE,), 0, 200, client, events)
+            rollover_epoch(node, 0, 200, client, events)
     assert events == [{"event": "earlier"}] + [
         {"event": step, "channel": "fieldA", "epoch": 0} for step in steps]
 
 
 def test_rollover_requires_empty_mempool():
-    node = node_with_readings(n=5, spacing=1)
+    node = node_with_readings(ranges=(TEMP_RANGE,), n=5, spacing=1)
     node.submit(reading_tx("fieldA", 99, timestamp=99))
     with pytest.raises(NonEmptyMempool):
         _rollover(node, _pub(), 0, 1000)
 
 
 def test_rollover_rejection_leaves_ledger_untouched():
-    node = node_with_readings(n=50, spacing=10)
+    node = node_with_readings(ranges=(TEMP_RANGE,), n=50, spacing=10)
     pub = _pub(gateways=())  # gateway not registered -> submission rejected
     before = head(node.ledger)
     with pytest.raises(PublishFailed):
@@ -313,7 +312,7 @@ def test_rollover_rejection_leaves_ledger_untouched():
 
 
 def test_consecutive_rollovers_are_contiguous():
-    node = node_with_readings(n=30, spacing=10)  # [0, 300)
+    node = node_with_readings(ranges=(TEMP_RANGE,), n=30, spacing=10)  # [0, 300)
     pub = _pub()
     s0, _, node2 = _rollover(node, pub, 0, 300)
     node2.clock = 300
@@ -329,13 +328,13 @@ def test_consecutive_rollovers_are_contiguous():
 
 def test_rollover_rejects_window_not_covering_ledger():
     from tcgw.errors import InvalidWindow
-    node = node_with_readings(n=50, spacing=10)  # readings up to ts 490
+    node = node_with_readings(ranges=(TEMP_RANGE,), n=50, spacing=10)  # readings up to ts 490
     with pytest.raises(InvalidWindow):
         _rollover(node, _pub(), 0, 100)
 
 
 def _honest_epoch():
-    node = node_with_readings(n=120, spacing=10)
+    node = node_with_readings(ranges=(TEMP_RANGE,), n=120, spacing=10)
     pub = _pub()
     summary, record, _ = _rollover(node, pub, 0, 1200)
     return node.ledger, summary, pub
@@ -350,7 +349,7 @@ def test_verify_pruned_epoch_honest_run():
 def _audit_peak(n: int) -> int:
     """Bytes the traced heap peaks above its level before verify_pruned_epoch
     audits an honest epoch of n readings."""
-    node = node_with_readings(n=n, spacing=10)
+    node = node_with_readings(ranges=(TEMP_RANGE,), n=n, spacing=10)
     pub = _pub()
     summary, _, _ = _rollover(node, pub, 0, n * 10)
     tracemalloc.start()
@@ -363,11 +362,12 @@ def _audit_peak(n: int) -> int:
 
 
 def test_verify_pruned_epoch_holds_no_reading_per_reading():
-    """The audit streams each reading into the stats: its peak grows by a
-    float and a list slot per reading (32 bytes), not by a SensorReading and
-    its strings (about 300 bytes)."""
+    """The audit streams each reading into the stats: its peak grows by one
+    8-byte double per kept reading (9 bytes here), not by a float object and
+    a list slot (32 bytes when the fold kept those) nor by a SensorReading
+    and its strings (about 300 bytes)."""
     n = 1000
-    assert (_audit_peak(2 * n) - _audit_peak(n)) / n < 100
+    assert (_audit_peak(2 * n) - _audit_peak(n)) / n < 16
 
 
 def _node_heap(n: int) -> int:
@@ -379,7 +379,7 @@ def _node_heap(n: int) -> int:
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        node = PrivateNode("fieldA", {"s-0"})
+        node = PrivateNode("fieldA", {"s-0"}, ranges=(TEMP_RANGE,))
         for tx in txs:
             node.clock = tx.timestamp
             node.submit(tx)
@@ -392,12 +392,13 @@ def _node_heap(n: int) -> int:
         tracemalloc.stop()
 
 
-def test_node_holds_a_value_text_per_committed_reading():
-    """Each committed reading adds its value text and a list slot to the
-    node (74 bytes with its share of the block and the known-id set), not
-    a SensorReading (166 bytes when the node held those)."""
+def test_node_holds_no_value_text_per_committed_reading():
+    """Each committed reading adds one 8-byte double to the node's fold (22
+    bytes with its share of the block and the known-id set), not its value
+    text and a list slot (78 bytes when the node held those texts for
+    rollover to fold) nor a SensorReading (166 bytes before that)."""
     n = 2000
-    assert (_node_heap(2 * n) - _node_heap(n)) / n < 120
+    assert (_node_heap(2 * n) - _node_heap(n)) / n < 40
 
 
 def test_submit_and_audit_build_no_reading():
@@ -406,7 +407,7 @@ def test_submit_and_audit_build_no_reading():
     flipped payload byte fails chain and stats."""
     n = 250
     txs = [reading_tx("fieldA", i, sensor=f"s-{i % 2}", metric=METRICS[i % 4]) for i in range(n)]
-    node = PrivateNode("fieldA", {"s-0", "s-1"})
+    node = PrivateNode("fieldA", {"s-0", "s-1"}, ranges=(TEMP_RANGE,))
     for tx in txs:
         node.clock = tx.timestamp
         node.submit(tx)
@@ -463,7 +464,7 @@ def test_verify_pruned_epoch_detects_missing_anchor():
 def _epoch_with_ops():
     """Honest epoch of 60 readings in [0, 600) plus two updates and two
     appends to one document, over several blocks."""
-    node = PrivateNode("fieldA", {"s-0", "op-author"})
+    node = PrivateNode("fieldA", {"s-0", "op-author"}, ranges=(TEMP_RANGE,))
 
     def submit(tx):
         node.submit(tx)

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import pickle
 import random
+from array import array
 from decimal import Decimal
 
 import pytest
@@ -28,11 +29,11 @@ from tcgw import (
     verify_chain,
 )
 from tcgw.canon import canonical_json, canonical_loads
-from tcgw.gateway import summarize
+from tcgw.gateway import ValidityRange, filter_out_of_scale, summarize
 from tcgw import ledger as ledger_module
 from tcgw.ledger import Transaction, iter_transactions, load_ledger, save_ledger, sealed
-from tcgw.private_chain import (METRICS, decimal_value, read_reading, reading_fields,
-                                reading_head)
+from tcgw.private_chain import (METRICS, MetricStats, decimal_value, read_reading,
+                                reading_fields, reading_head)
 from tcgw.workload import FieldConfig, SensorSpec, generate_readings
 from tcgw.worldstate import op_from_value
 from tcgw.errors import (
@@ -55,16 +56,18 @@ def _node(channel="fieldA", authors=("s-0",), **kwargs) -> PrivateNode:
 
 
 def _held(node: PrivateNode) -> tuple:
-    """What the node holds of its committed readings: the value texts per
-    metric in commit order, and the (lowest, highest) timestamp or None."""
-    return node.values, node.time_span
+    """What the node holds of its committed readings: its fold's (stats,
+    excluded count), and the (lowest, highest) timestamp or None."""
+    return node.fold.result(), node.time_span
 
 
-def _derived(ledger) -> tuple:
-    """What a node over `ledger` must hold, derived from a parse of all of it."""
+def _derived(ledger, ranges=()) -> tuple:
+    """What a node over `ledger` under `ranges` must hold, derived from a
+    parse of all of it by the reference filter_out_of_scale and summarize."""
     readings = ledger_readings(ledger, 0, 1 << 64)
+    kept, excluded = filter_out_of_scale(readings, ranges)
     times = [r.timestamp for r in readings]
-    return ({metric: [r.value for r in readings if r.metric == metric] for metric in METRICS},
+    return ((tuple(summarize(kept)), len(excluded)),
             (min(times), max(times)) if times else None)
 
 
@@ -231,8 +234,8 @@ def test_submit_rejects_payload_later_stages_cannot_read(kind, payload):
     # the channel stays usable: a good reading still commits and reads back
     node.submit(reading_tx("fieldA", 0))
     node.commit_batch()
-    assert _held(node) == ({**{m: [] for m in METRICS}, "temperature_c": ["20.5"]}, (0, 0))
-    assert _held(node) == _derived(node.ledger)
+    one = MetricStats("temperature_c", 1, "20.5", "0.0", "20.5", "20.5")
+    assert _held(node) == (((one,), 0), (0, 0)) == _derived(node.ledger)
 
 
 @pytest.mark.parametrize("kind, payload", [
@@ -263,9 +266,10 @@ def test_reading_from_value_refuses_a_sensor_id_that_is_not_a_string(sensor_id):
 
 
 def test_parsed_readings_share_their_name_strings(tmp_path):
-    """A node, built by submits or over a reloaded ledger, holds only value
-    texts, keyed by the METRICS strings, not the parse's own copies, equal
-    to a parse of the ledger."""
+    """A node, built by submits or over a reloaded ledger, folds its readings
+    under the METRICS strings, not the parse's own copies, holding each kept
+    value as a double and no value text beyond each metric's least and
+    greatest, equal to a fold of a parse of the ledger."""
     node = _node(authors=("s-0", "s-1"))
     for i in range(40):
         node.submit(reading_tx("fieldA", i, sensor=f"s-{i % 2}", metric=METRICS[i % 4]))
@@ -276,8 +280,9 @@ def test_parsed_readings_share_their_name_strings(tmp_path):
     reloaded = PrivateNode("fieldA", {"s-0", "s-1"}, ledger=load_ledger(path))
     assert _held(reloaded) == _held(node)
     for held in (node, reloaded):
-        assert [id(metric) for metric in held.values] == [id(metric) for metric in METRICS]
-        assert {type(text) for texts in held.values.values() for text in texts} == {str}
+        assert sorted(map(id, held.fold.groups)) == sorted(map(id, METRICS))
+        assert {(type(group.values), group.values.typecode)
+                for group in held.fold.groups.values()} == {(array, "d")}
 
 
 @pytest.mark.parametrize("read, value", [
@@ -335,7 +340,7 @@ def test_op_at_the_nesting_limit_is_admitted_and_rolls_over(kind, arrays):
     node.submit(_op_tx(0, op_payload(at_limit), kind))
     node.commit_batch()
     pub = PublicChain(["val-0"], ["gw-fieldA"], confirmations_required=1)
-    summary, _, _ = rollover_epoch(node, (), 0, 10, PublicClient(pub, "gw-fieldA"), [])
+    summary, _, _ = rollover_epoch(node, 0, 10, PublicClient(pub, "gw-fieldA"), [])
     assert summary.state_digest == state_digest(replay(node.ledger))
 
 
@@ -394,7 +399,10 @@ def test_commit_rejects_conflicting_op_without_side_effects():
 
 
 def test_copy_is_an_equal_independent_node():
-    node = _node(authors=("s-0", "op-a"))
+    """Committing into a copy leaves the original's fold, known ids and
+    ledger as they were; the copy's fold is its own."""
+    ranges = (ValidityRange("temperature_c", "21", "30"),)  # excludes 20.5
+    node = _node(authors=("s-0", "op-a"), ranges=ranges)
     op = ContextOp(TxKind.UPDATE_FIELD, "d", ("k",), 1)
     node.submit(make_transaction("fieldA", 0, op.op, op_payload(op), "op-a"))
     node.submit(reading_tx("fieldA", 0))
@@ -410,14 +418,15 @@ def test_copy_is_an_equal_independent_node():
     twin.submit(reading_tx("fieldA", 2))
     twin.clock = 2
     twin.commit_batch()
-    assert twin.values["temperature_c"] == ["20.5", "21.5", "22.5"]
+    assert twin.fold.result() == (
+        (MetricStats("temperature_c", 2, "22.0", "0.5", "21.5", "22.5"),), 1)
     assert twin.time_span == (0, 2)
     assert view(node) == before
     assert node.submit(reading_tx("fieldA", 2))  # the twin's ids are its own
     with pytest.raises(DuplicateTransaction):
         twin.submit(reading_tx("fieldA", 2))
     node.commit_batch()
-    assert _held(node) == _held(twin) == _derived(node.ledger)
+    assert _held(node) == _held(twin) == _derived(node.ledger, ranges)
     assert state_digest(node.state) == state_digest(replay(node.ledger))
 
 
@@ -446,7 +455,7 @@ def test_reset_refuses_pending_transactions():
 
 def _rollover(node: PrivateNode, start: int, end: int):
     pub = PublicChain(["val-0"], [f"gw-{node.channel_id}"], confirmations_required=1)
-    return rollover_epoch(node, (), start, end, PublicClient(pub, f"gw-{node.channel_id}"), [])
+    return rollover_epoch(node, start, end, PublicClient(pub, f"gw-{node.channel_id}"), [])
 
 
 def test_readings_window_is_half_open():
@@ -471,7 +480,7 @@ def test_readings_window_rejects_inverted():
 
 def test_readings_window_empty_ledger():
     node = _node()
-    assert _held(node) == ({metric: [] for metric in METRICS}, None) == _derived(node.ledger)
+    assert _held(node) == (((), 0), None) == _derived(node.ledger)
     summary, _, _ = _rollover(node, 0, 100)
     assert (summary.stats, summary.excluded_count) == ((), 0)
 
@@ -480,7 +489,8 @@ def test_readings_window_matches_linear_scan():
     node = node_with_readings(n=120, spacing=7)
     scanned = [canonical_loads(tx.payload) for _, _, tx in iter_transactions(node.ledger)
                if tx.kind is TxKind.RAW_READING]
-    assert node.values["temperature_c"] == [value["value"] for value in scanned]
+    assert list(node.fold.groups["temperature_c"].values) == [float(value["value"])
+                                                              for value in scanned]
     assert node.time_span == (0, 119 * 7)
     assert _held(node) == _derived(node.ledger)
 
@@ -688,18 +698,21 @@ _steps = st.lists(st.tuples(
     st.integers(0, 40),
 ), max_size=30)
 _windows = st.lists(st.tuples(st.integers(0, 45), st.integers(1, 20)), min_size=1, max_size=3)
+# the readings' values run from 20.5 to 29.5: each range excludes some
+_HELD_RANGES = (ValidityRange("temperature_c", "21", "27"), ValidityRange("humidity_pct", "0", "25"))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(steps=_steps, windows=_windows)
 def test_held_readings_equal_ledger_readings(tmp_path_factory, steps, windows):
     """Across valid and rejected submits, commits (conflicting ones too) and
-    nodes built over a saved and reloaded ledger, the held value texts and
-    time span equal those of a parse of the ledger. At the end, rollover
-    takes a window exactly when a linear scan finds every reading inside
-    it, and then publishes the stats of that scan."""
+    nodes built over a saved and reloaded ledger, the node's fold and time
+    span equal those of a parse of the ledger under the node's ranges. At
+    the end, rollover takes a window exactly when a linear scan finds every
+    reading inside it, and then publishes the stats of that scan, which a
+    node built over the archived ledger folds to as well."""
     authors = {"s-0", "s-1", "op-a"}
-    node = PrivateNode("fieldA", authors)
+    node = PrivateNode("fieldA", authors, ranges=_HELD_RANGES)
     path = tmp_path_factory.mktemp("held") / "fieldA.tcgw"
 
     for n, (action, sensor, ts) in enumerate(steps):
@@ -729,7 +742,8 @@ def test_held_readings_equal_ledger_readings(tmp_path_factory, steps, windows):
             except PathTypeConflict:
                 assert (head(node.ledger), _held(node)) == before
                 # the conflicting op blocks the mempool: restart over the ledger
-                node = PrivateNode("fieldA", authors, clock=node.clock, ledger=node.ledger)
+                node = PrivateNode("fieldA", authors, clock=node.clock, ledger=node.ledger,
+                                   ranges=_HELD_RANGES)
         else:
             while node.mempool:
                 try:
@@ -738,12 +752,13 @@ def test_held_readings_equal_ledger_readings(tmp_path_factory, steps, windows):
                     break
             save_ledger(node.ledger, path)
             node = PrivateNode("fieldA", authors, clock=node.clock,
-                               ledger=load_ledger(path))
+                               ledger=load_ledger(path), ranges=_HELD_RANGES)
 
-        assert _held(node) == _derived(node.ledger)
+        assert _held(node) == _derived(node.ledger, _HELD_RANGES)
         assert state_digest(node.state) == state_digest(replay(node.ledger))
 
-    node = PrivateNode("fieldA", authors, clock=node.clock, ledger=node.ledger)  # no mempool
+    node = PrivateNode("fieldA", authors, clock=node.clock, ledger=node.ledger,
+                       ranges=_HELD_RANGES)  # no mempool
     readings = ledger_readings(node.ledger, 0, 1 << 64)
     for start, length in [(0, 41), *windows]:
         inside = ledger_readings(node.ledger, start, start + length)
@@ -752,4 +767,7 @@ def test_held_readings_equal_ledger_readings(tmp_path_factory, steps, windows):
                 _rollover(node, start, start + length)
             continue
         summary, _, _ = _rollover(node, start, start + length)
-        assert (summary.stats, summary.excluded_count) == (tuple(summarize(inside)), 0)
+        kept, excluded = filter_out_of_scale(inside, _HELD_RANGES)
+        assert (summary.stats, summary.excluded_count) == (tuple(summarize(kept)), len(excluded))
+        archived = PrivateNode("fieldA", authors, ledger=node.ledger, ranges=_HELD_RANGES)
+        assert archived.fold.result() == (summary.stats, summary.excluded_count)

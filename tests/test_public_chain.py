@@ -15,7 +15,8 @@ from tcgw import (
 )
 from tcgw.canon import canonical_json, canonical_loads
 from tcgw.errors import DuplicateEpoch, InvalidArgument, InvalidChain, UnknownGateway
-from tcgw.gateway import EpochSummary, MetricStats, summary_digest
+from tcgw.gateway import EpochSummary, summary_digest
+from tcgw.private_chain import MetricStats
 from tcgw.ledger import save_ledger
 from tcgw.public_chain import AnchorRecord
 

@@ -335,26 +335,51 @@ def test_run_scenario_decodes_no_reading_as_json(monkeypatch):
     assert len(decoded) == 2 * (len(txs) - len(readings)) == 48
 
 
-def test_run_scenario_parses_each_reading_value_three_times(monkeypatch):
+def test_run_scenario_parses_each_reading_value_twice(monkeypatch):
     """Work counter: each reading's value is parsed as a Decimal once each
-    by submit's check, the rollover fold of the node's held texts and the
-    in-run audit, whose check hands its Decimal to the fold. The generator
-    parses none; it checks its sensor's fault spike once per window."""
+    by submit's check, whose Decimal the node folds in at commit, and the
+    in-run audit, whose check hands its Decimal to the audit's fold.
+    Rollover parses none and reads no payload: it publishes the node's
+    fold. The generator parses none; it checks its sensor's fault spike
+    once per window."""
+    import sys
     from decimal import Decimal
-    from tcgw import gateway, private_chain
+    from tcgw import private_chain, workload
     from tcgw.ledger import iter_transactions
     from tcgw.workload import _spike_value
     parsed: list = []
+    in_rollover: list = []  # what each rollover_epoch call parsed or read
+    read = private_chain.read_reading
+    rollover = workload.rollover_epoch
 
     def counting(value="0", *args):
         parsed.append(value)
+        if in_rollover:
+            in_rollover[-1].append(("Decimal", value))
         return Decimal(value, *args)
 
+    def counting_read(payload):
+        if in_rollover:
+            in_rollover[-1].append(("read_reading", payload))
+        return read(payload)
+
+    def watched_rollover(*args):
+        in_rollover.append([])
+        result = rollover(*args)
+        rolled.append(in_rollover.pop())
+        return result
+
+    rolled: list = []
     cfg = small_scenario(epochs=3)
-    for module in (private_chain, gateway):
-        monkeypatch.setattr(module, "Decimal", counting)
+    for name, module in list(sys.modules.items()):
+        for attr, original, counted in (("Decimal", Decimal, counting),
+                                        ("read_reading", read, counting_read)):
+            if name.split(".")[0] == "tcgw" and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted)
+    monkeypatch.setattr(workload, "rollover_epoch", watched_rollover)
     result = run_scenario(cfg)
     monkeypatch.undo()
+    assert rolled == [[]] * (cfg.epochs * len(cfg.fields))
     values = [canonical_loads(tx.payload)["value"] for ledger in result.archives.values()
               for _, _, tx in iter_transactions(ledger) if tx.kind is TxKind.RAW_READING]
     bounds = {text for r in cfg.ranges for text in (r.min_valid, r.max_valid)}
@@ -362,7 +387,7 @@ def test_run_scenario_parses_each_reading_value_three_times(monkeypatch):
     readings = set(values)
     spike_checks = cfg.epochs * sum(1 for f in cfg.fields for s in f.sensors
                                     if _spike_value(s.metric, cfg.ranges) in readings)
-    assert sum(1 for text in parsed if text in readings) == 3 * len(values) + spike_checks
+    assert sum(1 for text in parsed if text in readings) == 2 * len(values) + spike_checks
 
 
 def test_run_scenario_builds_no_reading_and_encodes_none(monkeypatch):
