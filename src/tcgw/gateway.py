@@ -91,15 +91,15 @@ def filter_out_of_scale(readings: Iterable, ranges: Iterable[ValidityRange]) -> 
     kept: list = []
     excluded: list = []
     for r in readings:
-        dec = check_reading(r.sensor_id, r.metric, r.value, r.timestamp)
-        (kept if add(r.metric, r.value, dec) else excluded).append(r)
+        check_reading(r.sensor_id, r.metric, r.value, r.timestamp)
+        (kept if add(r.metric, r.value) else excluded).append(r)
     return kept, excluded
 
 
 def summarize(readings: Iterable) -> list[MetricStats]:
     """Per-metric count, mean, population standard deviation, min, max.
 
-    Values are parsed as exact decimals; mean and deviation are evaluated
+    Values are ordered exactly, as decimals; mean and deviation are evaluated
     in binary floating point and rendered back as shortest-repr strings. Min
     and max keep the exact input strings: min is the first reading with the
     least decimal value and max the first with the greatest, so of "20.5"
@@ -118,7 +118,8 @@ def summarize(readings: Iterable) -> list[MetricStats]:
     """
     stats = _EpochStats({})
     for r in readings:
-        stats.add(r.metric, r.value, check_reading(r.sensor_id, r.metric, r.value, r.timestamp))
+        check_reading(r.sensor_id, r.metric, r.value, r.timestamp)
+        stats.add(r.metric, r.value)
     return list(stats.result()[0])
 
 
@@ -255,13 +256,13 @@ def _verify_epoch(blocks: Iterator[tuple[Block, int]], summary: EpochSummary, pu
             for i, tx in enumerate(block.transactions):
                 if tx.kind is raw:
                     try:
-                        _, metric, text, _, dec = read_reading(tx.payload)
+                        _, metric, text, _ = read_reading(tx.payload)
                         if start <= tx.timestamp < end:
-                            add_reading(metric, text, dec)
-                    except (ValueError, UnsupportedValue, ArithmeticError) as exc:
-                        if start <= tx.timestamp < end:  # no reading, or a NaN bound compares
+                            add_reading(metric, text)
+                    except (ValueError, UnsupportedValue) as exc:
+                        if start <= tx.timestamp < end:  # an in-window reading that does not read
                             found.add("stats")
-                        if not isinstance(exc, (InvalidArgument, ArithmeticError)):
+                        if not isinstance(exc, InvalidArgument):
                             bad = i if bad < 0 else min(bad, i)
                 elif not 0 <= bad <= i:
                     try:

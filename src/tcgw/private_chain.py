@@ -9,12 +9,13 @@ value stays alive for archival. Until the genesis block hashes the anchor,
 the link between epochs is the confirmed anchor on the public chain.
 
 A reading is its payload; no record type holds one. reading_payload is its
-one writer. read_reading reads the bytes it writes by one pattern match when
-neither the id nor the value needs escaping, and any other payload by the
-reference reading_fields(canonical_loads()), with the same result or error.
+one writer. read_reading reads one with an unescaped id and a plain literal
+value by one pattern match, and any other by the reference
+reading_fields(canonical_loads()), with the same result or error.
 
 _EpochStats is the one statistics fold: the node folds each reading as it
-commits it, the audit as it reads it, and summarize over its records.
+commits it, the audit as it reads it, and summarize over its records, each
+value as its double; a Decimal is built only where two doubles tie.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def decimal_value(text: str, name: str = "value") -> Decimal:
     return dec
 
 
-def check_reading(sensor_id, metric, value, timestamp) -> Decimal:
-    """Every check a reading's four fields pass; returns the value's Decimal."""
+def check_reading(sensor_id, metric, value, timestamp) -> None:
+    """Every check a reading's four fields pass."""
     if not isinstance(sensor_id, str):
         raise InvalidArgument(f"sensor_id {sensor_id!r} is not a string")
     if metric not in METRICS:
@@ -96,14 +97,14 @@ def check_reading(sensor_id, metric, value, timestamp) -> Decimal:
         raise InvalidArgument(f"value {value!r} is not a decimal string")
     if type(timestamp) is not int:
         raise InvalidArgument(f"timestamp {timestamp!r} is not an integer")
-    return decimal_value(value)
+    decimal_value(value)
 
 
-def reading_fields(value: Any) -> tuple[str, str, str, int, Decimal]:
-    """(sensor_id, metric, value, timestamp, Decimal of value) of a parsed
-    payload: an object with exactly the four keys reading_payload writes,
-    whose fields pass check_reading. No object is built, and `metric` is
-    the METRICS string. Raises InvalidArgument if malformed."""
+def reading_fields(value: Any) -> tuple[str, str, str, int]:
+    """(sensor_id, metric, value, timestamp) of a parsed payload: an object
+    with exactly the four keys reading_payload writes, whose fields pass
+    check_reading. No object is built, and `metric` is the METRICS string.
+    Raises InvalidArgument if malformed."""
     try:
         if len(value) != 4:
             raise InvalidArgument(f"reading payload has {len(value)} keys, not 4")
@@ -111,26 +112,26 @@ def reading_fields(value: Any) -> tuple[str, str, str, int, Decimal]:
                                               value["value"], value["timestamp"])
     except (KeyError, TypeError) as exc:
         raise InvalidArgument(f"malformed reading payload: {exc}") from exc
-    dec = check_reading(sensor_id, metric, text, timestamp)
-    return sensor_id, _METRIC_NAMES[metric], text, timestamp, dec
+    check_reading(sensor_id, metric, text, timestamp)
+    return sensor_id, _METRIC_NAMES[metric], text, timestamp
 
 
-# A reading payload as reading_payload writes it when neither the id nor the
-# value needs escaping: each JSON string then decodes to itself, and the
-# timestamp is JSON's plain base-10 int.
-_UNESCAPED = r'([^"\\\x00-\x1f]*)'
+# A reading payload as reading_payload writes it when the id needs no
+# escaping and the value is a plain literal of at most 99 integer digits:
+# each JSON string then decodes to itself, the timestamp is JSON's plain
+# base-10 int, and the value passes every check of decimal_value.
 _TEMPLATE_MATCH = re.compile(
-    '{"metric":"(' + "|".join(map(re.escape, METRICS)) + ')","sensor_id":"' + _UNESCAPED
-    + '","timestamp":(0|[1-9][0-9]{0,19}),"value":"' + _UNESCAPED + '"}').fullmatch
+    '{"metric":"(' + "|".join(map(re.escape, METRICS)) + r')","sensor_id":"([^"\\\x00-\x1f]*)'
+    + r'","timestamp":(0|[1-9][0-9]{0,19}),"value":"(-?[0-9]{1,99}(?:\.[0-9]+)?)"}').fullmatch
 
 
-def read_reading(payload: bytes) -> tuple[str, str, str, int, Decimal]:
+def read_reading(payload: bytes) -> tuple[str, str, str, int]:
     """reading_fields(canonical_loads(payload)), result and error alike.
 
-    A payload in reading_payload's template, its id and value unescaped, is
-    read by one match of a pattern built from METRICS; decimal_value checks
-    its value, and no JSON is parsed. Any other payload, one that is not
-    UTF-8 included, takes the reference call itself."""
+    A payload in reading_payload's template, its id unescaped and its value
+    a plain literal such as "-20.500", is read by one match of a pattern
+    built from METRICS that checks all decimal_value checks: no JSON is
+    parsed, no Decimal built. Any other payload takes the reference call."""
     try:
         match = _TEMPLATE_MATCH(payload.decode("utf-8"))
     except UnicodeDecodeError:
@@ -138,7 +139,7 @@ def read_reading(payload: bytes) -> tuple[str, str, str, int, Decimal]:
     if match is None:
         return reading_fields(canonical_loads(payload))
     metric, sensor_id, timestamp, text = match.groups()
-    return sensor_id, _METRIC_NAMES[metric], text, int(timestamp), decimal_value(text)
+    return sensor_id, _METRIC_NAMES[metric], text, int(timestamp)
 
 
 def reading_head(sensor_id: str, metric: str) -> str:
@@ -165,63 +166,75 @@ class MetricStats:
     max: str
 
 
-def range_bounds(ranges: Iterable) -> dict[str, tuple[Decimal, Decimal]]:
-    """(min, max) per metric of gateway.ValidityRange records; two ranges for
-    one metric raise DuplicateRange."""
-    out: dict[str, tuple[Decimal, Decimal]] = {}
+def range_bounds(ranges: Iterable) -> dict[str, tuple[float, float, str, str]]:
+    """(min, max) per metric of gateway.ValidityRange records, as doubles then
+    as texts; two for one metric raise DuplicateRange, a NaN bound InvalidArgument."""
+    out: dict[str, tuple[float, float, str, str]] = {}
     for r in ranges:
         if r.metric in out:
             raise DuplicateRange(f"two ranges configured for {r.metric}")
-        out[r.metric] = (Decimal(r.min_valid), Decimal(r.max_valid))
+        low, high = Decimal(r.min_valid), Decimal(r.max_valid)
+        if low.is_nan() or high.is_nan():
+            raise InvalidArgument(f"range of {r.metric} has a NaN bound")
+        out[r.metric] = (float(low), float(high), r.min_valid, r.max_valid)
     return out
 
 
 class _Group:
-    """Running state of one metric: its values as doubles, and the first
-    reading with the least and the first with the greatest decimal value."""
+    """Running state of one metric: its values as doubles, and the double
+    and text of the first reading with the least and the greatest value."""
 
     __slots__ = ("values", "least", "least_text", "greatest", "greatest_text")
 
-    def __init__(self, dec: Decimal, text: str):
-        self.values = array("d", (float(text),))
-        self.least = self.greatest = dec
+    def __init__(self, value: float, text: str):
+        self.values = array("d", (value,))
+        self.least = self.greatest = value
         self.least_text = self.greatest_text = text
 
 
 class _EpochStats:
     """The one fold behind the node, the audit and summarize: `add` filters
-    and folds in one reading's (metric, value text, Decimal of the text) and
-    says whether it was kept, and `result` renders (stats, excluded count).
-    Each metric's readings must come in commit order; how metrics interleave
-    does not matter. It keeps each kept value as an 8-byte double, for the
-    two-pass variance, and no reading.
+    and folds in one reading's (metric, value text) and says whether it was
+    kept, and `result` renders (stats, excluded count). Each metric's
+    readings must come in commit order; how metrics interleave does not
+    matter. It keeps each kept value as an 8-byte double, for the two-pass
+    variance, and no reading.
 
-    float() of a plain decimal literal equals float() of its Decimal (both
-    round one exact value), so for readings checked as check_reading checks
-    them, result() is (summarize(kept), len(excluded)) for (kept, excluded)
-    = filter_out_of_scale(readings, ranges) under the same bounds."""
+    Each value is compared as its double: float() rounds correctly, so it
+    is monotone, and of two decimals whose doubles differ, the lesser double
+    is the lesser decimal. Only two equal doubles (a value and a bound, the
+    least or the greatest so far) are decided by building their Decimals.
+    float() of a plain literal below 1E+100 is finite and equals float() of
+    its Decimal, so for readings checked as check_reading checks them,
+    result() is (summarize(kept), len(excluded)) for (kept, excluded) =
+    filter_out_of_scale(readings, ranges) under the same bounds."""
 
     __slots__ = ("bounds", "groups", "excluded")
 
-    def __init__(self, bounds: dict[str, tuple[Decimal, Decimal]]):
+    def __init__(self, bounds: dict[str, tuple[float, float, str, str]]):
         self.bounds = bounds
         self.groups: dict[str, _Group] = {}
         self.excluded = 0
 
-    def add(self, metric: str, text: str, dec: Decimal) -> bool:
+    def add(self, metric: str, text: str) -> bool:
+        value = float(text)
         limits = self.bounds.get(metric)
-        if limits is not None and not limits[0] <= dec <= limits[1]:
+        if limits is not None and not limits[0] < value < limits[1] and not (
+                limits[0] <= value <= limits[1]
+                and Decimal(limits[2]) <= Decimal(text) <= Decimal(limits[3])):
             self.excluded += 1
             return False
         group = self.groups.get(metric)
         if group is None:
-            self.groups[metric] = _Group(dec, text)
+            self.groups[metric] = _Group(value, text)
             return True
-        group.values.append(float(text))
-        if dec < group.least:
-            group.least, group.least_text = dec, text
-        elif dec > group.greatest:
-            group.greatest, group.greatest_text = dec, text
+        group.values.append(value)
+        if value <= group.least and (
+                value < group.least or Decimal(text) < Decimal(group.least_text)):
+            group.least, group.least_text = value, text
+        elif value >= group.greatest and (
+                value > group.greatest or Decimal(text) > Decimal(group.greatest_text)):
+            group.greatest, group.greatest_text = value, text
         return True
 
     def result(self) -> tuple[tuple[MetricStats, ...], int]:
@@ -244,12 +257,12 @@ class PrivateNode:
     did not seal (see tcgw.ledger), and trusts the seal of one it did: the
     seal is proof that the id was computed from the same frozen fields.
     submit parses each payload once, a reading with read_reading, and keeps
-    what commit needs beside the mempool: a ContextOp, or read_reading's
-    result; commit uses that, not the bytes. Each committed reading is
-    folded into `fold`, the node's _EpochStats under range_bounds(ranges),
-    and `time_span`, the (lowest, highest) committed reading timestamp or
-    None; of the texts only each metric's least and greatest are held, and
-    rollover_epoch publishes fold.result(). Invariants after every call:
+    beside the mempool what commit uses in place of the bytes: a ContextOp,
+    or read_reading's result. Each committed reading is folded into `fold`,
+    the node's _EpochStats under range_bounds(ranges), and `time_span`, the
+    (lowest, highest) committed reading timestamp or None: each value is
+    held as its double, of the texts only each metric's least and greatest,
+    and rollover_epoch publishes fold.result(). Invariants after every call:
     state == replay(ledger), and `fold` and `time_span` equal those of the
     ledger's RawReading payloads as reading_fields(canonical_loads()) reads
     them, folded in commit order under the same bounds. Only the node sets
@@ -266,7 +279,7 @@ class PrivateNode:
         self.clock = clock
         self.ledger = ledger if ledger is not None else genesis()
         self.mempool: list[Transaction] = []
-        self._parsed: list[tuple[str, str, str, int, Decimal] | ContextOp] = []  # per mempool tx
+        self._parsed: list[tuple[str, str, str, int] | ContextOp] = []  # per mempool tx
         self._known_ids: set[bytes] = set()
         self.fold = _EpochStats(range_bounds(ranges))
         self.time_span: tuple[int, int] | None = None
@@ -287,13 +300,13 @@ class PrivateNode:
                          "_known_ids": set(self._known_ids), "fold": copy.deepcopy(self.fold)}
         return twin
 
-    def _fold_in(self, readings: Iterable[tuple[str, str, str, int, Decimal]]) -> None:
+    def _fold_in(self, readings: Iterable[tuple[str, str, str, int]]) -> None:
         """Fold committed readings, read_reading's results in commit order,
         into `fold` and `time_span`."""
         add = self.fold.add
         low, high = self.time_span or (math.inf, -math.inf)
-        for _, metric, text, timestamp, dec in readings:
-            add(metric, text, dec)
+        for _, metric, text, timestamp in readings:
+            add(metric, text)
             if timestamp < low:
                 low = timestamp
             if timestamp > high:
@@ -320,9 +333,9 @@ class PrivateNode:
         if not sealed(tx) and not transaction_valid(tx):
             raise InvalidTransaction(len(self.mempool), "tx_id does not match payload")
         try:
-            parsed: tuple[str, str, str, int, Decimal] | ContextOp
+            parsed: tuple[str, str, str, int] | ContextOp
             if tx.kind is _RAW_READING:
-                sensor_id, _, _, timestamp, _ = parsed = read_reading(tx.payload)
+                sensor_id, _, _, timestamp = parsed = read_reading(tx.payload)
                 if sensor_id != tx.author_id or timestamp != tx.timestamp:
                     raise InvalidArgument("reading's sensor or time differs from its header")
             elif tx.kind in CONTEXT_KINDS:
@@ -343,8 +356,8 @@ class PrivateNode:
         """Drain up to BATCH_SIZE mempool transactions into one block.
 
         The context ops submit kept are applied to a trial state before the
-        ledger advances, and the block's readings are folded, with the
-        Decimals submit's read computed, only once it is appended. So a commit that raises
+        ledger advances, and the block's readings, as submit read them, are
+        folded only once it is appended. So a commit that raises
         (PathTypeConflict) changes nothing, and the node invariants hold
         afterwards. Returns None when the mempool is empty.
         """

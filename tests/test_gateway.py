@@ -6,9 +6,10 @@ import dataclasses
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tcgw import (
     EMPTY_STATE,
@@ -32,7 +33,8 @@ from tcgw.errors import DuplicateRange, InvalidArgument, NonEmptyMempool, Publis
 from tcgw.gateway import (EpochSummary, filter_out_of_scale, summarize, summary_digest,
                           verify_archive)
 from tcgw.ledger import iter_transactions, make_block, save_ledger
-from tcgw.private_chain import BATCH_SIZE, METRICS, MetricStats, reading_fields
+from tcgw.private_chain import (BATCH_SIZE, METRICS, MetricStats, _EpochStats, range_bounds,
+                                reading_fields)
 from tcgw.worldstate import CONTEXT_KINDS, parse_op
 
 from helpers import (NeverConfirms, Reading, ledger_readings, node_with_readings,
@@ -152,12 +154,22 @@ def _epoch_stats_three_ways(pairs, ranges):
     ([("humidity_pct", "101"), ("humidity_pct", "-1"), (_T, "7")], (TEMP_RANGE, HUMIDITY_RANGE),
      [(_T, 1, "7.0", "0.0", "7", "7")], 2),
     ([], (TEMP_RANGE,), [], 0),
+    ([(_T, "0.1"), (_T, "0.1000000000000000000001"), (_T, "0.10")], (),
+     [(_T, 3, "0.10000000000000002", "1.3877787807814457e-17", "0.1",
+       "0.1000000000000000000001")], 0),
+    ([(_T, "60.00000000000000000001"), (_T, "60.000"), (_T, "59.99999999999999999999")],
+     (TEMP_RANGE,), [(_T, 2, "60.0", "0.0", "59.99999999999999999999", "60.000")], 1),
+    ([("rain_pct", "1E-400"), ("rain_pct", "0"), ("rain_pct", "-1E-400")],
+     (ValidityRange("rain_pct", "0", "100"),), [("rain_pct", 2, "0.0", "0.0", "0", "1E-400")], 1),
 ], ids=["tied-decimals", "negative-zero-first", "zero-first", "tied-ends", "on-the-bounds",
-        "unranged-metric", "emptied-group", "no-readings"])
+        "unranged-metric", "emptied-group", "no-readings", "tied-doubles",
+        "max-by-a-tied-double", "min-by-a-tied-double"])
 def test_min_and_max_are_the_first_least_and_greatest_reading(pairs, ranges, stats, excluded):
     """Readings that tie as decimals keep the first one's string; a bound is
     inside its range; a metric with no range keeps everything; a metric
-    whose readings are all excluded has no stats. Rollover and audit agree."""
+    whose readings are all excluded has no stats. Decimals whose doubles
+    tie are still ordered exactly, against each other and against a bound.
+    Rollover and audit agree."""
     direct, rolled = _epoch_stats_three_ways(pairs, ranges)
     assert direct == rolled == (tuple(MetricStats(*row) for row in stats), excluded)
 
@@ -176,6 +188,82 @@ _values = st.one_of(
 def test_rollover_and_audit_stats_equal_summarize_of_the_filtered_readings(pairs, ranges):
     direct, rolled = _epoch_stats_three_ways(pairs, tuple(ranges))
     assert direct == rolled
+
+
+def _reference_fold(pairs, ranges):
+    """(stats, kept indices, excluded indices) of (metric, text) pairs, all in
+    Decimals: the bound test, and min and max as the first reading that holds
+    the least and the greatest value (min and max return the first)."""
+    bounds = {r.metric: (Decimal(r.min_valid), Decimal(r.max_valid)) for r in ranges}
+    groups: dict[str, list[str]] = {}
+    kept, excluded = [], []
+    for i, (metric, text) in enumerate(pairs):
+        low, high = bounds.get(metric, (Decimal("-Infinity"), Decimal("Infinity")))
+        if low <= Decimal(text) <= high:
+            groups.setdefault(metric, []).append(text)
+            kept.append(i)
+        else:
+            excluded.append(i)
+    stats = []
+    for metric in sorted(groups):
+        texts = groups[metric]
+        values = [float(Decimal(text)) for text in texts]
+        mean = math.fsum(values) / len(values)
+        deviation = math.sqrt(math.fsum((v - mean) * (v - mean) for v in values) / len(values))
+        stats.append(MetricStats(metric, len(texts), repr(mean), repr(deviation),
+                                 min(texts, key=Decimal), max(texts, key=Decimal)))
+    return tuple(stats), kept, excluded
+
+
+# Decimals near each other, and forms of one decimal, whose doubles tie:
+# each base plus a step far below its double's ulp, in three spellings.
+_TIE_BASES = ("0.1", "60", "-20", "0", "-0", "20.5", "100")
+_TIE_STEPS = ("0", "-0", "1E-21", "-1E-21", "3E-30", "-7E-25", "1E-400", "-1E-400")
+
+
+@st.composite
+def _tie_texts(draw) -> str:
+    base, step = draw(st.sampled_from(_TIE_BASES)), draw(st.sampled_from(_TIE_STEPS))
+    with localcontext() as ctx:
+        ctx.prec = 1000  # exact: the sum keeps every digit of the step
+        value = Decimal(base) + Decimal(step)
+    return format(value, draw(st.sampled_from(["", "E", "f"])))
+
+
+@st.composite
+def _tie_ranges(draw) -> tuple[ValidityRange, ...]:
+    ranges = []
+    for metric in draw(st.lists(st.sampled_from(METRICS[:2]), unique=True)):
+        low, high = sorted((draw(_tie_texts()), draw(_tie_texts())), key=Decimal)
+        ranges.append(ValidityRange(metric, low, high))
+    return tuple(ranges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.tuples(st.sampled_from(METRICS[:2]), _tie_texts()), max_size=12),
+       ranges=_tie_ranges())
+@example(pairs=[(_T, "0.1"), (_T, "0.1000000000000000000001")], ranges=())
+@example(pairs=[(_T, "0.1000000000000000000001"), (_T, "0.1")], ranges=())
+@example(pairs=[(_T, "60.00000000000000000001"), (_T, "60")], ranges=(TEMP_RANGE,))
+@example(pairs=[(_T, "-0"), (_T, "0")], ranges=())
+@example(pairs=[(_T, "0"), (_T, "-0")], ranges=())
+@example(pairs=[(_T, "1E-400"), (_T, "0"), (_T, "-1E-400")],
+         ranges=(ValidityRange(_T, "0", "60"),))
+def test_epoch_stats_equal_a_decimal_fold_where_doubles_tie(pairs, ranges):
+    """The double fold with its exact fallback, _EpochStats under
+    range_bounds, and filter_out_of_scale then summarize, equal a fold done
+    in Decimals throughout, over texts whose doubles tie with each other or
+    with a bound: the same stats, min and max strings and excluded readings."""
+    stats, kept, excluded = _reference_fold(pairs, ranges)
+    fold = _EpochStats(range_bounds(ranges))
+    assert [fold.add(metric, text) for metric, text in pairs] == [
+        i in kept for i in range(len(pairs))]
+    assert fold.result() == (stats, len(excluded))
+    readings = [_reading(text, i, metric) for i, (metric, text) in enumerate(pairs)]
+    direct_kept, direct_excluded = filter_out_of_scale(readings, ranges)
+    assert direct_kept == [readings[i] for i in kept]
+    assert direct_excluded == [readings[i] for i in excluded]
+    assert tuple(summarize(direct_kept)) == stats
 
 
 _extreme_values = st.one_of(
@@ -423,9 +511,10 @@ def test_submit_and_audit_build_no_reading():
 def test_verify_pruned_epoch_reports_ranges_it_cannot_read_as_stats():
     archived, summary, pub = _honest_epoch()
     assert verify_pruned_epoch(archived, summary, pub, [TEMP_RANGE] * 2).failures == ("stats",)
-    nan_range = dataclasses.make_dataclass("R", ["metric", "min_valid", "max_valid"])(
-        "temperature_c", "NaN", "60")  # no ValidityRange check: every comparison raises
-    assert verify_pruned_epoch(archived, summary, pub, [nan_range]).failures == ("stats",)
+    unchecked = dataclasses.make_dataclass("R", ["metric", "min_valid", "max_valid"])
+    for nan in ("NaN", "sNaN"):  # no ValidityRange check: range_bounds refuses a NaN bound
+        nan_range = unchecked("temperature_c", nan, "60")
+        assert verify_pruned_epoch(archived, summary, pub, [nan_range]).failures == ("stats",)
 
 
 def test_verify_pruned_epoch_detects_archive_tamper():

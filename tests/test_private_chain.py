@@ -30,7 +30,7 @@ from tcgw import (
 )
 from tcgw.canon import canonical_json, canonical_loads
 from tcgw.gateway import ValidityRange, filter_out_of_scale, summarize
-from tcgw import ledger as ledger_module
+from tcgw import ledger as ledger_module, private_chain
 from tcgw.ledger import Transaction, iter_transactions, load_ledger, save_ledger, sealed
 from tcgw.private_chain import (METRICS, MetricStats, decimal_value, read_reading,
                                 reading_fields, reading_head)
@@ -643,16 +643,37 @@ def _read_outcome(read, payload: bytes):
     return [(type(item), repr(item)) for item in result]
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(payload=_reading_payloads())
-def test_read_reading_is_reading_fields_of_canonical_loads(payload):
-    """The template reader returns what the reference returns, the metric as
-    the METRICS constant, or raises the same exception type and message."""
+def _check_read(payload: bytes) -> None:
+    """read_reading(payload) returns what the reference returns, the metric
+    as the METRICS constant, or raises the same exception type and message."""
     outcome = _read_outcome(read_reading, payload)
     assert outcome == _read_outcome(lambda data: reading_fields(canonical_loads(data)), payload)
     if isinstance(outcome, list):
         metric = read_reading(payload)[1]
         assert metric is METRICS[METRICS.index(metric)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(payload=_reading_payloads())
+def test_read_reading_is_reading_fields_of_canonical_loads(payload):
+    _check_read(payload)
+
+
+@pytest.mark.parametrize("value, matched", [
+    ("-0.000", True), ("20.500", True), ("9" * 99, True), ("-" + "9" * 99 + ".5", True),
+    ("0" * 99, True), ("0." + "0" * 400 + "1", True),
+    ("+1", False), ("1E+2", False), (".5", False), ("5.", False), ("-.5", False),
+    ("9" * 100, False), ("1" + "0" * 99, False), ("0" * 100 + "1", False),
+    ("0" * 120 + "7.25", False), ("1E+100", False), ("NaN", False), (" 1", False),
+])
+def test_read_reading_takes_the_template_only_for_a_plain_literal(value, matched):
+    """Both sides of the strict value pattern: a plain literal of at most 99
+    integer digits matches it; any other form, an exponent or sign, 100 or
+    more integer digits (leading zeros too), falls back to the reference
+    reader, which admits some and refuses others, as read_reading does."""
+    payload = reading_payload(reading_head("s-0", "temperature_c"), 0, value)
+    assert (private_chain._TEMPLATE_MATCH(payload.decode()) is not None) is matched
+    _check_read(payload)
 
 
 @pytest.mark.parametrize("sensor_id", ["s\ud800", "\udfff", "a\ud83db"])

@@ -335,59 +335,92 @@ def test_run_scenario_decodes_no_reading_as_json(monkeypatch):
     assert len(decoded) == 2 * (len(txs) - len(readings)) == 48
 
 
-def test_run_scenario_parses_each_reading_value_twice(monkeypatch):
-    """Work counter: each reading's value is parsed as a Decimal once each
-    by submit's check, whose Decimal the node folds in at commit, and the
-    in-run audit, whose check hands its Decimal to the audit's fold.
-    Rollover parses none and reads no payload: it publishes the node's
-    fold. The generator parses none; it checks its sensor's fault spike
-    once per window."""
+def _count_reading_work(monkeypatch) -> tuple[list, list]:
+    """Patch Decimal and read_reading in every tcgw module that binds them;
+    returns the lists the counted calls append to: each Decimal's argument,
+    and each read_reading's payload."""
     import sys
     from decimal import Decimal
-    from tcgw import private_chain, workload
-    from tcgw.ledger import iter_transactions
-    from tcgw.workload import _spike_value
-    parsed: list = []
-    in_rollover: list = []  # what each rollover_epoch call parsed or read
-    read = private_chain.read_reading
-    rollover = workload.rollover_epoch
+    from tcgw import private_chain
+    built: list = []
+    read: list = []
+    read_reading = private_chain.read_reading
 
     def counting(value="0", *args):
-        parsed.append(value)
-        if in_rollover:
-            in_rollover[-1].append(("Decimal", value))
+        built.append(value)
         return Decimal(value, *args)
 
     def counting_read(payload):
-        if in_rollover:
-            in_rollover[-1].append(("read_reading", payload))
-        return read(payload)
+        read.append(payload)
+        return read_reading(payload)
 
-    def watched_rollover(*args):
-        in_rollover.append([])
-        result = rollover(*args)
-        rolled.append(in_rollover.pop())
-        return result
-
-    rolled: list = []
-    cfg = small_scenario(epochs=3)
     for name, module in list(sys.modules.items()):
         for attr, original, counted in (("Decimal", Decimal, counting),
-                                        ("read_reading", read, counting_read)):
+                                        ("read_reading", read_reading, counting_read)):
             if name.split(".")[0] == "tcgw" and getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, counted)
+    return built, read
+
+
+def _reading_values(archives) -> list[str]:
+    from tcgw.ledger import iter_transactions
+    return [canonical_loads(tx.payload)["value"] for ledger in archives
+            for _, _, tx in iter_transactions(ledger) if tx.kind is TxKind.RAW_READING]
+
+
+def test_run_scenario_builds_no_decimal_from_a_reading_value(monkeypatch):
+    """Work counter: no reading's value becomes a Decimal. Submit's read
+    checks each value by the template match, and the node at commit and the
+    in-run audit fold it as its double; no value here ties a bound's double
+    or the least or greatest double so far, which alone would build one.
+    Rollover builds none and reads no payload: it publishes the node's
+    fold. The generator checks its sensor's fault spike once per window,
+    and those are the only Decimals of a reading's text."""
+    from tcgw import workload
+    from tcgw.workload import _spike_value
+    in_rollover: list = []  # whether each rollover_epoch call built or read anything
+    rollover = workload.rollover_epoch
+
+    def watched_rollover(*args):
+        before = len(built), len(read)
+        result = rollover(*args)
+        in_rollover.append((len(built), len(read)) != before)
+        return result
+
+    cfg = small_scenario(epochs=3)
+    built, read = _count_reading_work(monkeypatch)
     monkeypatch.setattr(workload, "rollover_epoch", watched_rollover)
     result = run_scenario(cfg)
     monkeypatch.undo()
-    assert rolled == [[]] * (cfg.epochs * len(cfg.fields))
-    values = [canonical_loads(tx.payload)["value"] for ledger in result.archives.values()
-              for _, _, tx in iter_transactions(ledger) if tx.kind is TxKind.RAW_READING]
+    assert in_rollover == [False] * (cfg.epochs * len(cfg.fields))
+    values = _reading_values(result.archives.values())
     bounds = {text for r in cfg.ranges for text in (r.min_valid, r.max_valid)}
     assert len(values) == 288 and bounds.isdisjoint(values)
+    assert len(read) == 2 * len(values)  # submit and the in-run audit
     readings = set(values)
     spike_checks = cfg.epochs * sum(1 for f in cfg.fields for s in f.sensors
                                     if _spike_value(s.metric, cfg.ranges) in readings)
-    assert sum(1 for text in parsed if text in readings) == 2 * len(values) + spike_checks
+    assert sum(1 for text in built if text in readings) == spike_checks
+
+
+def test_verify_archive_reads_each_reading_once_and_builds_no_decimal(monkeypatch, tmp_path):
+    """Work counter: the file audit reads each reading's payload once, by
+    read_reading, and folds its value as its double: no Decimal of any
+    reading's value."""
+    from tcgw.gateway import verify_archive
+    cfg = small_scenario(epochs=3)
+    result = run_scenario(cfg)
+    paths = {key: save_ledger(ledger, tmp_path / archive_name(*key))
+             for key, ledger in result.archives.items()}
+    values = _reading_values(result.archives.values())
+    built, read = _count_reading_work(monkeypatch)
+    for (channel, epoch), path in paths.items():
+        record = result.public_chain.find_anchor(channel, epoch)
+        assert verify_archive(path, record.summary, result.public_chain, cfg.ranges).ok
+    monkeypatch.undo()
+    assert len(values) == 288
+    assert len(read) == len(values)
+    assert set(built).isdisjoint(values)
 
 
 def test_run_scenario_builds_no_reading_and_encodes_none(monkeypatch):
