@@ -26,13 +26,12 @@ from .canon import (canonical_json, canonical_loads, from_json_value, to_json_va
                     write_canonical_json)
 from .errors import InvalidChain, LedgerFormatError, TcgwError
 from .gateway import ValidityRange, verify_archive
-from .ledger import load_ledger, read_blocks, save_ledger
+from .ledger import load_ledger, read_blocks
 from .private_chain import range_bounds
 from .public_chain import PublicChain
 from .workload import (
     ARCHIVE_NAME,
     apply_seed_override,
-    archive_name,
     default_scenario,
     load_scenario_config,
     run_scenario,
@@ -61,8 +60,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     state_dir = out / "state"
     archive_dir.mkdir(parents=True, exist_ok=True)
     state_dir.mkdir(parents=True, exist_ok=True)
-    result = run_scenario(cfg, lambda channel, epoch, ledger: save_ledger(
-        ledger, archive_dir / archive_name(channel, epoch)))
+    result = run_scenario(cfg, archive_dir)
 
     write_canonical_json(result.report, out / "report.json")
     write_canonical_json({"ranges": to_json_value(cfg.ranges)}, archive_dir / "ranges.json")

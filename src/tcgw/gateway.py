@@ -10,8 +10,9 @@ extends with each reading as it commits it, so rollover reads no payload.
 
 verify_pruned_epoch is the consumer-side counterpart: given an archived
 ledger and a summary, it re-derives everything and checks the public chain
-holds a confirmed anchor committing to exactly these bytes. verify_archive
-runs the same checks over an archive file's blocks as they are decoded.
+holds a confirmed anchor committing to exactly these bytes; it can write
+the archive as it encodes it. verify_archive runs the same checks over an
+archive file's blocks as they are decoded.
 Both are one walk of one block stream, broken chain included: every
 payload is read in that stream as the walk takes its block, and the audit
 relies only on the walk taking no block past the first bad one.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .canon import canonical_loads, digest_json, to_json_value
 from .errors import (
@@ -190,7 +191,8 @@ class EpochVerification:
 
 
 def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
-                        ranges: Iterable[ValidityRange]) -> EpochVerification:
+                        ranges: Iterable[ValidityRange],
+                        write: Callable[[bytes], object] | None = None) -> EpochVerification:
     """Check that a pruned epoch is still fully accounted for.
 
     Failure codes:
@@ -202,16 +204,19 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
                (they are bit-reproducible), or such a reading does not decode
       anchor - no confirmed public anchor commits to these summary bytes
 
-    One walk of ledger_blocks(archived), each payload parsed once, in the
-    stream handed to verify_blocks, as the walk takes its block: readings
-    with read_reading, the in-window ones folded (no list, no record), and
-    the others with canonical_loads, context ops fed to one OpBatch; a
-    payload that does not parse is a TxId fault. On a broken chain `state`
-    is unchecked, and the rest of the stream is drained, folding its readings.
+    One walk of ledger_blocks(archived, write), each payload parsed once,
+    in the stream handed to verify_blocks, as the walk takes its block:
+    readings with read_reading, the in-window ones folded (no list, no
+    record), and the others with canonical_loads, context ops fed to one
+    OpBatch; a payload that does not parse is a TxId fault. Each tx_id is
+    checked (transaction_valid) against the SHA-256 of the body it encodes,
+    the bytes each block hands `write` as the walk takes it. On a broken
+    chain `state` is unchecked, and the rest of the stream is drained,
+    folding its readings and writing its blocks.
 
     `pub` is the PublicChain (or anything with find_anchor and is_confirmed).
     """
-    return _verify_epoch(ledger_blocks(archived), summary, pub, ranges)
+    return _verify_epoch(ledger_blocks(archived, write), summary, pub, ranges)
 
 
 def verify_archive(path: Path, summary: EpochSummary, pub,

@@ -23,25 +23,27 @@ ordered tx_ids: parents are ``sha256(left || right)``, an odd level duplicates
 its last node, a single leaf is its own root, and the empty list hashes to
 ``sha256(b"")``.
 
-One walk, verify_blocks, checks every chain. ledger_blocks feeds it a
-ledger in memory, each tx_id checked by rebuilding its body
-(transaction_valid); read_blocks feeds it a file's blocks as they are
-decoded, each tx_id checked against the SHA-256 of the body bytes read,
-so an audit from a file hashes every body as read and builds none. Each
-payload is parsed once, in the block stream its caller hands the walk:
-read_payloads reads each for verify_chain and PublicChain.load, and the
-epoch audit reads every kind in its own stream.
+One layout, _block_parts, gives a block's bytes to serialize_block,
+save_ledger, ledger_size_bytes and ledger_blocks. One walk, verify_blocks,
+checks every chain. ledger_blocks feeds it a ledger in memory, each tx_id
+checked by transaction_valid against the SHA-256 of the body it encodes,
+the bytes the stream can hand a writer; read_blocks feeds it a file's
+blocks as decoded, each tx_id checked against the SHA-256 of the body
+bytes read. Each payload is parsed once, in the block stream its caller
+hands the walk: read_payloads reads each for verify_chain and
+PublicChain.load, and the epoch audit reads every kind in its own stream.
 
 A transaction that make_transaction built is sealed: a slot outside its
 fields records that its tx_id is the SHA-256 of the body it was computed
 from, and the fields are frozen (only a deliberate bypass, such as
-object.__setattr__ or calling __init__ again, changes them).
-make_transaction is the only code that sets the seal; a direct
-Transaction(...) call, dataclasses.replace, copy, pickle and the decoders
-all give an unsealed transaction. PrivateNode.submit alone reads the seal,
-to skip re-hashing what was just hashed; every verification
-(transaction_valid, ledger_blocks, read_blocks, verify_chain,
-verify_blocks) re-derives every tx_id and never reads it.
+object.__setattr__, changes them). make_transaction is the only code
+that sets the seal, after Transaction.__init__, which clears it: a direct
+Transaction(...) call, __init__ called again on a sealed transaction,
+dataclasses.replace, copy, pickle and the decoders all give an unsealed
+transaction. PrivateNode.submit alone reads the seal, to skip re-hashing
+what was just hashed; every verification (transaction_valid,
+ledger_blocks, read_blocks, verify_chain, verify_blocks) re-derives every
+tx_id and never reads it.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ EMPTY_TX_ROOT = sha256(b"")
 
 LEDGER_MAGIC = b"TCGW"
 LEDGER_VERSION = 1
+LEDGER_HEADER = LEDGER_MAGIC + bytes([LEDGER_VERSION])  # a ledger file's first 5 bytes
 
 
 class TxKind(Enum):
@@ -122,6 +125,7 @@ class Transaction(_Sealable):
         set_kind(self, kind)
         set_payload(self, payload)
         set_author_id(self, author_id)
+        _SEAL(self, False)
 
 
 _TX_SLOTS = slot_setters(Transaction)
@@ -146,8 +150,6 @@ _U64 = struct.Struct(">Q")
 _BLOCK_HEAD = struct.Struct(">Q32sQ32sI")  # height, previous_hash, timestamp, tx_root, tx_count
 _TX_HEAD = struct.Struct(">32sI")  # tx_id, channel_id length
 _TS_KIND_LEN = struct.Struct(">QBI")  # timestamp, kind code, payload length
-_BLOCK_FIXED_SIZE = _BLOCK_HEAD.size + DIGEST_SIZE
-_TX_FIXED_SIZE = DIGEST_SIZE + _TS_KIND_LEN.size  # tx_id, timestamp, kind, payload length
 MAX_TIMESTAMP = (1 << 64) - 1  # the wire writes timestamps as u64
 
 
@@ -186,12 +188,13 @@ def sealed(tx: Transaction) -> bool:
     return getattr(tx, "_sealed", False)
 
 
-def transaction_valid(tx: Transaction) -> bool:
-    """True iff tx_id is the SHA-256 of the body rebuilt from the fields,
-    sealed or not. The payload is not parsed here: PrivateNode.submit and
-    the block stream verify_blocks is handed parse it."""
+def transaction_valid(tx: Transaction) -> bytes | None:
+    """The body rebuilt from the fields if tx_id is its SHA-256, sealed or
+    not, else None: the check PrivateNode.submit makes of a transaction
+    that is not sealed, and ledger_blocks of each transaction, keeping the
+    bytes it hashed for a writer. The payload is not parsed here."""
     body = transaction_body(tx.channel_id, tx.timestamp, tx.kind, tx.payload, tx.author_id)
-    return sha256(body) == tx.tx_id
+    return body if sha256(body) == tx.tx_id else None
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:
@@ -218,14 +221,21 @@ def make_block(height: int, previous_hash: bytes, timestamp: int,
     return Block(height, previous_hash, timestamp, tx_root, txs, block_hash)
 
 
+def _block_parts(block: Block, bodies: Iterable[bytes]) -> list[bytes]:
+    """A block's wire bytes as parts: its head, each transaction's tx_id
+    and body (from `bodies`), then its block_hash. The one layout of a block."""
+    parts = [_BLOCK_HEAD.pack(block.height, block.previous_hash, block.timestamp,
+                              block.tx_root, len(block.transactions))]
+    for tx, body in zip(block.transactions, bodies):
+        parts += (tx.tx_id, body)
+    parts.append(block.block_hash)
+    return parts
+
+
 def serialize_block(block: Block) -> bytes:
-    out = [_BLOCK_HEAD.pack(block.height, block.previous_hash, block.timestamp,
-                            block.tx_root, len(block.transactions))]
-    out.extend(tx.tx_id + transaction_body(tx.channel_id, tx.timestamp, tx.kind,
-                                           tx.payload, tx.author_id)
-               for tx in block.transactions)
-    out.append(block.block_hash)
-    return b"".join(out)
+    return b"".join(_block_parts(block, [
+        transaction_body(tx.channel_id, tx.timestamp, tx.kind, tx.payload, tx.author_id)
+        for tx in block.transactions]))
 
 
 def _take(data: bytes, offset: int, n: int) -> tuple[bytes, int]:
@@ -362,12 +372,19 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
                                        lambda height, index, tx: canonical_loads(tx.payload)))
 
 
-def ledger_blocks(ledger: Ledger) -> Iterator[tuple[Block, int]]:
+def ledger_blocks(ledger: Ledger,
+                  write: Callable[[bytes], object] | None = None) -> Iterator[tuple[Block, int]]:
     """Each block of a ledger in memory with the index of its first
-    transaction that fails transaction_valid (-1 if none), for verify_blocks."""
+    transaction that fails transaction_valid (-1 if none), for
+    verify_blocks; each block's bytes, laid out from the bodies
+    transaction_valid hashed, go to write(bytes), if given, before the
+    block is yielded (a block with a bad tx_id is serialized again)."""
     for block in ledger:
-        yield block, next((i for i, tx in enumerate(block.transactions)
-                           if not transaction_valid(tx)), -1)
+        bodies = [transaction_valid(tx) for tx in block.transactions]
+        bad = bodies.index(None) if None in bodies else -1
+        if write is not None:
+            write(serialize_block(block) if bad >= 0 else b"".join(_block_parts(block, bodies)))
+        yield block, bad
 
 
 def read_payloads(blocks: Iterable[tuple[Block, int]],
@@ -436,16 +453,10 @@ def _block_fault(index: int, block: Block, bad: int, prev_hash: bytes,
 
 
 def ledger_size_bytes(ledger: Ledger) -> int:
-    """Total serialized size of all blocks (the persisted payload), without
-    serializing: a block's fixed fields plus, per transaction, its fixed
-    fields, its payload and the wire frames of its two strings, from the
-    writer's own cache (_name_frame)."""
-    total, frame = _BLOCK_FIXED_SIZE * len(ledger), _name_frame
-    for block in ledger:
-        for tx in block.transactions:
-            total += (_TX_FIXED_SIZE + len(frame(tx.channel_id))
-                      + len(tx.payload) + len(frame(tx.author_id)))
-    return total
+    """Total serialized size of all blocks (the persisted payload, a file's
+    size less LEDGER_HEADER): each block encoded by serialize_block, one at
+    a time."""
+    return sum(len(serialize_block(block)) for block in ledger)
 
 
 def iter_transactions(ledger: Ledger) -> Iterator[tuple[int, int, Transaction]]:
@@ -456,11 +467,11 @@ def iter_transactions(ledger: Ledger) -> Iterator[tuple[int, int, Transaction]]:
 
 
 def save_ledger(ledger: Ledger, path: str | Path) -> Path:
-    """Write magic, version byte, then blocks back-to-back."""
+    """Write LEDGER_HEADER (magic, version byte), then each block's
+    serialize_block bytes back-to-back."""
     path = Path(path)
     with open(path, "wb") as fh:
-        fh.write(LEDGER_MAGIC)
-        fh.write(bytes([LEDGER_VERSION]))
+        fh.write(LEDGER_HEADER)
         for block in ledger:
             fh.write(serialize_block(block))
     return path

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Any, Callable
 
 from .canon import canonical_loads, from_json_value, to_json_value
 from .errors import InvalidArgument, InvalidWindow
 from .gateway import ValidityRange, rollover_epoch, verify_pruned_epoch
-from .ledger import (MAX_TIMESTAMP, Ledger, Transaction, TxKind, head, ledger_size_bytes,
-                     make_transaction)
+from .ledger import (LEDGER_HEADER, MAX_TIMESTAMP, Ledger, Transaction, TxKind, head,
+                     ledger_size_bytes, make_transaction)
 from .private_chain import (BATCH_SIZE, METRICS, PrivateNode, decimal_value, range_bounds,
                             reading_head, reading_payload)
 from .public_chain import DEFAULT_CONFIRMATIONS, OPERATIONS_ARRAY, PublicChain, PublicClient
@@ -268,7 +268,7 @@ def generate_context_ops(cfg: FieldConfig, window_start: int,
 @dataclass
 class ScenarioResult:
     """Run outcome: the JSON report plus the live artifacts behind it;
-    `archives` is empty when run_scenario handed each ledger to a hook."""
+    `archives` is empty when run_scenario wrote each ledger to a directory."""
 
     report: dict
     public_chain: PublicChain
@@ -276,14 +276,16 @@ class ScenarioResult:
     final_docs: dict[str, dict | None]
 
 
-def run_scenario(cfg: ScenarioConfig,
-                 archive: Callable[[str, int, Ledger], Any] | None = None) -> ScenarioResult:
+def run_scenario(cfg: ScenarioConfig, archive_dir: str | Path | None = None) -> ScenarioResult:
     """Drive every field through every epoch; see the module docstring.
 
     Fields are processed per epoch in channel order, which fixes the public
-    submission interleaving and hence the whole run. Each epoch's ledger goes
-    to archive(channel_id, epoch, ledger) once audited and is then dropped, so
-    a run holds one epoch's ledger; with no hook ScenarioResult.archives keeps them.
+    submission interleaving and hence the whole run. Each epoch's ledger is
+    audited, written and sized in one walk (verify_pruned_epoch's `write`),
+    each block encoded once: `pre_reset_size` counts the bytes written.
+    With `archive_dir` they go to its archive_name(channel_id, epoch) file,
+    a block at a time, and the ledger is dropped, so a run holds one
+    epoch's ledger; without, ScenarioResult.archives keeps the ledgers.
     """
     fields = sorted(cfg.fields, key=lambda f: f.channel_id)
     pub = PublicChain(
@@ -300,9 +302,6 @@ def run_scenario(cfg: ScenarioConfig,
 
     events: list[dict] = []
     archives: dict[tuple[str, int], Ledger] = {}
-    if archive is None:
-        def archive(channel_id: str, epoch: int, ledger: Ledger) -> None:
-            archives[channel_id, epoch] = ledger
     final_docs: dict[str, dict | None] = {}
     rows: dict[str, list[dict]] = {f.channel_id: [] for f in fields}
 
@@ -330,7 +329,6 @@ def run_scenario(cfg: ScenarioConfig,
                 node.commit_batch()
 
             doc_body = node.state.get(f.channel_id)
-            pre_size = ledger_size_bytes(node.ledger)
             pub.clock = window_end
             summary, _, new_node = rollover_epoch(
                 node, window_start, window_end, clients[f.channel_id], events)
@@ -338,8 +336,15 @@ def run_scenario(cfg: ScenarioConfig,
             # Rebinding drops the archived node, and its fold's doubles
             # with it, before the audit walks the archive.
             nodes[f.channel_id] = node = new_node
-            verification = verify_pruned_epoch(ledger, summary, pub, cfg.ranges)
-            archive(f.channel_id, epoch, ledger)
+            sizes: list[int] = []  # the byte count of each block written
+            if archive_dir is None:
+                archives[f.channel_id, epoch] = ledger
+            with (nullcontext() if archive_dir is None
+                  else open(Path(archive_dir, archive_name(f.channel_id, epoch)), "wb")) as fh:
+                write = len if fh is None else fh.write
+                write(LEDGER_HEADER)
+                verification = verify_pruned_epoch(ledger, summary, pub, cfg.ranges,
+                                                   lambda data: sizes.append(write(data)))
             del ledger
             if epoch == cfg.epochs - 1:
                 final_docs[f.channel_id] = doc_body
@@ -353,7 +358,7 @@ def run_scenario(cfg: ScenarioConfig,
                 "generated": generated,
                 "kept": generated - summary.excluded_count,
                 "post_reset_size": ledger_size_bytes(node.ledger),
-                "pre_reset_size": pre_size,
+                "pre_reset_size": sum(sizes),
                 "summary": to_json_value(summary),
                 "verification": {"failures": list(verification.failures),
                                  "ok": verification.ok},

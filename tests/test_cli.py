@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import re
 import tracemalloc
@@ -645,11 +646,18 @@ def test_tcgw_seed_overrides_scenario_seeds(tmp_path, monkeypatch):
 
 def _run_peak(tmp_path, epochs: int) -> int:
     """Bytes the traced heap peaks above its level before `tcgw run` of the
-    default scenario cut to its first field, over `epochs` epochs."""
+    default scenario cut to its first field, over `epochs` epochs.
+
+    A full collection first puts every run in one state. It empties the
+    interpreter's free lists, whose reused objects tracemalloc does not
+    see, and restarts the count that triggers the next full collection;
+    without it, whether a full collection fell inside a run, emptying the
+    free lists there, moved that run's peak by about 100 KB."""
     cfg = default_scenario(epochs)
     cfg = dataclasses.replace(cfg, fields=cfg.fields[:1])
     cfg_path = tmp_path / f"cfg{epochs}.json"
     cfg_path.write_bytes(canonical_json(to_json_value(cfg)))
+    gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -164,6 +164,22 @@ def test_submit_rehashes_an_unsealed_transaction_and_rejects_a_forged_id(forge, 
     assert node.mempool == [] and len(builds) == 1
 
 
+def test_init_called_again_on_a_made_transaction_clears_its_seal():
+    """Calling Transaction.__init__ again on a made transaction, a
+    deliberate bypass of the frozen record, rewrites its fields and clears
+    its seal, so submit re-derives the id and rejects the other payload."""
+    made = reading_tx("fieldA", 0, value="20.5")
+    tx_id = made.tx_id
+    Transaction.__init__(made, made.tx_id, made.channel_id, made.timestamp, made.kind,
+                         made.payload.replace(b"20.5", b"21.5"), made.author_id)
+    assert made.tx_id == tx_id and read_reading(made.payload)[2] == "21.5"
+    assert not sealed(made)
+    node = _node()
+    with pytest.raises(InvalidTransaction, match="tx_id does not match payload"):
+        node.submit(made)
+    assert node.mempool == []
+
+
 @pytest.mark.parametrize("twin", [copy.copy, copy.deepcopy,
                                   lambda tx: pickle.loads(pickle.dumps(tx))],
                          ids=["copy", "deepcopy", "pickle"])

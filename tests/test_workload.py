@@ -268,29 +268,64 @@ def test_run_scenario_parses_each_payload_twice(monkeypatch):
     assert reads == 2 * committed
 
 
-def test_run_scenario_checks_each_transaction_id_once(monkeypatch):
-    """Work counter: submit admits each transaction make_transaction sealed
-    without re-deriving its id, so the in-run audit is the one
-    transaction_valid call per committed transaction. The anchors, on the
-    public chain, add none."""
+def test_run_scenario_builds_and_hashes_each_body_twice(monkeypatch, tmp_path):
+    """Work counter: a run writing its archives builds each committed
+    transaction's body twice, once in make_transaction and once as the
+    in-run audit checks it (transaction_valid), and hashes it twice, the
+    same two times; submit admits what make_transaction sealed, and the
+    archive file takes the bodies the audit hashed. Each archived block is
+    laid out once, and pre_reset_size comes from that encoding:
+    ledger_size_bytes sizes only the fresh ledgers after reset, never an
+    archived one."""
     import sys
-    from tcgw import ledger
-    checked: list = []
-    original = ledger.transaction_valid
+    from collections import Counter
+    from tcgw import canon, ledger, workload
+    built: Counter = Counter()
+    hashed: Counter = Counter()
+    encoded: Counter = Counter()
+    sized: list = []
+    build, hash_, encode, size = (ledger.transaction_body, canon.sha256, ledger._block_parts,
+                                  workload.ledger_size_bytes)
 
-    def counting(tx):
-        checked.append(tx.tx_id)
-        return original(tx)
+    def counting_build(*args):
+        body = build(*args)
+        built[body] += 1
+        return body
 
+    def counting_hash(data):
+        hashed[data] += 1
+        return hash_(data)
+
+    def counting_encode(block, bodies):
+        parts = encode(block, bodies)
+        encoded[b"".join(parts)] += 1
+        return parts
+
+    def counting_size(chain):
+        sized.append(chain)
+        return size(chain)
+
+    monkeypatch.setattr(ledger, "transaction_body", counting_build)
+    monkeypatch.setattr(ledger, "_block_parts", counting_encode)
+    monkeypatch.setattr(workload, "ledger_size_bytes", counting_size)
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "tcgw" and getattr(module, "transaction_valid", None) is original:
-            monkeypatch.setattr(module, "transaction_valid", counting)
-    result = run_scenario(small_scenario(epochs=3))
+        if name.split(".")[0] == "tcgw" and getattr(module, "sha256", None) is hash_:
+            monkeypatch.setattr(module, "sha256", counting_hash)
+    result = run_scenario(small_scenario(epochs=3), tmp_path)
     monkeypatch.undo()
-    committed = [tx.tx_id for ledger in result.archives.values() for block in ledger
-                 for tx in block.transactions]
-    assert len(checked) == len(committed) == 312
-    assert sorted(checked) == sorted(committed)
+    archives = [load_ledger(path) for path in sorted(tmp_path.glob("*.tcgw"))]
+    bodies = [build(tx.channel_id, tx.timestamp, tx.kind, tx.payload, tx.author_id)
+              for chain in archives for block in chain for tx in block.transactions]
+    assert result.report["confirmed_anchors"] == len(archives) == 6
+    assert len(bodies) == len(set(bodies)) == 312
+    assert [built[body] for body in bodies] == [2] * 312
+    assert [hashed[body] for body in bodies] == [2] * 312
+    assert [encoded.pop(ledger.serialize_block(block)) for chain in archives
+            for block in chain[1:]] == [1] * sum(len(chain) - 1 for chain in archives)
+    # every archive starts with the same genesis block, encoded once by each
+    # audit and once by each fresh ledger's post_reset_size
+    assert encoded == {ledger.serialize_block(ledger.genesis()[0]): 12}
+    assert len(sized) == 6 and all(chain == ledger.genesis() for chain in sized)
 
 
 def test_verify_chain_rebuilds_the_body_of_every_sealed_transaction(monkeypatch):
@@ -499,29 +534,85 @@ def test_every_ledger_a_run_writes_reads_back_equal(tmp_path):
     assert PublicChain.load(chain.save(tmp_path / "public.tcgw")).ledger == chain.ledger
 
 
-def test_archive_hook_takes_each_audited_ledger_once_and_none_is_kept(monkeypatch):
-    """With a hook, each epoch's ledger goes to it once, right after its
-    in-run audit, in run order; the result keeps none of them, and the hook
-    sees the very ledgers a run without one collects."""
+def test_archive_dir_gets_each_audited_ledger_once_and_none_is_kept(monkeypatch, tmp_path):
+    """With a directory, each epoch's ledger is written to its archive file
+    once, block by block as its in-run audit takes it, and the file is
+    whole and closed before the next epoch's audit begins; the result
+    keeps no ledger, and the files hold the very ledgers a run without a
+    directory collects, with the same report."""
     from tcgw import workload
-    calls = []
+    from tcgw.ledger import LEDGER_HEADER, serialize_block
+    audits: list = []  # (ledger, the bytes its audit wrote, block by block)
     audit = workload.verify_pruned_epoch
 
-    def audited(ledger, *rest):
-        calls.append(("audit", ledger))
-        return audit(ledger, *rest)
+    def audited(ledger, summary, pub, ranges, write):
+        for (channel, epoch), (_, blocks) in zip(order, audits):  # each earlier one is whole
+            path = tmp_path / archive_name(channel, epoch)
+            assert path.read_bytes() == LEDGER_HEADER + b"".join(blocks)
+        blocks: list = []
+        audits.append((ledger, blocks))
+        return audit(ledger, summary, pub, ranges, lambda data: blocks.append(data) or write(data))
 
+    order = [("north", 0), ("south", 0), ("north", 1), ("south", 1)]
     monkeypatch.setattr(workload, "verify_pruned_epoch", audited)
-    result = run_scenario(small_scenario(), lambda *args: calls.append(args))
+    result = run_scenario(small_scenario(), tmp_path)
+    monkeypatch.undo()
     assert result.archives == {}
-    assert [call[:2] for call in calls[1::2]] == [
-        ("north", 0), ("south", 0), ("north", 1), ("south", 1)]
-    for (_, ledger), (_, _, archived) in zip(calls[::2], calls[1::2]):
-        assert archived is ledger
-    handed = {(channel, epoch): ledger for channel, epoch, ledger in calls[1::2]}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(archive_name(*k) for k in order)
     collected = run_scenario(small_scenario())
-    assert handed == collected.archives
     assert collected.report == result.report
+    assert len(audits) == len(order)
+    for key, (ledger, blocks) in zip(order, audits):
+        assert ledger == collected.archives[key]
+        assert blocks == [serialize_block(block) for block in ledger]
+        assert (tmp_path / archive_name(*key)).read_bytes() == LEDGER_HEADER + b"".join(blocks)
+
+
+def test_in_run_audit_fails_an_epoch_whose_archive_bytes_are_corrupted(monkeypatch, tmp_path):
+    """The in-run verdict is about the bytes written: a fault in the body
+    encoder that flips one payload byte of one reading, in one epoch, as
+    the run encodes that epoch for its archive, fails exactly that epoch's
+    chain check, and the file holds the flipped byte, which the file audit
+    (tcgw verify's) fails too."""
+    from tcgw import ledger, workload
+    from tcgw.gateway import verify_archive
+    cfg = small_scenario(epochs=3)
+    build, audit = ledger.transaction_body, workload.verify_pruned_epoch
+    target: list = []  # the fields of the corrupted body, then its bytes
+    writing: list = []
+
+    def faulty(*fields):
+        body = build(*fields)
+        if writing == [("south", 1)] and fields[2] is TxKind.RAW_READING:
+            target[:] = target or [fields]
+            if fields == target[0]:
+                body = bytearray(body)
+                body[body.index(b'"value":"') + 9] ^= 0x01
+                body = bytes(body)
+                target.append(body)
+        return body
+
+    def audited(ledger, summary, *rest):
+        writing.append((summary.channel_id, summary.epoch_index))
+        try:
+            return audit(ledger, summary, *rest)
+        finally:
+            writing.pop()
+
+    monkeypatch.setattr(ledger, "transaction_body", faulty)
+    monkeypatch.setattr(workload, "verify_pruned_epoch", audited)
+    result = run_scenario(cfg, tmp_path)
+    monkeypatch.undo()
+    assert len(set(target[1:])) == 1
+    verdicts = {(channel, row["epoch_index"]): row["verification"]["failures"]
+                for channel, rows in result.report["channels"].items() for row in rows}
+    assert verdicts.pop(("south", 1)) == ["chain"]
+    assert set(map(tuple, verdicts.values())) == {()} and not result.report["ok"]
+    path = tmp_path / archive_name("south", 1)
+    assert target[1] in path.read_bytes()
+    record = result.public_chain.find_anchor("south", 1)
+    outcome = verify_archive(path, record.summary, result.public_chain, cfg.ranges)
+    assert str(outcome.chain) == "TxId at block 1" and "chain" in outcome.failures
 
 
 def test_final_docs_match_last_epoch_ops():
