@@ -4,8 +4,9 @@ A month of readings lands on the private chain. The node folds each
 reading into per-metric statistics as it commits it, leaving out-of-scale
 values out under the validity ranges it was built with, and holds no
 value text. The gateway anchors that summary on the public chain, waits
-for confirmation depth, and only then resets the private ledger. If
-publication fails, nothing is pruned.
+for confirmation depth, and only then resets the private ledger, whose
+fresh genesis block links to the anchor. If publication fails, nothing is
+pruned.
 """
 
 from tcgw import (
@@ -62,12 +63,13 @@ height = pub.included[record.channel_id, record.epoch_index]
 print(f"anchor confirmed at public height {height}, "
       f"digest {record.summary_digest.hex()[:24]}...")
 print(f"event order: {[e['event'] for e in trace]}")
-# The fresh ledger is a bare genesis block. The link from this epoch to the
-# last is the confirmed anchor on the public chain: no genesis block hashes
-# the previous epoch's digest yet, so the archive files do not link epochs.
+# The fresh ledger is a bare genesis block whose previous_hash is the
+# confirmed anchor's summary_digest: the next epoch's archive links to this
+# epoch's anchor, and the audit checks that link against the public chain.
+assert fresh_node.ledger[0].previous_hash == record.summary_digest
 print(f"fresh private chain: {len(fresh_node.ledger)} block, "
-      f"{ledger_size_bytes(fresh_node.ledger)} bytes; the epoch link is the "
-      f"confirmed anchor on the public chain")
+      f"{ledger_size_bytes(fresh_node.ledger)} bytes; its genesis links to the "
+      f"anchor digest {fresh_node.ledger[0].previous_hash.hex()[:24]}...")
 
 # The archived ledger remains fully checkable against the public record;
 # the auditor re-folds its readings under its own copy of the ranges.

@@ -3,10 +3,18 @@
 The gateway turns an epoch of raw readings into a small set of per-metric
 statistics, binds them to the private ledger's head and state digest in an
 EpochSummary, publishes that summary to the public chain, and only after
-the anchor is confirmed resets the private ledger. Losing unpublished data
-is unrecoverable, so the order is strict: publish before prune. The
+the anchor is confirmed resets the private ledger, the fresh genesis block
+linked to the anchor's summary_digest. Losing unpublished data is
+unrecoverable, so the order is strict: publish before prune. The
 statistics are the node's own fold (private_chain._EpochStats), which it
 extends with each reading as it commits it, so rollover reads no payload.
+
+Rollover is two steps with the wait for confirmation between them:
+publish_epoch submits the anchor, and close_epoch resets the node once the
+anchor is confirmed. rollover_epoch runs both around PublicClient.confirm;
+run_scenario runs them apart, so that the anchors of the gateways that
+publish after one are its confirmations, and uses rollover_epoch only for
+an epoch's last gateway, which no later anchor confirms.
 
 verify_pruned_epoch is the consumer-side counterpart: given an archived
 ledger and a summary, it re-derives everything and checks the public chain
@@ -35,7 +43,7 @@ from .errors import (
     UnknownGateway,
     UnsupportedValue,
 )
-from .ledger import (Block, Ledger, TxKind, VerificationReport, head,
+from .ledger import (ZERO_HASH, Block, Ledger, TxKind, VerificationReport, head,
                      ledger_blocks, read_blocks, verify_blocks)
 from .private_chain import (METRICS, MetricStats, PrivateNode, _EpochStats, check_reading,
                             decimal_value, range_bounds, read_reading)
@@ -124,9 +132,10 @@ def summarize(readings: Iterable) -> list[MetricStats]:
     return list(stats.result()[0])
 
 
-def rollover_epoch(node: PrivateNode, window_start: int, window_end: int, pub,
-                   events: list) -> tuple[EpochSummary, object, PrivateNode]:
-    """Close an epoch: collect, filter, summarize, anchor, then reset.
+def publish_epoch(node: PrivateNode, window_start: int, window_end: int, pub,
+                  events: list) -> tuple[EpochSummary, object]:
+    """Publish an epoch's summary: rollover's first step. Returns (summary,
+    anchor record); the node is left as it was.
 
     The stats are node.fold.result(): the node folded each reading, checked
     at submit, as it committed it, under the ranges it was built with, so
@@ -134,14 +143,10 @@ def rollover_epoch(node: PrivateNode, window_start: int, window_end: int, pub,
     window, or a held time span outside [window_start, window_end), raises
     InvalidWindow before anything is published.
 
-    `pub` is the gateway's public-chain client (see public_chain.PublicClient).
-    On any publication failure the private ledger is untouched and
-    PublishFailed is raised; the reset happens strictly after the anchor is
-    confirmed. Returns (summary, anchor record, fresh node); the old node
-    keeps the archived ledger.
-
-    Each step appends its event to `events` as it happens: anchor_submitted,
-    anchor_confirmed, then ledger_reset. A failed publish leaves only those before it.
+    `pub` is the gateway's public-chain client (see public_chain.PublicClient),
+    whose submit_anchor produces the block that includes the anchor. A
+    rejected anchor raises PublishFailed. Appends anchor_submitted to
+    `events` once the anchor is submitted.
     """
     if node.mempool:
         raise NonEmptyMempool("commit or drop pending transactions before rollover")
@@ -167,14 +172,44 @@ def rollover_epoch(node: PrivateNode, window_start: int, window_end: int, pub,
         record = pub.submit_anchor(summary)
     except (DuplicateEpoch, UnknownGateway) as exc:
         raise PublishFailed(f"anchor rejected: {exc}") from exc
-    where = {"channel": node.channel_id, "epoch": summary.epoch_index}
-    events.append({"event": "anchor_submitted", **where})
-    if not pub.confirm(record):
+    events.append({"event": "anchor_submitted", "channel": node.channel_id,
+                   "epoch": summary.epoch_index})
+    return summary, record
+
+
+def close_epoch(node: PrivateNode, record, chain, events: list) -> PrivateNode:
+    """Reset the node whose epoch `record` anchors: rollover's second step.
+    Returns the fresh node, its genesis linked to record.summary_digest;
+    the old node keeps the archived ledger.
+
+    Unless chain.is_confirmed(record), PublishFailed is raised and the node
+    is untouched: the reset happens strictly after the anchor is confirmed.
+    Appends anchor_confirmed, then ledger_reset, to `events`.
+    """
+    if not chain.is_confirmed(record):
         raise PublishFailed("anchor was not confirmed; private ledger left intact")
+    where = {"channel": record.channel_id, "epoch": record.epoch_index}
     events.append({"event": "anchor_confirmed", **where})
-    new_node = node.reset()
+    new_node = node.reset(record.summary_digest)
     events.append({"event": "ledger_reset", **where})
-    return summary, record, new_node
+    return new_node
+
+
+def rollover_epoch(node: PrivateNode, window_start: int, window_end: int, pub,
+                   events: list) -> tuple[EpochSummary, object, PrivateNode]:
+    """Close an epoch on its own: publish_epoch, pub.confirm (the anchor's
+    block is followed by heartbeats until it is confirmed), then
+    close_epoch. Returns (summary, anchor record, fresh node); the old node
+    keeps the archived ledger.
+
+    On any publication failure the private ledger is untouched and
+    PublishFailed is raised. Each step appends its event to `events` as it
+    happens: anchor_submitted, anchor_confirmed, then ledger_reset. A failed
+    publish leaves only those before it.
+    """
+    summary, record = publish_epoch(node, window_start, window_end, pub, events)
+    pub.confirm(record)
+    return summary, record, close_epoch(node, record, pub.chain, events)
 
 
 @dataclass(frozen=True)
@@ -203,6 +238,9 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
                reproduce the summary's stats and excluded count exactly
                (they are bit-reproducible), or such a reading does not decode
       anchor - no confirmed public anchor commits to these summary bytes
+      link   - the archive's genesis previous_hash is not the summary_digest
+               published for the channel's previous epoch (ZERO_HASH for
+               epoch 0)
 
     One walk of ledger_blocks(archived, write), each payload parsed once,
     in the stream handed to verify_blocks, as the walk takes its block:
@@ -249,7 +287,7 @@ def _verify_epoch(blocks: Iterator[tuple[Block, int]], summary: EpochSummary, pu
         found.add("stats")
     stats = _EpochStats(bounds)
     add_reading = stats.add
-    taken: list[Block | None] = [None]  # the last block taken
+    taken: list[Block | None] = [None, None]  # the first and the last block taken
     raw = TxKind.RAW_READING  # bound once: an enum member lookup is slow on 3.11
 
     def audit_blocks() -> Iterator[tuple[Block, int]]:
@@ -278,7 +316,9 @@ def _verify_epoch(blocks: Iterator[tuple[Block, int]], summary: EpochSummary, pu
                         found.add("state")
                     except (ValueError, UnsupportedValue):  # no JSON: a TX_ID fault
                         bad = i
-            taken[0] = block
+            if taken[0] is None:
+                taken[0] = block
+            taken[1] = block
             yield block, bad
 
     failures: list[str] = []
@@ -288,7 +328,7 @@ def _verify_epoch(blocks: Iterator[tuple[Block, int]], summary: EpochSummary, pu
         for _ in walk:
             pass
         failures.append("chain")
-    if (taken[0].height, taken[0].block_hash) != (summary.ledger_height, summary.ledger_head_hash):
+    if (taken[1].height, taken[1].block_hash) != (summary.ledger_height, summary.ledger_head_hash):
         failures.append("head")
     if chain.ok:
         try:
@@ -305,4 +345,10 @@ def _verify_epoch(blocks: Iterator[tuple[Block, int]], summary: EpochSummary, pu
     if (record is None or not pub.is_confirmed(record)
             or record.summary_digest != summary_digest(summary)):
         failures.append("anchor")
+    link = ZERO_HASH
+    if summary.epoch_index != 0:
+        previous = pub.find_anchor(summary.channel_id, summary.epoch_index - 1)
+        link = None if previous is None else previous.summary_digest
+    if taken[0].previous_hash != link:
+        failures.append("link")
     return EpochVerification(tuple(failures), chain)

@@ -315,9 +315,14 @@ def _decode_blocks(data: bytes, offset: int) -> Iterator[tuple[Block, int]]:
         yield Block(height, previous_hash, timestamp, tx_root, tuple(txs), block_hash), bad
 
 
-def genesis() -> Ledger:
-    """One-block ledger: height 0, all-zero previous hash, no transactions."""
-    return (make_block(0, ZERO_HASH, 0, ()),)
+def genesis(previous_hash: bytes = ZERO_HASH) -> Ledger:
+    """One-block ledger: height 0, no transactions, and `previous_hash` as
+    its link to what came before it: a private epoch's to the previous
+    epoch's anchor, the public chain's to its ChainParams (verify_blocks
+    takes it as given; those callers check it)."""
+    if type(previous_hash) is not bytes or len(previous_hash) != DIGEST_SIZE:
+        raise InvalidArgument(f"previous_hash {previous_hash!r} is not a {DIGEST_SIZE}-byte digest")
+    return (make_block(0, previous_hash, 0, ()),)
 
 
 def head(ledger: Ledger) -> tuple[int, bytes]:
@@ -415,16 +420,19 @@ def verify_blocks(blocks: Iterable[tuple[Block, int]]) -> VerificationReport:
     first bad one, so a stream reads no payload past it.
 
     Per block, checks run in this order: height continuity, previous-hash
-    link, the bad index (a TX_ID fault), Merkle root, own block hash, and a
-    timestamp no earlier than the previous block's (the CLOCK_SKEW that
-    append_block refuses). A block that holds one tx id twice is a TX_ROOT
-    fault: merkle_root pads an odd level with its last node, so a block
-    with its last transactions repeated has the same root.
+    link (block 0's previous_hash is taken as given), the bad index (a
+    TX_ID fault), Merkle root, own block hash, and a timestamp no earlier
+    than the previous block's (the CLOCK_SKEW that append_block refuses).
+    A block that holds one tx id twice is a TX_ROOT fault: merkle_root pads
+    an odd level with its last node, so a block with its last transactions
+    repeated has the same root.
     A single flipped byte anywhere in the data surfaces at the mutated
     block or the one after it.
     """
-    prev_hash, prev_time = ZERO_HASH, 0
+    prev_time = 0
     for index, (block, bad) in enumerate(blocks):
+        if index == 0:  # block 0's link is its caller's to check
+            prev_hash = block.previous_hash
         fault = _block_fault(index, block, bad, prev_hash, prev_time)
         if fault is not None:
             return VerificationReport(index, fault)

@@ -4,9 +4,11 @@ A PrivateNode accepts sensor readings and context operations from a fixed
 set of authorized authors, batches them FIFO into blocks, and keeps its
 world state, the statistics fold of its committed readings and their time
 span equal to those of its ledger after every commit. Once an epoch's
-anchor is confirmed, reset starts a fresh one-block ledger; the old ledger
-value stays alive for archival. Until the genesis block hashes the anchor,
-the link between epochs is the confirmed anchor on the public chain.
+anchor is confirmed, reset starts a fresh one-block ledger whose genesis
+block's previous_hash is that anchor's summary_digest, so each archive
+after the first links to the anchor of the epoch before it (the first
+epoch's genesis links to ZERO_HASH); the old ledger value stays alive for
+archival.
 
 A reading is its payload; no record type holds one. reading_payload is its
 one writer. read_reading reads one with an unescaped id and a plain literal
@@ -374,16 +376,18 @@ class PrivateNode:
         del self._parsed[:len(batch)]
         return block
 
-    def reset(self) -> "PrivateNode":
+    def reset(self, link: bytes) -> "PrivateNode":
         """Fresh node for the next epoch: same channel, authors and clock, a
-        genesis-only ledger and an empty fold under the same bounds, which are
-        not parsed again. rollover_epoch calls it once the anchor is confirmed.
+        genesis-only ledger whose previous_hash is `link`, and an empty fold
+        under the same bounds, which are not parsed again. close_epoch calls
+        it once the anchor is confirmed, with its summary_digest.
 
         The receiver is left untouched (its ledger is the archive); pending
         transactions must be committed or dropped first.
         """
         if self.mempool:
             raise NonEmptyMempool(f"{len(self.mempool)} transactions still pending")
-        fresh = PrivateNode(self.channel_id, self.authorized_authors, clock=self.clock)
+        fresh = PrivateNode(self.channel_id, self.authorized_authors, clock=self.clock,
+                            ledger=genesis(link))
         fresh.fold = _EpochStats(self.fold.bounds)
         return fresh

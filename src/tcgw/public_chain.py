@@ -5,14 +5,21 @@ set produces blocks round-robin, and an anchor counts as confirmed once
 the head is `confirmations_required` blocks past its inclusion height.
 Only registered gateway identities may submit anchors; reading is open.
 
-Real public networks keep producing blocks whether or not anyone is
-transacting. `tick()` models that: it appends a heartbeat transaction
-(Anchor kind, payload without a "summary" key) and produces a block, so
-confirmation depth can accrue on an otherwise quiet chain.
+On a busy chain an anchor's confirmations are the blocks that follow it
+(Nakamoto 2008, sections 4 and 11): a gateway's PublicClient.submit_anchor
+produces the block that includes its anchor, and the anchors of the
+gateways that publish after it confirm it. `tick()` models the blocks the
+network produces when no gateway transacts: it appends a heartbeat
+transaction (Anchor kind, payload without a "summary" key) and produces a
+block. PublicClient.confirm ticks until an anchor is confirmed: the only
+ticks of run_scenario are those that confirm an epoch's last anchors.
 
-`load` rebuilds the chain from its ledger and ChainParams sidecar in one
-verify_blocks walk, each tx_id checked against the bytes read, whose block
-stream (read_payloads) accepts only what submit_anchor and tick could write.
+The genesis block's previous_hash is the digest of the chain's
+ChainParams, so the ledger commits to its sidecar. `load` rebuilds the
+chain from its ledger and ChainParams sidecar in one verify_blocks walk,
+each tx_id checked against the bytes read, whose block stream
+(read_payloads) accepts only what submit_anchor and tick could write, and
+then checks the genesis link against the sidecar it read.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .canon import (canonical_json, canonical_loads, from_json_value, to_json_value,
-                    write_canonical_json)
+from .canon import (canonical_json, canonical_loads, digest_json, from_json_value,
+                    to_json_value, write_canonical_json)
 from .errors import (DuplicateEpoch, InvalidArgument, InvalidChain, LedgerFormatError,
                      TcgwError, UnknownGateway, UnsupportedValue)
 from .gateway import EpochSummary, summary_digest
@@ -51,7 +58,8 @@ class AnchorRecord:
 
 @dataclass(frozen=True)
 class ChainParams:
-    """The sidecar: what a chain's ledger does not carry itself."""
+    """The sidecar: what a chain's ledger does not carry itself, beyond the
+    digest its genesis block commits to (_params_digest)."""
 
     chain_id: str
     confirmations_required: int
@@ -59,13 +67,19 @@ class ChainParams:
     validators: tuple[str, ...]
 
 
+def _params_digest(params: ChainParams) -> bytes:
+    """The genesis block's previous_hash: the digest of the sidecar's value."""
+    return digest_json(to_json_value(params))
+
+
 class PublicChain:
-    """Single-owner simulation of the open ledger side."""
+    """Single-owner simulation of the open ledger side. The validator set
+    and the gateway registry are fixed: the genesis block commits to them."""
 
     def __init__(self, validators: Iterable[str], gateways: Iterable[str] = (),
                  confirmations_required: int = DEFAULT_CONFIRMATIONS,
                  chain_id: str = "public"):
-        self.validators = list(validators)
+        self.validators = tuple(validators)
         if not self.validators:
             raise InvalidArgument("need at least one validator")
         if confirmations_required < 1:
@@ -73,16 +87,22 @@ class PublicChain:
         if not chain_id:
             raise InvalidArgument("chain_id must be non-empty")
         self.chain_id = chain_id
-        self.gateways = set(gateways)
+        self.gateways = frozenset(gateways)
         self.confirmations_required = confirmations_required
         self.clock = 0
-        self.ledger: Ledger = genesis()
+        self.ledger: Ledger = genesis(_params_digest(self.params))
         # Every admitted anchor, pending or included, and the height of each included one.
         self.anchors: dict[tuple[str, int], AnchorRecord] = {}
         self.included: dict[tuple[str, int], int] = {}
         # Queued transactions, each with its anchor's key (None for heartbeats).
         self.pending: list[tuple[Transaction, tuple[str, int] | None]] = []
         self._tick_seq = 0
+
+    @property
+    def params(self) -> ChainParams:
+        """What `save` writes to the sidecar."""
+        return ChainParams(self.chain_id, self.confirmations_required,
+                           tuple(sorted(self.gateways)), self.validators)
 
     @property
     def producers(self) -> list[str]:
@@ -139,7 +159,8 @@ class PublicChain:
         return block
 
     def tick(self) -> Block:
-        """Heartbeat block: advances the head (and confirmations) by one."""
+        """Heartbeat block: advances the head (and confirmations) by one, and
+        includes whatever is pending."""
         self._tick_seq += 1
         producer = self._producer(self.ledger[-1].height + 1)
         tx = make_transaction(self.chain_id, self.clock, TxKind.ANCHOR,
@@ -180,9 +201,7 @@ class PublicChain:
         """Persist the ledger as .tcgw plus a sidecar holding its ChainParams."""
         path = Path(path)
         save_ledger(self.ledger, path)
-        params = ChainParams(self.chain_id, self.confirmations_required,
-                             tuple(sorted(self.gateways)), tuple(self.validators))
-        write_canonical_json(to_json_value(params), Path(str(path) + META_SUFFIX))
+        write_canonical_json(to_json_value(self.params), Path(str(path) + META_SUFFIX))
         return path
 
     @classmethod
@@ -190,9 +209,10 @@ class PublicChain:
         """Read what `save` wrote. A malformed file raises LedgerFormatError; a
         ledger that fails verify_blocks (a clock that runs backwards too), or
         holds a transaction `submit_anchor` or `tick` could not have written
-        there, raises InvalidChain. The whole file is decoded before the walk,
-        so a format error wins. Digests are kept as published;
-        verify_pruned_epoch checks them."""
+        there, or whose genesis does not commit to the sidecar read
+        (_params_digest), raises InvalidChain. The whole file is decoded
+        before the walk, so a format error wins. Digests are kept as
+        published; verify_pruned_epoch checks them."""
         path = Path(path)
         meta_path = Path(str(path) + META_SUFFIX)
         if not meta_path.exists():
@@ -230,6 +250,8 @@ class PublicChain:
         report = verify_blocks(read_payloads(blocks, read))
         if not report.ok:
             raise InvalidChain(str(report))
+        if blocks[0][0].previous_hash != _params_digest(params):
+            raise InvalidChain(f"block 0 does not commit to the sidecar {meta_path.name}")
         chain.ledger = tuple(block for block, _ in blocks)
         chain.clock = chain.ledger[-1].timestamp
         return chain
@@ -246,12 +268,15 @@ class PublicClient:
         return self.chain.next_epoch_index(channel_id)
 
     def submit_anchor(self, summary: EpochSummary) -> AnchorRecord:
-        return self.chain.submit_anchor(summary, self.author)
+        """Submit `summary` as this gateway and produce the block that
+        includes it: the anchor's own block."""
+        record = self.chain.submit_anchor(summary, self.author)
+        self.chain.produce_block()
+        return record
 
     def confirm(self, record: AnchorRecord) -> bool:
-        """Produce the pending block, then tick until `record` confirms, at most
-        confirmations_required + 2 times; True on success."""
-        self.chain.produce_block()
+        """Tick until `record` confirms, at most confirmations_required + 2
+        times (a pending anchor is included by the first); True on success."""
         for _ in range(self.chain.confirmations_required + 2):
             if self.chain.is_confirmed(record):
                 return True

@@ -2,29 +2,33 @@
 
 Five fields (one per crop), each with its own private chain, a gateway,
 and a seeded sensor set. A scenario iterates epochs: generate readings
-and cultural operations, commit them in batches, roll the epoch over
-(summarize + anchor + reset), and verify the pruned epoch against the
-public chain. Everything derives from the per-field seeds, so two runs of
-the same config produce identical reports, ledgers, and anchor digests.
+and cultural operations, commit them in batches, publish the epoch's
+summary, then, once the anchors after it confirm it, reset the node and
+verify the pruned epoch against the public chain. Everything derives from
+the per-field seeds, so two runs of the same config produce identical
+reports, ledgers, and anchor digests.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
 from .canon import canonical_loads, from_json_value, to_json_value
-from .errors import InvalidArgument, InvalidWindow
-from .gateway import ValidityRange, rollover_epoch, verify_pruned_epoch
+from .errors import InvalidArgument, InvalidWindow, PublishFailed
+from .gateway import (EpochSummary, ValidityRange, close_epoch, publish_epoch,
+                      rollover_epoch, verify_pruned_epoch)
 from .ledger import (LEDGER_HEADER, MAX_TIMESTAMP, Ledger, Transaction, TxKind, head,
                      ledger_size_bytes, make_transaction)
 from .private_chain import (BATCH_SIZE, METRICS, PrivateNode, decimal_value, range_bounds,
                             reading_head, reading_payload)
-from .public_chain import DEFAULT_CONFIRMATIONS, OPERATIONS_ARRAY, PublicChain, PublicClient
+from .public_chain import (DEFAULT_CONFIRMATIONS, OPERATIONS_ARRAY, AnchorRecord, PublicChain,
+                           PublicClient)
 from .rng import SplitMix64, derive_seed
 from .worldstate import ContextOp, op_payload
 
@@ -280,12 +284,25 @@ def run_scenario(cfg: ScenarioConfig, archive_dir: str | Path | None = None) -> 
     """Drive every field through every epoch; see the module docstring.
 
     Fields are processed per epoch in channel order, which fixes the public
-    submission interleaving and hence the whole run. Each epoch's ledger is
-    audited, written and sized in one walk (verify_pruned_epoch's `write`),
+    submission interleaving and hence the whole run. Each field's gateway
+    publishes its summary (publish_epoch), which produces the anchor's own
+    block; then every earlier field whose anchor that block confirmed is
+    closed, oldest first. No later anchor confirms the epoch's last field,
+    so it rolls over alone (rollover_epoch): PublicClient.confirm ticks
+    until its anchor is confirmed (confirmations_required times), which
+    confirms every waiting one, included before it; it closes, then the
+    waiting fields close, oldest first. If confirmations_required + 2
+    ticks do not confirm it, PublishFailed is raised with no waiting node
+    reset. So a run holds at most confirmations_required + 1 epoch
+    ledgers, and the public chain grows by one block per anchor and
+    confirmations_required per epoch.
+
+    Closing a field resets its node (close_epoch), then audits, writes and
+    sizes the archived ledger in one walk (verify_pruned_epoch's `write`),
     each block encoded once: `pre_reset_size` counts the bytes written.
     With `archive_dir` they go to its archive_name(channel_id, epoch) file,
-    a block at a time, and the ledger is dropped, so a run holds one
-    epoch's ledger; without, ScenarioResult.archives keeps the ledgers.
+    a block at a time, and the ledger is dropped; without,
+    ScenarioResult.archives keeps the ledgers.
     """
     fields = sorted(cfg.fields, key=lambda f: f.channel_id)
     pub = PublicChain(
@@ -304,10 +321,52 @@ def run_scenario(cfg: ScenarioConfig, archive_dir: str | Path | None = None) -> 
     archives: dict[tuple[str, int], Ledger] = {}
     final_docs: dict[str, dict | None] = {}
     rows: dict[str, list[dict]] = {f.channel_id: [] for f in fields}
+    # Published fields whose nodes are not yet reset, in publication order:
+    # (channel, epoch, summary, anchor record, report row so far).
+    waiting: deque[tuple[str, int, EpochSummary, AnchorRecord, dict]] = deque()
+
+    def archive(channel: str, epoch: int, summary: EpochSummary, row: dict,
+                fresh: PrivateNode) -> None:
+        """Put a closed field's fresh node in place of the archived one, then
+        audit, write and size the archived ledger and add the report row."""
+        node = nodes[channel]
+        nodes[channel] = fresh
+        if epoch == cfg.epochs - 1:
+            final_docs[channel] = node.state.get(channel)
+        ledger = node.ledger
+        # Dropping the archived node drops its fold's doubles and known
+        # ids before the audit walks the archive.
+        del node
+        sizes: list[int] = []  # the byte count of each block written
+        if archive_dir is None:
+            archives[channel, epoch] = ledger
+        with (nullcontext() if archive_dir is None
+              else open(Path(archive_dir, archive_name(channel, epoch)), "wb")) as fh:
+            write = len if fh is None else fh.write
+            write(LEDGER_HEADER)
+            verification = verify_pruned_epoch(ledger, summary, pub, cfg.ranges,
+                                               lambda data: sizes.append(write(data)))
+        del ledger
+        rows[channel].append({
+            **row,
+            "anchor_included_height": pub.included[channel, summary.epoch_index],
+            "post_reset_size": ledger_size_bytes(fresh.ledger),
+            "pre_reset_size": sum(sizes),
+            "verification": {"failures": list(verification.failures),
+                             "ok": verification.ok},
+        })
+
+    def close_confirmed() -> None:
+        """Close every waiting field whose anchor is confirmed, oldest first."""
+        while waiting and pub.is_confirmed(waiting[0][3]):
+            channel, epoch, summary, record, row = waiting.popleft()
+            archive(channel, epoch, summary, row,
+                    close_epoch(nodes[channel], record, pub, events))
 
     for epoch in range(cfg.epochs):
         window_start = epoch * cfg.epoch_length
         window_end = (epoch + 1) * cfg.epoch_length
+        pub.clock = window_end
         for f in fields:
             node = nodes[f.channel_id]
             txs = generate_readings(f, window_start, window_end, cfg.ranges)
@@ -328,43 +387,32 @@ def run_scenario(cfg: ScenarioConfig, archive_dir: str | Path | None = None) -> 
             while node.mempool:
                 node.commit_batch()
 
-            doc_body = node.state.get(f.channel_id)
-            pub.clock = window_end
-            summary, _, new_node = rollover_epoch(
-                node, window_start, window_end, clients[f.channel_id], events)
-            ledger = node.ledger
-            # Rebinding drops the archived node, and its fold's doubles
-            # with it, before the audit walks the archive.
-            nodes[f.channel_id] = node = new_node
-            sizes: list[int] = []  # the byte count of each block written
-            if archive_dir is None:
-                archives[f.channel_id, epoch] = ledger
-            with (nullcontext() if archive_dir is None
-                  else open(Path(archive_dir, archive_name(f.channel_id, epoch)), "wb")) as fh:
-                write = len if fh is None else fh.write
-                write(LEDGER_HEADER)
-                verification = verify_pruned_epoch(ledger, summary, pub, cfg.ranges,
-                                                   lambda data: sizes.append(write(data)))
-            del ledger
-            if epoch == cfg.epochs - 1:
-                final_docs[f.channel_id] = doc_body
-
-            rows[f.channel_id].append({
-                "anchor_included_height": pub.included[f.channel_id, summary.epoch_index],
+            last = f is fields[-1]  # no later anchor confirms it: it rolls over alone
+            if last:
+                summary, record, fresh = rollover_epoch(
+                    node, window_start, window_end, clients[f.channel_id], events)
+            else:
+                summary, record = publish_epoch(
+                    node, window_start, window_end, clients[f.channel_id], events)
+            del node  # `nodes` alone holds the archived node, so `archive` drops it
+            row = {
                 "archive_file": archive_name(f.channel_id, epoch),
                 "cultural_operations": cultural,
                 "epoch_index": summary.epoch_index,
                 "excluded": summary.excluded_count,
                 "generated": generated,
                 "kept": generated - summary.excluded_count,
-                "post_reset_size": ledger_size_bytes(node.ledger),
-                "pre_reset_size": sum(sizes),
                 "summary": to_json_value(summary),
-                "verification": {"failures": list(verification.failures),
-                                 "ok": verification.ok},
                 "window_end": window_end,
                 "window_start": window_start,
-            })
+            }
+            if last:
+                # Its heartbeats confirmed every waiting anchor, included before it.
+                close_confirmed()
+                archive(f.channel_id, epoch, summary, row, fresh)
+            else:
+                waiting.append((f.channel_id, epoch, summary, record, row))
+                close_confirmed()
 
     all_ok = all(row["verification"]["ok"] for rs in rows.values() for row in rs)
     confirmed = sum(1 for record in pub.anchors.values() if pub.is_confirmed(record))

@@ -264,19 +264,19 @@ def test_criterion_8_determinism(cli_runs):
 # here is a deliberate output-format change and belongs in CHANGES.md.
 BUNDLED_RUN_DIGESTS = {
     "archive/almond.epoch0.tcgw": "1489b9cdc964ae3eaf5360e210e76a889fbc228c6edb6ccf3feff57122cfb2bc",
-    "archive/almond.epoch1.tcgw": "668e9be460334bcdfa8c589ef71a7bfeca13c20f15884c995e8b26299db3b9c9",
+    "archive/almond.epoch1.tcgw": "30e4279a19d0108f82c64cb5b2d45876919c8464cc58741c98385822e6b1263e",
     "archive/asparagus.epoch0.tcgw": "e46cf4219b90738d5e24226985f6c49f5f16d9daa4b1f1dc14e658942a141e87",
-    "archive/asparagus.epoch1.tcgw": "a7e85a64c61fc3ca13e68782736cbd16487ab3bd24498f5d8a53518b5d6d5f87",
+    "archive/asparagus.epoch1.tcgw": "853009f8e18e591680c115b2eebe33a196e9ad79d2be00f739ce08233246bd75",
     "archive/durum_wheat.epoch0.tcgw": "0ce63f92ee6180bbef724954000b89c9946b85e972a36e76119d197e6f1a07ab",
-    "archive/durum_wheat.epoch1.tcgw": "bbbe008409f15e23cfd360d9e8036f66098ca40f0accf61808fcccf187dc4964",
+    "archive/durum_wheat.epoch1.tcgw": "4fa6af406f09810a4338a6db5e4c23da5570cdc6261c7607fb412bd50df8079d",
     "archive/pomegranate.epoch0.tcgw": "6333af1b61316434879a1a11ddc9332c634ed2dd402dc94fbebea630d785c25a",
-    "archive/pomegranate.epoch1.tcgw": "37b05aa85d17c33e477712d1aefc4f63dd99cb5309082a9e77d5248418d493f0",
+    "archive/pomegranate.epoch1.tcgw": "bb9458db02e34a76ae98e5b725c28fd0026534bd13c5e40d88a6b2f851f3a7b1",
     "archive/ranges.json": "8309fdc7c36b0e33e13e7eea2b7c8858746635312d1cca507203a18b9e11043e",
     "archive/tomato.epoch0.tcgw": "97e96374c84b07de7c6a75f0570811dd37959cb7b963eb34902ba4efbde2a5a0",
-    "archive/tomato.epoch1.tcgw": "ab6e25023d815c389b361d24d7ca1ff3d852614b2af590b5c91b62069fd71fc3",
-    "public.tcgw": "ccd113a04c98184009ea8bb5c3b38cacaa00da04f87c2578c209e437d34545ca",
+    "archive/tomato.epoch1.tcgw": "85c2e782a2dceb17f013a39793144a3d7aa19fc81edfb35b39d9e99aa7099c12",
+    "public.tcgw": "97dc982dd30ae995c66605717b24a95151f38e05a781896766fa44bf227bbf07",
     "public.tcgw.meta.json": "b3414021bf7a778791b88fa465ca7e2987d1812894e63f0980990c0a9cd80ba9",
-    "report.json": "deebb3ea2dcf0ea976fc7ee067979c4c01285d85003a9a79930067a5e245c120",
+    "report.json": "9c78ec5c948b9c1fc1919ca53d3dbf7199f506ab01ea6c7ea100207831a95bff",
     "state/almond.json": "9d0b2062ba1d0607147145aaecba4b87cd045e32f70542c89625481243a55f5c",
     "state/asparagus.json": "088e926e10c0aa55cf49bc6683fe99fe3f5f42f606756c5c019ca21ef974a830",
     "state/durum_wheat.json": "943b086f5b4aa37b3d905e7df7b90e82f1ee892930342487428b685ceb299be7",

@@ -15,7 +15,7 @@ from tcgw.canon import canonical_json, canonical_loads, to_json_value
 from tcgw.cli import _audit_epoch, main
 from tcgw.errors import InvalidChain
 from tcgw.ledger import iter_transactions, load_ledger, make_block, save_ledger
-from tcgw.public_chain import PublicChain, PublicClient
+from tcgw.public_chain import PublicChain
 from tcgw.workload import default_scenario
 
 from helpers import flip_byte, node_with_readings, tamper_ledger
@@ -311,7 +311,9 @@ def test_verify_checks_the_published_digest(run_dir, tmp_path, capsys):
     assert main(["verify", "--archive", str(run_dir / "archive"), "--chain", str(relinked)]) == 1
     out = capsys.readouterr().out
     assert f"{channel} epoch {epoch}: FAIL (anchor)" in out
-    assert out.count(": ok") == 3
+    # the next epoch's archive links to the digest its gateway published
+    assert f"{channel} epoch {epoch + 1}: FAIL (link)" in out
+    assert out.count(": ok") == 2
 
 
 def test_verify_refuses_a_public_chain_whose_clock_runs_backwards(run_dir, tmp_path, capsys):
@@ -681,23 +683,27 @@ def test_run_holds_one_epoch_at_a_time(tmp_path, capsys):
 
 def test_a_failed_run_keeps_the_archives_of_the_epochs_it_closed(run_dir, tmp_path,
                                                                  monkeypatch, capsys):
-    """An archive is written as its epoch closes: when epoch 1's first anchor
-    never confirms, both epoch-0 archives are on disk, the same bytes an
+    """An archive is written as its epoch closes: when the public chain
+    produces no block after epoch 0's two heartbeats, epoch 1's anchors
+    never confirm, both epoch-0 archives are on disk, the same bytes an
     honest run writes, and nothing of epoch 1 or the report is."""
     calls = []
-    confirm = PublicClient.confirm
+    tick = PublicChain.tick
 
-    def confirm_twice(self, record):
-        calls.append(record)
-        return len(calls) < 3 and confirm(self, record)
+    def tick_twice(self):
+        calls.append(self.ledger[-1].height)
+        if len(calls) <= 2:
+            return tick(self)
 
-    monkeypatch.setattr(PublicClient, "confirm", confirm_twice)
+    monkeypatch.setattr(PublicChain, "tick", tick_twice)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_bytes(canonical_json(to_json_value(small_scenario())))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "anchor was not confirmed" in capsys.readouterr().err
-    assert len(calls) == 3
+    # two anchors and two heartbeats confirm epoch 0; epoch 1's two anchors
+    # then wait through the four heartbeats that are never produced
+    assert calls == [2, 3, 6, 6, 6, 6]
     names = sorted(p.name for p in (out / "archive").glob("*.tcgw"))
     assert names == ["north.epoch0.tcgw", "south.epoch0.tcgw"]
     for name in names:

@@ -30,8 +30,8 @@ from tcgw import (
 )
 from tcgw.canon import from_json_value, to_json_value
 from tcgw.errors import DuplicateRange, InvalidArgument, NonEmptyMempool, PublishFailed
-from tcgw.gateway import (EpochSummary, filter_out_of_scale, summarize, summary_digest,
-                          verify_archive)
+from tcgw.gateway import (EpochSummary, close_epoch, filter_out_of_scale, publish_epoch,
+                          summarize, summary_digest, verify_archive)
 from tcgw.ledger import iter_transactions, make_block, save_ledger
 from tcgw.private_chain import (BATCH_SIZE, METRICS, MetricStats, _EpochStats, range_bounds,
                                 reading_fields)
@@ -412,6 +412,69 @@ def test_consecutive_rollovers_are_contiguous():
     s1, _, _ = _rollover(node2, pub, 300, 600)
     assert (s0.epoch_index, s1.epoch_index) == (0, 1)
     assert s1.window_start == s0.window_end
+
+
+def test_close_before_confirmation_raises_and_leaves_the_node_intact():
+    """publish_epoch produces the anchor's own block and leaves the node as
+    it was; close_epoch refuses to reset it until that block has
+    confirmations_required blocks after it."""
+    node = node_with_readings(ranges=(TEMP_RANGE,), n=30, spacing=10)
+    pub = _pub()
+    client = PublicClient(pub, "gw-fieldA")
+    before = head(node.ledger)
+    events: list = []
+    summary, record = publish_epoch(node, 0, 300, client, events)
+    assert pub.included[record.channel_id, record.epoch_index] == head(pub.ledger)[0] == 1
+    with pytest.raises(PublishFailed, match="anchor was not confirmed"):
+        close_epoch(node, record, pub, events)
+    assert head(node.ledger) == before and node.commit_batch() is None
+    assert [e["event"] for e in events] == ["anchor_submitted"]
+    pub.tick()
+    pub.tick()
+    fresh = close_epoch(node, record, pub, events)
+    assert [e["event"] for e in events] == ["anchor_submitted", "anchor_confirmed",
+                                            "ledger_reset"]
+    assert fresh.ledger[0].previous_hash == record.summary_digest == summary_digest(summary)
+
+
+def _second_epoch(link=None):
+    """An honest epoch 0 of fieldA, then epoch 1 on a node reset with `link`
+    (the confirmed anchor's summary_digest when None), anchored honestly;
+    returns (epoch-1 ledger, its summary, the chain)."""
+    node = node_with_readings(ranges=(TEMP_RANGE,), n=30, spacing=10)  # [0, 300)
+    pub = _pub()
+    client = PublicClient(pub, "gw-fieldA")
+    _, record = publish_epoch(node, 0, 300, client, [])
+    assert client.confirm(record)
+    node = node.reset(record.summary_digest if link is None else link)
+    for i in range(30):
+        node.clock = 300 + i * 10
+        node.submit(reading_tx("fieldA", 1000 + i, timestamp=node.clock))
+    while node.mempool:
+        node.commit_batch()
+    summary, _, _ = rollover_epoch(node, 300, 600, client, [])
+    return node.ledger, summary, pub
+
+
+@pytest.mark.parametrize("link, failures", [
+    (None, ()),
+    (bytes(32), ("link",)),
+    (bytes(range(32)), ("link",)),
+], ids=["honest", "unlinked", "wrong-anchor"])
+def test_an_archive_links_to_the_previous_epochs_anchor(tmp_path, link, failures):
+    """A gateway that resets with the wrong anchor, then anchors epoch 1
+    honestly, fails `link` alone: head, stats, state and anchor pass."""
+    ledger, summary, pub = _second_epoch(link)
+    assert summary.epoch_index == 1
+    assert _audit_both(tmp_path, ledger, summary, pub) == failures
+
+
+def test_an_archive_whose_previous_anchor_is_gone_fails_link(tmp_path):
+    """Epoch k's link is the summary_digest on the chain for epoch k - 1:
+    with no such anchor, epoch k fails `link`."""
+    ledger, summary, pub = _second_epoch()
+    del pub.anchors["fieldA", 0]
+    assert _audit_both(tmp_path, ledger, summary, pub) == ("link",)
 
 
 def test_rollover_rejects_window_not_covering_ledger():

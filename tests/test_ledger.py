@@ -21,14 +21,15 @@ from tcgw.canon import sha256
 from tcgw.errors import (
     ClockSkew,
     EmptyBatch,
+    InvalidArgument,
     InvalidTransaction,
     LedgerFormatError,
     UnsupportedValue,
 )
 from tcgw import ledger as ledger_module
-from tcgw.ledger import (ZERO_HASH, ChainFault, Ledger, iter_transactions, ledger_blocks,
-                         load_ledger, make_block, make_transaction, merkle_root, read_blocks,
-                         read_payloads, save_ledger, serialize_block, verify_blocks)
+from tcgw.ledger import (ZERO_HASH, ChainFault, Ledger, VerificationReport, iter_transactions,
+                         ledger_blocks, load_ledger, make_block, make_transaction, merkle_root,
+                         read_blocks, read_payloads, save_ledger, serialize_block, verify_blocks)
 
 from helpers import build_ledger, flip_byte, reading_tx, tamper_ledger
 
@@ -40,6 +41,25 @@ def test_genesis_shape():
     assert ledger[0].previous_hash == ZERO_HASH
     assert ledger[0].transactions == ()
     assert ledger[0].tx_root == sha256(b"")
+
+
+def test_genesis_links_to_the_digest_it_is_given():
+    """Block 0's previous_hash is its caller's link, hashed into its
+    block_hash; verify_blocks takes it as given and checks every later link."""
+    link = sha256(b"the previous epoch's anchor")
+    ledger = genesis(link)
+    assert ledger[0].previous_hash == link and ledger[0] != genesis()[0]
+    grown, _ = append_block(ledger, [reading_tx("fieldA", 0)], 0)
+    assert verify_chain(grown).ok
+    forged = (dataclasses.replace(grown[0], previous_hash=ZERO_HASH),) + grown[1:]
+    assert verify_chain(forged) == VerificationReport(0, ChainFault.HASH_LINK)
+
+
+@pytest.mark.parametrize("link", [bytes(31), bytes(33), "00" * 32, bytearray(32)],
+                         ids=["31-bytes", "33-bytes", "hex-str", "bytearray"])
+def test_genesis_refuses_a_link_that_is_not_a_digest(link):
+    with pytest.raises(InvalidArgument, match="is not a 32-byte digest"):
+        genesis(link)
 
 
 def test_append_links_to_previous_hash():

@@ -31,7 +31,8 @@ from tcgw import (
 from tcgw.canon import canonical_json, canonical_loads
 from tcgw.gateway import ValidityRange, filter_out_of_scale, summarize
 from tcgw import ledger as ledger_module, private_chain
-from tcgw.ledger import Transaction, iter_transactions, load_ledger, save_ledger, sealed
+from tcgw.ledger import (Transaction, genesis, iter_transactions, load_ledger, save_ledger,
+                         sealed)
 from tcgw.private_chain import (METRICS, MetricStats, decimal_value, read_reading,
                                 reading_fields, reading_head)
 from tcgw.workload import FieldConfig, SensorSpec, generate_readings
@@ -449,8 +450,10 @@ def test_copy_is_an_equal_independent_node():
 def test_reset_with_anchor_starts_fresh():
     node = node_with_readings(n=30)
     archived = node.ledger
-    fresh = node.reset()
+    link = bytes(range(32))  # the confirmed anchor's summary_digest
+    fresh = node.reset(link)
     assert len(fresh.ledger) == 1
+    assert fresh.ledger == genesis(link)
     assert fresh.state == {}
     assert fresh.channel_id == node.channel_id
     assert fresh.authorized_authors == node.authorized_authors
@@ -466,7 +469,7 @@ def test_reset_refuses_pending_transactions():
     node = _node()
     node.submit(reading_tx("fieldA", 0))
     with pytest.raises(NonEmptyMempool):
-        node.reset()
+        node.reset(bytes(32))
 
 
 def _rollover(node: PrivateNode, start: int, end: int):

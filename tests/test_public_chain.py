@@ -13,7 +13,7 @@ from tcgw import (
     head,
     verify_chain,
 )
-from tcgw.canon import canonical_json, canonical_loads
+from tcgw.canon import canonical_json, canonical_loads, digest_json, to_json_value
 from tcgw.errors import DuplicateEpoch, InvalidArgument, InvalidChain, UnknownGateway
 from tcgw.gateway import EpochSummary, summary_digest
 from tcgw.private_chain import MetricStats
@@ -195,6 +195,31 @@ def test_load_names_the_block_that_fails_verification(tmp_path):
     path = _forge(chain, tamper_ledger(chain.ledger, height=2, target="payload", byte_index=9),
                   tmp_path)
     with pytest.raises(InvalidChain, match=r"^TxId at block 2$"):
+        PublicChain.load(path)
+
+
+def test_genesis_commits_to_the_chain_params():
+    chain = _chain()
+    assert chain.ledger[0].previous_hash == digest_json(to_json_value(chain.params))
+    assert verify_chain(chain.ledger).ok
+    other = _chain(validators=4)
+    assert other.ledger[0] != chain.ledger[0]
+
+
+def test_load_refuses_a_sidecar_that_renames_a_validator_no_heartbeat_names(tmp_path):
+    """Three anchors at heights 1 to 3, then two heartbeats by val-0 and
+    val-1: val-2 authors no heartbeat, so only the genesis commitment
+    catches it renamed in the sidecar."""
+    chain = _confirmed_chain(3)
+    assert [canonical_loads(block.transactions[0].payload).get("tick") for block in
+            chain.ledger[4:]] == [1, 2] and chain.producers[3:] == ["val-0", "val-1"]
+    path = chain.save(tmp_path / "public.tcgw")
+    meta = tmp_path / "public.tcgw.meta.json"
+    value = canonical_loads(meta.read_bytes())
+    value["validators"][2] = "val-x"
+    meta.write_bytes(canonical_json(value))
+    with pytest.raises(InvalidChain,
+                       match=r"^block 0 does not commit to the sidecar public.tcgw.meta.json$"):
         PublicChain.load(path)
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import tracemalloc
 
 import pytest
 
@@ -10,6 +12,7 @@ from tcgw import (
     TxKind,
     ValidityRange,
     default_scenario,
+    head,
     run_scenario,
     verify_pruned_epoch,
 )
@@ -322,10 +325,18 @@ def test_run_scenario_builds_and_hashes_each_body_twice(monkeypatch, tmp_path):
     assert [hashed[body] for body in bodies] == [2] * 312
     assert [encoded.pop(ledger.serialize_block(block)) for chain in archives
             for block in chain[1:]] == [1] * sum(len(chain) - 1 for chain in archives)
-    # every archive starts with the same genesis block, encoded once by each
-    # audit and once by each fresh ledger's post_reset_size
-    assert encoded == {ledger.serialize_block(ledger.genesis()[0]): 12}
-    assert len(sized) == 6 and all(chain == ledger.genesis() for chain in sized)
+    # an epoch-0 archive starts with the unlinked genesis block, encoded once
+    # by its audit; every later genesis links to the anchor before it and is
+    # encoded once as the fresh ledger's post_reset_size and once more by
+    # its archive's audit, if the run archives it
+    pub = result.public_chain
+    links = {pub.find_anchor(ch, epoch).summary_digest: 1 + (epoch < 2)
+             for ch in ("north", "south") for epoch in range(3)}
+    assert encoded == {ledger.serialize_block(ledger.genesis()[0]): 2,
+                       **{ledger.serialize_block(ledger.genesis(link)[0]): count
+                          for link, count in links.items()}}
+    assert sorted(chain[0].previous_hash for chain in sized) == sorted(links)
+    assert all(chain == ledger.genesis(chain[0].previous_hash) for chain in sized)
 
 
 def test_verify_chain_rebuilds_the_body_of_every_sealed_transaction(monkeypatch):
@@ -408,26 +419,28 @@ def test_run_scenario_builds_no_decimal_from_a_reading_value(monkeypatch):
     checks each value by the template match, and the node at commit and the
     in-run audit fold it as its double; no value here ties a bound's double
     or the least or greatest double so far, which alone would build one.
-    Rollover builds none and reads no payload: it publishes the node's
-    fold. The generator checks its sensor's fault spike once per window,
-    and those are the only Decimals of a reading's text."""
-    from tcgw import workload
+    The publish step builds none and reads no payload: it publishes the
+    node's fold. The generator checks its sensor's fault spike once per
+    window, and those are the only Decimals of a reading's text."""
+    from tcgw import gateway, workload
     from tcgw.workload import _spike_value
-    in_rollover: list = []  # whether each rollover_epoch call built or read anything
-    rollover = workload.rollover_epoch
+    in_publish: list = []  # whether each publish_epoch call built or read anything
+    publish = workload.publish_epoch
 
-    def watched_rollover(*args):
+    def watched_publish(*args):
         before = len(built), len(read)
-        result = rollover(*args)
-        in_rollover.append((len(built), len(read)) != before)
+        result = publish(*args)
+        in_publish.append((len(built), len(read)) != before)
         return result
 
     cfg = small_scenario(epochs=3)
     built, read = _count_reading_work(monkeypatch)
-    monkeypatch.setattr(workload, "rollover_epoch", watched_rollover)
+    # run_scenario publishes each epoch's last field through rollover_epoch
+    monkeypatch.setattr(workload, "publish_epoch", watched_publish)
+    monkeypatch.setattr(gateway, "publish_epoch", watched_publish)
     result = run_scenario(cfg)
     monkeypatch.undo()
-    assert in_rollover == [False] * (cfg.epochs * len(cfg.fields))
+    assert in_publish == [False] * (cfg.epochs * len(cfg.fields))
     values = _reading_values(result.archives.values())
     bounds = {text for r in cfg.ranges for text in (r.min_valid, r.max_valid)}
     assert len(values) == 288 and bounds.isdisjoint(values)
@@ -503,6 +516,108 @@ def test_run_scenario_event_order_publish_before_prune():
     assert order
     for positions in order.values():
         assert positions["anchor_submitted"] < positions["anchor_confirmed"] < positions["ledger_reset"]
+
+
+def _cloned_fields(cfg: ScenarioConfig, n: int, epochs: int = 1) -> ScenarioConfig:
+    """`cfg` with n fields, each one of its fields' shape in turn under a
+    channel of its own, over `epochs` epochs."""
+    fields = tuple(dataclasses.replace(cfg.fields[i % len(cfg.fields)], channel_id=f"field-{i}")
+                   for i in range(n))
+    return dataclasses.replace(cfg, fields=fields, epochs=epochs)
+
+
+@pytest.mark.parametrize("confirmations", [1, 2, 3])
+def test_each_anchor_is_one_block_and_an_epoch_ticks_confirmations_required_times(
+        monkeypatch, confirmations):
+    """Each anchor's block is confirmed by the anchor blocks that follow it;
+    heartbeats only confirm an epoch's last anchors. So the public head is
+    the anchor count plus confirmations_required per epoch."""
+    ticks: list = []
+    tick = PublicChain.tick
+    monkeypatch.setattr(PublicChain, "tick", lambda self: ticks.append(1) or tick(self))
+    cfg = dataclasses.replace(_cloned_fields(small_scenario(), 5, epochs=3),
+                              confirmations_required=confirmations)
+    report = run_scenario(cfg).report
+    anchors = len(cfg.fields) * cfg.epochs
+    assert report["public_head_height"] == anchors + confirmations * cfg.epochs
+    assert len(ticks) == confirmations * cfg.epochs
+    assert report["confirmed_anchors"] == anchors
+    heights = {row["anchor_included_height"] for rows in report["channels"].values()
+               for row in rows}
+    assert len(heights) == anchors  # every anchor in a block of its own
+
+
+def test_the_bundled_run_makes_fourteen_public_blocks():
+    """10 anchor blocks and 2 heartbeats per epoch; each anchor followed by
+    two heartbeats of its own made 30."""
+    result = run_scenario(default_scenario())
+    assert result.report["public_head_height"] == len(result.public_chain.ledger) - 1 == 14
+
+
+def _run_peak(tmp_path, cfg: ScenarioConfig) -> int:
+    """Bytes the traced heap peaks above its level before run_scenario(cfg)
+    writing its archives to a fresh directory, after a full collection (see
+    tests/test_cli.py's _run_peak)."""
+    out = tmp_path / f"peak{len(list(tmp_path.iterdir()))}"
+    out.mkdir()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_scenario(cfg, out)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_run_holds_at_most_confirmations_required_plus_one_ledgers(tmp_path):
+    """A field's ledger is held from its publish until the anchor blocks of
+    the next confirmations_required fields confirm it, so a run holds at
+    most three epoch ledgers however many fields it has. Eight fields of
+    the bundled shape peak above four by less than one ledger of 1,470
+    transactions (about 478 KB); holding every field's ledger until one
+    shared confirmation would add four. The first run warms the caches
+    that first calls allocate."""
+    bundled = default_scenario(epochs=1)
+    _run_peak(tmp_path, _cloned_fields(bundled, 1))
+    growth = (_run_peak(tmp_path, _cloned_fields(bundled, 8))
+              - _run_peak(tmp_path, _cloned_fields(bundled, 4)))
+    assert growth < 478_000, growth
+
+
+def test_a_publish_that_fails_mid_epoch_resets_no_waiting_node(monkeypatch, tmp_path):
+    """The fourth field's anchor is rejected: the first field's anchor was
+    confirmed by the next two and its archive written; the second and
+    third wait unconfirmed, and neither node is reset or archived."""
+    from tcgw import workload
+    from tcgw.errors import PublishFailed, UnknownGateway
+    published: list = []  # (node, its head as published)
+    closed: list = []
+    publish, close, submit = workload.publish_epoch, workload.close_epoch, PublicChain.submit_anchor
+
+    def watched_publish(node, *args):
+        published.append((node, head(node.ledger)))
+        return publish(node, *args)
+
+    def watched_close(node, *args):
+        closed.append(node.channel_id)
+        return close(node, *args)
+
+    def reject_the_fourth(self, summary, author):
+        if summary.channel_id == "field-3":
+            raise UnknownGateway(f"unknown gateway {author!r}")
+        return submit(self, summary, author)
+
+    monkeypatch.setattr(workload, "publish_epoch", watched_publish)
+    monkeypatch.setattr(workload, "close_epoch", watched_close)
+    monkeypatch.setattr(PublicChain, "submit_anchor", reject_the_fourth)
+    with pytest.raises(PublishFailed, match="anchor rejected: unknown gateway 'gw-field-3'"):
+        run_scenario(_cloned_fields(small_scenario(), 5), tmp_path)
+    assert [node.channel_id for node, _ in published] == [f"field-{i}" for i in range(4)]
+    assert closed == ["field-0"]
+    assert [p.name for p in tmp_path.iterdir()] == ["field-0.epoch0.tcgw"]
+    for node, published_head in published[1:]:
+        assert head(node.ledger) == published_head and len(node.ledger) > 1
 
 
 def test_run_scenario_is_fully_deterministic():
