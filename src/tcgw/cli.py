@@ -133,12 +133,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
 
     archives = {}
-    for path in sorted(archive_dir.iterdir()):
-        match = ARCHIVE_NAME.match(path.name)
+    # Names sort as their paths in one directory do; a path is built only
+    # for a name that is audited or warned about.
+    for name in sorted(os.listdir(archive_dir)):
+        match = ARCHIVE_NAME.match(name)
         if match:
-            archives[match.group("channel"), int(match.group("epoch"))] = path
-        elif path.suffix == ".tcgw":
-            _err(f"warning: {path} is not named <channel>.epoch<k>.tcgw, not checked")
+            archives[match.group("channel"), int(match.group("epoch"))] = archive_dir / name
+        elif name.endswith(".tcgw") and name != ".tcgw":  # Path.suffix's rule
+            _err(f"warning: {archive_dir / name} is not named <channel>.epoch<k>.tcgw, not checked")
     # Every confirmed anchor must have its archive, and every archive its anchor.
     anchored = {key for key, record in chain.anchors.items() if chain.is_confirmed(record)}
     if not archives and not anchored:

@@ -28,6 +28,7 @@ relies only on the walk taking no block past the first bad one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -272,16 +273,29 @@ def verify_archive(path: Path, summary: EpochSummary, pub,
     return _verify_epoch(read_blocks(path), summary, pub, ranges)
 
 
+@functools.lru_cache(maxsize=16)
+def _parsed_bounds(ranges: tuple[ValidityRange, ...]) -> dict[str, tuple[float, float, str, str]]:
+    """range_bounds(ranges), parsed once per value of a tuple of frozen
+    ValidityRanges (a failure is not kept, so it raises again). Read-only:
+    every audit under the same ranges shares the dict, as a node and the
+    nodes reset from it share theirs."""
+    return range_bounds(ranges)
+
+
 def _verify_epoch(blocks: Iterator[tuple[Block, int]], summary: EpochSummary, pub,
                   ranges: Iterable[ValidityRange]) -> EpochVerification:
     """verify_pruned_epoch's checks over one iterator of (block, first bad
     tx index) pairs, as verify_blocks takes them; draining it after a
-    chain fault folds the readings the walk did not reach."""
+    chain fault folds the readings the walk did not reach.
+
+    The ranges' bounds come from _parsed_bounds, so `tcgw verify` and
+    run_scenario, which audit every archive under one tuple of ranges,
+    parse them once, not once per archive."""
     start, end = summary.window_start, summary.window_end
     batch = OpBatch(EMPTY_STATE)
     found: set[str] = set()  # codes of payloads that do not decode or apply
     try:
-        bounds = range_bounds(ranges)
+        bounds = _parsed_bounds(tuple(ranges))
     except Exception:  # ranges that cannot be read reproduce no stats
         bounds = {}
         found.add("stats")

@@ -53,7 +53,7 @@ import struct
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .canon import canonical_loads, sha256
 from .errors import (ClockSkew, EmptyBatch, InvalidArgument, LedgerFormatError,
@@ -253,16 +253,24 @@ def _string_slowly(data: bytes, offset: int) -> tuple[str, int]:
         raise LedgerFormatError(f"string at byte {offset + 4} is not valid UTF-8") from exc
 
 
-def _transaction_slowly(data: bytes, offset: int) -> tuple[Transaction, int]:
-    """Walk one transaction field by field, raising the exact error."""
-    tx_id, offset = _take(data, offset, DIGEST_SIZE)
-    channel_id, offset = _string_slowly(data, offset)
-    timestamp, code, size = _TS_KIND_LEN.unpack(_take(data, offset, _TS_KIND_LEN.size)[0])
+def _transaction_slowly(data: bytes, start: int) -> NoReturn:
+    """Walk one transaction field by field and raise its exact
+    LedgerFormatError. It is called only where the flat decoder failed on
+    the transaction at `start`, and each way that decoder fails is a step
+    here that raises: a field cut short by the end of the data (its tx_id,
+    a length, the timestamp, kind and payload length, or the bytes of a
+    name or the payload), an unknown kind code, or a name that is not
+    UTF-8. So the walk never gets past its last field, and it builds no
+    transaction; the closing raise keeps a disagreement between the two
+    decoders from passing as a transaction."""
+    _, offset = _take(data, start, DIGEST_SIZE)
+    _, offset = _string_slowly(data, offset)
+    _, code, size = _TS_KIND_LEN.unpack(_take(data, offset, _TS_KIND_LEN.size)[0])
     if code not in _KIND_BY_CODE:
         raise LedgerFormatError(f"unknown transaction kind code {code} at byte {offset + 8}")
-    payload, offset = _take(data, offset + _TS_KIND_LEN.size, size)
-    author_id, offset = _string_slowly(data, offset)
-    return Transaction(tx_id, channel_id, timestamp, _KIND_BY_CODE[code], payload, author_id), offset
+    _, offset = _take(data, offset + _TS_KIND_LEN.size, size)
+    _string_slowly(data, offset)
+    raise LedgerFormatError(f"transaction at byte {start} does not decode")
 
 
 class _Names(dict):
@@ -307,7 +315,7 @@ def _decode_blocks(data: bytes, offset: int) -> Iterator[tuple[Block, int]]:
             except (struct.error, KeyError, UnicodeDecodeError):
                 offset = end + 1
             if offset > end:  # also an author_id cut short
-                tx, offset = _transaction_slowly(data, start)
+                _transaction_slowly(data, start)
             if bad < 0 and sha256(data[start + DIGEST_SIZE:offset]) != tx.tx_id:
                 bad = i
             txs.append(tx)
@@ -490,9 +498,18 @@ def read_blocks(path: str | Path) -> Iterator[tuple[Block, int]]:
     whose tx_id is not the SHA-256 of the body bytes read (-1 if none), for
     verify_blocks. The file is read whole, its blocks decoded one at a time
     as they are taken. Raises LedgerFormatError where the bytes are not a
-    ledger or hold no block."""
-    path = Path(path)
-    data = path.read_bytes()
+    ledger or hold no block.
+
+    The read is one unbuffered open and readall: no BufferedReader copies
+    the bytes, and the OSError of a file that cannot be read (a directory
+    too) names the path. A Path is used as given: building it again costs
+    about what the unbuffered read saves. The file is read whole, not
+    block by block: that would add system calls per archive, and the
+    largest archive's audit peaks below the `tcgw run` that wrote it."""
+    if not isinstance(path, Path):
+        path = Path(path)
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
     if _take(data, 0, 4)[0] != LEDGER_MAGIC:
         raise LedgerFormatError(f"{path}: bad magic at byte 0, not a ledger file")
     version = _take(data, 4, 1)[0][0]

@@ -7,6 +7,7 @@ import gc
 import json
 import re
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from tcgw.cli import _audit_epoch, main
 from tcgw.errors import InvalidChain
 from tcgw.ledger import iter_transactions, load_ledger, make_block, save_ledger
 from tcgw.public_chain import PublicChain
-from tcgw.workload import default_scenario
+from tcgw.workload import archive_name, default_scenario
 
 from helpers import flip_byte, node_with_readings, tamper_ledger
 from test_gateway import TEMP_RANGE, _pub, _relink, _rollover
@@ -363,15 +364,15 @@ def _file_audit_peak(tmp_path, n: int, tampered: bool = False) -> int:
         data[data.index(b'"value":"') + 9] ^= 0x01
         path.write_bytes(bytes(data))
         verdict = "FAIL (chain: TxId at block 1, stats)"
+    from tcgw import ledger
     reads = []
-    read_bytes = Path.read_bytes
 
-    def counting_read_bytes(self):
-        reads.append(self)
-        return read_bytes(self)
+    def counting_open(file, *args, **kwargs):  # read_blocks reads a file through one open
+        reads.append(file)
+        return open(file, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Path, "read_bytes", counting_read_bytes)
+        patch.setattr(ledger, "open", counting_open, raising=False)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -396,6 +397,45 @@ def test_verify_holds_the_file_and_no_transaction_per_transaction(tmp_path):
         growth = (_file_audit_peak(tmp_path, 2 * n, tampered)
                   - _file_audit_peak(tmp_path, n, tampered)) / n
         assert growth < 250, (tampered, growth)
+
+
+def _verify_work(tmp_path, epochs: int) -> tuple[int, Counter]:
+    """(range_bounds calls, opens per file name through read_blocks) of one
+    `tcgw verify` over the 2 * epochs archives of small_scenario(epochs),
+    counting cmd_verify's check of ranges.json and the audits' parse."""
+    from tcgw import cli, gateway, ledger
+    cfg_path = tmp_path / f"cfg{epochs}.json"
+    cfg_path.write_bytes(canonical_json(to_json_value(small_scenario(epochs=epochs))))
+    out = tmp_path / f"out{epochs}"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    parses, opens = [], Counter()
+    parse = gateway.range_bounds
+
+    def counting_open(file, *args, **kwargs):
+        opens[Path(file).name] += 1
+        return open(file, *args, **kwargs)
+
+    gateway._parsed_bounds.cache_clear()  # parsed values are kept across calls
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (cli, gateway):
+            patch.setattr(module, "range_bounds", lambda ranges: parses.append(1) or parse(ranges))
+        patch.setattr(ledger, "open", counting_open, raising=False)
+        assert main(["verify", "--archive", str(out / "archive"),
+                     "--chain", str(out / "public.tcgw")]) == 0
+    return len(parses), opens
+
+
+def test_verify_parses_the_ranges_twice_and_opens_each_archive_once(tmp_path, capsys):
+    """Work counter: `tcgw verify` parses the validity ranges twice per
+    command, at 2 archives as at 6 (once to check ranges.json, once for
+    every audit), and opens each file once, the public chain's included."""
+    for epochs in (1, 3):
+        parses, opens = _verify_work(tmp_path, epochs)
+        assert parses == 2, epochs
+        assert opens == Counter(["public.tcgw", *(archive_name(channel, epoch)
+                                                  for channel in ("north", "south")
+                                                  for epoch in range(epochs))])
+        assert capsys.readouterr().out.count(": ok") == 2 * epochs
 
 
 def test_verify_rejects_a_digest_that_is_not_hex(run_dir, tmp_path, capsys):

@@ -746,6 +746,23 @@ def test_audit_fails_stats_on_an_in_window_reading_that_fails_check_reading(tmp_
     assert _audit_both(tmp_path, ledger, summary, pub) == ("stats",)
 
 
+def test_audit_fails_chain_at_a_context_op_whose_payload_is_not_json(tmp_path):
+    """An UpdateField transaction re-sealed over b"not json" has the tx_id
+    of its bytes, so only the audit's parse of its payload can fail it: a
+    TxId fault at its block, through both streams, and nothing else (the
+    head is anchored, and every reading still folds)."""
+    archived, summary, _ = _epoch_with_ops()
+    height, index = _first_tx(archived, TxKind.UPDATE_FIELD)
+    ledger = _relink(archived, height, index, TxKind.UPDATE_FIELD, b"not json")
+    summary, pub = _anchor(ledger, summary)
+    path = save_ledger(ledger, tmp_path / "fieldA.epoch0.tcgw")
+    for outcome in (verify_pruned_epoch(ledger, summary, pub, [TEMP_RANGE]),
+                    verify_archive(path, summary, pub, [TEMP_RANGE])):
+        assert outcome.failures == ("chain",)
+        assert str(outcome.chain) == f"TxId at block {height}"
+    assert 0 < height < len(ledger) - 1
+
+
 def test_audit_fails_state_on_an_op_that_conflicts(tmp_path):
     """An AppendToArray onto a scalar raises PathTypeConflict. Anchored with
     the state digest of the other ops, the archive fails `state`, and

@@ -84,6 +84,14 @@ def test_generate_rejects_bad_window():
         generate_readings(_field(), 10, 10)
 
 
+@pytest.mark.parametrize("window", [(10, 10), (10, 5)])
+def test_generate_context_ops_rejects_an_empty_or_inverted_window(window):
+    """run_scenario never reaches this check (generate_readings makes it
+    first), so it is called directly."""
+    with pytest.raises(InvalidWindow, match=r"is empty or inverted$"):
+        generate_context_ops(_field(), *window)
+
+
 def test_generate_refuses_a_fault_spike_no_reading_could_hold():
     """Ranges passed to generate_readings directly, not through a
     ScenarioConfig, still cannot make a spike of 1E+100 or more."""
@@ -237,6 +245,21 @@ def test_run_scenario_counts_and_conservation():
         for row in rows:
             assert row["kept"] + row["excluded"] == row["generated"]
             assert row["pre_reset_size"] > row["post_reset_size"]
+
+
+def test_run_scenario_audits_every_archive_under_one_parse_of_the_ranges(monkeypatch):
+    """Work counter: the in-run audit parses the validity ranges once per
+    run, at 2 archives as at 6, not once per archive."""
+    from tcgw import gateway
+    parse = gateway.range_bounds
+    for epochs in (1, 3):
+        parses = []
+        gateway._parsed_bounds.cache_clear()  # parsed values are kept across calls
+        monkeypatch.setattr(gateway, "range_bounds",
+                            lambda ranges: parses.append(1) or parse(ranges))
+        result = run_scenario(small_scenario(epochs=epochs))
+        assert len(result.archives) == 2 * epochs and result.report["ok"]
+        assert len(parses) == 1, epochs
 
 
 def test_run_scenario_parses_each_payload_twice(monkeypatch):
