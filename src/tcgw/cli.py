@@ -125,6 +125,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ranges = from_json_value(tuple[ValidityRange, ...],
                                      canonical_loads(ranges_path.read_bytes())["ranges"])
             range_bounds(ranges)  # two ranges for one metric raise DuplicateRange
+            if ranges != chain.ranges:
+                print("ranges.json: FAIL (not the ranges block 0 commits to)")
+                return 1
         else:
             _err(f"warning: {ranges_path} missing, verifying with no validity ranges")
             ranges = ()

@@ -18,10 +18,14 @@ big-endian. Writer and reader share one struct per fixed-width run of
 fields: ``_BLOCK_HEAD`` (height to tx_count), ``_TX_HEAD`` (tx_id, channel_id
 length) and ``_TS_KIND_LEN`` (timestamp, kind, payload length).
 ``tx_id = sha256(body)``, ``block_hash = sha256(u64(height) previous_hash
-u64(timestamp) tx_root)``, and ``tx_root`` is the binary Merkle root over the
-ordered tx_ids: parents are ``sha256(left || right)``, an odd level duplicates
-its last node, a single leaf is its own root, and the empty list hashes to
-``sha256(b"")``.
+u64(timestamp) tx_root)``, and ``tx_root`` is the 16-ary Merkle root over
+the ordered tx_ids: the empty list hashes to ``sha256(b"")``, a single leaf
+is its own root, and otherwise each level's runs of up to MERKLE_FANOUT
+consecutive nodes become ``sha256(0x01 || run)`` until one node is left. The
+last run may be shorter, even one node; no node is ever duplicated. A node
+preimage starts with 0x01, while a body starting with 0x01 declares a
+channel id of at least 16 MiB, so no tx_id equals an inner node without a
+SHA-256 collision, and the root binds the exact ordered id list.
 
 One layout, _block_parts, gives a block's bytes to serialize_block,
 save_ledger, ledger_size_bytes and ledger_blocks. One walk, verify_blocks,
@@ -62,6 +66,8 @@ from .errors import (ClockSkew, EmptyBatch, InvalidArgument, LedgerFormatError,
 DIGEST_SIZE = 32
 ZERO_HASH = bytes(DIGEST_SIZE)
 EMPTY_TX_ROOT = sha256(b"")
+MERKLE_FANOUT = 16  # nodes per inner Merkle node
+MERKLE_NODE = b"\x01"  # an inner Merkle node's prefix
 
 LEDGER_MAGIC = b"TCGW"
 LEDGER_VERSION = 1
@@ -198,14 +204,14 @@ def transaction_valid(tx: Transaction) -> bytes | None:
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:
-    """Binary Merkle root; see the module docstring for the conventions."""
+    """16-ary Merkle root; see the module docstring for the conventions.
+    One hash per inner node: 8 for 100 leaves, 20 for 257."""
     if not leaves:
         return EMPTY_TX_ROOT
-    level = list(leaves)
+    level = leaves
     while len(level) > 1:
-        if len(level) % 2 == 1:
-            level.append(level[-1])
-        level = [sha256(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
+        level = [sha256(MERKLE_NODE + b"".join(level[i:i + MERKLE_FANOUT]))
+                 for i in range(0, len(level), MERKLE_FANOUT)]
     return level[0]
 
 
@@ -431,9 +437,10 @@ def verify_blocks(blocks: Iterable[tuple[Block, int]]) -> VerificationReport:
     link (block 0's previous_hash is taken as given), the bad index (a
     TX_ID fault), Merkle root, own block hash, and a timestamp no earlier
     than the previous block's (the CLOCK_SKEW that append_block refuses).
-    A block that holds one tx id twice is a TX_ROOT fault: merkle_root pads
-    an odd level with its last node, so a block with its last transactions
-    repeated has the same root.
+    A block that holds one tx id twice is a TX_ROOT fault, even with its
+    root re-derived: the node never commits one (PrivateNode.submit refuses
+    a known id), and the public chain's anchors and heartbeats are unique.
+    The root itself binds the ordered id list: a repeated tail changes it.
     A single flipped byte anywhere in the data surfaces at the mutated
     block or the one after it.
     """
@@ -450,7 +457,8 @@ def verify_blocks(blocks: Iterable[tuple[Block, int]]) -> VerificationReport:
 
 def _block_fault(index: int, block: Block, bad: int, prev_hash: bytes,
                  prev_time: int) -> ChainFault | None:
-    """The first check block `index` fails, in verify_blocks' order, or None."""
+    """The first check block `index` fails, in verify_blocks' order, or None.
+    Repeated ids fail TX_ROOT whatever the root: no writer commits them."""
     if block.height != index:
         return ChainFault.HEIGHT_GAP
     if block.previous_hash != prev_hash:

@@ -15,7 +15,8 @@ block. PublicClient.confirm ticks until an anchor is confirmed: the only
 ticks of run_scenario are those that confirm an epoch's last anchors.
 
 The genesis block's previous_hash is the digest of the chain's
-ChainParams, so the ledger commits to its sidecar. `load` rebuilds the
+ChainParams, so the ledger commits to its sidecar, the validity ranges of
+the run that built it included. `load` rebuilds the
 chain from its ledger and ChainParams sidecar in one verify_blocks walk,
 each tx_id checked against the bytes read, whose block stream
 (read_payloads) accepts only what submit_anchor and tick could write, and
@@ -32,7 +33,7 @@ from .canon import (canonical_json, canonical_loads, digest_json, from_json_valu
                     to_json_value, write_canonical_json)
 from .errors import (DuplicateEpoch, InvalidArgument, InvalidChain, LedgerFormatError,
                      TcgwError, UnknownGateway, UnsupportedValue)
-from .gateway import EpochSummary, summary_digest
+from .gateway import EpochSummary, ValidityRange, summary_digest
 from .ledger import (Block, Ledger, Transaction, TxKind, append_block, genesis, make_transaction,
                      read_blocks, read_payloads, save_ledger, verify_blocks)
 
@@ -59,12 +60,15 @@ class AnchorRecord:
 @dataclass(frozen=True)
 class ChainParams:
     """The sidecar: what a chain's ledger does not carry itself, beyond the
-    digest its genesis block commits to (_params_digest)."""
+    digest its genesis block commits to (_params_digest). `ranges` are the
+    validity ranges the gateways filter with, which `tcgw verify` holds
+    archive/ranges.json to."""
 
     chain_id: str
     confirmations_required: int
     gateways: tuple[str, ...]
     validators: tuple[str, ...]
+    ranges: tuple[ValidityRange, ...] = ()
 
 
 def _params_digest(params: ChainParams) -> bytes:
@@ -73,12 +77,13 @@ def _params_digest(params: ChainParams) -> bytes:
 
 
 class PublicChain:
-    """Single-owner simulation of the open ledger side. The validator set
-    and the gateway registry are fixed: the genesis block commits to them."""
+    """Single-owner simulation of the open ledger side. The validator set,
+    the gateway registry and the validity ranges are fixed: the genesis
+    block commits to them."""
 
     def __init__(self, validators: Iterable[str], gateways: Iterable[str] = (),
                  confirmations_required: int = DEFAULT_CONFIRMATIONS,
-                 chain_id: str = "public"):
+                 chain_id: str = "public", ranges: Iterable[ValidityRange] = ()):
         self.validators = tuple(validators)
         if not self.validators:
             raise InvalidArgument("need at least one validator")
@@ -89,6 +94,7 @@ class PublicChain:
         self.chain_id = chain_id
         self.gateways = frozenset(gateways)
         self.confirmations_required = confirmations_required
+        self.ranges = tuple(ranges)
         self.clock = 0
         self.ledger: Ledger = genesis(_params_digest(self.params))
         # Every admitted anchor, pending or included, and the height of each included one.
@@ -102,7 +108,7 @@ class PublicChain:
     def params(self) -> ChainParams:
         """What `save` writes to the sidecar."""
         return ChainParams(self.chain_id, self.confirmations_required,
-                           tuple(sorted(self.gateways)), self.validators)
+                           tuple(sorted(self.gateways)), self.validators, self.ranges)
 
     @property
     def producers(self) -> list[str]:
@@ -220,7 +226,7 @@ class PublicChain:
         try:
             params = from_json_value(ChainParams, canonical_loads(meta_path.read_bytes()))
             chain = cls(params.validators, params.gateways,
-                        params.confirmations_required, params.chain_id)
+                        params.confirmations_required, params.chain_id, params.ranges)
         except (ValueError, UnsupportedValue) as exc:
             raise LedgerFormatError(f"malformed chain metadata {meta_path}: {exc!r}") from exc
         blocks = list(read_blocks(path))  # every format error before any payload is read

@@ -309,6 +309,7 @@ def run_scenario(cfg: ScenarioConfig, archive_dir: str | Path | None = None) -> 
         validators=[f"val-{i}" for i in range(cfg.validators)],
         gateways=[f.gateway_id for f in fields],
         confirmations_required=cfg.confirmations_required,
+        ranges=cfg.ranges,
     )
     nodes: dict[str, PrivateNode] = {}
     clients: dict[str, PublicClient] = {}

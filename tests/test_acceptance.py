@@ -263,20 +263,20 @@ def test_criterion_8_determinism(cli_runs):
 # SHA-256 of every file `tcgw run` writes for the bundled scenario. A change
 # here is a deliberate output-format change and belongs in CHANGES.md.
 BUNDLED_RUN_DIGESTS = {
-    "archive/almond.epoch0.tcgw": "1489b9cdc964ae3eaf5360e210e76a889fbc228c6edb6ccf3feff57122cfb2bc",
-    "archive/almond.epoch1.tcgw": "30e4279a19d0108f82c64cb5b2d45876919c8464cc58741c98385822e6b1263e",
-    "archive/asparagus.epoch0.tcgw": "e46cf4219b90738d5e24226985f6c49f5f16d9daa4b1f1dc14e658942a141e87",
-    "archive/asparagus.epoch1.tcgw": "853009f8e18e591680c115b2eebe33a196e9ad79d2be00f739ce08233246bd75",
-    "archive/durum_wheat.epoch0.tcgw": "0ce63f92ee6180bbef724954000b89c9946b85e972a36e76119d197e6f1a07ab",
-    "archive/durum_wheat.epoch1.tcgw": "4fa6af406f09810a4338a6db5e4c23da5570cdc6261c7607fb412bd50df8079d",
-    "archive/pomegranate.epoch0.tcgw": "6333af1b61316434879a1a11ddc9332c634ed2dd402dc94fbebea630d785c25a",
-    "archive/pomegranate.epoch1.tcgw": "bb9458db02e34a76ae98e5b725c28fd0026534bd13c5e40d88a6b2f851f3a7b1",
+    "archive/almond.epoch0.tcgw": "3111bac57e23696f3e7eb3b7049607693e19e1c70af44b311fd422c3974b034e",
+    "archive/almond.epoch1.tcgw": "1703fc176e4b97b7942045f08db3b6fb3dde6bed97c48d8db248bbb900bbb1cf",
+    "archive/asparagus.epoch0.tcgw": "876898a05db05f64fbfa4cd8333b5ac12e86e0eccfa1d213ab4ff0a583a7efe3",
+    "archive/asparagus.epoch1.tcgw": "510cee79897905669b581ee380e8c5fc1781720c845b629e36fc0396e3866e4c",
+    "archive/durum_wheat.epoch0.tcgw": "63bb5e83d7e79ec9b0525f9fee83303ef2c7a90359a686c69d3af4f06218af36",
+    "archive/durum_wheat.epoch1.tcgw": "befc7924a818a6e7cbe5cb62a4bc009ec76ad8e8a828d19a3bcdc4e2ff8b93e9",
+    "archive/pomegranate.epoch0.tcgw": "7e6428f264dbcc40bdfa77a8e933931957922c519ee81d78c5d53a62117454c3",
+    "archive/pomegranate.epoch1.tcgw": "100c8742262d78073db4afabc1918378ae2a0cfed44bcdd784d6c506851905ca",
     "archive/ranges.json": "8309fdc7c36b0e33e13e7eea2b7c8858746635312d1cca507203a18b9e11043e",
-    "archive/tomato.epoch0.tcgw": "97e96374c84b07de7c6a75f0570811dd37959cb7b963eb34902ba4efbde2a5a0",
-    "archive/tomato.epoch1.tcgw": "85c2e782a2dceb17f013a39793144a3d7aa19fc81edfb35b39d9e99aa7099c12",
-    "public.tcgw": "97dc982dd30ae995c66605717b24a95151f38e05a781896766fa44bf227bbf07",
-    "public.tcgw.meta.json": "b3414021bf7a778791b88fa465ca7e2987d1812894e63f0980990c0a9cd80ba9",
-    "report.json": "9c78ec5c948b9c1fc1919ca53d3dbf7199f506ab01ea6c7ea100207831a95bff",
+    "archive/tomato.epoch0.tcgw": "4d8468a9bf2fa8c3dc8b86faf47f7821a606f6249b64d6f4ec0d5b33f64cb8d3",
+    "archive/tomato.epoch1.tcgw": "8046b30e9935d3f87a8ee00477bf713ba35f62862300ed4ea31317a65d4cee04",
+    "public.tcgw": "cdfc3a4b28c1f584e9936ba310e0c1537f195866f26bde999a593276c8789dc1",
+    "public.tcgw.meta.json": "293d63704f38d46a7dfc01abefd387363d0fedf6396ac02377d07d1f1d589f01",
+    "report.json": "abf9d69a3a86af981b6830cde99b8c503f1b731e426215d81837987fd6b27319",
     "state/almond.json": "9d0b2062ba1d0607147145aaecba4b87cd045e32f70542c89625481243a55f5c",
     "state/asparagus.json": "088e926e10c0aa55cf49bc6683fe99fe3f5f42f606756c5c019ca21ef974a830",
     "state/durum_wheat.json": "943b086f5b4aa37b3d905e7df7b90e82f1ee892930342487428b685ceb299be7",

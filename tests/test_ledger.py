@@ -110,23 +110,50 @@ def test_head_reporting_and_purity():
 
 
 def _reference_merkle(leaves: list[bytes]) -> bytes:
-    """Independent recursive implementation used as the oracle."""
+    """Independent oracle, top down: n > 1 leaves sit under a root of
+    height h, the least with 16**h >= n, whose children are the subtrees
+    over consecutive runs of 16**(h - 1) leaves, the last run possibly
+    shorter; a node is sha256(0x01 || its children's roots)."""
     if not leaves:
         return sha256(b"")
     if len(leaves) == 1:
         return leaves[0]
-    if len(leaves) % 2 == 1:
-        leaves = leaves + [leaves[-1]]
-    parents = [sha256(leaves[i] + leaves[i + 1]) for i in range(0, len(leaves), 2)]
-    return _reference_merkle(parents)
+    height = 1
+    while 16 ** height < len(leaves):
+        height += 1
+    return _reference_node(leaves, height)
 
 
-def test_merkle_matches_reference_for_1_to_16_leaves():
+def _reference_node(leaves: list[bytes], height: int) -> bytes:
+    if height == 0:
+        (leaf,) = leaves
+        return leaf
+    size = 16 ** (height - 1)
+    return sha256(b"\x01" + b"".join(_reference_node(leaves[i:i + size], height - 1)
+                                     for i in range(0, len(leaves), size)))
+
+
+def test_merkle_matches_reference_for_0_to_300_leaves():
+    """One, two and three levels, each with full and ragged last runs."""
     rng = random.Random(17)
-    for k in range(1, 17):
-        leaves = [sha256(rng.randbytes(8)) for _ in range(k)]
-        assert merkle_root(leaves) == _reference_merkle(leaves), f"k={k}"
-    assert merkle_root([]) == sha256(b"")
+    leaves = [sha256(rng.randbytes(8)) for _ in range(300)]
+    for k in range(301):
+        assert merkle_root(leaves[:k]) == _reference_merkle(leaves[:k]), f"k={k}"
+
+
+def test_merkle_root_hashes_once_per_inner_node(monkeypatch):
+    """Work counter: merkle_root makes one ledger.sha256 call per inner
+    node, each over 0x01 and at most 16 child digests (513 bytes)."""
+    preimages: list[bytes] = []
+    monkeypatch.setattr(ledger_module, "sha256", lambda data: preimages.append(data) or sha256(data))
+    leaves = [sha256(bytes([i % 256, i // 256])) for i in range(257)]
+    calls = {}
+    for n in (0, 1, 2, 16, 17, 100, 256, 257):
+        preimages.clear()
+        merkle_root(leaves[:n])
+        calls[n] = len(preimages)
+        assert all(data[:1] == b"\x01" and len(data) <= 513 for data in preimages)
+    assert calls == {0: 0, 1: 0, 2: 1, 16: 1, 17: 3, 100: 8, 256: 17, 257: 20}
 
 
 def test_verify_untampered_50_block_ledger():
@@ -441,17 +468,23 @@ def test_verify_flags_a_height_gap_with_every_hash_rederived(tmp_path):
 @pytest.mark.parametrize("n_txs, repeated", [(3, 1), (6, 2), (5, 1)],
                          ids=["last-of-3", "last-2-of-6", "last-of-5"])
 def test_verify_flags_a_block_that_repeats_its_last_transactions(n_txs, repeated):
-    """Merkle roots that pad an odd level with its last node give a block
-    with its tail repeated the same tx_root and block_hash (the
-    CVE-2012-2459 pattern), so verify_chain refuses repeated tx ids."""
+    """A block with its tail repeated (the CVE-2012-2459 pattern of a tree
+    that duplicates an odd level's last node) fails TxRoot: the 16-ary root
+    binds the id list, so under the old header the root differs, and with
+    tx_root and the later block hashes re-derived the repeated ids are
+    refused."""
     ledger = build_ledger(n_txs=n_txs, per_block=n_txs)
     ledger, _ = append_block(ledger, [reading_tx("fieldA", n_txs)], n_txs)
     block = ledger[1]
     forged_txs = block.transactions + block.transactions[-repeated:]
-    assert merkle_root([tx.tx_id for tx in forged_txs]) == block.tx_root
-    forged = (ledger[0], dataclasses.replace(block, transactions=forged_txs), ledger[2])
-    report = verify_chain(forged)
-    assert (report.ok, report.first_bad_height, report.reason) == (False, 1, ChainFault.TX_ROOT)
+    assert merkle_root([tx.tx_id for tx in forged_txs]) != block.tx_root
+    kept = (ledger[0], dataclasses.replace(block, transactions=forged_txs), ledger[2])
+    rooted = make_block(1, ledger[0].block_hash, block.timestamp, forged_txs)
+    rederived = (ledger[0], rooted,
+                 make_block(2, rooted.block_hash, ledger[2].timestamp, ledger[2].transactions))
+    for forged in (kept, rederived):
+        report = verify_chain(forged)
+        assert (report.ok, report.first_bad_height, report.reason) == (False, 1, ChainFault.TX_ROOT)
 
 
 def test_verify_flags_a_block_whose_timestamp_runs_backwards():
