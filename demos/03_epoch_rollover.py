@@ -48,7 +48,7 @@ while node.mempool:
 print(f"private chain: {len(node.ledger)} blocks, "
       f"{ledger_size_bytes(node.ledger)} bytes, head height {head(node.ledger)[0]}")
 
-pub = PublicChain(["val-0", "val-1", "val-2"], gateways=["gw-olive"])
+pub = PublicChain(["val-0", "val-1", "val-2"], gateways=["gw-olive"], ranges=RANGES)
 pub.clock = MONTH
 gateway = PublicClient(pub, "gw-olive")
 
@@ -72,8 +72,8 @@ print(f"fresh private chain: {len(fresh_node.ledger)} block, "
       f"anchor digest {fresh_node.ledger[0].previous_hash.hex()[:24]}...")
 
 # The archived ledger remains fully checkable against the public record;
-# the auditor re-folds its readings under its own copy of the ranges.
-outcome = verify_pruned_epoch(node.ledger, summary, pub, RANGES)
+# the auditor re-folds its readings under the ranges block 0 commits to.
+outcome = verify_pruned_epoch(node.ledger, summary, pub)
 print(f"verify pruned epoch: ok={outcome.ok}")
 
 # Failure path: a gateway the public chain does not know cannot publish,

@@ -125,12 +125,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ranges = from_json_value(tuple[ValidityRange, ...],
                                      canonical_loads(ranges_path.read_bytes())["ranges"])
             range_bounds(ranges)  # two ranges for one metric raise DuplicateRange
-            if ranges != chain.ranges:
+            if ranges != chain.ranges:  # the ranges every audit folds under (chain.bounds)
                 print("ranges.json: FAIL (not the ranges block 0 commits to)")
                 return 1
         else:
-            _err(f"warning: {ranges_path} missing, verifying with no validity ranges")
-            ranges = ()
+            _err(f"warning: {ranges_path} missing, not checked")
     except (TcgwError, KeyError, TypeError, ValueError) as exc:
         _err(f"cannot load inputs: {exc}")
         return 2
@@ -151,7 +150,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
     failed = []
     for channel, epoch in sorted(archives.keys() | anchored):
-        status = _audit_epoch(archives.get((channel, epoch)), channel, epoch, chain, ranges)
+        status = _audit_epoch(archives.get((channel, epoch)), channel, epoch, chain)
         print(f"{channel} epoch {epoch}: {status}")
         if status != "ok":
             failed.append((channel, epoch))
@@ -161,8 +160,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _audit_epoch(path: Path | None, channel: str, epoch: int, chain: PublicChain,
-                 ranges: tuple[ValidityRange, ...]) -> str:
+def _audit_epoch(path: Path | None, channel: str, epoch: int, chain: PublicChain) -> str:
     """One epoch's verdict: "ok" or "FAIL (<codes>)", where the chain code
     says where the archive broke: "chain: TxId at block 37", or the byte
     offset at which it failed to decode. The archive is audited from its
@@ -177,7 +175,7 @@ def _audit_epoch(path: Path | None, channel: str, epoch: int, chain: PublicChain
             for _ in read_blocks(path):
                 pass
             return "FAIL (anchor)"
-        outcome = verify_archive(path, record.summary, chain, ranges)
+        outcome = verify_archive(path, record.summary, chain)
     except LedgerFormatError as exc:
         return f"FAIL (chain: {exc})"
     if outcome.ok:

@@ -28,7 +28,6 @@ relies only on the walk taking no block past the first bad one.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -227,7 +226,6 @@ class EpochVerification:
 
 
 def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
-                        ranges: Iterable[ValidityRange],
                         write: Callable[[bytes], object] | None = None) -> EpochVerification:
     """Check that a pruned epoch is still fully accounted for.
 
@@ -235,9 +233,10 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
       chain  - archived ledger does not pass verify_chain
       head   - archived head hash/height differ from the summary's
       state  - replayed state digest differs from the summary's
-      stats  - re-folding every in-window reading (_EpochStats) does not
-               reproduce the summary's stats and excluded count exactly
-               (they are bit-reproducible), or such a reading does not decode
+      stats  - re-folding every in-window reading (_EpochStats) under
+               pub.bounds does not reproduce the summary's stats and
+               excluded count exactly (they are bit-reproducible), or such
+               a reading does not decode
       anchor - no confirmed public anchor commits to these summary bytes
       link   - the archive's genesis previous_hash is not the summary_digest
                published for the channel's previous epoch (ZERO_HASH for
@@ -253,14 +252,13 @@ def verify_pruned_epoch(archived: Ledger, summary: EpochSummary, pub,
     chain `state` is unchecked, and the rest of the stream is drained,
     folding its readings and writing its blocks.
 
-    `pub` is the PublicChain (or anything with find_anchor and is_confirmed).
+    `pub` is the PublicChain (or anything with bounds, find_anchor and is_confirmed).
     """
-    return _verify_epoch(ledger_blocks(archived, write), summary, pub, ranges)
+    return _verify_epoch(ledger_blocks(archived, write), summary, pub)
 
 
-def verify_archive(path: Path, summary: EpochSummary, pub,
-                   ranges: Iterable[ValidityRange]) -> EpochVerification:
-    """verify_pruned_epoch(load_ledger(path), summary, pub, ranges), from the
+def verify_archive(path: Path, summary: EpochSummary, pub) -> EpochVerification:
+    """verify_pruned_epoch(load_ledger(path), summary, pub), from the
     file's bytes in one streaming walk of read_blocks(path): each
     transaction's tx_id is checked against the SHA-256 of the body bytes
     read and its payload read as the walk takes its block, and only the
@@ -270,36 +268,18 @@ def verify_archive(path: Path, summary: EpochSummary, pub,
     Raises LedgerFormatError if the file does not decode, even where the
     walk found a chain fault first: the drain decodes the rest of the file.
     """
-    return _verify_epoch(read_blocks(path), summary, pub, ranges)
+    return _verify_epoch(read_blocks(path), summary, pub)
 
 
-@functools.lru_cache(maxsize=16)
-def _parsed_bounds(ranges: tuple[ValidityRange, ...]) -> dict[str, tuple[float, float, str, str]]:
-    """range_bounds(ranges), parsed once per value of a tuple of frozen
-    ValidityRanges (a failure is not kept, so it raises again). Read-only:
-    every audit under the same ranges shares the dict, as a node and the
-    nodes reset from it share theirs."""
-    return range_bounds(ranges)
-
-
-def _verify_epoch(blocks: Iterator[tuple[Block, int]], summary: EpochSummary, pub,
-                  ranges: Iterable[ValidityRange]) -> EpochVerification:
+def _verify_epoch(blocks: Iterator[tuple[Block, int]], summary: EpochSummary,
+                  pub) -> EpochVerification:
     """verify_pruned_epoch's checks over one iterator of (block, first bad
     tx index) pairs, as verify_blocks takes them; draining it after a
-    chain fault folds the readings the walk did not reach.
-
-    The ranges' bounds come from _parsed_bounds, so `tcgw verify` and
-    run_scenario, which audit every archive under one tuple of ranges,
-    parse them once, not once per archive."""
+    chain fault folds the readings the walk did not reach."""
     start, end = summary.window_start, summary.window_end
     batch = OpBatch(EMPTY_STATE)
     found: set[str] = set()  # codes of payloads that do not decode or apply
-    try:
-        bounds = _parsed_bounds(tuple(ranges))
-    except Exception:  # ranges that cannot be read reproduce no stats
-        bounds = {}
-        found.add("stats")
-    stats = _EpochStats(bounds)
+    stats = _EpochStats(pub.bounds)
     add_reading = stats.add
     taken: list[Block | None] = [None, None]  # the first and the last block taken
     raw = TxKind.RAW_READING  # bound once: an enum member lookup is slow on 3.11

@@ -31,11 +31,12 @@ from typing import Iterable
 
 from .canon import (canonical_json, canonical_loads, digest_json, from_json_value,
                     to_json_value, write_canonical_json)
-from .errors import (DuplicateEpoch, InvalidArgument, InvalidChain, LedgerFormatError,
-                     TcgwError, UnknownGateway, UnsupportedValue)
+from .errors import (DuplicateEpoch, DuplicateRange, InvalidArgument, InvalidChain,
+                     LedgerFormatError, TcgwError, UnknownGateway, UnsupportedValue)
 from .gateway import EpochSummary, ValidityRange, summary_digest
 from .ledger import (Block, Ledger, Transaction, TxKind, append_block, genesis, make_transaction,
                      read_blocks, read_payloads, save_ledger, verify_blocks)
+from .private_chain import range_bounds
 
 DEFAULT_CONFIRMATIONS = 2
 META_SUFFIX = ".meta.json"
@@ -61,8 +62,7 @@ class AnchorRecord:
 class ChainParams:
     """The sidecar: what a chain's ledger does not carry itself, beyond the
     digest its genesis block commits to (_params_digest). `ranges` are the
-    validity ranges the gateways filter with, which `tcgw verify` holds
-    archive/ranges.json to."""
+    validity ranges the gateways filter with and every audit re-filters with."""
 
     chain_id: str
     confirmations_required: int
@@ -79,7 +79,8 @@ def _params_digest(params: ChainParams) -> bytes:
 class PublicChain:
     """Single-owner simulation of the open ledger side. The validator set,
     the gateway registry and the validity ranges are fixed: the genesis
-    block commits to them."""
+    block commits to them. `bounds`, the ranges parsed once by range_bounds
+    (which refuses bad ones), is what every audit against the chain folds under."""
 
     def __init__(self, validators: Iterable[str], gateways: Iterable[str] = (),
                  confirmations_required: int = DEFAULT_CONFIRMATIONS,
@@ -95,6 +96,7 @@ class PublicChain:
         self.gateways = frozenset(gateways)
         self.confirmations_required = confirmations_required
         self.ranges = tuple(ranges)
+        self.bounds = range_bounds(self.ranges)
         self.clock = 0
         self.ledger: Ledger = genesis(_params_digest(self.params))
         # Every admitted anchor, pending or included, and the height of each included one.
@@ -212,11 +214,11 @@ class PublicChain:
 
     @classmethod
     def load(cls, path: str | Path) -> "PublicChain":
-        """Read what `save` wrote. A malformed file raises LedgerFormatError; a
-        ledger that fails verify_blocks (a clock that runs backwards too), or
-        holds a transaction `submit_anchor` or `tick` could not have written
-        there, or whose genesis does not commit to the sidecar read
-        (_params_digest), raises InvalidChain. The whole file is decoded
+        """Read what `save` wrote. A malformed file (a sidecar's ranges too)
+        raises LedgerFormatError; a ledger that fails verify_blocks (a clock
+        that runs backwards too), or holds a transaction `submit_anchor` or
+        `tick` could not have written there, or whose genesis does not
+        commit to the sidecar read (_params_digest), raises InvalidChain. The whole file is decoded
         before the walk, so a format error wins. Digests are kept as
         published; verify_pruned_epoch checks them."""
         path = Path(path)
@@ -227,7 +229,7 @@ class PublicChain:
             params = from_json_value(ChainParams, canonical_loads(meta_path.read_bytes()))
             chain = cls(params.validators, params.gateways,
                         params.confirmations_required, params.chain_id, params.ranges)
-        except (ValueError, UnsupportedValue) as exc:
+        except (ValueError, UnsupportedValue, DuplicateRange) as exc:
             raise LedgerFormatError(f"malformed chain metadata {meta_path}: {exc!r}") from exc
         blocks = list(read_blocks(path))  # every format error before any payload is read
 

@@ -20,7 +20,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .canon import canonical_loads, from_json_value, to_json_value
-from .errors import InvalidArgument, InvalidWindow, PublishFailed
+from .errors import InvalidArgument, InvalidWindow
 from .gateway import (EpochSummary, ValidityRange, close_epoch, publish_epoch,
                       rollover_epoch, verify_pruned_epoch)
 from .ledger import (LEDGER_HEADER, MAX_TIMESTAMP, Ledger, Transaction, TxKind, head,
@@ -164,6 +164,8 @@ class ScenarioConfig:
             decimal_value(_spike_value(r.metric, self.ranges), f"{r.metric} fault spike")
         if self.validators < 1:
             raise InvalidArgument("need at least one validator")
+        if self.confirmations_required < 1:
+            raise InvalidArgument("confirmations_required must be positive")
 
 
 def default_scenario(epochs: int = 2) -> ScenarioConfig:
@@ -345,7 +347,7 @@ def run_scenario(cfg: ScenarioConfig, archive_dir: str | Path | None = None) -> 
               else open(Path(archive_dir, archive_name(channel, epoch)), "wb")) as fh:
             write = len if fh is None else fh.write
             write(LEDGER_HEADER)
-            verification = verify_pruned_epoch(ledger, summary, pub, cfg.ranges,
+            verification = verify_pruned_epoch(ledger, summary, pub,
                                                lambda data: sizes.append(write(data)))
         del ledger
         rows[channel].append({

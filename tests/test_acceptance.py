@@ -171,10 +171,6 @@ def test_criterion_3_publish_before_prune():
 @criterion(4, "pruned history verifiable; three tamper classes all rejected")
 def test_criterion_4_pruned_history(default_result):
     result = default_result
-    cfg_ranges = tuple(
-        ValidityRange(r["metric"], r["min_valid"], r["max_valid"])
-        for r in result.report["config"]["ranges"]
-    )
     assert result.report["ok"]
     assert result.report["confirmed_anchors"] == 10  # 5 fields x 2 epochs
     for rows in result.report["channels"].values():
@@ -187,14 +183,14 @@ def test_criterion_4_pruned_history(default_result):
         summary = pub.find_anchor(channel, 0).summary
 
         flipped = tamper_ledger(archived, height=1, target="payload", byte_index=3)
-        assert not verify_pruned_epoch(flipped, summary, pub, cfg_ranges).ok
+        assert not verify_pruned_epoch(flipped, summary, pub).ok
 
         doctored = dataclasses.replace(summary, stats=tuple(
             dataclasses.replace(s, mean=repr(float(s.mean) + 0.5)) for s in summary.stats))
-        assert not verify_pruned_epoch(archived, doctored, pub, cfg_ranges).ok
+        assert not verify_pruned_epoch(archived, doctored, pub).ok
 
-        anchorless = PublicChain(["val-0"], gateways=())
-        assert not verify_pruned_epoch(archived, summary, anchorless, cfg_ranges).ok
+        anchorless = PublicChain(["val-0"], gateways=(), ranges=pub.ranges)
+        assert not verify_pruned_epoch(archived, summary, anchorless).ok
 
 
 @criterion(5, "storage analogue: monotone, linear fit R^2 >= 0.99, decade ratio in [8.5, 11.5]")

@@ -60,7 +60,9 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
     {"ranges": [{"metric": "temperature_c", "min_valid": "0", "max_valid": "1"}] * 2},
     {"channel_id": "../escaped"},                        # would write next to --out
     {"channel_id": ".."},
-], ids=["unknown key", "duplicate ranges", "escaping channel", "dot-dot channel"])
+    {"confirmations_required": 0},
+], ids=["unknown key", "duplicate ranges", "escaping channel", "dot-dot channel",
+        "zero confirmations"])
 def test_run_rejects_a_bad_config_before_writing_anything(tmp_path, capsys, change):
     value = to_json_value(small_scenario())
     if "channel_id" in change:
@@ -376,7 +378,7 @@ def _file_audit_peak(tmp_path, n: int, tampered: bool = False) -> int:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            assert _audit_epoch(path, "fieldA", 0, pub, (TEMP_RANGE,)) == verdict
+            assert _audit_epoch(path, "fieldA", 0, pub) == verdict
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -402,22 +404,21 @@ def test_verify_holds_the_file_and_no_transaction_per_transaction(tmp_path):
 def _verify_work(tmp_path, epochs: int) -> tuple[int, Counter]:
     """(range_bounds calls, opens per file name through read_blocks) of one
     `tcgw verify` over the 2 * epochs archives of small_scenario(epochs),
-    counting cmd_verify's check of ranges.json and the audits' parse."""
-    from tcgw import cli, gateway, ledger
+    counting cmd_verify's check of ranges.json and the chain's parse at load."""
+    from tcgw import cli, ledger, public_chain
     cfg_path = tmp_path / f"cfg{epochs}.json"
     cfg_path.write_bytes(canonical_json(to_json_value(small_scenario(epochs=epochs))))
     out = tmp_path / f"out{epochs}"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     parses, opens = [], Counter()
-    parse = gateway.range_bounds
+    parse = public_chain.range_bounds
 
     def counting_open(file, *args, **kwargs):
         opens[Path(file).name] += 1
         return open(file, *args, **kwargs)
 
-    gateway._parsed_bounds.cache_clear()  # parsed values are kept across calls
     with pytest.MonkeyPatch.context() as patch:
-        for module in (cli, gateway):
+        for module in (cli, public_chain):
             patch.setattr(module, "range_bounds", lambda ranges: parses.append(1) or parse(ranges))
         patch.setattr(ledger, "open", counting_open, raising=False)
         assert main(["verify", "--archive", str(out / "archive"),
@@ -427,8 +428,9 @@ def _verify_work(tmp_path, epochs: int) -> tuple[int, Counter]:
 
 def test_verify_parses_the_ranges_twice_and_opens_each_archive_once(tmp_path, capsys):
     """Work counter: `tcgw verify` parses the validity ranges twice per
-    command, at 2 archives as at 6 (once to check ranges.json, once for
-    every audit), and opens each file once, the public chain's included."""
+    command, at 2 archives as at 6 (once to check ranges.json, once as the
+    chain loads, for every audit), and opens each file once, the public
+    chain's included."""
     for epochs in (1, 3):
         parses, opens = _verify_work(tmp_path, epochs)
         assert parses == 2, epochs
@@ -492,6 +494,19 @@ def test_verify_fails_ranges_that_block_0_does_not_commit_to(tmp_path, capsys):
         "public chain: FAIL (block 0 does not commit to the sidecar public.tcgw.meta.json)\n")
 
 
+def test_verify_without_ranges_json_audits_under_the_chain_ranges(run_dir, tmp_path, capsys):
+    """A missing ranges.json is a warning: every audit folds under the
+    ranges block 0 commits to, so an honest run still verifies."""
+    archive = _archive_copy(run_dir, tmp_path)
+    (archive / "ranges.json").unlink()
+    assert main(["verify", "--archive", str(archive),
+                 "--chain", str(run_dir / "public.tcgw")]) == 0
+    out, err = capsys.readouterr()
+    assert out == "".join(f"{channel} epoch {epoch}: ok\n"
+                          for channel in ("north", "south") for epoch in (0, 1))
+    assert f"{archive / 'ranges.json'} missing, not checked" in err
+
+
 def test_verify_missing_inputs(tmp_path):
     assert main(["verify", "--archive", str(tmp_path / "nope"),
                  "--chain", str(tmp_path / "nope.tcgw")]) == 2
@@ -547,13 +562,15 @@ def test_trace_meta_that_is_an_array(run_dir, tmp_path, capsys):
     ("validators", "val-0val-1"), ("gateways", "gw-0"), ("chain_id", 7), ("chain_id", ""),
     ("confirmations_required", True),
     # keys that older sidecars held, before the clock was read from the ledger
-    ("clock", 0), ("tick_seq", 0)])
+    ("clock", 0), ("tick_seq", 0),
+    # ranges that repeat a metric: the chain refuses them as it is built
+    ("ranges", [{"max_valid": "60", "metric": "temperature_c", "min_valid": "-20"}] * 2)])
 def test_verify_meta_with_a_mistyped_field(run_dir, tmp_path, capsys, key, value):
     meta = canonical_loads((run_dir / "public.tcgw.meta.json").read_bytes())
     meta[key] = value
     chain = _chain_copy(run_dir, tmp_path, canonical_json(meta))
     _assert_input_error(["verify", "--archive", str(run_dir / "archive"), "--chain", str(chain)],
-                        tmp_path / "public.tcgw.meta.json", capsys)
+                        f"malformed chain metadata {tmp_path / 'public.tcgw.meta.json'}", capsys)
 
 
 def test_trace_doc_that_is_an_array(run_dir, tmp_path, capsys):

@@ -47,9 +47,10 @@ def _reading(value: str, ts: int = 0, metric: str = "temperature_c") -> Reading:
     return Reading("s-0", metric, value, ts)
 
 
-def _pub(gateways=("gw-fieldA",), confirmations=2) -> PublicChain:
+def _pub(gateways=("gw-fieldA",), confirmations=2, ranges=(TEMP_RANGE,)) -> PublicChain:
+    """A chain whose genesis commits to `ranges`, those of the nodes it audits."""
     return PublicChain([f"val-{i}" for i in range(3)], gateways,
-                       confirmations_required=confirmations)
+                       confirmations_required=confirmations, ranges=ranges)
 
 
 def test_validity_range_rejects_inversion():
@@ -134,9 +135,9 @@ def _epoch_stats_three_ways(pairs, ranges):
         node.submit(reading_transaction("fieldA", reading))
     while node.mempool:
         node.commit_batch()
-    pub = _pub()
+    pub = _pub(ranges=ranges)
     summary, _, _ = _rollover(node, pub, 0, max(len(readings), 1))
-    assert verify_pruned_epoch(node.ledger, summary, pub, ranges).ok
+    assert verify_pruned_epoch(node.ledger, summary, pub).ok
     return direct, (summary.stats, summary.excluded_count)
 
 
@@ -493,7 +494,7 @@ def _honest_epoch():
 
 def test_verify_pruned_epoch_honest_run():
     archived, summary, pub = _honest_epoch()
-    outcome = verify_pruned_epoch(archived, summary, pub, [TEMP_RANGE])
+    outcome = verify_pruned_epoch(archived, summary, pub)
     assert outcome.ok and outcome.failures == ()
 
 
@@ -506,7 +507,7 @@ def _audit_peak(n: int) -> int:
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert verify_pruned_epoch(node.ledger, summary, pub, [TEMP_RANGE]).ok
+        assert verify_pruned_epoch(node.ledger, summary, pub).ok
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -566,24 +567,15 @@ def test_submit_and_audit_build_no_reading():
         node.commit_batch()
     pub = _pub()
     summary, _, _ = _rollover(node, pub, 0, n)
-    assert verify_pruned_epoch(node.ledger, summary, pub, [TEMP_RANGE]).ok
+    assert verify_pruned_epoch(node.ledger, summary, pub).ok
     tampered = tamper_ledger(node.ledger, height=1, target="payload", byte_index=5)
-    assert verify_pruned_epoch(tampered, summary, pub, [TEMP_RANGE]).failures == ("chain", "stats")
-
-
-def test_verify_pruned_epoch_reports_ranges_it_cannot_read_as_stats():
-    archived, summary, pub = _honest_epoch()
-    assert verify_pruned_epoch(archived, summary, pub, [TEMP_RANGE] * 2).failures == ("stats",)
-    unchecked = dataclasses.make_dataclass("R", ["metric", "min_valid", "max_valid"])
-    for nan in ("NaN", "sNaN"):  # no ValidityRange check: range_bounds refuses a NaN bound
-        nan_range = unchecked("temperature_c", nan, "60")
-        assert verify_pruned_epoch(archived, summary, pub, [nan_range]).failures == ("stats",)
+    assert verify_pruned_epoch(tampered, summary, pub).failures == ("chain", "stats")
 
 
 def test_verify_pruned_epoch_detects_archive_tamper():
     archived, summary, pub = _honest_epoch()
     tampered = tamper_ledger(archived, height=1, target="payload", byte_index=5)
-    outcome = verify_pruned_epoch(tampered, summary, pub, [TEMP_RANGE])
+    outcome = verify_pruned_epoch(tampered, summary, pub)
     assert not outcome.ok
     assert {"chain", "stats"} & set(outcome.failures)
 
@@ -593,7 +585,7 @@ def test_verify_pruned_epoch_detects_altered_stat():
     doctored_stats = tuple(dataclasses.replace(s, mean=repr(float(s.mean) + 1.0))
                            for s in summary.stats)
     doctored = dataclasses.replace(summary, stats=doctored_stats)
-    outcome = verify_pruned_epoch(archived, doctored, pub, [TEMP_RANGE])
+    outcome = verify_pruned_epoch(archived, doctored, pub)
     assert not outcome.ok
     assert "stats" in outcome.failures and "anchor" in outcome.failures
     # one ulp is enough: the stats are compared exactly, not within a tolerance
@@ -601,14 +593,14 @@ def test_verify_pruned_epoch_detects_altered_stat():
         dataclasses.replace(s, std_dev=repr(math.nextafter(float(s.std_dev), math.inf)))
         for s in summary.stats)
     nudged = dataclasses.replace(summary, stats=nudged_stats)
-    outcome = verify_pruned_epoch(archived, nudged, pub, [TEMP_RANGE])
+    outcome = verify_pruned_epoch(archived, nudged, pub)
     assert outcome.failures == ("stats", "anchor")
 
 
 def test_verify_pruned_epoch_detects_missing_anchor():
     archived, summary, _ = _honest_epoch()
     empty_pub = _pub()
-    outcome = verify_pruned_epoch(archived, summary, empty_pub, [TEMP_RANGE])
+    outcome = verify_pruned_epoch(archived, summary, empty_pub)
     assert not outcome.ok
     assert outcome.failures == ("anchor",)
 
@@ -707,7 +699,7 @@ def _tamper_case(name, ledger):
 def test_verify_pruned_epoch_failure_table(case, failures):
     archived, summary, pub = _epoch_with_ops()
     tampered = _tamper_case(case, archived)
-    assert verify_pruned_epoch(tampered, summary, pub, [TEMP_RANGE]).failures == failures
+    assert verify_pruned_epoch(tampered, summary, pub).failures == failures
 
 
 def _anchor(ledger, summary, **changes):
@@ -725,9 +717,9 @@ def _anchor(ledger, summary, **changes):
 def _audit_both(tmp_path, ledger, summary, pub):
     """The failure codes of verify_pruned_epoch(ledger) and of verify_archive
     of its saved file, which must agree."""
-    in_memory = verify_pruned_epoch(ledger, summary, pub, [TEMP_RANGE]).failures
+    in_memory = verify_pruned_epoch(ledger, summary, pub).failures
     path = save_ledger(ledger, tmp_path / "fieldA.epoch0.tcgw")
-    assert verify_archive(path, summary, pub, [TEMP_RANGE]).failures == in_memory
+    assert verify_archive(path, summary, pub).failures == in_memory
     return in_memory
 
 
@@ -756,8 +748,8 @@ def test_audit_fails_chain_at_a_context_op_whose_payload_is_not_json(tmp_path):
     ledger = _relink(archived, height, index, TxKind.UPDATE_FIELD, b"not json")
     summary, pub = _anchor(ledger, summary)
     path = save_ledger(ledger, tmp_path / "fieldA.epoch0.tcgw")
-    for outcome in (verify_pruned_epoch(ledger, summary, pub, [TEMP_RANGE]),
-                    verify_archive(path, summary, pub, [TEMP_RANGE])):
+    for outcome in (verify_pruned_epoch(ledger, summary, pub),
+                    verify_archive(path, summary, pub)):
         assert outcome.failures == ("chain",)
         assert str(outcome.chain) == f"TxId at block {height}"
     assert 0 < height < len(ledger) - 1

@@ -14,14 +14,15 @@ from tcgw import (
     verify_chain,
 )
 from tcgw.canon import canonical_json, canonical_loads, digest_json, to_json_value
-from tcgw.errors import DuplicateEpoch, InvalidArgument, InvalidChain, UnknownGateway
+from tcgw.errors import (DuplicateEpoch, DuplicateRange, InvalidArgument, InvalidChain,
+                         UnknownGateway)
 from tcgw.gateway import EpochSummary, summary_digest
 from tcgw.private_chain import MetricStats
 from tcgw.ledger import save_ledger
 from tcgw.public_chain import AnchorRecord
 
 from helpers import tamper_ledger
-from test_gateway import _relink
+from test_gateway import TEMP_RANGE, _relink
 
 
 def _summary(channel: str, epoch: int) -> EpochSummary:
@@ -38,6 +39,17 @@ def _chain(gateways=("gw-a", "gw-b"), validators=3, confirmations=2) -> PublicCh
 def test_chain_refuses_an_empty_chain_id():
     with pytest.raises(InvalidArgument, match="chain_id must be non-empty"):
         PublicChain(["val-0"], chain_id="")
+
+
+def test_chain_refuses_ranges_range_bounds_refuses():
+    """The chain parses its ranges once, at construction, so the audits
+    that fold under its bounds never meet ranges they cannot read."""
+    with pytest.raises(DuplicateRange):
+        PublicChain(["val-0"], ranges=[TEMP_RANGE, TEMP_RANGE])
+    unchecked = dataclasses.make_dataclass("R", ["metric", "min_valid", "max_valid"])
+    for nan in ("NaN", "sNaN"):  # no ValidityRange check: range_bounds refuses a NaN bound
+        with pytest.raises(InvalidArgument, match="NaN bound"):
+            PublicChain(["val-0"], ranges=[unchecked("temperature_c", nan, "60")])
 
 
 def test_submit_anchor_enters_pending():

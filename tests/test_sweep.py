@@ -16,10 +16,10 @@ import struct
 
 import pytest
 
-from tcgw.canon import canonical_json, from_json_value
+from tcgw.canon import canonical_json
 from tcgw.cli import main
 from tcgw.errors import LedgerFormatError
-from tcgw.gateway import ValidityRange, verify_archive, verify_pruned_epoch
+from tcgw.gateway import verify_archive, verify_pruned_epoch
 from tcgw.ledger import _BLOCK_HEAD, _TS_KIND_LEN, _TX_HEAD, DIGEST_SIZE, load_ledger, verify_chain
 from tcgw.public_chain import PublicChain
 
@@ -125,7 +125,6 @@ def test_every_flip_of_an_archive_fails_alike_in_both_walks(small_run, tmp_path,
     data = path.read_bytes()
     chain = PublicChain.load(small_run / "public.tcgw")
     summary = chain.find_anchor(channel, 1).summary
-    ranges = from_json_value(tuple[ValidityRange, ...], SMALL_RUN["ranges"])
     argv = ["verify", "--archive", str(archive), "--chain", str(small_run / "public.tcgw")]
     fields = wire_fields(data)
     assert len(fields) > 100
@@ -140,12 +139,12 @@ def test_every_flip_of_an_archive_fails_alike_in_both_walks(small_run, tmp_path,
         except LedgerFormatError as exc:
             undecoded += 1
             with pytest.raises(LedgerFormatError) as raised:
-                verify_archive(path, summary, chain, ranges)
+                verify_archive(path, summary, chain)
             if str(raised.value) != str(exc):
                 differ.append((at + size - 1, str(exc), str(raised.value)))
             continue
-        streamed = verify_archive(path, summary, chain, ranges)
-        loaded = verify_pruned_epoch(ledger, summary, chain, ranges)
+        streamed = verify_archive(path, summary, chain)
+        loaded = verify_pruned_epoch(ledger, summary, chain)
         if (streamed != loaded or streamed.chain != verify_chain(ledger)
                 or streamed.chain.ok):
             differ.append((at + size - 1, loaded, streamed))

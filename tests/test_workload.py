@@ -249,13 +249,13 @@ def test_run_scenario_counts_and_conservation():
 
 def test_run_scenario_audits_every_archive_under_one_parse_of_the_ranges(monkeypatch):
     """Work counter: the in-run audit parses the validity ranges once per
-    run, at 2 archives as at 6, not once per archive."""
-    from tcgw import gateway
-    parse = gateway.range_bounds
+    run, as the public chain is built, at 2 archives as at 6, not once
+    per archive."""
+    from tcgw import public_chain
+    parse = public_chain.range_bounds
     for epochs in (1, 3):
         parses = []
-        gateway._parsed_bounds.cache_clear()  # parsed values are kept across calls
-        monkeypatch.setattr(gateway, "range_bounds",
+        monkeypatch.setattr(public_chain, "range_bounds",
                             lambda ranges: parses.append(1) or parse(ranges))
         result = run_scenario(small_scenario(epochs=epochs))
         assert len(result.archives) == 2 * epochs and result.report["ok"]
@@ -487,7 +487,7 @@ def test_verify_archive_reads_each_reading_once_and_builds_no_decimal(monkeypatc
     built, read = _count_reading_work(monkeypatch)
     for (channel, epoch), path in paths.items():
         record = result.public_chain.find_anchor(channel, epoch)
-        assert verify_archive(path, record.summary, result.public_chain, cfg.ranges).ok
+        assert verify_archive(path, record.summary, result.public_chain).ok
     monkeypatch.undo()
     assert len(values) == 288
     assert len(read) == len(values)
@@ -656,8 +656,7 @@ def test_archives_verify_against_public_chain():
     for (channel, epoch), archived in result.archives.items():
         record = result.public_chain.find_anchor(channel, epoch)
         assert record is not None and result.public_chain.is_confirmed(record)
-        outcome = verify_pruned_epoch(archived, record.summary,
-                                      result.public_chain, cfg.ranges)
+        outcome = verify_pruned_epoch(archived, record.summary, result.public_chain)
         assert outcome.ok, (channel, epoch, outcome.failures)
 
 
@@ -683,13 +682,13 @@ def test_archive_dir_gets_each_audited_ledger_once_and_none_is_kept(monkeypatch,
     audits: list = []  # (ledger, the bytes its audit wrote, block by block)
     audit = workload.verify_pruned_epoch
 
-    def audited(ledger, summary, pub, ranges, write):
+    def audited(ledger, summary, pub, write):
         for (channel, epoch), (_, blocks) in zip(order, audits):  # each earlier one is whole
             path = tmp_path / archive_name(channel, epoch)
             assert path.read_bytes() == LEDGER_HEADER + b"".join(blocks)
         blocks: list = []
         audits.append((ledger, blocks))
-        return audit(ledger, summary, pub, ranges, lambda data: blocks.append(data) or write(data))
+        return audit(ledger, summary, pub, lambda data: blocks.append(data) or write(data))
 
     order = [("north", 0), ("south", 0), ("north", 1), ("south", 1)]
     monkeypatch.setattr(workload, "verify_pruned_epoch", audited)
@@ -749,7 +748,7 @@ def test_in_run_audit_fails_an_epoch_whose_archive_bytes_are_corrupted(monkeypat
     path = tmp_path / archive_name("south", 1)
     assert target[1] in path.read_bytes()
     record = result.public_chain.find_anchor("south", 1)
-    outcome = verify_archive(path, record.summary, result.public_chain, cfg.ranges)
+    outcome = verify_archive(path, record.summary, result.public_chain)
     assert str(outcome.chain) == "TxId at block 1" and "chain" in outcome.failures
 
 
